@@ -5,102 +5,48 @@ function, plus a CLI that reproduces the standard figure families as
 CSV data."""
 
 from .config import OBSERVABLE_NAMES, QGridSpec, RunConfig, parse_config, serialize_config
-from .dynamics import (
-    EvolvedState,
-    FieldDensity,
-    JcmConfig,
-    conservation_residual,
-    density_element,
-    evolve,
-    field_density,
-    rabi_freq,
-)
-from .fock import (
-    FockVector,
-    annihilation_matrix,
-    basis_state,
-    build_sdfs_oracle,
-    coherent_state,
-    creation_matrix,
-    inner_product,
-    matrix_exp_apply,
-)
+from .dynamics import evolve, field_components
+from .fock import FockVector
 from .observables import (
-    EntropyPoint,
-    GramData,
-    PhaseDistribution,
-    QGrid,
     atomic_inversion,
     default_etas,
-    field_entropy,
+    entropy_rows,
     gram,
     phase_distribution,
-    photon_number_dist_t,
     photon_number_distribution,
-    q_function,
     q_function_grid,
     revival_time,
 )
 from .presets import PRESET_NAMES, figure_preset
-from .runner import RunResult, run
-from .sdfs import (
-    PhotonDistribution,
-    SdfsParams,
-    choose_truncation,
-    mean_photon_number,
-    photon_distribution,
-    sdfs_amplitude,
-    sdfs_overlap,
-    sdfs_state,
-)
+from .runner import RunData, RunResult, compute, run
+from .sdfs import SdfsParams, choose_truncation, sdfs_overlap, sdfs_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EntropyPoint",
-    "EvolvedState",
-    "FieldDensity",
     "FockVector",
-    "GramData",
-    "JcmConfig",
     "OBSERVABLE_NAMES",
     "PRESET_NAMES",
-    "PhaseDistribution",
-    "PhotonDistribution",
-    "QGrid",
     "QGridSpec",
     "RunConfig",
+    "RunData",
     "RunResult",
     "SdfsParams",
-    "annihilation_matrix",
     "atomic_inversion",
-    "basis_state",
-    "build_sdfs_oracle",
     "choose_truncation",
-    "coherent_state",
-    "conservation_residual",
-    "creation_matrix",
+    "compute",
     "default_etas",
-    "density_element",
+    "entropy_rows",
     "evolve",
-    "field_density",
-    "field_entropy",
+    "field_components",
     "figure_preset",
     "gram",
-    "inner_product",
-    "matrix_exp_apply",
-    "mean_photon_number",
     "parse_config",
     "phase_distribution",
-    "photon_distribution",
-    "photon_number_dist_t",
     "photon_number_distribution",
-    "q_function",
     "q_function_grid",
-    "rabi_freq",
     "revival_time",
     "run",
-    "sdfs_amplitude",
     "sdfs_overlap",
     "sdfs_state",
     "serialize_config",

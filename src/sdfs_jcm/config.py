@@ -34,7 +34,6 @@ class RunConfig:
 
     state: SdfsParams = field(default_factory=SdfsParams)
     detuning_ratio: float = 0.0
-    coupling: float = 1.0
     t_max_scaled: float = 25.0
     t_points: int = 2000
     tail_tol: float = 1e-12
@@ -52,7 +51,6 @@ _FLOAT_KEYS = (
     "r",
     "phi",
     "detuning_ratio",
-    "coupling",
     "t_max_scaled",
     "tail_tol",
     "q_x_min",
@@ -72,13 +70,11 @@ def _fail(msg: str, line_no: int | None = None) -> ValueError:
 
 
 def validate(cfg: RunConfig) -> RunConfig:
-    """Check every domain constraint, naming the offending key."""
-    if cfg.state.r < 0:
-        raise _fail("key 'r' must be >= 0")
-    if cfg.state.m < 0:
-        raise _fail("key 'm' must be >= 0")
-    if cfg.coupling <= 0:
-        raise _fail("key 'coupling' must be > 0")
+    """Check the run-level domain constraints, naming the offending key.
+
+    The state's own constraints (r >= 0, m >= 0) hold by construction of
+    SdfsParams; `parse_config` reports them with their line numbers.
+    """
     if cfg.t_max_scaled <= 0:
         raise _fail("key 't_max_scaled' must be > 0")
     if cfg.t_points < 2:
@@ -180,7 +176,6 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(
         state=state,
         detuning_ratio=values.get("detuning_ratio", 0.0),
-        coupling=values.get("coupling", 1.0),
         t_max_scaled=values.get("t_max_scaled", 25.0),
         t_points=values.get("t_points", 2000),
         tail_tol=values.get("tail_tol", 1e-12),
@@ -202,7 +197,6 @@ def serialize_config(cfg: RunConfig) -> str:
         ("phi", repr(cfg.state.phi)),
         ("m", str(cfg.state.m)),
         ("detuning_ratio", repr(cfg.detuning_ratio)),
-        ("coupling", repr(cfg.coupling)),
         ("t_max_scaled", repr(cfg.t_max_scaled)),
         ("t_points", str(cfg.t_points)),
         ("tail_tol", repr(cfg.tail_tol)),

@@ -14,118 +14,72 @@ Time is always the scaled variable lambda*t; the detuning enters only
 through Delta/lambda. Probability conservation |A_n|^2 + |B_n|^2 = |q_n|^2
 holds identically and is asserted by the tests, never enforced at
 runtime, so formula errors surface instead of being papered over.
+
+Array layout: a time axis of T points gives A and B as (T, dim) arrays,
+row i holding A_n(ts[i]) for n = 0..dim-1 with dim = n_max + 1. The
+reduced field state rho_f = |C><C| + |S><S| lives on a basis one photon
+larger, so its components C and S are (T, dim + 1) arrays. Every
+function here keeps the leading axes of its inputs.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockVector
 
 
-@dataclass(frozen=True)
-class JcmConfig:
-    """Coupling/detuning/truncation of one atom-cavity run."""
-
-    n_max: int
-    coupling: float = 1.0
-    detuning_ratio: float = 0.0  # Delta / lambda
-
-    def __post_init__(self):
-        if self.coupling <= 0:
-            raise ValueError("coupling must be > 0")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-
-@dataclass(frozen=True, eq=False)
-class EvolvedState:
-    """Coefficient arrays A_n, B_n (n = 0..n_max) at one scaled time."""
-
-    t_scaled: float
-    a_coeffs: np.ndarray
-    b_coeffs: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.a_coeffs, dtype=complex)
-        b = np.array(self.b_coeffs, dtype=complex)
-        if a.shape != b.shape or a.ndim != 1 or a.size < 1:
-            raise ValueError("a_coeffs and b_coeffs must be equal-length 1-D arrays")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a_coeffs", a)
-        object.__setattr__(self, "b_coeffs", b)
-
-    @property
-    def n_max(self) -> int:
-        return self.a_coeffs.size - 1
-
-
-@dataclass(frozen=True, eq=False)
-class FieldDensity:
-    """Component vectors of the rank-2 reduced field state
-    rho_f = |C><C| + |S><S|: C_n = A_n and S_{n+1} = B_n."""
-
-    c_vec: FockVector
-    s_vec: FockVector
-
-
-def rabi_freq(n: int, cfg: JcmConfig) -> float:
-    """Generalized Rabi frequency sqrt(Delta^2/(4 lambda^2) + n + 1)."""
-    if n < 0:
-        raise ValueError("photon index n must be >= 0")
-    return math.sqrt(0.25 * cfg.detuning_ratio**2 + n + 1.0)
-
-
-def evolve(q: FockVector, t_scaled: float, cfg: JcmConfig) -> EvolvedState:
-    """Closed-form coefficients A_n(t), B_n(t) for initial field amplitudes q."""
-    if q.dim != cfg.n_max + 1:
-        raise ValueError(f"q has dim {q.dim}, expected n_max + 1 = {cfg.n_max + 1}")
+def evolve(
+    q: FockVector, ts: np.ndarray, detuning_ratio: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form A_n(t), B_n(t) at the scaled times ts, as (T, dim) arrays."""
     deficit = abs(q.norm_sq() - 1.0)
     if deficit > 1e-8:
         raise ValueError(f"initial field amplitudes not normalized (|norm^2 - 1| = {deficit:.3e})")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("ts must be a 1-D array of scaled times")
     ns = np.arange(q.dim)
-    nu = np.sqrt(0.25 * cfg.detuning_ratio**2 + ns + 1.0)
-    ph = t_scaled * nu
+    nu = np.sqrt(0.25 * detuning_ratio**2 + ns + 1.0)
+    ph = ts[:, None] * nu
     sin_over_nu = np.sin(ph) / nu
-    a = q.amps * (np.cos(ph) - 0.5j * cfg.detuning_ratio * sin_over_nu)
+    a = q.amps * (np.cos(ph) - 0.5j * detuning_ratio * sin_over_nu)
     b = -1j * q.amps * np.sqrt(ns + 1.0) * sin_over_nu
-    return EvolvedState(float(t_scaled), a, b)
+    return a, b
 
 
-def conservation_residual(st: EvolvedState) -> float:
-    """|sum_n (|A_n|^2 + |B_n|^2) - 1|, zero for the exact solution."""
-    total = np.sum(np.abs(st.a_coeffs) ** 2 + np.abs(st.b_coeffs) ** 2)
-    return float(abs(total - 1.0))
+def conservation_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|sum_n (|A_n|^2 + |B_n|^2) - 1| per time, zero for the exact solution."""
+    total = np.sum(np.abs(a) ** 2 + np.abs(b) ** 2, axis=-1)
+    return np.abs(total - 1.0)
 
 
-def field_density(st: EvolvedState) -> FieldDensity:
-    """|C(t)> and |S(t)> on a basis extended by one photon (dim n_max + 2)."""
-    dim = st.n_max + 2
-    c = np.zeros(dim, dtype=complex)
-    s = np.zeros(dim, dtype=complex)
-    c[:-1] = st.a_coeffs
-    s[1:] = st.b_coeffs
-    return FieldDensity(FockVector(c), FockVector(s))
+def field_components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C and S of rho_f on the basis extended by one photon: C_n = A_n, S_{n+1} = B_n."""
+    shape = a.shape[:-1] + (a.shape[-1] + 1,)
+    c = np.zeros(shape, dtype=complex)
+    s = np.zeros(shape, dtype=complex)
+    c[..., :-1] = a
+    s[..., 1:] = b
+    return c, s
 
 
-def density_element(st: EvolvedState, l: int, j: int) -> complex:
-    """Reduced field matrix element rho_lj = A_l A_j* + B_{l-1} B_{j-1}*.
+def density_element(a: np.ndarray, b: np.ndarray, l: int, j: int) -> complex:
+    """Reduced field matrix element rho_lj = A_l A_j* + B_{l-1} B_{j-1}*
+    at one time, from the 1-D coefficient rows a and b.
 
     Valid for 0 <= l, j <= n_max + 1, with A_{n_max+1} and B_{-1} equal
-    to zero.
+    to zero. This dense element is the reference the rank-2 contractions
+    of `observables` are tested against.
     """
-    hi = st.n_max + 1
+    hi = a.size
     if not (0 <= l <= hi and 0 <= j <= hi):
         raise IndexError(f"indices ({l}, {j}) outside [0, {hi}]")
 
     def _a(i: int) -> complex:
-        return complex(st.a_coeffs[i]) if i <= st.n_max else 0j
+        return complex(a[i]) if i < hi else 0j
 
     def _b(i: int) -> complex:
-        return complex(st.b_coeffs[i]) if i >= 0 else 0j
+        return complex(b[i]) if i >= 0 else 0j
 
     return _a(l) * np.conj(_a(j)) + _b(l - 1) * np.conj(_b(j - 1))

@@ -4,33 +4,23 @@ Atomic inversion, von Neumann entropy of the reduced field state, the
 time-dependent photon-number distribution, the Pegg-Barnett phase
 distribution, the Husimi Q function, and the collapse-revival time
 estimate. Everything is derived from the coefficient arrays in
-`dynamics`; the reduced field state is rank <= 2, which all formulas
-here exploit.
+`dynamics` and keeps their leading time axis: inversion takes the
+(T, dim) arrays A and B, the field quantities take the (T, dim + 1)
+components C and S of the reduced field state. That state is rank <= 2,
+which all formulas here exploit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .dynamics import EvolvedState, FieldDensity, field_density
-from .fock import inner_product
 from .sdfs import SdfsParams
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class GramData:
-    """Inner products of the field component vectors: <C|C>, <S|S>, <C|S>."""
-
-    cc: float
-    ss: float
-    cs: complex
 
 
 @dataclass(frozen=True)
@@ -48,15 +38,6 @@ class EntropyPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseDistribution:
-    """Phase density P(eta) per radian on angles in [-pi, pi)."""
-
-    etas: np.ndarray
-    values: np.ndarray
-    eta0: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
 class QGrid:
     """Husimi Q values on a rectangular grid of alpha = x + iy.
 
@@ -69,21 +50,23 @@ class QGrid:
     values: np.ndarray
 
 
-def atomic_inversion(st: EvolvedState) -> float:
-    """W(t) = sum_n (|A_n|^2 - |B_n|^2), in [-1, 1]."""
-    return float(np.sum(np.abs(st.a_coeffs) ** 2 - np.abs(st.b_coeffs) ** 2))
+def atomic_inversion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W(t) = sum_n (|A_n|^2 - |B_n|^2) per time, in [-1, 1]."""
+    return np.sum(np.abs(a) ** 2 - np.abs(b) ** 2, axis=-1)
 
 
-def gram(fd: FieldDensity) -> GramData:
-    """The three inner products that determine the rank-2 field spectrum."""
-    cc = fd.c_vec.norm_sq()
-    ss = fd.s_vec.norm_sq()
-    cs = inner_product(fd.c_vec, fd.s_vec)
-    return GramData(cc, ss, cs)
+def gram(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<C|C>, <S|S> and <C|S> per time, which fix the rank-2 field spectrum."""
+    cc = np.sum(np.abs(c) ** 2, axis=-1)
+    ss = np.sum(np.abs(s) ** 2, axis=-1)
+    # a stacked 1 x n by n x 1 product per row keeps the bits of np.vdot; einsum does not
+    cs = (c.conj()[..., None, :] @ s[..., :, None])[..., 0, 0]
+    return cc, ss, cs
 
 
-def field_entropy(g: GramData, cs_floor: float = 1e-14) -> EntropyPoint:
-    """Eigenvalues lambda+- and entropy -sum lambda ln lambda of rho_f.
+def field_entropy(cc: float, ss: float, cs: complex, cs_floor: float = 1e-14) -> EntropyPoint:
+    """Eigenvalues lambda+- and entropy -sum lambda ln lambda of rho_f at
+    one time, from its Gram entries <C|C>, <S|S>, <C|S>.
 
     For |<C|S>| above ``cs_floor`` the eigenvalues come from the
     hyperbolic-angle split lambda+- = cc + e^{-+theta}|cs| (evaluated in
@@ -92,7 +75,7 @@ def field_entropy(g: GramData, cs_floor: float = 1e-14) -> EntropyPoint:
     just {max, min}(cc, ss). Eigenvalues are clamped to [0, 1] only
     within 1e-12 slack; anything worse is rejected.
     """
-    cc, ss, acs = g.cc, g.ss, abs(g.cs)
+    acs = abs(cs)
     if not (-1e-12 <= cc <= 1.0 + 1e-12 and -1e-12 <= ss <= 1.0 + 1e-12):
         raise ValueError(f"cc={cc}, ss={ss} outside [0, 1]")
     if abs(cc + ss - 1.0) > 1e-10:
@@ -120,16 +103,22 @@ def field_entropy(g: GramData, cs_floor: float = 1e-14) -> EntropyPoint:
     return EntropyPoint(lam_p, lam_m, entropy, theta)
 
 
-def photon_number_dist_t(fd: FieldDensity, n: int) -> float:
-    """P(n, t) = <n|rho_f|n> = |C_n|^2 + |S_n|^2."""
-    if not 0 <= n < fd.c_vec.dim:
-        raise IndexError(f"photon number {n} outside [0, {fd.c_vec.dim - 1}]")
-    return float(abs(fd.c_vec.amps[n]) ** 2 + abs(fd.s_vec.amps[n]) ** 2)
+def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """(T, 3) rows (S_f, lambda_plus, lambda_minus) of `field_entropy` per time.
+
+    The 2x2 formula stays scalar and runs row by row: np.log and np.hypot
+    in place of math.log and math.hypot change the last bits of the CSV.
+    """
+    rows = np.empty((len(cc), 3))
+    for i, gram_entries in enumerate(zip(cc.tolist(), ss.tolist(), cs.tolist())):
+        point = field_entropy(*gram_entries)
+        rows[i] = (point.entropy, point.lambda_plus, point.lambda_minus)
+    return rows
 
 
-def photon_number_distribution(fd: FieldDensity) -> np.ndarray:
-    """All P(n, t) at once."""
-    return np.abs(fd.c_vec.amps) ** 2 + np.abs(fd.s_vec.amps) ** 2
+def photon_number_distribution(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """P(n, t) = <n|rho_f|n> = |C_n|^2 + |S_n|^2 for every n and time."""
+    return np.abs(c) ** 2 + np.abs(s) ** 2
 
 
 def default_etas(n_points: int = 512) -> np.ndarray:
@@ -139,8 +128,9 @@ def default_etas(n_points: int = 512) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, n_points, endpoint=False)
 
 
-def phase_distribution(st: EvolvedState, etas: np.ndarray) -> PhaseDistribution:
-    """Pegg-Barnett phase density P(eta, t) with reference angle eta0 = 0.
+def phase_distribution(c: np.ndarray, s: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Pegg-Barnett phase density P(eta, t) per radian, reference angle 0,
+    as (T, E) rows over the angles etas in [-pi, pi).
 
     The double sum (1/2pi) sum_{l,j} rho_lj e^{i(j-l)eta} over the full
     truncated space factorizes through the rank-2 structure into
@@ -151,13 +141,12 @@ def phase_distribution(st: EvolvedState, etas: np.ndarray) -> PhaseDistribution:
     etas = np.asarray(etas, dtype=float)
     if etas.size and (etas.min() < -math.pi - 1e-12 or etas.max() >= math.pi + 1e-12):
         raise ValueError("phase angles must lie in [-pi, pi)")
-    fd = field_density(st)
-    ns = np.arange(fd.c_vec.dim)
-    kernel = np.exp(-1j * np.outer(etas, ns))
-    vals = (
-        np.abs(kernel @ fd.c_vec.amps) ** 2 + np.abs(kernel @ fd.s_vec.amps) ** 2
-    ) / _TWO_PI
-    return PhaseDistribution(etas, vals)
+    kernel = np.exp(-1j * np.outer(etas, np.arange(c.shape[-1])))
+    # one matrix-vector product per time row, stacked; a single gemm over
+    # all rows would change the last bits
+    project_c = (kernel @ c[..., None])[..., 0]
+    project_s = (kernel @ s[..., None])[..., 0]
+    return (np.abs(project_c) ** 2 + np.abs(project_s) ** 2) / _TWO_PI
 
 
 def _coherent_bras(alphas: np.ndarray, dim: int) -> np.ndarray:
@@ -177,31 +166,20 @@ def _coherent_bras(alphas: np.ndarray, dim: int) -> np.ndarray:
     return np.exp(logmag) * phase
 
 
-def q_function(st: EvolvedState, alpha: complex) -> float:
-    """Husimi Q(alpha) = <alpha|rho_f|alpha>/pi = (|<alpha|C>|^2 + |<alpha|S>|^2)/pi.
+def q_function_grid(
+    c: np.ndarray, s: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray
+) -> QGrid:
+    """Husimi Q(alpha) = <alpha|rho_f|alpha>/pi = (|<alpha|C>|^2 + |<alpha|S>|^2)/pi
+    on the rectangular grid alpha = x + iy, at one time (1-D c and s).
 
     The rank-2 contraction is algebraically identical to the full
     double sum over rho_nm but costs O(n_max) per point.
     """
-    fd = field_density(st)
-    row = _coherent_bras(np.array([alpha]), fd.c_vec.dim)[0]
-    return float(
-        (abs(row @ fd.c_vec.amps) ** 2 + abs(row @ fd.s_vec.amps) ** 2) / math.pi
-    )
-
-
-def q_function_grid(
-    st: EvolvedState, x_axis: np.ndarray, y_axis: np.ndarray
-) -> QGrid:
-    """Husimi Q on the rectangular grid alpha = x + iy."""
     x_axis = np.asarray(x_axis, dtype=float)
     y_axis = np.asarray(y_axis, dtype=float)
-    fd = field_density(st)
     alphas = (x_axis[None, :] + 1j * y_axis[:, None]).ravel()
-    rows = _coherent_bras(alphas, fd.c_vec.dim)
-    vals = (
-        np.abs(rows @ fd.c_vec.amps) ** 2 + np.abs(rows @ fd.s_vec.amps) ** 2
-    ) / math.pi
+    rows = _coherent_bras(alphas, c.size)
+    vals = (np.abs(rows @ c) ** 2 + np.abs(rows @ s) ** 2) / math.pi
     return QGrid(x_axis, y_axis, vals.reshape(y_axis.size, x_axis.size))
 
 

@@ -1,6 +1,14 @@
-"""Executes a RunConfig: time sweeps, grids, CSV output, residual summary.
+"""Executes a RunConfig: `compute` does the arithmetic, `run` writes it.
 
-One CSV per selected observable, with fixed schemas:
+`compute` chooses the truncation, builds the initial field once and
+walks the scaled-time grid in blocks of rows. Each block is one call of
+`dynamics.evolve`, which returns A and B as (rows, dim) arrays with
+dim = n_max + 1; every time-series output keeps that layout, one row
+per time point: inversion (T,), the Gram entries cc, ss, cs (T,),
+entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
+(T, eta_points). The Q snapshot is one (ny, nx) grid.
+
+`run` writes one CSV per selected observable, with fixed schemas:
 
     inversion.csv   lambda_t,W
     entropy.csv     lambda_t,S_f,lambda_plus,lambda_minus
@@ -25,11 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, validate
-from .dynamics import JcmConfig, conservation_residual, evolve, field_density
+from .dynamics import conservation_residual, evolve, field_components
 from .observables import (
+    QGrid,
     atomic_inversion,
     default_etas,
-    field_entropy,
+    entropy_rows,
     gram,
     phase_distribution,
     photon_number_distribution,
@@ -38,6 +47,12 @@ from .observables import (
 from .sdfs import choose_truncation, sdfs_state
 
 FLOAT_FMT = "%.17g"
+
+# Complex entries of A (and of B) per time block: a block holds
+# max(1, BLOCK_ENTRIES // dim) rows, which keeps the block arrays small.
+BLOCK_ENTRIES = 4096
+
+TIME_SERIES = frozenset({"inversion", "entropy", "photon_dist", "phase_dist"})
 
 TOLERANCES = {
     "normalization_residual": 1e-10,
@@ -49,6 +64,25 @@ TOLERANCES = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class RunData:
+    """The arrays `compute` derives from a RunConfig; an observable that
+    was not selected is None. Rows follow ts."""
+
+    n_max: int
+    ts: np.ndarray
+    residuals: dict
+    inversion: np.ndarray | None = None
+    cc: np.ndarray | None = None
+    ss: np.ndarray | None = None
+    cs: np.ndarray | None = None
+    entropy: np.ndarray | None = None  # columns S_f, lambda_plus, lambda_minus
+    photon: np.ndarray | None = None
+    etas: np.ndarray | None = None
+    phase: np.ndarray | None = None
+    qgrid: QGrid | None = None
+
+
 @dataclass(frozen=True)
 class RunResult:
     ok: bool
@@ -56,142 +90,127 @@ class RunResult:
     files: tuple[Path, ...]
 
 
-def _write_csv(path: Path, header: str, columns: list[np.ndarray], fmts: list[str]):
+def _write_csv(path: Path, header: str, columns: list[np.ndarray], fmts: list[str]) -> Path:
     data = np.column_stack(columns)
     with open(path, "w", newline="\n") as handle:
         handle.write(header + "\n")
         np.savetxt(handle, data, fmt=fmts, delimiter=",", newline="\n")
+    return path
 
 
-def run(cfg: RunConfig) -> RunResult:
-    """Execute the configured sweep and write outputs into cfg.output_dir."""
+def compute(cfg: RunConfig) -> RunData:
+    """Every selected observable and invariant residual of cfg, with no I/O."""
     validate(cfg)
-    started = time.perf_counter()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     n_max = max(choose_truncation(cfg.state, cfg.tail_tol), 1)
     q = sdfs_state(cfg.state, n_max)
-    jcm = JcmConfig(
-        n_max=n_max, coupling=cfg.coupling, detuning_ratio=cfg.detuning_ratio
-    )
     ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
-
-    residuals: dict[str, float] = {
-        "normalization_residual": abs(q.norm_sq() - 1.0),
-    }
-    files: list[Path] = []
     selected = set(cfg.observables)
-    sweep_needed = selected & {"inversion", "entropy", "photon_dist", "phase_dist"}
+    residuals = {"normalization_residual": abs(q.norm_sq() - 1.0)}
+    etas = default_etas(cfg.eta_points) if "phase_dist" in selected else None
+    series: dict[str, np.ndarray] = {}
 
-    inversion_vals = np.empty(cfg.t_points) if "inversion" in selected else None
-    entropy_rows = np.empty((cfg.t_points, 3)) if "entropy" in selected else None
-    photon_rows = (
-        np.empty((cfg.t_points, n_max + 2)) if "photon_dist" in selected else None
-    )
-    etas = default_etas(cfg.eta_points)
-    phase_rows = (
-        np.empty((cfg.t_points, cfg.eta_points)) if "phase_dist" in selected else None
-    )
+    if selected & TIME_SERIES:
+        step = max(1, BLOCK_ENTRIES // q.dim)
+        for lo in range(0, ts.size, step):
+            rows = slice(lo, lo + step)
+            a, b = evolve(q, ts[rows], cfg.detuning_ratio)
+            c, s = field_components(a, b)
+            block = {"conservation": conservation_residual(a, b)}
+            if "inversion" in selected:
+                block["inversion"] = atomic_inversion(a, b)
+            if "entropy" in selected:
+                block["cc"], block["ss"], block["cs"] = gram(c, s)
+            if "photon_dist" in selected:
+                block["photon"] = photon_number_distribution(c, s)
+            if etas is not None:
+                block["phase"] = phase_distribution(c, s, etas)
+            for key, value in block.items():
+                if key not in series:
+                    series[key] = np.empty((ts.size, *value.shape[1:]), value.dtype)
+                series[key][rows] = value
+        residuals["conservation_residual"] = float(np.max(series.pop("conservation")))
+        if "entropy" in selected:
+            series["entropy"] = entropy_rows(series["cc"], series["ss"], series["cs"])
+            trace = series["cc"] + series["ss"]
+            residuals["gram_trace_residual"] = float(np.max(np.abs(trace - 1.0)))
+            lam_sums = series["entropy"][:, 1] + series["entropy"][:, 2]
+            residuals["eigenvalue_sum_residual"] = float(np.max(np.abs(lam_sums - 1.0)))
+        if etas is not None:
+            integrals = np.sum(series["phase"], axis=1) * (2.0 * math.pi / etas.size)
+            residuals["phase_integral_residual"] = float(np.max(np.abs(integrals - 1.0)))
 
-    if sweep_needed:
-        worst_cons = 0.0
-        worst_trace = 0.0
-        worst_phase = 0.0
-        for i, t in enumerate(ts):
-            st = evolve(q, float(t), jcm)
-            worst_cons = max(worst_cons, conservation_residual(st))
-            if inversion_vals is not None:
-                inversion_vals[i] = atomic_inversion(st)
-            if entropy_rows is not None or photon_rows is not None:
-                fd = field_density(st)
-                if entropy_rows is not None:
-                    g = gram(fd)
-                    worst_trace = max(worst_trace, abs(g.cc + g.ss - 1.0))
-                    ent = field_entropy(g)
-                    entropy_rows[i] = (ent.entropy, ent.lambda_plus, ent.lambda_minus)
-                if photon_rows is not None:
-                    photon_rows[i] = photon_number_distribution(fd)
-            if phase_rows is not None:
-                dist = phase_distribution(st, etas)
-                phase_rows[i] = dist.values
-                integral = float(np.sum(dist.values)) * (2.0 * math.pi / cfg.eta_points)
-                worst_phase = max(worst_phase, abs(integral - 1.0))
-        residuals["conservation_residual"] = worst_cons
-        if entropy_rows is not None:
-            residuals["gram_trace_residual"] = worst_trace
-            lam_sums = entropy_rows[:, 1] + entropy_rows[:, 2]
-            residuals["eigenvalue_sum_residual"] = float(
-                np.max(np.abs(lam_sums - 1.0))
-            )
-        if phase_rows is not None:
-            residuals["phase_integral_residual"] = worst_phase
-
-    if inversion_vals is not None:
-        path = out_dir / "inversion.csv"
-        _write_csv(path, "lambda_t,W", [ts, inversion_vals], [FLOAT_FMT] * 2)
-        files.append(path)
-    if entropy_rows is not None:
-        path = out_dir / "entropy.csv"
-        _write_csv(
-            path,
-            "lambda_t,S_f,lambda_plus,lambda_minus",
-            [ts, entropy_rows[:, 0], entropy_rows[:, 1], entropy_rows[:, 2]],
-            [FLOAT_FMT] * 4,
-        )
-        files.append(path)
-    if photon_rows is not None:
-        path = out_dir / "photon_dist.csv"
-        ns = np.arange(n_max + 2)
-        _write_csv(
-            path,
-            "lambda_t,n,P",
-            [
-                np.repeat(ts, ns.size),
-                np.tile(ns, ts.size),
-                photon_rows.ravel(),
-            ],
-            [FLOAT_FMT, "%d", FLOAT_FMT],
-        )
-        files.append(path)
-    if phase_rows is not None:
-        path = out_dir / "phase_dist.csv"
-        _write_csv(
-            path,
-            "lambda_t,eta,P",
-            [
-                np.repeat(ts, etas.size),
-                np.tile(etas, ts.size),
-                phase_rows.ravel(),
-            ],
-            [FLOAT_FMT] * 3,
-        )
-        files.append(path)
-
+    qgrid = None
     if "qfunc" in selected:
         t_q = cfg.q_time_scaled if cfg.q_time_scaled is not None else cfg.t_max_scaled
-        st = evolve(q, float(t_q), jcm)
+        a, b = evolve(q, [t_q], cfg.detuning_ratio)
         residuals["conservation_residual"] = max(
-            residuals.get("conservation_residual", 0.0), conservation_residual(st)
+            residuals.get("conservation_residual", 0.0),
+            float(conservation_residual(a, b)[0]),
         )
         grid = cfg.q_grid
         xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
         ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
-        qg = q_function_grid(st, xs, ys)
+        qgrid = q_function_grid(*field_components(a[0], b[0]), xs, ys)
         cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-        residuals["q_integral_residual"] = abs(float(np.sum(qg.values)) * cell - 1.0)
-        path = out_dir / "qfunc.csv"
-        _write_csv(
-            path,
-            "x,y,Q",
-            [
-                np.tile(xs, ys.size),
-                np.repeat(ys, xs.size),
-                qg.values.ravel(),
-            ],
-            [FLOAT_FMT] * 3,
+        residuals["q_integral_residual"] = abs(float(np.sum(qgrid.values)) * cell - 1.0)
+
+    return RunData(n_max, ts, residuals, etas=etas, qgrid=qgrid, **series)
+
+
+def run(cfg: RunConfig) -> RunResult:
+    """Compute cfg and write its CSVs and run summary into cfg.output_dir."""
+    started = time.perf_counter()
+    data = compute(cfg)
+    ts, n_max, residuals = data.ts, data.n_max, data.residuals
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files: list[Path] = []
+
+    if data.inversion is not None:
+        files.append(
+            _write_csv(
+                out_dir / "inversion.csv", "lambda_t,W", [ts, data.inversion], [FLOAT_FMT] * 2
+            )
         )
-        files.append(path)
+    if data.entropy is not None:
+        files.append(
+            _write_csv(
+                out_dir / "entropy.csv",
+                "lambda_t,S_f,lambda_plus,lambda_minus",
+                [ts, data.entropy[:, 0], data.entropy[:, 1], data.entropy[:, 2]],
+                [FLOAT_FMT] * 4,
+            )
+        )
+    if data.photon is not None:
+        ns = np.arange(n_max + 2)
+        files.append(
+            _write_csv(
+                out_dir / "photon_dist.csv",
+                "lambda_t,n,P",
+                [np.repeat(ts, ns.size), np.tile(ns, ts.size), data.photon.ravel()],
+                [FLOAT_FMT, "%d", FLOAT_FMT],
+            )
+        )
+    if data.phase is not None:
+        etas = data.etas
+        files.append(
+            _write_csv(
+                out_dir / "phase_dist.csv",
+                "lambda_t,eta,P",
+                [np.repeat(ts, etas.size), np.tile(etas, ts.size), data.phase.ravel()],
+                [FLOAT_FMT] * 3,
+            )
+        )
+    if data.qgrid is not None:
+        xs, ys = data.qgrid.x_axis, data.qgrid.y_axis
+        files.append(
+            _write_csv(
+                out_dir / "qfunc.csv",
+                "x,y,Q",
+                [np.tile(xs, ys.size), np.repeat(ys, xs.size), data.qgrid.values.ravel()],
+                [FLOAT_FMT] * 3,
+            )
+        )
 
     failures = sorted(
         name for name, value in residuals.items() if value > TOLERANCES[name]

@@ -281,9 +281,10 @@ def choose_truncation(p: SdfsParams, tail_tol: float) -> int:
 def sdfs_state(p: SdfsParams, n_max: int) -> FockVector:
     """Amplitude vector of |alpha0, z, m> on |0>..|n_max>.
 
-    Under-truncation (norm deficit above 1e-8) is an error, never a
-    silent renormalization. The normalized tag is set when the missing
-    tail is below 1e-10.
+    A norm off unity by more than 1e-8 is an error, never a silent
+    renormalization: a deficit means under-truncation, an excess means
+    the closed form lost precision to cancellation (large m). The
+    normalized tag is set when |norm^2 - 1| is below 1e-10.
     """
     amps = _amplitudes(p, n_max)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -291,6 +292,11 @@ def sdfs_state(p: SdfsParams, n_max: int) -> FockVector:
         raise ValueError(
             f"truncation n_max={n_max} loses {1.0 - norm_sq:.3e} of the state; "
             "increase n_max (see choose_truncation)"
+        )
+    if norm_sq > 1.0 + 1e-8:
+        raise ValueError(
+            f"closed-form amplitudes lost precision: norm^2 exceeds 1 by "
+            f"{norm_sq - 1.0:.3e} at n_max={n_max} (cancellation in the sum, m={p.m})"
         )
     return FockVector(amps, normalized=abs(norm_sq - 1.0) <= 1e-10)
 

@@ -16,19 +16,12 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import gammaln
 
-from .dynamics import JcmConfig, conservation_residual, evolve, field_density
+from .dynamics import evolve
 from .fock import FockVector, build_sdfs_oracle, inner_product
-from .observables import (
-    atomic_inversion,
-    default_etas,
-    field_entropy,
-    gram,
-    phase_distribution,
-    q_function_grid,
-    revival_time,
-)
+from .observables import atomic_inversion, revival_time
 from .presets import figure_preset
-from .sdfs import SdfsParams, choose_truncation, sdfs_overlap, sdfs_state, _amplitudes
+from .runner import compute
+from .sdfs import SdfsParams, choose_truncation, sdfs_overlap, _amplitudes
 
 AMPLITUDE_GRID = {
     "alpha0": (0j, 0.5 + 0j, 3.0 + 0j, 1.0 + 1.0j),
@@ -57,12 +50,6 @@ def grid_params() -> list[SdfsParams]:
         for phi in AMPLITUDE_GRID["phi"]
         for m in AMPLITUDE_GRID["m"]
     ]
-
-
-def oracle_state(p: SdfsParams, tail_tol: float = 1e-12) -> FockVector:
-    """Matrix-exponential SDFS with the doubled-truncation slack."""
-    n_max = choose_truncation(p, tail_tol)
-    return build_sdfs_oracle(p, 2 * (n_max + 1))
 
 
 def check_amplitude_oracle(tol: float = 1e-8) -> CheckResult:
@@ -130,22 +117,12 @@ def check_overlap_oracle(
     )
 
 
-def _preset_sweep(name: str):
-    cfg = figure_preset(name)
-    n_max = max(choose_truncation(cfg.state, cfg.tail_tol), 1)
-    q = sdfs_state(cfg.state, n_max)
-    jcm = JcmConfig(n_max=n_max, coupling=cfg.coupling, detuning_ratio=cfg.detuning_ratio)
-    ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
-    return cfg, q, jcm, ts
-
-
 def check_conservation(tol: float = 1e-10) -> CheckResult:
     """sum(|A_n|^2 + |B_n|^2) stays at 1 along the fig1 sweeps."""
-    worst = 0.0
-    for name in ("fig1a", "fig1b", "fig1c"):
-        _, q, jcm, ts = _preset_sweep(name)
-        for t in ts:
-            worst = max(worst, conservation_residual(evolve(q, float(t), jcm)))
+    worst = max(
+        compute(figure_preset(name)).residuals["conservation_residual"]
+        for name in ("fig1a", "fig1b", "fig1c")
+    )
     return _result(
         "conservation-fig1",
         worst <= tol,
@@ -161,24 +138,25 @@ def check_entropy_suite(tol: float = 1e-10) -> CheckResult:
     worst_sum = 0.0
     issues: list[str] = []
     for name in ("fig2a", "fig2b", "fig2c"):
-        _, q, jcm, ts = _preset_sweep(name)
-        for t in ts:
-            g = gram(field_density(evolve(q, float(t), jcm)))
-            point = field_entropy(g)
-            if not -1e-15 <= point.entropy <= ln2 + 1e-12:
-                issues.append(f"{name}: S={point.entropy} out of [0, ln 2] at t={t}")
-            worst_sum = max(
-                worst_sum, abs(point.lambda_plus + point.lambda_minus - 1.0)
-            )
-            gmat = np.array([[g.cc, g.cs], [np.conj(g.cs), g.ss]])
-            lam = np.linalg.eigvalsh(gmat)
-            worst_eig = max(
-                worst_eig,
-                abs(point.lambda_plus - lam[1]),
-                abs(point.lambda_minus - lam[0]),
-            )
-            if t == 0.0 and point.entropy > 1e-10:
-                issues.append(f"{name}: S(0) = {point.entropy:.3e} > 1e-10")
+        data = compute(figure_preset(name))
+        ts = data.ts
+        entropy, lam_p, lam_m = data.entropy.T
+        for i in np.nonzero(~((entropy >= -1e-15) & (entropy <= ln2 + 1e-12)))[0]:
+            issues.append(f"{name}: S={entropy[i]} out of [0, ln 2] at t={ts[i]}")
+        for i in np.nonzero((ts == 0.0) & (entropy > 1e-10))[0]:
+            issues.append(f"{name}: S(0) = {entropy[i]:.3e} > 1e-10")
+        worst_sum = max(worst_sum, float(np.max(np.abs(lam_p + lam_m - 1.0))))
+        gmat = np.empty((ts.size, 2, 2), dtype=complex)
+        gmat[:, 0, 0] = data.cc
+        gmat[:, 0, 1] = data.cs
+        gmat[:, 1, 0] = data.cs.conj()
+        gmat[:, 1, 1] = data.ss
+        lam = np.linalg.eigvalsh(gmat)
+        worst_eig = max(
+            worst_eig,
+            float(np.max(np.abs(lam_p - lam[:, 1]))),
+            float(np.max(np.abs(lam_m - lam[:, 0]))),
+        )
     passed = not issues and worst_eig <= tol and worst_sum <= tol
     detail = (
         f"worst eigensolve dev {worst_eig:.3e}, worst eigenvalue-sum dev "
@@ -209,9 +187,9 @@ def local_maxima(values: np.ndarray) -> np.ndarray:
 def check_revival_structure() -> CheckResult:
     """Windowed |W| collapses below 0.1, then peaks within 10% of the
     revival-time estimate (alpha0 = 3, r = 1, m = 0, resonant)."""
-    _, q, jcm, ts = _preset_sweep("fig1a")
-    w = np.array([atomic_inversion(evolve(q, float(t), jcm)) for t in ts])
-    smooth = sliding_abs_mean(ts, w, half_width=1.0)
+    data = compute(figure_preset("fig1a"))
+    ts = data.ts
+    smooth = sliding_abs_mean(ts, data.inversion, half_width=1.0)
     t_rev = revival_time(SdfsParams(alpha0=3.0, r=1.0))
     window = (ts >= 0.9 * t_rev) & (ts <= 1.1 * t_rev)
     maxima = [i for i in local_maxima(smooth) if window[i]]
@@ -245,13 +223,9 @@ def _window_minimum(ts, values, lo, hi):
 def check_entropy_minima() -> CheckResult:
     """Entropy dips near T_R/2 and T_R sit below the mid-sweep median
     (fig2a parameters)."""
-    _, q, jcm, ts = _preset_sweep("fig2a")
-    entropy = np.array(
-        [
-            field_entropy(gram(field_density(evolve(q, float(t), jcm)))).entropy
-            for t in ts
-        ]
-    )
+    data = compute(figure_preset("fig2a"))
+    ts = data.ts
+    entropy = data.entropy[:, 0]
     t_rev = revival_time(SdfsParams(alpha0=3.0, r=1.0))
     baseline = np.median(entropy[(ts >= 0.2 * t_rev) & (ts <= 0.8 * t_rev)])
     details = []
@@ -280,14 +254,10 @@ def check_phase_distribution() -> CheckResult:
     tail mass (~1e-10 here) in the far wings, nine orders below the
     peak, which any finite evaluation shows.
     """
-    cfg, q, jcm, ts = _preset_sweep("fig4a")
-    etas = default_etas(cfg.eta_points)
-    d_eta = 2.0 * math.pi / cfg.eta_points
-    worst_integral = 0.0
-    for t in ts:
-        vals = phase_distribution(evolve(q, float(t), jcm), etas).values
-        worst_integral = max(worst_integral, abs(float(np.sum(vals)) * d_eta - 1.0))
-    vals0 = phase_distribution(evolve(q, 0.0, jcm), etas).values
+    data = compute(figure_preset("fig4a"))
+    etas = data.etas
+    worst_integral = data.residuals["phase_integral_residual"]
+    vals0 = data.phase[0]  # ts[0] = 0
     extended = np.concatenate(([vals0[-1]], vals0, [vals0[0]]))  # cyclic neighbours
     peaks = local_maxima(extended) - 1
     peaks = peaks[vals0[peaks] >= 1e-6 * float(np.max(vals0))]
@@ -302,19 +272,6 @@ def check_phase_distribution() -> CheckResult:
         f"{peak_count} peak(s) at t=0 (location {peak_eta:.4f} rad), "
         f"worst integral dev {worst_integral:.3e} (tol 1e-6)",
     )
-
-
-def _q_snapshot(variant: str):
-    cfg = figure_preset(f"fig5{variant}")
-    n_max = max(choose_truncation(cfg.state, cfg.tail_tol), 1)
-    q = sdfs_state(cfg.state, n_max)
-    jcm = JcmConfig(n_max=n_max, coupling=cfg.coupling, detuning_ratio=cfg.detuning_ratio)
-    st = evolve(q, float(cfg.q_time_scaled), jcm)
-    xs = np.linspace(cfg.q_grid.x_min, cfg.q_grid.x_max, cfg.q_grid.nx)
-    ys = np.linspace(cfg.q_grid.y_min, cfg.q_grid.y_max, cfg.q_grid.ny)
-    grid = q_function_grid(st, xs, ys)
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    return grid, cell
 
 
 def _half_max_components(grid) -> tuple[int, tuple[float, float]]:
@@ -335,7 +292,8 @@ def check_q_structure() -> CheckResult:
     issues = []
     integrals = []
     for variant in "abc":
-        grid, cell = _q_snapshot(variant)
+        grid = compute(figure_preset(f"fig5{variant}")).qgrid
+        cell = (grid.x_axis[1] - grid.x_axis[0]) * (grid.y_axis[1] - grid.y_axis[0])
         integral = float(np.sum(grid.values)) * cell
         integrals.append(integral)
         if abs(integral - 1.0) > 1e-3:
@@ -360,11 +318,9 @@ def check_q_structure() -> CheckResult:
 def check_trivial_limits() -> CheckResult:
     """Vacuum Rabi cosine and coherent-state Poisson statistics."""
     q = FockVector(np.array([1.0, 0.0]), normalized=True)
-    jcm = JcmConfig(n_max=1)
     ts = np.linspace(0.0, 10.0, 2000)
-    worst_w = max(
-        abs(atomic_inversion(evolve(q, float(t), jcm)) - math.cos(2.0 * t)) for t in ts
-    )
+    w = atomic_inversion(*evolve(q, ts))
+    worst_w = float(np.max(np.abs(w - np.cos(2.0 * ts))))
     p = SdfsParams(alpha0=3.0)
     n_max = choose_truncation(p, 1e-12)
     probs = np.abs(_amplitudes(p, n_max)) ** 2

@@ -35,6 +35,12 @@ def test_unknown_key_reports_line():
         parse_config("r = 1\nmystery = 3\n")
 
 
+def test_coupling_key_rejected():
+    # time is always the scaled lambda*t, so a coupling never entered the physics
+    with pytest.raises(ValueError, match=r"line 2.*unknown key 'coupling'"):
+        parse_config("alpha0_re = 1\ncoupling = 2\n")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         parse_config("m = 1\nm = 2\n")

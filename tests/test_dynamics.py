@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from sdfs_jcm.dynamics import (
-    EvolvedState,
-    JcmConfig,
     conservation_residual,
     density_element,
     evolve,
-    field_density,
-    rabi_freq,
+    field_components,
 )
 from sdfs_jcm.fock import FockVector
 from sdfs_jcm.sdfs import SdfsParams, choose_truncation, sdfs_state
@@ -24,113 +21,118 @@ def _state(p):
     return sdfs_state(p, max(choose_truncation(p, 1e-12), 1))
 
 
-def test_rabi_freq_values():
-    assert rabi_freq(0, JcmConfig(n_max=4)) == pytest.approx(1.0)
-    assert rabi_freq(3, JcmConfig(n_max=4)) == pytest.approx(2.0)
-    assert rabi_freq(0, JcmConfig(n_max=4, detuning_ratio=2.0)) == pytest.approx(math.sqrt(2.0))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        JcmConfig(n_max=0)
-    with pytest.raises(ValueError):
-        JcmConfig(n_max=4, coupling=0.0)
+def _at(q, t, detuning=0.0):
+    """A and B rows at the single scaled time t."""
+    a, b = evolve(q, [t], detuning)
+    return a[0], b[0]
 
 
 def test_evolve_at_zero_time():
     q = _state(SdfsParams(alpha0=1.0, r=0.4, m=1))
-    st = evolve(q, 0.0, JcmConfig(n_max=q.dim - 1))
-    np.testing.assert_allclose(st.a_coeffs, q.amps, atol=1e-15)
-    np.testing.assert_allclose(st.b_coeffs, 0, atol=1e-15)
+    a, b = _at(q, 0.0)
+    np.testing.assert_allclose(a, q.amps, atol=1e-15)
+    np.testing.assert_allclose(b, 0, atol=1e-15)
+
+
+def test_evolve_returns_time_by_photon_arrays():
+    q = _state(SdfsParams(alpha0=2.0, r=0.5, m=1))
+    ts = np.linspace(0.0, 9.0, 7)
+    a, b = evolve(q, ts, 0.8)
+    assert a.shape == b.shape == (ts.size, q.dim)
+    for i, t in enumerate(ts):
+        a_i, b_i = _at(q, float(t), 0.8)
+        assert np.array_equal(a[i], a_i)
+        assert np.array_equal(b[i], b_i)
+
+
+def test_evolve_rejects_non_vector_times():
+    with pytest.raises(ValueError, match="1-D"):
+        evolve(_vacuum(), np.zeros((2, 2)))
 
 
 def test_vacuum_half_rabi_cycle():
-    st = evolve(_vacuum(), math.pi / 2, JcmConfig(n_max=1))
-    assert abs(st.a_coeffs[0]) == pytest.approx(0.0, abs=1e-12)
-    assert st.b_coeffs[0] == pytest.approx(-1j, abs=1e-12)
+    a, b = _at(_vacuum(), math.pi / 2)
+    assert abs(a[0]) == pytest.approx(0.0, abs=1e-12)
+    assert b[0] == pytest.approx(-1j, abs=1e-12)
 
 
 def test_pointwise_conservation_identity():
     q = _state(SdfsParams(alpha0=3.0, r=1.0))
+    ts = [0.3, 5.0, 12.7]
     for detuning in (0.0, 1.5):
-        cfg = JcmConfig(n_max=q.dim - 1, detuning_ratio=detuning)
-        for t in (0.3, 5.0, 12.7):
-            st = evolve(q, t, cfg)
-            per_n = np.abs(st.a_coeffs) ** 2 + np.abs(st.b_coeffs) ** 2
-            np.testing.assert_allclose(per_n, np.abs(q.amps) ** 2, atol=1e-12)
-            assert conservation_residual(st) <= 1e-10
+        a, b = evolve(q, ts, detuning)
+        per_n = np.abs(a) ** 2 + np.abs(b) ** 2
+        for row in per_n:
+            np.testing.assert_allclose(row, np.abs(q.amps) ** 2, atol=1e-12)
+        assert np.all(conservation_residual(a, b) <= 1e-10)
 
 
 def test_unnormalized_input_rejected():
     bad = FockVector(np.array([1.0, 0.5]))
     with pytest.raises(ValueError, match="normalized"):
-        evolve(bad, 1.0, JcmConfig(n_max=1))
+        evolve(bad, [1.0])
 
 
 def test_field_density_at_zero_time():
     q = _state(SdfsParams(alpha0=1.5, r=0.3, m=1))
-    fd = field_density(evolve(q, 0.0, JcmConfig(n_max=q.dim - 1)))
-    np.testing.assert_allclose(fd.c_vec.amps[:-1], q.amps, atol=1e-15)
-    assert fd.c_vec.amps[-1] == 0
-    np.testing.assert_allclose(fd.s_vec.amps, 0, atol=1e-15)
+    c, s = field_components(*_at(q, 0.0))
+    np.testing.assert_allclose(c[:-1], q.amps, atol=1e-15)
+    assert c[-1] == 0
+    np.testing.assert_allclose(s, 0, atol=1e-15)
 
 
 def test_field_density_trace():
     q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
-    for t in (0.0, 2.5, 9.0):
-        fd = field_density(evolve(q, t, JcmConfig(n_max=q.dim - 1)))
-        assert fd.c_vec.norm_sq() + fd.s_vec.norm_sq() == pytest.approx(1.0, abs=1e-10)
+    c, s = field_components(*evolve(q, [0.0, 2.5, 9.0]))
+    assert c.shape == s.shape == (3, q.dim + 1)
+    trace = np.sum(np.abs(c) ** 2 + np.abs(s) ** 2, axis=1)
+    np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-10)
 
 
 def test_vacuum_quarter_cycle_components():
-    fd = field_density(evolve(_vacuum(), math.pi / 4, JcmConfig(n_max=1)))
-    assert fd.c_vec.norm_sq() == pytest.approx(0.5, abs=1e-12)
-    assert fd.s_vec.norm_sq() == pytest.approx(0.5, abs=1e-12)
+    c, s = field_components(*_at(_vacuum(), math.pi / 4))
+    assert np.sum(np.abs(c) ** 2) == pytest.approx(0.5, abs=1e-12)
+    assert np.sum(np.abs(s) ** 2) == pytest.approx(0.5, abs=1e-12)
     # C is supported on |0>, S on |1>: orthogonal
-    assert np.vdot(fd.c_vec.amps, fd.s_vec.amps) == pytest.approx(0.0, abs=1e-15)
+    assert np.vdot(c, s) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_density_element_initial_population():
-    q = _state(SdfsParams(alpha0=3.0))
-    st = evolve(q, 0.0, JcmConfig(n_max=q.dim - 1))
-    assert density_element(st, 0, 0) == pytest.approx(math.exp(-9.0), abs=1e-12)
+    a, b = _at(_state(SdfsParams(alpha0=3.0)), 0.0)
+    assert density_element(a, b, 0, 0) == pytest.approx(math.exp(-9.0), abs=1e-12)
 
 
 def test_density_element_hermiticity_and_trace():
-    q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
-    st = evolve(q, 7.3, JcmConfig(n_max=q.dim - 1))
+    a, b = _at(_state(SdfsParams(alpha0=3.0, r=1.0, m=1)), 7.3)
     rng = np.random.default_rng(2)
-    hi = st.n_max + 1
+    hi = a.size
     for _ in range(20):
         l, j = rng.integers(0, hi + 1, size=2)
-        assert density_element(st, int(l), int(j)) == pytest.approx(
-            np.conj(density_element(st, int(j), int(l))), abs=1e-14
+        assert density_element(a, b, int(l), int(j)) == pytest.approx(
+            np.conj(density_element(a, b, int(j), int(l))), abs=1e-14
         )
-    trace = sum(density_element(st, l, l) for l in range(hi + 1))
+    trace = sum(density_element(a, b, l, l) for l in range(hi + 1))
     assert trace == pytest.approx(1.0, abs=1e-10)
 
 
 def test_density_element_bounds():
-    q = _vacuum()
-    st = evolve(q, 1.0, JcmConfig(n_max=1))
+    a, b = _at(_vacuum(), 1.0)
     with pytest.raises(IndexError):
-        density_element(st, 0, 3)
+        density_element(a, b, 0, 3)
     with pytest.raises(IndexError):
-        density_element(st, -1, 0)
+        density_element(a, b, -1, 0)
 
 
-def _density_matrix(st):
-    hi = st.n_max + 1
+def _density_matrix(a, b):
+    hi = a.size
     return np.array(
-        [[density_element(st, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
+        [[density_element(a, b, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
     )
 
 
 def test_density_matrix_is_rank_two_and_psd():
     p = SdfsParams(alpha0=1.2, r=0.5, m=1)
-    q = _state(p)
-    st = evolve(q, 4.2, JcmConfig(n_max=q.dim - 1))
-    rho = _density_matrix(st)
+    rho = _density_matrix(*_at(_state(p), 4.2))
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
     eigs = np.linalg.eigvalsh(rho)
     assert eigs.min() >= -1e-10
@@ -140,14 +142,7 @@ def test_density_matrix_is_rank_two_and_psd():
 
 def test_large_detuning_suppresses_transfer():
     q = _state(SdfsParams(alpha0=2.0, r=0.5))
-    cfg = JcmConfig(n_max=q.dim - 1, detuning_ratio=1000.0)
     ns = np.arange(q.dim)
     bound = 2.0 * np.sqrt(ns + 1.0) / 1000.0
-    for t in (0.7, 3.0, 11.0):
-        st = evolve(q, t, cfg)
-        assert np.all(np.abs(st.b_coeffs) <= bound + 1e-15)
-
-
-def test_evolved_state_shape_validation():
-    with pytest.raises(ValueError):
-        EvolvedState(0.0, np.zeros(3, complex), np.zeros(4, complex))
+    _, b = evolve(q, [0.7, 3.0, 11.0], 1000.0)
+    assert np.all(np.abs(b) <= bound + 1e-15)

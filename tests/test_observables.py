@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from sdfs_jcm.dynamics import JcmConfig, density_element, evolve, field_density
+from sdfs_jcm.dynamics import density_element, evolve, field_components
 from sdfs_jcm.fock import FockVector
 from sdfs_jcm.observables import (
-    GramData,
     atomic_inversion,
     default_etas,
+    entropy_rows,
     field_entropy,
     gram,
     phase_distribution,
-    photon_number_dist_t,
     photon_number_distribution,
-    q_function,
     q_function_grid,
     revival_time,
 )
@@ -35,82 +33,96 @@ def _state(p):
 
 
 def _evolved(p, t, detuning=0.0):
-    q = _state(p)
-    return evolve(q, t, JcmConfig(n_max=q.dim - 1, detuning_ratio=detuning))
+    """A and B rows of the state p at the single scaled time t."""
+    a, b = evolve(_state(p), [t], detuning)
+    return a[0], b[0]
+
+
+def _q_at(a, b, alpha):
+    """Q at one phase-space point, as a 1 x 1 grid."""
+    grid = q_function_grid(*field_components(a, b), [alpha.real], [alpha.imag])
+    return float(grid.values[0, 0])
 
 
 # ---------------------------------------------------------------- inversion
 
 
 def test_inversion_starts_at_one():
-    assert atomic_inversion(_evolved(SdfsParams(alpha0=2.0, r=0.6, m=1), 0.0)) == pytest.approx(
-        1.0, abs=1e-10
-    )
+    a, b = _evolved(SdfsParams(alpha0=2.0, r=0.6, m=1), 0.0)
+    assert atomic_inversion(a, b) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_inversion_vacuum_cosine():
-    st = evolve(_vacuum(), math.pi / 4, JcmConfig(n_max=1))
-    assert atomic_inversion(st) == pytest.approx(0.0, abs=1e-12)
+    a, b = evolve(_vacuum(), [math.pi / 4])
+    assert atomic_inversion(a, b)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inversion_single_fock_cosine():
     q = FockVector(np.array([0.0, 1.0]), normalized=True)
-    cfg = JcmConfig(n_max=1)
-    for t in np.linspace(0.0, 6.0, 23):
-        st = evolve(q, float(t), cfg)
-        assert atomic_inversion(st) == pytest.approx(
-            math.cos(2.0 * math.sqrt(2.0) * t), abs=1e-12
-        )
+    ts = np.linspace(0.0, 6.0, 23)
+    w = atomic_inversion(*evolve(q, ts))
+    for t, value in zip(ts, w):
+        assert value == pytest.approx(math.cos(2.0 * math.sqrt(2.0) * t), abs=1e-12)
 
 
 def test_inversion_bounded():
     q = _state(SdfsParams(alpha0=3.0, r=1.0, m=2))
-    cfg = JcmConfig(n_max=q.dim - 1)
-    for t in np.linspace(0.0, 25.0, 400):
-        assert abs(atomic_inversion(evolve(q, float(t), cfg))) <= 1.0 + 1e-12
+    w = atomic_inversion(*evolve(q, np.linspace(0.0, 25.0, 400)))
+    assert w.shape == (400,)
+    assert np.all(np.abs(w) <= 1.0 + 1e-12)
 
 
 # --------------------------------------------------------------------- gram
 
 
 def test_gram_at_zero_time():
-    g = gram(field_density(_evolved(SdfsParams(alpha0=1.0, r=0.5), 0.0)))
-    assert g.cc == pytest.approx(1.0, abs=1e-10)
-    assert g.ss == pytest.approx(0.0, abs=1e-15)
-    assert abs(g.cs) == pytest.approx(0.0, abs=1e-15)
+    cc, ss, cs = gram(*field_components(*_evolved(SdfsParams(alpha0=1.0, r=0.5), 0.0)))
+    assert cc == pytest.approx(1.0, abs=1e-10)
+    assert ss == pytest.approx(0.0, abs=1e-15)
+    assert abs(cs) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gram_vacuum_quarter_cycle():
-    g = gram(field_density(evolve(_vacuum(), math.pi / 4, JcmConfig(n_max=1))))
-    assert g.cc == pytest.approx(0.5, abs=1e-12)
-    assert g.ss == pytest.approx(0.5, abs=1e-12)
-    assert abs(g.cs) == pytest.approx(0.0, abs=1e-15)
+    cc, ss, cs = gram(*field_components(*evolve(_vacuum(), [math.pi / 4])))
+    assert cc[0] == pytest.approx(0.5, abs=1e-12)
+    assert ss[0] == pytest.approx(0.5, abs=1e-12)
+    assert abs(cs[0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gram_trace_identity():
-    g = gram(field_density(_evolved(SdfsParams(alpha0=3.0, r=1.0), 10.0)))
-    assert g.cc + g.ss == pytest.approx(1.0, abs=1e-10)
+    cc, ss, _ = gram(*field_components(*_evolved(SdfsParams(alpha0=3.0, r=1.0), 10.0)))
+    assert cc + ss == pytest.approx(1.0, abs=1e-10)
+
+
+def test_gram_rows_match_vdot():
+    q = _state(SdfsParams(alpha0=2.0, r=0.7, m=1))
+    c, s = field_components(*evolve(q, np.linspace(0.0, 12.0, 9), 0.5))
+    cc, ss, cs = gram(c, s)
+    for i in range(c.shape[0]):
+        assert cc[i] == np.sum(np.abs(c[i]) ** 2)
+        assert ss[i] == np.sum(np.abs(s[i]) ** 2)
+        assert cs[i] == np.vdot(c[i], s[i])
 
 
 # ------------------------------------------------------------------ entropy
 
 
 def test_entropy_pure_state():
-    point = field_entropy(GramData(1.0, 0.0, 0j))
+    point = field_entropy(1.0, 0.0, 0j)
     assert (point.lambda_plus, point.lambda_minus) == (1.0, 0.0)
     assert point.entropy == 0.0
 
 
 def test_entropy_maximal_mixing():
-    point = field_entropy(GramData(0.5, 0.5, 0j))
+    point = field_entropy(0.5, 0.5, 0j)
     assert point.lambda_plus == pytest.approx(0.5)
     assert point.entropy == pytest.approx(LN2, abs=1e-15)
 
 
 def test_entropy_against_direct_eigensolve():
-    g = GramData(0.7, 0.3, 0.2 + 0.1j)
-    point = field_entropy(g)
-    mat = np.array([[g.cc, g.cs], [np.conj(g.cs), g.ss]])
+    cc, ss, cs = 0.7, 0.3, 0.2 + 0.1j
+    point = field_entropy(cc, ss, cs)
+    mat = np.array([[cc, cs], [np.conj(cs), ss]])
     lam = np.linalg.eigvalsh(mat)
     assert point.lambda_plus == pytest.approx(lam[1], abs=1e-12)
     assert point.lambda_minus == pytest.approx(lam[0], abs=1e-12)
@@ -125,8 +137,8 @@ def test_entropy_subsystem_exchange_symmetry():
         ss = 1.0 - cc
         mag = math.sqrt(cc * ss) * rng.uniform(0.0, 1.0)
         cs = mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        a = field_entropy(GramData(cc, ss, cs))
-        b = field_entropy(GramData(ss, cc, np.conj(cs)))
+        a = field_entropy(cc, ss, cs)
+        b = field_entropy(ss, cc, np.conj(cs))
         assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
         assert a.lambda_plus == pytest.approx(b.lambda_plus, abs=1e-12)
 
@@ -138,7 +150,7 @@ def test_entropy_random_samples_match_eigensolve():
         ss = 1.0 - cc
         mag = math.sqrt(cc * ss) * rng.uniform(0.0, 1.0)
         cs = mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        point = field_entropy(GramData(cc, ss, cs))
+        point = field_entropy(cc, ss, cs)
         lam = np.linalg.eigvalsh(np.array([[cc, cs], [np.conj(cs), ss]]))
         reference = -sum(v * math.log(v) for v in lam if v > 0)
         assert abs(point.entropy - reference) <= 1e-10
@@ -146,15 +158,25 @@ def test_entropy_random_samples_match_eigensolve():
 
 def test_entropy_rejects_invalid_gram():
     with pytest.raises(ValueError):
-        field_entropy(GramData(0.9, 0.3, 0j))  # trace off
+        field_entropy(0.9, 0.3, 0j)  # trace off
     with pytest.raises(ValueError):
-        field_entropy(GramData(0.5, 0.5, 0.9 + 0j))  # Cauchy-Schwarz broken
+        field_entropy(0.5, 0.5, 0.9 + 0j)  # Cauchy-Schwarz broken
 
 
 def test_initial_entropy_vanishes_for_every_sdfs():
     for p in grid_params():
-        g = gram(field_density(_evolved(p, 0.0)))
-        assert field_entropy(g).entropy <= 1e-10
+        a, b = evolve(_state(p), [0.0])
+        assert entropy_rows(*gram(*field_components(a, b)))[0, 0] <= 1e-10
+
+
+def test_entropy_rows_match_scalar_entropy():
+    q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
+    cc, ss, cs = gram(*field_components(*evolve(q, np.linspace(0.0, 25.0, 11))))
+    rows = entropy_rows(cc, ss, cs)
+    assert rows.shape == (11, 3)
+    for i in range(11):
+        point = field_entropy(float(cc[i]), float(ss[i]), complex(cs[i]))
+        assert tuple(rows[i]) == (point.entropy, point.lambda_plus, point.lambda_minus)
 
 
 # --------------------------------------------------------- photon numbers
@@ -163,26 +185,23 @@ def test_initial_entropy_vanishes_for_every_sdfs():
 def test_photon_dist_at_zero_time_matches_input():
     p = SdfsParams(alpha0=1.3, r=0.6, m=1)
     q = _state(p)
-    fd = field_density(evolve(q, 0.0, JcmConfig(n_max=q.dim - 1)))
-    for n in range(q.dim):
-        assert photon_number_dist_t(fd, n) == pytest.approx(abs(q.amps[n]) ** 2, abs=1e-14)
+    a, b = evolve(q, [0.0])
+    dist = photon_number_distribution(*field_components(a, b))
+    assert dist.shape == (1, q.dim + 1)
+    np.testing.assert_allclose(dist[0, :-1], np.abs(q.amps) ** 2, rtol=0, atol=1e-14)
 
 
 def test_photon_dist_unit_sum():
-    fd = field_density(_evolved(SdfsParams(alpha0=3.0, r=1.0, m=2), 6.6))
-    assert float(np.sum(photon_number_distribution(fd))) == pytest.approx(1.0, abs=1e-10)
+    dist = photon_number_distribution(
+        *field_components(*_evolved(SdfsParams(alpha0=3.0, r=1.0, m=2), 6.6))
+    )
+    assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_photon_dist_full_rabi_transfer():
-    fd = field_density(evolve(_vacuum(), math.pi / 2, JcmConfig(n_max=1)))
-    assert photon_number_dist_t(fd, 0) == pytest.approx(0.0, abs=1e-12)
-    assert photon_number_dist_t(fd, 1) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_photon_dist_index_bounds():
-    fd = field_density(evolve(_vacuum(), 1.0, JcmConfig(n_max=1)))
-    with pytest.raises(IndexError):
-        photon_number_dist_t(fd, 99)
+    dist = photon_number_distribution(*field_components(*evolve(_vacuum(), [math.pi / 2])))
+    assert dist[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert dist[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------------------------- phase
@@ -190,68 +209,66 @@ def test_photon_dist_index_bounds():
 
 def test_phase_distribution_vacuum_is_flat():
     etas = default_etas(64)
-    q = _vacuum()
-    dist = phase_distribution(evolve(q, 0.0, JcmConfig(n_max=1)), etas)
-    np.testing.assert_allclose(dist.values, 1.0 / (2 * math.pi), atol=1e-14)
+    vals = phase_distribution(*field_components(*evolve(_vacuum(), [0.0])), etas)
+    assert vals.shape == (1, 64)
+    np.testing.assert_allclose(vals, 1.0 / (2 * math.pi), atol=1e-14)
 
 
 def test_phase_distribution_coherent_peak_at_zero():
     etas = default_etas(512)
-    dist = phase_distribution(_evolved(SdfsParams(alpha0=3.0), 0.0), etas)
-    assert etas[int(np.argmax(dist.values))] == pytest.approx(0.0, abs=1e-12)
+    vals = phase_distribution(*field_components(*_evolved(SdfsParams(alpha0=3.0), 0.0)), etas)
+    assert etas[int(np.argmax(vals))] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phase_distribution_unit_integral():
     etas = default_etas(512)
-    for t in (0.0, 3.3, 11.0):
-        dist = phase_distribution(_evolved(SdfsParams(alpha0=3.0, r=1.0, m=1), t), etas)
-        integral = float(np.sum(dist.values)) * (2 * math.pi / etas.size)
-        assert integral == pytest.approx(1.0, abs=1e-6)
+    q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
+    vals = phase_distribution(*field_components(*evolve(q, [0.0, 3.3, 11.0])), etas)
+    integrals = np.sum(vals, axis=1) * (2 * math.pi / etas.size)
+    np.testing.assert_allclose(integrals, 1.0, rtol=0, atol=1e-6)
 
 
 def test_phase_distribution_matches_explicit_double_sum():
     p = SdfsParams(alpha0=1.0, r=0.4, m=1)
-    st = _evolved(p, 2.7)
+    a, b = _evolved(p, 2.7)
     etas = default_etas(32)
-    dist = phase_distribution(st, etas)
-    hi = st.n_max + 1
+    vals = phase_distribution(*field_components(a, b), etas)
+    hi = a.size
     rho = np.array(
-        [[density_element(st, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
+        [[density_element(a, b, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
     )
     for k, eta in enumerate(etas):
         ls = np.arange(hi + 1)
         kernel = np.exp(1j * (ls[None, :] - ls[:, None]) * eta)
         total = np.sum(rho * kernel) / (2 * math.pi)
         assert abs(total.imag) <= 1e-10
-        assert dist.values[k] == pytest.approx(total.real, abs=1e-12)
+        assert vals[k] == pytest.approx(total.real, abs=1e-12)
 
 
 def test_phase_distribution_rejects_out_of_range_angles():
-    st = evolve(_vacuum(), 0.0, JcmConfig(n_max=1))
+    c, s = field_components(*evolve(_vacuum(), [0.0]))
     with pytest.raises(ValueError):
-        phase_distribution(st, np.array([4.0]))
+        phase_distribution(c, s, np.array([4.0]))
 
 
 # ------------------------------------------------------------------------ Q
 
 
 def test_q_vacuum_value():
-    st = evolve(_vacuum(), 0.0, JcmConfig(n_max=1))
-    assert q_function(st, 1.0 + 0j) == pytest.approx(math.exp(-1.0) / math.pi, abs=1e-14)
+    a, b = evolve(_vacuum(), [0.0])
+    assert _q_at(a[0], b[0], 1.0 + 0j) == pytest.approx(math.exp(-1.0) / math.pi, abs=1e-14)
 
 
 def test_q_coherent_is_displaced_gaussian():
-    st = _evolved(SdfsParams(alpha0=3.0), 0.0)
-    assert q_function(st, 2.5 + 0j) == pytest.approx(
-        math.exp(-0.25) / math.pi, abs=1e-10
-    )
+    a, b = _evolved(SdfsParams(alpha0=3.0), 0.0)
+    assert _q_at(a, b, 2.5 + 0j) == pytest.approx(math.exp(-0.25) / math.pi, abs=1e-10)
 
 
 def test_q_grid_normalization():
-    st = _evolved(SdfsParams(alpha0=3.0, r=1.0, m=1), 0.0)
+    a, b = _evolved(SdfsParams(alpha0=3.0, r=1.0, m=1), 0.0)
     xs = np.linspace(-8.0, 8.0, 201)
     ys = np.linspace(-8.0, 8.0, 201)
-    grid = q_function_grid(st, xs, ys)
+    grid = q_function_grid(*field_components(a, b), xs, ys)
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
     assert float(np.sum(grid.values)) * cell == pytest.approx(1.0, abs=1e-3)
     assert grid.values.min() >= 0.0
@@ -259,10 +276,10 @@ def test_q_grid_normalization():
 
 def test_q_matches_explicit_double_sum():
     p = SdfsParams(alpha0=1.0, r=0.3, m=1)
-    st = _evolved(p, 3.1)
-    hi = st.n_max + 1
+    a, b = _evolved(p, 3.1)
+    hi = a.size
     rho = np.array(
-        [[density_element(st, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
+        [[density_element(a, b, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
     )
     ns = np.arange(hi + 1)
     for alpha in (0.4 + 0.2j, -1.0 + 1.5j, 2.0 - 0.5j):
@@ -275,19 +292,17 @@ def test_q_matches_explicit_double_sum():
             * np.sum(rho * np.outer(np.conj(coeff), coeff))
         )
         assert abs(direct.imag) <= 1e-12
-        assert q_function(st, alpha) == pytest.approx(direct.real, abs=1e-12)
+        assert _q_at(a, b, alpha) == pytest.approx(direct.real, abs=1e-12)
 
 
 def test_q_scalar_matches_grid():
-    st = _evolved(SdfsParams(alpha0=1.5, r=0.5), 1.0)
+    a, b = _evolved(SdfsParams(alpha0=1.5, r=0.5), 1.0)
     xs = np.array([0.5, 2.0])
     ys = np.array([-1.0, 0.5])
-    grid = q_function_grid(st, xs, ys)
+    grid = q_function_grid(*field_components(a, b), xs, ys)
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
-            assert grid.values[iy, ix] == pytest.approx(
-                q_function(st, complex(x, y)), abs=1e-14
-            )
+            assert grid.values[iy, ix] == pytest.approx(_q_at(a, b, complex(x, y)), abs=1e-14)
 
 
 # -------------------------------------------------------------- revival time

@@ -79,6 +79,15 @@ def test_under_truncation_is_an_error():
         sdfs_state(SdfsParams(alpha0=3.0), 4)
 
 
+def test_norm_excess_is_an_error():
+    # m = 40 with tiny r: the alternating closed-form sum cancels and its
+    # norm^2 overshoots 1 by about 4e-3 at the chosen truncation.
+    p = SdfsParams(alpha0=3.0, r=1e-8, m=40)
+    n_max = choose_truncation(p, 1e-12)
+    with pytest.raises(ValueError, match="lost precision"):
+        sdfs_state(p, n_max)
+
+
 def test_photon_distribution_poisson():
     p = SdfsParams(alpha0=3.0)
     dist = photon_distribution(p, choose_truncation(p, 1e-12))
