@@ -177,10 +177,12 @@ def q_function_grid(
     """
     x_axis = np.asarray(x_axis, dtype=float)
     y_axis = np.asarray(y_axis, dtype=float)
-    alphas = (x_axis[None, :] + 1j * y_axis[:, None]).ravel()
-    rows = _coherent_bras(alphas, c.size)
-    vals = (np.abs(rows @ c) ** 2 + np.abs(rows @ s) ** 2) / math.pi
-    return QGrid(x_axis, y_axis, vals.reshape(y_axis.size, x_axis.size))
+    # one row of bras at a time keeps memory at O(nx * n_max)
+    values = np.empty((y_axis.size, x_axis.size))
+    for iy, y in enumerate(y_axis):
+        bras = _coherent_bras(x_axis + 1j * y, c.size)
+        values[iy] = (np.abs(bras @ c) ** 2 + np.abs(bras @ s) ** 2) / math.pi
+    return QGrid(x_axis, y_axis, values)
 
 
 def revival_time(p: SdfsParams) -> float:

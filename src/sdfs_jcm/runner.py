@@ -16,11 +16,13 @@ entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
     phase_dist.csv  lambda_t,eta,P
     qfunc.csv       x,y,Q
 
-Floats are written with 17 significant digits and '\\n' line endings, so
-identical configurations produce byte-identical files. A run summary
-(run_summary.txt) records the truncation, the worst invariant residuals
-and the wall time; any residual beyond its tolerance marks the run
-failed, which the CLI turns into a nonzero exit status.
+Files are streamed in blocks. Each key (time, n, eta, x, y) is formatted
+once with '%.17g' ('%d' for n), and lines end in '\\n': identical
+configurations give identical bytes, equal to the np.savetxt output of
+earlier versions. run_summary.txt records the truncation, the worst
+invariant residuals and the compute, write and wall times; any residual
+beyond its tolerance marks the run failed, which the CLI turns into a
+nonzero exit status.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ FLOAT_FMT = "%.17g"
 
 # Complex entries of A (and of B) per time block: a block holds
 # max(1, BLOCK_ENTRIES // dim) rows, which keeps the block arrays small.
+# Also the lines per written block of inversion.csv and entropy.csv.
 BLOCK_ENTRIES = 4096
 
 TIME_SERIES = frozenset({"inversion", "entropy", "photon_dist", "phase_dist"})
@@ -90,11 +93,46 @@ class RunResult:
     files: tuple[Path, ...]
 
 
-def _write_csv(path: Path, header: str, columns: list[np.ndarray], fmts: list[str]) -> Path:
-    data = np.column_stack(columns)
+def _keys(values: np.ndarray) -> list[str]:
+    """Each key formatted once: '%d' for integers, FLOAT_FMT otherwise."""
+    fmt = "%d" if values.dtype.kind in "iu" else FLOAT_FMT
+    return [fmt % value for value in values.tolist()]
+
+
+def _write_csv(
+    path: Path,
+    header: str,
+    rows: np.ndarray,
+    values: np.ndarray,
+    cols: np.ndarray | None = None,
+    cols_first: bool = False,
+) -> Path:
+    """Stream values as a CSV keyed by rows: line i is rows[i] and the cells
+    of values[i]; with cols, each cell is a line rows[i], cols[j],
+    values[i, j] (cols[j] first if cols_first). A block (BLOCK_ENTRIES
+    lines, or one row with cols) is one template of 'prefix key suffix'
+    lines joined from the formatted keys, filled by one '%' with its cells.
+    """
+    row_keys = _keys(rows)
+    values = values.reshape(len(row_keys), -1)
+    if cols is None:
+        cells = ("," + FLOAT_FMT) * values.shape[1] + "\n"
+        blocks = (
+            (row_keys[lo : lo + BLOCK_ENTRIES], "", cells, values[lo : lo + BLOCK_ENTRIES])
+            for lo in range(0, len(row_keys), BLOCK_ENTRIES)
+        )
+    else:
+        col_keys, line_end = _keys(cols), f",{FLOAT_FMT}\n"
+        blocks = (
+            (col_keys, "", f",{key}{line_end}", row) if cols_first
+            else (col_keys, f"{key},", line_end, row)
+            for key, row in zip(row_keys, values)
+        )
     with open(path, "w", newline="\n") as handle:
         handle.write(header + "\n")
-        np.savetxt(handle, data, fmt=fmts, delimiter=",", newline="\n")
+        for keys, prefix, suffix, block in blocks:
+            template = prefix + (suffix + prefix).join(keys) + suffix
+            handle.write(template % tuple(block.ravel().tolist()))
     return path
 
 
@@ -161,56 +199,26 @@ def run(cfg: RunConfig) -> RunResult:
     """Compute cfg and write its CSVs and run summary into cfg.output_dir."""
     started = time.perf_counter()
     data = compute(cfg)
+    computed = time.perf_counter()
     ts, n_max, residuals = data.ts, data.n_max, data.residuals
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
-
-    if data.inversion is not None:
-        files.append(
-            _write_csv(
-                out_dir / "inversion.csv", "lambda_t,W", [ts, data.inversion], [FLOAT_FMT] * 2
-            )
-        )
-    if data.entropy is not None:
-        files.append(
-            _write_csv(
-                out_dir / "entropy.csv",
-                "lambda_t,S_f,lambda_plus,lambda_minus",
-                [ts, data.entropy[:, 0], data.entropy[:, 1], data.entropy[:, 2]],
-                [FLOAT_FMT] * 4,
-            )
-        )
-    if data.photon is not None:
-        ns = np.arange(n_max + 2)
-        files.append(
-            _write_csv(
-                out_dir / "photon_dist.csv",
-                "lambda_t,n,P",
-                [np.repeat(ts, ns.size), np.tile(ns, ts.size), data.photon.ravel()],
-                [FLOAT_FMT, "%d", FLOAT_FMT],
-            )
-        )
-    if data.phase is not None:
-        etas = data.etas
-        files.append(
-            _write_csv(
-                out_dir / "phase_dist.csv",
-                "lambda_t,eta,P",
-                [np.repeat(ts, etas.size), np.tile(etas, ts.size), data.phase.ravel()],
-                [FLOAT_FMT] * 3,
-            )
-        )
+    # name, header, row keys, values, column keys, column keys first
+    tables = [
+        ("inversion", "lambda_t,W", ts, data.inversion, None, False),
+        ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", ts, data.entropy, None, False),
+        ("photon_dist", "lambda_t,n,P", ts, data.photon, np.arange(n_max + 2), False),
+        ("phase_dist", "lambda_t,eta,P", ts, data.phase, data.etas, False),
+    ]
     if data.qgrid is not None:
-        xs, ys = data.qgrid.x_axis, data.qgrid.y_axis
-        files.append(
-            _write_csv(
-                out_dir / "qfunc.csv",
-                "x,y,Q",
-                [np.tile(xs, ys.size), np.repeat(ys, xs.size), data.qgrid.values.ravel()],
-                [FLOAT_FMT] * 3,
-            )
-        )
+        grid = data.qgrid
+        tables.append(("qfunc", "x,y,Q", grid.y_axis, grid.values, grid.x_axis, True))
+    files = [
+        _write_csv(out_dir / f"{name}.csv", header, *table)
+        for name, header, *table in tables
+        if table[1] is not None
+    ]
+    written = time.perf_counter()
 
     failures = sorted(
         name for name, value in residuals.items() if value > TOLERANCES[name]
@@ -221,6 +229,8 @@ def run(cfg: RunConfig) -> RunResult:
         "dim": n_max + 1,
         "t_points": cfg.t_points,
         **{name: residuals[name] for name in sorted(residuals)},
+        "compute_s": computed - started,
+        "write_s": written - computed,
         "wall_time_s": time.perf_counter() - started,
         "status": "ok" if ok else "invariant-failure: " + ", ".join(failures),
     }

@@ -105,7 +105,11 @@ def test_run_fig1a_outputs(tmp_path):
     first_t, first_w = (float(x) for x in lines[1].split(","))
     assert first_t == 0.0
     assert first_w == pytest.approx(1.0, abs=1e-10)
-    assert (tmp_path / "fig1a" / "run_summary.txt").exists()
+    summary = (tmp_path / "fig1a" / "run_summary.txt").read_text().splitlines()
+    keys = [line.split(" = ")[0] for line in summary]
+    assert keys[keys.index("compute_s") :][:3] == ["compute_s", "write_s", "wall_time_s"]
+    stages = result.summary["compute_s"] + result.summary["write_s"]
+    assert 0.0 <= stages <= result.summary["wall_time_s"]
 
 
 def test_run_fig2a_initial_purity(tmp_path):

@@ -305,6 +305,15 @@ def test_q_scalar_matches_grid():
             assert grid.values[iy, ix] == pytest.approx(_q_at(a, b, complex(x, y)), abs=1e-14)
 
 
+def test_q_grid_equals_its_single_rows():
+    a, b = _evolved(SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2), 2.3, detuning=-0.8)
+    c, s = field_components(a, b)
+    xs = np.linspace(-7.0, 7.0, 29)
+    ys = np.linspace(-6.0, 6.0, 23)
+    rows = [q_function_grid(c, s, xs, ys[i : i + 1]).values for i in range(ys.size)]
+    assert np.array_equal(q_function_grid(c, s, xs, ys).values, np.vstack(rows))
+
+
 # -------------------------------------------------------------- revival time
 
 
