@@ -249,7 +249,9 @@ def choose_truncation(p: SdfsParams, tail_tol: float) -> int:
     Otherwise the result is floored at mean + 10 sqrt(mean + 1) so that
     downstream operator products keep plenty of slack above the support;
     amplitudes are accumulated outward until the remaining mass drops
-    below tail_tol. Fails if the truncation would exceed the dense cap.
+    below tail_tol. Fails if the truncation would exceed the cap, or,
+    when the mass is already converged inside the cap but the sum still
+    falls short of 1 - tail_tol, with a lost-precision error.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
@@ -272,6 +274,16 @@ def choose_truncation(p: SdfsParams, tail_tol: float) -> int:
         if crossing.size:
             return max(int(crossing[0]), floor_n)
         if n_hi >= cap:
+            # Mass that the upper half of the window holds is what a
+            # larger cap could still add; below tail_tol, the deficit is
+            # round-off in the closed form, not a missing tail.
+            upper = float(np.sum(probs[n_hi // 2 + 1 :]))
+            if upper < tail_tol:
+                raise ValueError(
+                    f"closed-form amplitudes lost precision: norm^2 falls short of 1 "
+                    f"by {1.0 - cum[-1]:.3e}, but n = {n_hi // 2 + 1}..{n_hi} holds "
+                    f"only {upper:.3e} (cancellation in the sum, m={p.m}, r={p.r:g})"
+                )
             raise ValueError(
                 f"tail tolerance {tail_tol} not reachable within the cap {cap}"
             )

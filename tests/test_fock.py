@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import sdfs_jcm
 from sdfs_jcm.fock import (
+    DIM_CAP,
     FockVector,
     annihilation_matrix,
     basis_state,
@@ -15,11 +22,12 @@ from sdfs_jcm.fock import (
     matrix_exp_apply,
     squeeze_generator,
 )
-from sdfs_jcm.sdfs import SdfsParams
+from sdfs_jcm.sdfs import SdfsParams, choose_truncation
+from sdfs_jcm.selfcheck import AMPLITUDE_GRID
 
 
 def test_annihilation_matrix_dim2():
-    np.testing.assert_allclose(annihilation_matrix(2), [[0, 1], [0, 0]])
+    np.testing.assert_allclose(annihilation_matrix(2).toarray(), [[0, 1], [0, 0]])
 
 
 def test_annihilation_lowers_number_state():
@@ -41,7 +49,7 @@ def test_dim_zero_rejected():
 def test_commutator_on_interior_subspace():
     dim = 12
     a = annihilation_matrix(dim)
-    comm = a @ a.conj().T - a.conj().T @ a
+    comm = (a @ a.conj().T - a.conj().T @ a).toarray()
     np.testing.assert_allclose(comm[: dim - 1, : dim - 1], np.eye(dim - 1), atol=1e-14)
 
 
@@ -149,3 +157,51 @@ def test_amps_are_immutable():
     v = basis_state(4, 1)
     with pytest.raises(ValueError):
         v.amps[0] = 1.0
+
+
+def _dense_sdfs(p, dim):
+    """D(alpha0) S(z) |m> from dense scaling-and-squaring exponentials."""
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+    a2 = a @ a
+    squeeze = 0.5 * np.conjugate(p.z) * a2 - 0.5 * p.z * a2.conj().T
+    displace = p.alpha0 * a.conj().T - np.conjugate(p.alpha0) * a
+    return expm(displace) @ expm(squeeze)[:, p.m]
+
+
+_GRID_CORNERS = [
+    SdfsParams(alpha0=alpha0, r=r, phi=phi, m=m)
+    for alpha0 in (AMPLITUDE_GRID["alpha0"][0], AMPLITUDE_GRID["alpha0"][-1])
+    for r in (AMPLITUDE_GRID["r"][0], AMPLITUDE_GRID["r"][-1])
+    for phi in (AMPLITUDE_GRID["phi"][0], AMPLITUDE_GRID["phi"][-1])
+    for m in (AMPLITUDE_GRID["m"][0], AMPLITUDE_GRID["m"][-1])
+]
+_LARGE = (SdfsParams(alpha0=6j, r=2.0, phi=0.3, m=5), DIM_CAP)
+
+
+@pytest.mark.parametrize(
+    "p, dim",
+    [(p, 2 * (choose_truncation(p, 1e-12) + 1)) for p in _GRID_CORNERS] + [_LARGE],
+)
+def test_oracle_matches_dense_expm(p, dim):
+    np.testing.assert_allclose(build_sdfs_oracle(p, dim).amps, _dense_sdfs(p, dim), rtol=0, atol=1e-12)
+
+
+def test_oracle_ignores_the_global_random_state():
+    p, dim = _LARGE
+    np.random.seed(0)
+    first = build_sdfs_oracle(p, dim).amps
+    np.random.seed(1)
+    assert np.array_equal(build_sdfs_oracle(p, dim).amps, first)
+
+
+def test_preset_does_not_import_scipy_sparse(tmp_path):
+    code = (
+        "import sys\n"
+        "from sdfs_jcm import cli\n"
+        f"assert cli.main(['preset', 'fig1a', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+    )
+    src = str(Path(sdfs_jcm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr

@@ -163,5 +163,13 @@ def test_choose_truncation_bad_tol():
 
 
 def test_choose_truncation_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not reachable within the cap 511"):
         choose_truncation(SdfsParams(alpha0=3.0, r=2.5), 1e-12)
+
+
+def test_choose_truncation_names_lost_precision():
+    # The tail past n = 100 is ~1e-55, yet round-off leaves norm^2 about
+    # 2e-12 short of 1: the cap is not the cause.
+    p = SdfsParams(alpha0=3.0, r=1e-10, phi=0.7, m=5)
+    with pytest.raises(ValueError, match=r"lost precision.*by 2\.\d+e-12.*m=5, r=1e-10"):
+        choose_truncation(p, 1e-12)
