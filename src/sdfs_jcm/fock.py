@@ -123,7 +123,8 @@ def matrix_exp_apply(mat, v: FockVector) -> FockVector:
     on alpha0 = 6i, r = 2, m = 5 at dim 512, the amplitudes agree with
     the dense scaling-and-squaring `scipy.linalg.expm` route to 1.7e-14
     absolute or better. The norm estimates inside draw from numpy's
-    global random state; the results measured do not depend on it.
+    global random state; the results measured do not depend on it, and
+    the state is restored afterwards, so a caller's draws are unaffected.
 
     `scipy.sparse` is imported here rather than at module level: only the
     operator reference needs it, and `run` would otherwise pay for it on
@@ -141,7 +142,11 @@ def matrix_exp_apply(mat, v: FockVector) -> FockVector:
     _check_dim(mat.shape[0])
     if not np.all(np.isfinite(mat.data)):
         raise ValueError("matrix has non-finite entries")
-    return FockVector(expm_multiply(mat, v.amps))
+    random_state = np.random.get_state()
+    try:
+        return FockVector(expm_multiply(mat, v.amps))
+    finally:
+        np.random.set_state(random_state)
 
 
 def inner_product(u: FockVector, v: FockVector) -> complex:

@@ -8,6 +8,10 @@ estimate. Everything is derived from the coefficient arrays in
 (T, dim) arrays A and B, the field quantities take the (T, dim + 1)
 components C and S of the reduced field state. That state is rank <= 2,
 which all formulas here exploit.
+
+The entropy is one array computation too, but maps Python's abs,
+math.hypot and math.log over its rows: the numpy versions round the
+last bit differently, which would change the written entropy.
 """
 
 from __future__ import annotations
@@ -21,20 +25,8 @@ from scipy.special import gammaln
 from .sdfs import SdfsParams
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class EntropyPoint:
-    """Eigenvalues and von Neumann entropy (nats) of the rank-2 field state.
-
-    theta is the hyperbolic mixing angle sinh^-1((cc - ss)/(2|cs|)); it is
-    +-inf when the components are orthogonal.
-    """
-
-    lambda_plus: float
-    lambda_minus: float
-    entropy: float
-    theta: float
+# |<C|S>| at or below this leaves the split to |cc - ss| / 2 alone
+_CS_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,55 +56,56 @@ def gram(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return cc, ss, cs
 
 
-def field_entropy(cc: float, ss: float, cs: complex, cs_floor: float = 1e-14) -> EntropyPoint:
-    """Eigenvalues lambda+- and entropy -sum lambda ln lambda of rho_f at
-    one time, from its Gram entries <C|C>, <S|S>, <C|S>.
-
-    For |<C|S>| above ``cs_floor`` the eigenvalues come from the
-    hyperbolic-angle split lambda+- = cc + e^{-+theta}|cs| (evaluated in
-    the cancellation-free form (cc+ss)/2 +- hypot((cc-ss)/2, |cs|));
-    below it the indeterminate theta is bypassed and the eigenvalues are
-    just {max, min}(cc, ss). Eigenvalues are clamped to [0, 1] only
-    within 1e-12 slack; anything worse is rejected.
-    """
-    acs = abs(cs)
-    if not (-1e-12 <= cc <= 1.0 + 1e-12 and -1e-12 <= ss <= 1.0 + 1e-12):
-        raise ValueError(f"cc={cc}, ss={ss} outside [0, 1]")
-    if abs(cc + ss - 1.0) > 1e-10:
-        raise ValueError(f"trace cc + ss = {cc + ss} deviates from 1 beyond 1e-10")
-    if acs**2 > cc * ss + 1e-12:
-        raise ValueError("|<C|S>|^2 exceeds <C|C><S|S> beyond 1e-12")
-
-    half_gap = 0.5 * (cc - ss)
-    if acs > cs_floor:
-        theta = math.asinh(half_gap / acs)
-        split = math.hypot(half_gap, acs)
-    else:
-        theta = math.inf if cc > ss else (-math.inf if cc < ss else 0.0)
-        split = abs(half_gap)
-    lam_p = 0.5 * (cc + ss) + split
-    lam_m = 0.5 * (cc + ss) - split
-    if lam_m < -1e-12 or lam_p > 1.0 + 1e-12:
-        raise ValueError(f"eigenvalues ({lam_p}, {lam_m}) outside [0, 1] beyond slack")
-    lam_p = min(max(lam_p, 0.0), 1.0)
-    lam_m = min(max(lam_m, 0.0), 1.0)
-    entropy = 0.0
-    for lam in (lam_p, lam_m):
-        if lam > 0.0:
-            entropy -= lam * math.log(lam)
-    return EntropyPoint(lam_p, lam_m, entropy, theta)
+def _reject_first(bad: np.ndarray, describe) -> None:
+    """Raise ValueError naming the first row flagged in bad, if any."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise ValueError(f"row {rows[0]}: {describe(rows[0])}")
 
 
 def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """(T, 3) rows (S_f, lambda_plus, lambda_minus) of `field_entropy` per time.
+    """(T, 3) rows (S_f, lambda_plus, lambda_minus) of rho_f per time from
+    its Gram entries <C|C>, <S|S>, <C|S>; S_f = -sum lambda ln lambda (nats).
 
-    The 2x2 formula stays scalar and runs row by row: np.log and np.hypot
-    in place of math.log and math.hypot change the last bits of the CSV.
+    lambda+- = (cc+ss)/2 +- hypot((cc-ss)/2, |cs|), the cancellation-free
+    hyperbolic-angle split, which is |cc-ss|/2 for |cs| <= _CS_FLOOR.
+    Eigenvalues are clamped to [0, 1] only within 1e-12 slack. Entries
+    outside [0, 1], a trace off 1 by > 1e-10, |cs|^2 > cc*ss + 1e-12 or
+    eigenvalues beyond the slack raise ValueError naming the first such
+    row. Only |cs| (Python abs), the hypot and the logarithms run element
+    by element, in Python's math: numpy's versions differ in the last bit.
     """
+    acs = np.fromiter(map(abs, cs.tolist()), float, len(cs))
+    _reject_first(
+        ~((-1e-12 <= cc) & (cc <= 1.0 + 1e-12) & (-1e-12 <= ss) & (ss <= 1.0 + 1e-12)),
+        lambda i: f"cc={cc[i]}, ss={ss[i]} outside [0, 1]",
+    )
+    trace = cc + ss
+    _reject_first(
+        np.abs(trace - 1.0) > 1e-10,
+        lambda i: f"trace cc + ss = {trace[i]} deviates from 1 beyond 1e-10",
+    )
+    _reject_first(
+        acs * acs > cc * ss + 1e-12, lambda i: "|<C|S>|^2 exceeds <C|C><S|S> beyond 1e-12"
+    )
+
+    half_gap = 0.5 * (cc - ss)
+    split = np.abs(half_gap)
+    wide = acs > _CS_FLOOR
+    split[wide] = list(map(math.hypot, half_gap[wide].tolist(), acs[wide].tolist()))
     rows = np.empty((len(cc), 3))
-    for i, gram_entries in enumerate(zip(cc.tolist(), ss.tolist(), cs.tolist())):
-        point = field_entropy(*gram_entries)
-        rows[i] = (point.entropy, point.lambda_plus, point.lambda_minus)
+    lams = rows[:, 1:]
+    lams[:, 0], lams[:, 1] = 0.5 * trace + split, 0.5 * trace - split
+    _reject_first(
+        (lams[:, 1] < -1e-12) | (lams[:, 0] > 1.0 + 1e-12),
+        lambda i: f"eigenvalues ({lams[i, 0]}, {lams[i, 1]}) outside [0, 1] beyond slack",
+    )
+    np.clip(lams, 0.0, 1.0, out=lams)
+    logs = np.zeros_like(lams)
+    positive = lams > 0.0
+    logs[positive] = list(map(math.log, lams[positive].tolist()))
+    terms = lams * logs
+    rows[:, 0] = (0.0 - terms[:, 0]) - terms[:, 1]
     return rows
 
 

@@ -17,12 +17,12 @@ entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
     qfunc.csv       x,y,Q
 
 Files are streamed in blocks. Each key (time, n, eta, x, y) is formatted
-once with '%.17g' ('%d' for n), and lines end in '\\n': identical
-configurations give identical bytes, equal to the np.savetxt output of
-earlier versions. run_summary.txt records the truncation, the worst
-invariant residuals and the compute, write and wall times; any residual
-beyond its tolerance marks the run failed, which the CLI turns into a
-nonzero exit status.
+once per run with '%.17g' ('%d' for n), the time keys once for all the
+time-series files, and lines end in '\\n': identical configurations give
+identical bytes, equal to the np.savetxt output of earlier versions.
+run_summary.txt records the truncation, the worst invariant residuals
+and the compute, write and wall times; any residual beyond its tolerance
+marks the run failed, which the CLI turns into a nonzero exit status.
 """
 
 from __future__ import annotations
@@ -102,18 +102,17 @@ def _keys(values: np.ndarray) -> list[str]:
 def _write_csv(
     path: Path,
     header: str,
-    rows: np.ndarray,
+    row_keys: list[str],
     values: np.ndarray,
     cols: np.ndarray | None = None,
     cols_first: bool = False,
 ) -> Path:
-    """Stream values as a CSV keyed by rows: line i is rows[i] and the cells
-    of values[i]; with cols, each cell is a line rows[i], cols[j],
-    values[i, j] (cols[j] first if cols_first). A block (BLOCK_ENTRIES
-    lines, or one row with cols) is one template of 'prefix key suffix'
-    lines joined from the formatted keys, filled by one '%' with its cells.
+    """Stream values as a CSV keyed by row_keys (from `_keys`): line i is
+    row_keys[i] and the cells of values[i]; with cols, each cell is a line
+    row_keys[i], cols[j], values[i, j] (cols[j] first if cols_first). A
+    block (BLOCK_ENTRIES lines, or one row with cols) is one template of
+    'prefix key suffix' lines joined from the keys, filled by one '%'.
     """
-    row_keys = _keys(rows)
     values = values.reshape(len(row_keys), -1)
     if cols is None:
         cells = ("," + FLOAT_FMT) * values.shape[1] + "\n"
@@ -203,16 +202,17 @@ def run(cfg: RunConfig) -> RunResult:
     ts, n_max, residuals = data.ts, data.n_max, data.residuals
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # name, header, row keys, values, column keys, column keys first
+    time_keys = _keys(ts) if TIME_SERIES & set(cfg.observables) else None
+    # name, header, row keys (one formatting of ts for all), values, column keys, cols first
     tables = [
-        ("inversion", "lambda_t,W", ts, data.inversion, None, False),
-        ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", ts, data.entropy, None, False),
-        ("photon_dist", "lambda_t,n,P", ts, data.photon, np.arange(n_max + 2), False),
-        ("phase_dist", "lambda_t,eta,P", ts, data.phase, data.etas, False),
+        ("inversion", "lambda_t,W", time_keys, data.inversion, None, False),
+        ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", time_keys, data.entropy, None, False),
+        ("photon_dist", "lambda_t,n,P", time_keys, data.photon, np.arange(n_max + 2), False),
+        ("phase_dist", "lambda_t,eta,P", time_keys, data.phase, data.etas, False),
     ]
     if data.qgrid is not None:
         grid = data.qgrid
-        tables.append(("qfunc", "x,y,Q", grid.y_axis, grid.values, grid.x_axis, True))
+        tables.append(("qfunc", "x,y,Q", _keys(grid.y_axis), grid.values, grid.x_axis, True))
     files = [
         _write_csv(out_dir / f"{name}.csv", header, *table)
         for name, header, *table in tables

@@ -194,6 +194,14 @@ def test_oracle_ignores_the_global_random_state():
     assert np.array_equal(build_sdfs_oracle(p, dim).amps, first)
 
 
+def test_oracle_leaves_the_global_random_state_alone():
+    np.random.seed(5)
+    expected = np.random.random()
+    np.random.seed(5)
+    build_sdfs_oracle(*_LARGE)
+    assert np.random.random() == expected
+
+
 def test_preset_does_not_import_scipy_sparse(tmp_path):
     code = (
         "import sys\n"

@@ -1,23 +1,27 @@
-import cmath
+import importlib.util
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from sdfs_jcm.config import parse_config
 from sdfs_jcm.dynamics import density_element, evolve, field_components
 from sdfs_jcm.fock import FockVector
 from sdfs_jcm.observables import (
     atomic_inversion,
     default_etas,
     entropy_rows,
-    field_entropy,
     gram,
     phase_distribution,
     photon_number_distribution,
     q_function_grid,
     revival_time,
 )
+from sdfs_jcm.presets import figure_preset
+from sdfs_jcm.runner import compute
 from sdfs_jcm.sdfs import SdfsParams, choose_truncation, sdfs_state
 from sdfs_jcm.selfcheck import grid_params
 
@@ -107,76 +111,149 @@ def test_gram_rows_match_vdot():
 # ------------------------------------------------------------------ entropy
 
 
+def _scalar_entropy(cc: float, ss: float, cs: complex) -> tuple[float, float, float]:
+    """(S_f, lambda_plus, lambda_minus) of one row by the earlier scalar
+    formula, the bit-for-bit reference of `entropy_rows`."""
+    acs = abs(cs)
+    half_gap = 0.5 * (cc - ss)
+    split = math.hypot(half_gap, acs) if acs > 1e-14 else abs(half_gap)
+    lam_p = min(max(0.5 * (cc + ss) + split, 0.0), 1.0)
+    lam_m = min(max(0.5 * (cc + ss) - split, 0.0), 1.0)
+    entropy = 0.0
+    for lam in (lam_p, lam_m):
+        if lam > 0.0:
+            entropy -= lam * math.log(lam)
+    return entropy, lam_p, lam_m
+
+
+def _assert_rows_match_scalar(cc, ss, cs):
+    cc, ss, cs = np.asarray(cc, float), np.asarray(ss, float), np.asarray(cs, complex)
+    reference = np.array(
+        [_scalar_entropy(*row) for row in zip(cc.tolist(), ss.tolist(), cs.tolist())]
+    ).reshape(-1, 3)
+    # compared as bit patterns, so that -0.0 and 0.0 (written as -0 and 0) differ
+    assert np.array_equal(entropy_rows(cc, ss, cs).view(np.int64), reference.view(np.int64))
+
+
+def _entropy_one(cc, ss, cs):
+    return entropy_rows(np.array([cc]), np.array([ss]), np.array([cs], dtype=complex))[0]
+
+
+def _random_gram(rng, count):
+    cc = rng.uniform(0.0, 1.0, count)
+    ss = 1.0 - cc
+    mag = np.sqrt(cc * ss) * rng.uniform(0.0, 1.0, count)
+    cs = mag * np.exp(1j * rng.uniform(0, 2 * math.pi, count))
+    return cc, ss, cs
+
+
+def _load_sweep_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_sweep_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_entropy_pure_state():
-    point = field_entropy(1.0, 0.0, 0j)
-    assert (point.lambda_plus, point.lambda_minus) == (1.0, 0.0)
-    assert point.entropy == 0.0
+    assert tuple(_entropy_one(1.0, 0.0, 0j)) == (0.0, 1.0, 0.0)
 
 
 def test_entropy_maximal_mixing():
-    point = field_entropy(0.5, 0.5, 0j)
-    assert point.lambda_plus == pytest.approx(0.5)
-    assert point.entropy == pytest.approx(LN2, abs=1e-15)
+    entropy, lam_p, _ = _entropy_one(0.5, 0.5, 0j)
+    assert lam_p == pytest.approx(0.5)
+    assert entropy == pytest.approx(LN2, abs=1e-15)
 
 
 def test_entropy_against_direct_eigensolve():
     cc, ss, cs = 0.7, 0.3, 0.2 + 0.1j
-    point = field_entropy(cc, ss, cs)
-    mat = np.array([[cc, cs], [np.conj(cs), ss]])
-    lam = np.linalg.eigvalsh(mat)
-    assert point.lambda_plus == pytest.approx(lam[1], abs=1e-12)
-    assert point.lambda_minus == pytest.approx(lam[0], abs=1e-12)
-    assert point.lambda_plus == pytest.approx(0.8, abs=1e-12)
-    assert point.lambda_minus == pytest.approx(0.2, abs=1e-12)
+    _, lam_p, lam_m = _entropy_one(cc, ss, cs)
+    lam = np.linalg.eigvalsh(np.array([[cc, cs], [np.conj(cs), ss]]))
+    assert lam_p == pytest.approx(lam[1], abs=1e-12)
+    assert lam_m == pytest.approx(lam[0], abs=1e-12)
+    assert lam_p == pytest.approx(0.8, abs=1e-12)
+    assert lam_m == pytest.approx(0.2, abs=1e-12)
 
 
 def test_entropy_subsystem_exchange_symmetry():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        cc = rng.uniform(0.0, 1.0)
-        ss = 1.0 - cc
-        mag = math.sqrt(cc * ss) * rng.uniform(0.0, 1.0)
-        cs = mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        a = field_entropy(cc, ss, cs)
-        b = field_entropy(ss, cc, np.conj(cs))
-        assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
-        assert a.lambda_plus == pytest.approx(b.lambda_plus, abs=1e-12)
+    cc, ss, cs = _random_gram(np.random.default_rng(13), 200)
+    a = entropy_rows(cc, ss, cs)
+    b = entropy_rows(ss, cc, np.conj(cs))
+    np.testing.assert_allclose(a[:, 0], b[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a[:, 1], b[:, 1], rtol=0, atol=1e-12)
 
 
 def test_entropy_random_samples_match_eigensolve():
-    rng = np.random.default_rng(17)
-    for _ in range(10_000):
-        cc = rng.uniform(0.0, 1.0)
-        ss = 1.0 - cc
-        mag = math.sqrt(cc * ss) * rng.uniform(0.0, 1.0)
-        cs = mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        point = field_entropy(cc, ss, cs)
-        lam = np.linalg.eigvalsh(np.array([[cc, cs], [np.conj(cs), ss]]))
-        reference = -sum(v * math.log(v) for v in lam if v > 0)
-        assert abs(point.entropy - reference) <= 1e-10
+    cc, ss, cs = _random_gram(np.random.default_rng(17), 10_000)
+    rows = entropy_rows(cc, ss, cs)
+    mats = np.empty((cc.size, 2, 2), dtype=complex)
+    mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1] = cc, cs, np.conj(cs), ss
+    lam = np.linalg.eigvalsh(mats)
+    terms = np.where(lam > 0, lam * np.log(np.where(lam > 0, lam, 1.0)), 0.0)
+    assert np.max(np.abs(rows[:, 0] + terms.sum(axis=1))) <= 1e-10
+
+
+def test_entropy_rows_match_scalar_entropy():
+    q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
+    cc, ss, cs = gram(*field_components(*evolve(q, np.linspace(0.0, 25.0, 11))))
+    assert entropy_rows(cc, ss, cs).shape == (11, 3)
+    _assert_rows_match_scalar(cc, ss, cs)
+
+
+def test_entropy_rows_match_scalar_on_edge_rows():
+    at_floor = 1e-14
+    above_floor = np.nextafter(1e-14, 1.0)
+    _assert_rows_match_scalar(
+        [1.0, 0.5, 0.5 + 1e-14, 0.5 + 1e-14, 0.3, 0.25, -1e-13, 1.0 + 1e-13],
+        [0.0, 0.5, 0.5 - 1e-14, 0.5 - 1e-14, 0.7, 0.75, 1.0 + 1e-13, -1e-13],
+        [0j, 0j, at_floor, above_floor * 1j, 0j, 0.2 - 0.3j, 0j, 0j],
+    )
+
+
+def test_entropy_rows_match_scalar_on_random_gram():
+    _assert_rows_match_scalar(*_random_gram(np.random.default_rng(19), 5_000))
+
+
+def test_entropy_rows_match_scalar_on_fig2_presets():
+    for name in ("fig2a", "fig2b", "fig2c"):
+        data = compute(figure_preset(name))
+        _assert_rows_match_scalar(data.cc, data.ss, data.cs)
+
+
+def test_entropy_rows_match_scalar_on_detuned_sweep_configs(tmp_path):
+    workloads = _load_sweep_workloads()
+    states = workloads.sweep_states(0)[:8]
+    assert all(state["detuning_ratio"] != 0.0 for state in states)
+    for state in states:
+        cfg = parse_config(workloads.sweep_config_text(state, tmp_path))
+        data = compute(cfg)
+        _assert_rows_match_scalar(data.cc, data.ss, data.cs)
 
 
 def test_entropy_rejects_invalid_gram():
-    with pytest.raises(ValueError):
-        field_entropy(0.9, 0.3, 0j)  # trace off
-    with pytest.raises(ValueError):
-        field_entropy(0.5, 0.5, 0.9 + 0j)  # Cauchy-Schwarz broken
+    cases = [
+        ([0.5, 0.5, 1.1], [0.5, 0.5, -0.1], [0j, 0j, 0j], "row 2: cc=1.1, ss=-0.1 outside [0, 1]"),
+        ([0.5, 0.9], [0.5, 0.3], [0j, 0j], "row 1: trace cc + ss = 1.2"),
+        ([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0j, 0.1j, 0.9], "row 2: |<C|S>|^2 exceeds"),
+    ]
+    for cc, ss, cs, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entropy_rows(np.array(cc), np.array(ss), np.array(cs, dtype=complex))
+
+
+def test_entropy_rejects_eigenvalues_beyond_slack():
+    # within every Gram tolerance, the larger eigenvalue still overshoots 1
+    cc = np.array([0.5, 1.0 + 1e-12])
+    ss = np.array([0.5, 1e-11 - 1e-12])
+    cs = np.array([0j, 1e-6 + 0j])
+    with pytest.raises(ValueError, match=re.escape("row 1: eigenvalues (")):
+        entropy_rows(cc, ss, cs)
 
 
 def test_initial_entropy_vanishes_for_every_sdfs():
     for p in grid_params():
         a, b = evolve(_state(p), [0.0])
         assert entropy_rows(*gram(*field_components(a, b)))[0, 0] <= 1e-10
-
-
-def test_entropy_rows_match_scalar_entropy():
-    q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
-    cc, ss, cs = gram(*field_components(*evolve(q, np.linspace(0.0, 25.0, 11))))
-    rows = entropy_rows(cc, ss, cs)
-    assert rows.shape == (11, 3)
-    for i in range(11):
-        point = field_entropy(float(cc[i]), float(ss[i]), complex(cs[i]))
-        assert tuple(rows[i]) == (point.entropy, point.lambda_plus, point.lambda_minus)
 
 
 # --------------------------------------------------------- photon numbers

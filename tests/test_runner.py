@@ -67,8 +67,9 @@ _F = runner.FLOAT_FMT
 
 
 def _tables(ts, inversion, entropy, photon, etas, phase, xs, ys, q):
-    """name -> (_write_csv args, kwargs, np.savetxt columns, np.savetxt fmts)
-    of each output schema, laid out as `run` writes it."""
+    """name -> (_write_csv args with unformatted row keys, kwargs, np.savetxt
+    columns, np.savetxt fmts) of each output schema, laid out as `run`
+    writes it."""
     ns = np.arange(photon.shape[1])
     return {
         "inversion": (("lambda_t,W", ts, inversion), {}, [ts, inversion], [_F] * 2),
@@ -93,7 +94,10 @@ def _tables(ts, inversion, entropy, photon, etas, phase, xs, ys, q):
 
 def _assert_writer_matches_savetxt(tmp_path, tables):
     for name, (args, kwargs, columns, fmts) in tables.items():
-        written = runner._write_csv(tmp_path / f"{name}.csv", *args, **kwargs)
+        header, rows, *rest = args
+        written = runner._write_csv(
+            tmp_path / f"{name}.csv", header, runner._keys(rows), *rest, **kwargs
+        )
         reference = tmp_path / f"{name}.savetxt.csv"
         with open(reference, "w", newline="\n") as handle:
             handle.write(args[0] + "\n")
@@ -131,3 +135,19 @@ def test_writer_matches_savetxt_on_edge_values(tmp_path, t_points):
         cells(3), cells(2), cells(2, 3),
     )
     _assert_writer_matches_savetxt(tmp_path, tables)
+
+
+def test_run_formats_the_time_keys_once(tmp_path, monkeypatch):
+    formatted = []
+    keys = runner._keys
+
+    def counting_keys(values):
+        formatted.append(values)
+        return keys(values)
+
+    monkeypatch.setattr(runner, "_keys", counting_keys)
+    cfg = dataclasses.replace(_CFG, output_dir=str(tmp_path))
+    result = runner.run(cfg)
+    assert result.ok and len(result.files) == 5
+    ts = np.linspace(0.0, _CFG.t_max_scaled, _CFG.t_points)
+    assert sum(np.array_equal(values, ts) for values in formatted) == 1
