@@ -15,43 +15,11 @@ import argparse
 import cmath
 import sys
 
-from .config import parse_config, with_output_dir
+from .config import parse_config, parse_state, with_output_dir
 from .presets import PRESET_NAMES, figure_preset
 from .runner import run
-from .sdfs import SdfsParams, sdfs_overlap
+from .sdfs import sdfs_overlap
 from .selfcheck import run_all
-
-_PARAM_KEYS = ("alpha0_re", "alpha0_im", "r", "phi", "m")
-
-
-def _parse_state(text: str) -> SdfsParams:
-    """Parse 'alpha0_re=3,r=1,m=0' into state parameters."""
-    values = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(f"expected key=value in state parameters, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _PARAM_KEYS:
-            raise ValueError(
-                f"unknown state key {key!r}; valid: {', '.join(_PARAM_KEYS)}"
-            )
-        values[key] = value.strip()
-    try:
-        return SdfsParams(
-            alpha0=complex(
-                float(values.get("alpha0_re", 0.0)),
-                float(values.get("alpha0_im", 0.0)),
-            ),
-            r=float(values.get("r", 0.0)),
-            phi=float(values.get("phi", 0.0)),
-            m=int(values.get("m", 0)),
-        )
-    except ValueError as exc:
-        raise ValueError(f"bad state parameters {text!r}: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{status}  {res.name}: {res.detail}")
             return 0 if all(res.passed for res in results) else 1
         if args.verb == "overlap":
-            value = sdfs_overlap(_parse_state(args.p1), _parse_state(args.p2))
+            value = sdfs_overlap(parse_state(args.p1), parse_state(args.p2))
             print(f"overlap = {value.real:.17g} {value.imag:+.17g}i")
             print(f"modulus = {abs(value):.17g}")
             print(f"phase   = {cmath.phase(value):.17g} rad")

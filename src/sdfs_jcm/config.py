@@ -3,7 +3,8 @@
 One ``key = value`` per line, ``#`` starts a comment line, blank lines
 are ignored. Unknown and duplicate keys are rejected with line numbers;
 domain violations name the offending key. `serialize_config` emits a
-document that parses back to an identical configuration.
+document that parses back to an identical configuration. `parse_state`
+reads the state keys from comma-separated items by the same rules.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class RunConfig:
     output_dir: str = "out"
 
 
-# key -> (parser, default-field documentation)
 _FLOAT_KEYS = (
     "alpha0_re",
     "alpha0_im",
@@ -62,11 +62,58 @@ _FLOAT_KEYS = (
 _INT_KEYS = ("m", "t_points", "eta_points", "q_nx", "q_ny")
 _STR_KEYS = ("observables", "output_dir")
 KNOWN_KEYS = (*_FLOAT_KEYS, *_INT_KEYS, *_STR_KEYS)
+_STATE_KEYS = ("alpha0_re", "alpha0_im", "r", "phi", "m")
+# each is the QGridSpec field name with a "q_" prefix
+_GRID_KEYS = ("q_x_min", "q_x_max", "q_y_min", "q_y_max", "q_nx", "q_ny")
 
 
-def _fail(msg: str, line_no: int | None = None) -> ValueError:
-    where = f" (line {line_no})" if line_no is not None else ""
+def _fail(msg: str, place: str | None = None) -> ValueError:
+    where = f" ({place})" if place is not None else ""
     return ValueError(f"config error{where}: {msg}")
+
+
+def _parse_items(items: list[tuple[str, str]], keys: tuple[str, ...]) -> dict:
+    """Typed values of (place, 'key = value') items, keyed by name.
+
+    Keys outside ``keys``, repeated keys, empty values, malformed or
+    non-finite numbers and negative r or m are refused, naming the place.
+    """
+    values: dict[str, object] = {}
+    for place, item in items:
+        if "=" not in item:
+            raise _fail(f"expected 'key = value', got {item!r}", place)
+        key, _, text = (part.strip() for part in item.partition("="))
+        if key not in keys:
+            raise _fail(f"unknown key {key!r}", place)
+        if key in values:
+            raise _fail(f"duplicate key {key!r}", place)
+        if not text:
+            raise _fail(f"key {key!r} has an empty value", place)
+        try:
+            if key in _FLOAT_KEYS:
+                value = float(text)
+                if not math.isfinite(value):
+                    raise ValueError
+            elif key in _INT_KEYS:
+                value = int(text)
+            else:
+                value = text
+        except ValueError:
+            kind = "a number" if key in _FLOAT_KEYS else "an integer"
+            raise _fail(f"key {key!r} needs {kind}, got {text!r}", place)
+        if key in ("r", "m") and value < 0:
+            raise _fail(f"key {key!r} must be >= 0", place)
+        values[key] = value
+    return values
+
+
+def _pop_state(values: dict) -> SdfsParams:
+    """The state named by the state keys of values, which are removed;
+    unset keys keep the SdfsParams defaults."""
+    kwargs = {key: values.pop(key) for key in ("r", "phi", "m") if key in values}
+    if "alpha0_re" in values or "alpha0_im" in values:
+        kwargs["alpha0"] = complex(values.pop("alpha0_re", 0.0), values.pop("alpha0_im", 0.0))
+    return SdfsParams(**kwargs)
 
 
 def validate(cfg: RunConfig) -> RunConfig:
@@ -112,80 +159,37 @@ def validate(cfg: RunConfig) -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat key = value document."""
-    raw: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise _fail(f"expected 'key = value', got {stripped!r}", line_no)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in KNOWN_KEYS:
-            raise _fail(f"unknown key {key!r}", line_no)
-        if key in raw:
-            raise _fail(f"duplicate key {key!r}", line_no)
-        if not value:
-            raise _fail(f"key {key!r} has an empty value", line_no)
-        raw[key] = value
-        lines[key] = line_no
+    """Parse and validate a flat key = value document.
 
-    values: dict[str, object] = {}
-    for key, text_value in raw.items():
-        try:
-            if key in _FLOAT_KEYS:
-                parsed = float(text_value)
-                if not math.isfinite(parsed):
-                    raise ValueError
-                values[key] = parsed
-            elif key in _INT_KEYS:
-                values[key] = int(text_value)
-            else:
-                values[key] = text_value
-        except ValueError:
-            kind = "a number" if key in _FLOAT_KEYS else "an integer"
-            raise _fail(f"key {key!r} needs {kind}, got {text_value!r}", lines[key])
+    Keys the document leaves out keep the defaults of RunConfig,
+    QGridSpec and SdfsParams.
+    """
+    items = [
+        (f"line {line_no}", stripped)
+        for line_no, line in enumerate(text.splitlines(), start=1)
+        if (stripped := line.strip()) and not stripped.startswith("#")
+    ]
+    values = _parse_items(items, KNOWN_KEYS)
+    state = _pop_state(values)
+    grid = QGridSpec(**{key[2:]: values.pop(key) for key in _GRID_KEYS if key in values})
+    if "observables" in values:
+        names = values["observables"].split(",")
+        values["observables"] = tuple(name.strip() for name in names if name.strip())
+    return validate(RunConfig(state=state, q_grid=grid, **values))
 
-    if values.get("r", 0.0) < 0:
-        raise _fail("key 'r' must be >= 0", lines.get("r"))
-    if values.get("m", 0) < 0:
-        raise _fail("key 'm' must be >= 0", lines.get("m"))
 
-    state = SdfsParams(
-        alpha0=complex(values.get("alpha0_re", 0.0), values.get("alpha0_im", 0.0)),
-        r=values.get("r", 0.0),
-        phi=values.get("phi", 0.0),
-        m=values.get("m", 0),
-    )
-    grid = QGridSpec(
-        x_min=values.get("q_x_min", -8.0),
-        x_max=values.get("q_x_max", 8.0),
-        y_min=values.get("q_y_min", -8.0),
-        y_max=values.get("q_y_max", 8.0),
-        nx=values.get("q_nx", 201),
-        ny=values.get("q_ny", 201),
-    )
-    observables = tuple(
-        name.strip()
-        for name in str(values.get("observables", "inversion,entropy")).split(",")
-        if name.strip()
-    )
-    cfg = RunConfig(
-        state=state,
-        detuning_ratio=values.get("detuning_ratio", 0.0),
-        t_max_scaled=values.get("t_max_scaled", 25.0),
-        t_points=values.get("t_points", 2000),
-        tail_tol=values.get("tail_tol", 1e-12),
-        eta_points=values.get("eta_points", 512),
-        q_grid=grid,
-        q_time_scaled=values.get("q_time_scaled"),
-        observables=observables,
-        output_dir=str(values.get("output_dir", "out")),
-    )
-    return validate(cfg)
+def parse_state(text: str) -> SdfsParams:
+    """Parse 'alpha0_re=3,r=1,m=0' into state parameters.
+
+    The comma-separated items follow the rules of a config document:
+    numbers must be finite and a key may appear once.
+    """
+    items = [
+        (f"item {item_no}", stripped)
+        for item_no, item in enumerate(text.split(","), start=1)
+        if (stripped := item.strip())
+    ]
+    return _pop_state(_parse_items(items, _STATE_KEYS))
 
 
 def serialize_config(cfg: RunConfig) -> str:

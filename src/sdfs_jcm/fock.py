@@ -21,12 +21,10 @@ threads.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammaln
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sdfs import SdfsParams
@@ -41,12 +39,10 @@ DIM_CAP = 512
 class FockVector:
     """Complex amplitudes over the truncated number basis.
 
-    ``amps[n]`` is the amplitude on |n>. A vector constructed with
-    ``normalized=True`` is checked to satisfy |sum |amps|^2 - 1| <= 1e-10.
+    ``amps[n]`` is the amplitude on |n>.
     """
 
     amps: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex)
@@ -54,10 +50,6 @@ class FockVector:
             raise ValueError("FockVector needs a nonempty 1-D amplitude array")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-        if self.normalized and abs(self.norm_sq() - 1.0) > 1e-10:
-            raise ValueError(
-                "vector tagged normalized violates |norm^2 - 1| <= 1e-10"
-            )
 
     @property
     def dim(self) -> int:
@@ -82,7 +74,7 @@ def basis_state(dim: int, n: int) -> FockVector:
         raise ValueError(f"basis index {n} outside [0, {dim - 1}]")
     amps = np.zeros(dim, dtype=complex)
     amps[n] = 1.0
-    return FockVector(amps, normalized=True)
+    return FockVector(amps)
 
 
 def annihilation_matrix(dim: int):
@@ -92,11 +84,6 @@ def annihilation_matrix(dim: int):
     dim = _check_dim(dim)
     root_n = np.sqrt(np.arange(1, dim, dtype=float))
     return sparse.diags_array(root_n, offsets=1, shape=(dim, dim), format="csr", dtype=complex)
-
-
-def creation_matrix(dim: int):
-    """Truncated creation operator, the conjugate transpose of `annihilation_matrix`."""
-    return annihilation_matrix(dim).conj().T.tocsr()
 
 
 def displacement_generator(alpha: complex, dim: int):
@@ -156,26 +143,6 @@ def inner_product(u: FockVector, v: FockVector) -> complex:
     return complex(np.vdot(u.amps, v.amps))
 
 
-def coherent_state(alpha: complex, dim: int) -> FockVector:
-    """Coherent-state amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!).
-
-    Magnitudes are assembled in log-domain so large |alpha| and large n
-    stay representable.
-    """
-    dim = _check_dim(dim)
-    alpha = complex(alpha)
-    if alpha == 0:
-        return basis_state(dim, 0)
-    ns = np.arange(dim)
-    logmag = (
-        -0.5 * abs(alpha) ** 2
-        + ns * math.log(abs(alpha))
-        - 0.5 * gammaln(ns + 1.0)
-    )
-    phase = np.exp(1j * ns * cmath.phase(alpha))
-    return FockVector(np.exp(logmag) * phase)
-
-
 def build_sdfs_oracle(p: "SdfsParams", dim: int) -> FockVector:
     """Squeezed displaced Fock state built directly as D(alpha0) S(z) |m>.
 
@@ -191,6 +158,4 @@ def build_sdfs_oracle(p: "SdfsParams", dim: int) -> FockVector:
         raise ValueError(f"seed Fock number {p.m} does not fit in dim {dim}")
     v = basis_state(dim, p.m)
     v = matrix_exp_apply(squeeze_generator(p.r, p.phi, dim), v)
-    v = matrix_exp_apply(displacement_generator(p.alpha0, dim), v)
-    norm_sq = v.norm_sq()
-    return FockVector(v.amps, normalized=abs(norm_sq - 1.0) <= 1e-10)
+    return matrix_exp_apply(displacement_generator(p.alpha0, dim), v)

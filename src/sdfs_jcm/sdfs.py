@@ -56,6 +56,9 @@ from scipy.special import gammaln
 from .fock import DIM_CAP, FockVector
 
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
+# largest rounding bound of the overlap's W, relative to |W|
+_W_BUDGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,15 @@ class SdfsParams:
     m: int = 0
 
     def __post_init__(self):
+        for name, value in (("alpha0", self.alpha0), ("r", self.r), ("phi", self.phi)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"state parameter {name} must be finite, got {value}")
         if self.r < 0:
             raise ValueError("squeeze magnitude r must be >= 0")
+        try:
+            math.cosh(self.r)
+        except OverflowError:
+            raise ValueError(f"squeeze magnitude r = {self.r:g} overflows cosh r") from None
         if self.m != int(self.m) or self.m < 0:
             raise ValueError("seed Fock number m must be a nonnegative integer")
         object.__setattr__(self, "alpha0", complex(self.alpha0))
@@ -92,19 +102,6 @@ class SdfsParams:
     @property
     def z(self) -> complex:
         return self.r * cmath.exp(1j * self.phi)
-
-
-@dataclass(frozen=True, eq=False)
-class PhotonDistribution:
-    """P_n = |<n|alpha0,z,m>|^2 plus the mass beyond the truncation."""
-
-    probs: np.ndarray
-    tail_mass: float
-
-    def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
 
 
 def mean_photon_number(p: SdfsParams) -> float:
@@ -235,13 +232,6 @@ def _amplitudes(p: SdfsParams, n_max: int) -> np.ndarray:
     return _amplitudes_squeezed(p, n_max)
 
 
-def sdfs_amplitude(p: SdfsParams, n: int) -> complex:
-    """Number-basis amplitude <n|alpha0, z, m>."""
-    if n < 0:
-        raise ValueError("photon number n must be >= 0")
-    return complex(_amplitudes(p, n)[n])
-
-
 def choose_truncation(p: SdfsParams, tail_tol: float) -> int:
     """Smallest truncation N with photon-number tail below tail_tol.
 
@@ -295,8 +285,7 @@ def sdfs_state(p: SdfsParams, n_max: int) -> FockVector:
 
     A norm off unity by more than 1e-8 is an error, never a silent
     renormalization: a deficit means under-truncation, an excess means
-    the closed form lost precision to cancellation (large m). The
-    normalized tag is set when |norm^2 - 1| is below 1e-10.
+    the closed form lost precision to cancellation (large m).
     """
     amps = _amplitudes(p, n_max)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -310,15 +299,7 @@ def sdfs_state(p: SdfsParams, n_max: int) -> FockVector:
             f"closed-form amplitudes lost precision: norm^2 exceeds 1 by "
             f"{norm_sq - 1.0:.3e} at n_max={n_max} (cancellation in the sum, m={p.m})"
         )
-    return FockVector(amps, normalized=abs(norm_sq - 1.0) <= 1e-10)
-
-
-def photon_distribution(p: SdfsParams, n_max: int) -> PhotonDistribution:
-    """P_n = |<n|alpha0,z,m>|^2 for n = 0..n_max, plus the truncated tail."""
-    state = sdfs_state(p, n_max)
-    probs = np.abs(state.amps) ** 2
-    tail = max(0.0, 1.0 - float(np.sum(probs)))
-    return PhotonDistribution(probs, tail)
+    return FockVector(amps)
 
 
 def _exp_quadratic_coeffs(
@@ -370,11 +351,22 @@ def sdfs_overlap(p1: SdfsParams, p2: SdfsParams) -> complex:
     squeezed-coherent overlap) all fall out of the quad = 0 branch of the
     coefficient expansion, with no 0/0 evaluations. The global phase is
     pinned to the D(alpha0) S(z) |m> operator ordering.
+
+    W is formed by cancellation, with a rounding error up to
+    eps (mu1 mu2 + |nu1| |nu2|) while |W| >= cosh(r1 - r2) >= 1. When that
+    bound exceeds 1e-10 |W| (equal squeezes beyond r of about 6.5) the
+    overlap is refused with a lost-precision error.
     """
     mu1, nu1, m1, a1 = p1.mu, p1.nu, p1.m, p1.alpha0
     mu2, nu2, m2, a2 = p2.mu, p2.nu, p2.m, p2.alpha0
     d = a2 - a1
-    wden = mu1 * mu2 - nu1.conjugate() * nu2  # = mu1 mu2 K, Re > 0 always
+    wden = mu1 * mu2 - nu1.conjugate() * nu2  # = mu1 mu2 K, |W| >= 1
+    rounding = _EPS * (mu1 * mu2 + abs(nu1) * abs(nu2))
+    if not math.isfinite(rounding) or rounding > _W_BUDGET * abs(wden):
+        raise ValueError(
+            f"overlap lost precision: W = mu1 mu2 - nu1* nu2 has a rounding bound "
+            f"{rounding:.3e} against |W| = {abs(wden):.3e} (r1={p1.r:g}, r2={p2.r:g})"
+        )
     quad1 = (nu1 * mu2 - nu2 * mu1) / wden
     quad2 = (nu2.conjugate() * mu1 - nu1.conjugate() * mu2) / wden
     cross = 1.0 / wden
@@ -397,12 +389,8 @@ def sdfs_overlap(p1: SdfsParams, p2: SdfsParams) -> complex:
 
     rmax = min(m1, m2)
     rs = np.arange(rmax + 1)
-    if cross == 0:  # unreachable for finite squeezes, kept for safety
-        log_cross = np.where(rs == 0, 0.0, -np.inf)
-        unit_cross = np.ones(rmax + 1, dtype=complex)
-    else:
-        log_cross = rs * math.log(abs(cross))
-        unit_cross = np.exp(1j * rs * cmath.phase(cross))
+    log_cross = rs * math.log(abs(cross))
+    unit_cross = np.exp(1j * rs * cmath.phase(cross))
     logmag = (
         l1[m1 - rs]
         + l2[m2 - rs]

@@ -317,7 +317,7 @@ def check_q_structure() -> CheckResult:
 
 def check_trivial_limits() -> CheckResult:
     """Vacuum Rabi cosine and coherent-state Poisson statistics."""
-    q = FockVector(np.array([1.0, 0.0]), normalized=True)
+    q = FockVector(np.array([1.0, 0.0]))
     ts = np.linspace(0.0, 10.0, 2000)
     w = atomic_inversion(*evolve(q, ts))
     worst_w = float(np.max(np.abs(w - np.cos(2.0 * ts))))

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from sdfs_jcm.cli import main
-from sdfs_jcm.config import parse_config, serialize_config, with_output_dir
+from sdfs_jcm.config import (
+    QGridSpec,
+    RunConfig,
+    parse_config,
+    parse_state,
+    serialize_config,
+    with_output_dir,
+)
 from sdfs_jcm.presets import PRESET_NAMES, figure_preset
 from sdfs_jcm.runner import run
+from sdfs_jcm.sdfs import SdfsParams
 
 
 def test_minimal_document_gets_defaults():
@@ -18,6 +26,11 @@ def test_minimal_document_gets_defaults():
     assert cfg.tail_tol == 1e-12
     assert cfg.eta_points == 512
     assert cfg.q_grid.nx == 201
+
+
+def test_empty_document_is_the_default_config():
+    assert parse_config("") == RunConfig()
+    assert parse_config("# only a comment\n\n") == RunConfig()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -66,6 +79,46 @@ def test_presets_round_trip():
     for name in PRESET_NAMES:
         cfg = figure_preset(name)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_round_trip_of_a_config_that_sets_every_key():
+    cfg = RunConfig(
+        state=SdfsParams(alpha0=1.25 - 0.75j, r=0.3, phi=2.5, m=3),
+        detuning_ratio=-1.5,
+        t_max_scaled=12.0,
+        t_points=300,
+        tail_tol=1e-10,
+        eta_points=64,
+        q_grid=QGridSpec(x_min=-6.0, x_max=7.5, y_min=-5.5, y_max=6.0, nx=31, ny=17),
+        q_time_scaled=3.25,
+        observables=("qfunc", "phase_dist", "inversion"),
+        output_dir="elsewhere/run 1",
+    )
+    default = RunConfig()
+    for name in ("detuning_ratio", "t_max_scaled", "t_points", "tail_tol", "eta_points",
+                 "q_time_scaled", "observables", "output_dir"):
+        assert getattr(cfg, name) != getattr(default, name)
+    assert all(getattr(cfg.q_grid, name) != getattr(QGridSpec(), name)
+               for name in ("x_min", "x_max", "y_min", "y_max", "nx", "ny"))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_parse_state_follows_the_config_rules():
+    assert parse_state(" alpha0_re=1.5, alpha0_im=-2 ,r=0.5,phi=1,m=2,") == SdfsParams(
+        alpha0=1.5 - 2j, r=0.5, phi=1.0, m=2
+    )
+    assert parse_state("") == SdfsParams()
+    for text, match in (
+        ("r=1,r=2", r"item 2.*duplicate key 'r'"),
+        ("alpha0_re=nan", "'alpha0_re' needs a number"),
+        ("phi=inf", "'phi' needs a number"),
+        ("m=1.5", "'m' needs an integer"),
+        ("r=-1", "'r' must be >= 0"),
+        ("t_points=4", "unknown key 't_points'"),
+        ("r", "expected 'key = value'"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            parse_state(text)
 
 
 def test_preset_values():
@@ -184,3 +237,28 @@ def test_cli_overlap_verb(capsys):
     out = capsys.readouterr().out
     assert "modulus" in out and "phase" in out
     assert main(["overlap", "--p1", "bogus=1", "--p2", "r=0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "p1, p2",
+    [
+        ("r=1,r=2", "r=0"),
+        ("alpha0_re=nan", "r=1"),
+        ("phi=inf", "r=0"),
+        ("r=800", "r=0"),
+        ("r=20,m=1", "r=20,m=1"),
+    ],
+)
+def test_cli_overlap_refusals_exit_2(p1, p2, capsys):
+    assert main(["overlap", "--p1", p1, "--p2", p2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_run_refuses_an_overflowing_squeeze(tmp_path, capsys):
+    config_path = tmp_path / "huge.cfg"
+    config_path.write_text(f"r = 800\nt_points = 4\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(config_path)]) == 2
+    assert "r = 800 overflows cosh" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

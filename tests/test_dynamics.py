@@ -14,7 +14,7 @@ from sdfs_jcm.sdfs import SdfsParams, choose_truncation, sdfs_state
 
 
 def _vacuum():
-    return FockVector(np.array([1.0, 0.0]), normalized=True)
+    return FockVector(np.array([1.0, 0.0]))
 
 
 def _state(p):

@@ -15,15 +15,19 @@ from sdfs_jcm.fock import (
     annihilation_matrix,
     basis_state,
     build_sdfs_oracle,
-    coherent_state,
-    creation_matrix,
     displacement_generator,
     inner_product,
     matrix_exp_apply,
     squeeze_generator,
 )
+from sdfs_jcm.observables import _coherent_bras
 from sdfs_jcm.sdfs import SdfsParams, choose_truncation
 from sdfs_jcm.selfcheck import AMPLITUDE_GRID
+
+
+def _coherent_kets(alpha, dim):
+    """<n|alpha> for n < dim, the conjugates of the Q grid's coherent bras."""
+    return _coherent_bras(np.array([alpha]), dim)[0].conj()
 
 
 def test_annihilation_matrix_dim2():
@@ -72,7 +76,7 @@ def test_exp_diagonal_phases():
 def test_displaced_vacuum_is_coherent_state():
     alpha, dim = 1.5, 64
     out = matrix_exp_apply(displacement_generator(alpha, dim), basis_state(dim, 0))
-    np.testing.assert_allclose(out.amps, coherent_state(alpha, dim).amps, atol=1e-12)
+    np.testing.assert_allclose(out.amps, _coherent_kets(alpha, dim), atol=1e-12)
 
 
 def test_non_finite_matrix_rejected():
@@ -108,13 +112,12 @@ def test_oracle_fock_limit():
 
 def test_oracle_coherent_limit():
     out = build_sdfs_oracle(SdfsParams(alpha0=2.0), 64)
-    np.testing.assert_allclose(out.amps, coherent_state(2.0, 64).amps, atol=1e-12)
+    np.testing.assert_allclose(out.amps, _coherent_kets(2.0, 64), atol=1e-12)
 
 
 def test_oracle_normalization():
     out = build_sdfs_oracle(SdfsParams(alpha0=3.0, r=1.0, phi=0.0, m=1), 128)
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-10)
-    assert out.normalized
 
 
 def _random_interior_vector(rng, dim):
@@ -146,11 +149,6 @@ def test_exp_inverse_roundtrip():
     v = _random_interior_vector(rng, dim)
     back = matrix_exp_apply(-gen, matrix_exp_apply(gen, v))
     np.testing.assert_allclose(back.amps, v.amps, atol=1e-9)
-
-
-def test_normalized_tag_is_checked():
-    with pytest.raises(ValueError):
-        FockVector(np.array([1.0, 1.0]), normalized=True)
 
 
 def test_amps_are_immutable():

@@ -29,7 +29,7 @@ LN2 = math.log(2.0)
 
 
 def _vacuum():
-    return FockVector(np.array([1.0, 0.0]), normalized=True)
+    return FockVector(np.array([1.0, 0.0]))
 
 
 def _state(p):
@@ -62,7 +62,7 @@ def test_inversion_vacuum_cosine():
 
 
 def test_inversion_single_fock_cosine():
-    q = FockVector(np.array([0.0, 1.0]), normalized=True)
+    q = FockVector(np.array([0.0, 1.0]))
     ts = np.linspace(0.0, 6.0, 23)
     w = atomic_inversion(*evolve(q, ts))
     for t, value in zip(ts, w):

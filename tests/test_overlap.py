@@ -105,3 +105,24 @@ def test_cauchy_schwarz_bound():
             m=int(rng.integers(0, 4)),
         )
         assert abs(sdfs_overlap(p1, p2)) <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("r", [10.0, 18.5, 20.0])
+def test_equal_large_squeezes_refuse_the_cancelling_w(r):
+    # W = mu1 mu2 - nu1* nu2 is exactly 1 here, but its rounding error
+    # grows like e^{2r}: it reads 1.5 at r = 18.5 and 0 at r = 20
+    p = SdfsParams(r=r, m=1)
+    with pytest.raises(ValueError, match="lost precision"):
+        sdfs_overlap(p, p)
+
+
+def test_overflowing_w_is_refused():
+    p1 = SdfsParams(alpha0=1.0, r=400.0, phi=0.0)
+    p2 = SdfsParams(alpha0=1.0, r=400.0, phi=math.pi)
+    with pytest.raises(ValueError, match="lost precision"):
+        sdfs_overlap(p1, p2)
+
+
+def test_moderate_squeeze_self_overlap_stays_inside_the_budget():
+    p = SdfsParams(alpha0=0.5, r=5.0, phi=1.0, m=1)
+    assert sdfs_overlap(p, p) == pytest.approx(1.0, abs=1e-10)

@@ -7,10 +7,9 @@ from scipy.special import gammaln
 from sdfs_jcm.fock import build_sdfs_oracle, inner_product
 from sdfs_jcm.sdfs import (
     SdfsParams,
+    _amplitudes,
     choose_truncation,
     mean_photon_number,
-    photon_distribution,
-    sdfs_amplitude,
     sdfs_state,
 )
 
@@ -27,19 +26,39 @@ def test_params_validation():
     assert p.mu**2 - abs(p.nu) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
+def test_params_refuse_non_finite_values():
+    for kwargs, name in (
+        ({"alpha0": complex(math.nan, 1.0)}, "alpha0"),
+        ({"alpha0": complex(0.0, math.inf)}, "alpha0"),
+        ({"r": math.inf}, "r"),
+        ({"r": math.nan}, "r"),
+        ({"phi": math.inf}, "phi"),
+        ({"phi": -math.inf}, "phi"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SdfsParams(**kwargs)
+
+
+def test_params_refuse_a_squeeze_whose_cosh_overflows():
+    assert SdfsParams(r=710.0).mu > 1e308
+    for r in (710.5, 800.0):
+        with pytest.raises(ValueError, match=r"r = \d+\.?\d* overflows cosh"):
+            SdfsParams(r=r)
+
+
 def test_coherent_amplitude_value():
-    amp = sdfs_amplitude(SdfsParams(alpha0=2.0), 3)
+    amp = _amplitudes(SdfsParams(alpha0=2.0), 3)[3]
     assert amp == pytest.approx(math.exp(-2.0) * 8.0 / math.sqrt(6.0), abs=1e-14)
 
 
 def test_squeezed_vacuum_odd_amplitude_vanishes():
-    assert sdfs_amplitude(SdfsParams(r=1.0), 1) == 0
+    assert _amplitudes(SdfsParams(r=1.0), 1)[1] == 0
 
 
 def test_amplitude_matches_oracle():
     p = SdfsParams(alpha0=3.0, r=1.0, phi=0.0, m=1)
     oracle = build_sdfs_oracle(p, 128)
-    assert sdfs_amplitude(p, 5) == pytest.approx(complex(oracle.amps[5]), abs=1e-8)
+    assert _amplitudes(p, 5)[5] == pytest.approx(complex(oracle.amps[5]), abs=1e-8)
 
 
 def test_parity_of_undisplaced_states():
@@ -71,7 +90,6 @@ def test_state_normalization():
     ):
         state = sdfs_state(p, choose_truncation(p, 1e-12))
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
-        assert state.normalized
 
 
 def test_under_truncation_is_an_error():
@@ -90,26 +108,26 @@ def test_norm_excess_is_an_error():
 
 def test_photon_distribution_poisson():
     p = SdfsParams(alpha0=3.0)
-    dist = photon_distribution(p, choose_truncation(p, 1e-12))
-    assert dist.probs[9] == pytest.approx(math.exp(-9.0) * 9.0**9 / math.factorial(9), abs=1e-12)
-    ns = np.arange(dist.probs.size)
+    probs = np.abs(sdfs_state(p, choose_truncation(p, 1e-12)).amps) ** 2
+    assert probs[9] == pytest.approx(math.exp(-9.0) * 9.0**9 / math.factorial(9), abs=1e-12)
+    ns = np.arange(probs.size)
     poisson = np.exp(ns * math.log(9.0) - 9.0 - gammaln(ns + 1.0))
-    np.testing.assert_allclose(dist.probs, poisson, atol=1e-10)
+    np.testing.assert_allclose(probs, poisson, atol=1e-10)
 
 
 def test_photon_distribution_fock():
-    dist = photon_distribution(SdfsParams(m=2), 2)
-    np.testing.assert_allclose(dist.probs, [0, 0, 1])
-    assert dist.tail_mass == 0.0
+    state = sdfs_state(SdfsParams(m=2), 2)
+    np.testing.assert_allclose(np.abs(state.amps) ** 2, [0, 0, 1])
+    assert state.norm_sq() == 1.0
 
 
 def test_photon_distribution_matches_oracle():
     p = SdfsParams(alpha0=0.5, r=1.0, m=2)
     n_max = choose_truncation(p, 1e-12)
-    dist = photon_distribution(p, n_max)
+    state = sdfs_state(p, n_max)
     oracle = build_sdfs_oracle(p, 2 * (n_max + 1))
-    np.testing.assert_allclose(dist.probs, np.abs(oracle.amps[: n_max + 1]) ** 2, atol=1e-8)
-    assert dist.probs.sum() + dist.tail_mass == pytest.approx(1.0, abs=1e-10)
+    np.testing.assert_allclose(np.abs(state.amps) ** 2, np.abs(oracle.amps[: n_max + 1]) ** 2, atol=1e-8)
+    assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mean_photon_number_values():
@@ -129,9 +147,9 @@ def test_mean_photon_number_against_number_operator():
 
 def test_mean_consistency_with_distribution():
     for p in (SdfsParams(alpha0=3.0, r=1.0, m=1), SdfsParams(alpha0=1 + 1j, r=0.3, m=2)):
-        dist = photon_distribution(p, choose_truncation(p, 1e-12))
-        ns = np.arange(dist.probs.size)
-        assert float(np.sum(ns * dist.probs)) == pytest.approx(
+        probs = np.abs(sdfs_state(p, choose_truncation(p, 1e-12)).amps) ** 2
+        ns = np.arange(probs.size)
+        assert float(np.sum(ns * probs)) == pytest.approx(
             mean_photon_number(p), abs=1e-6
         )
 
