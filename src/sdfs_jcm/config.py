@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .sdfs import SdfsParams
+from .sdfs import TAIL_TOL_FLOOR, SdfsParams
 
 OBSERVABLE_NAMES = ("inversion", "entropy", "photon_dist", "phase_dist", "qfunc")
 
@@ -126,8 +126,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise _fail("key 't_max_scaled' must be > 0")
     if cfg.t_points < 2:
         raise _fail("key 't_points' must be >= 2")
-    if not 0.0 < cfg.tail_tol < 1.0:
-        raise _fail("key 'tail_tol' must lie in (0, 1)")
+    if not TAIL_TOL_FLOOR <= cfg.tail_tol < 1.0:
+        raise _fail(f"key 'tail_tol' must lie in [{TAIL_TOL_FLOOR:g}, 1): smaller is unresolvable")
     if cfg.eta_points < 1:
         raise _fail("key 'eta_points' must be >= 1")
     g = cfg.q_grid

@@ -59,6 +59,10 @@ _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 # largest rounding bound of the overlap's W, relative to |W|
 _W_BUDGET = 1e-10
+# Smallest tail_tol whose crossing double precision resolves. On the 192 preset,
+# sweep and check states (closed-form norm^2 off 1 by <= 1.9e-14) every true tail
+# stays below tail_tol from 5e-13 up; 3 miss it at 3e-13, and 32 (by up to 2x) at 1e-14.
+TAIL_TOL_FLOOR = 5e-13
 
 
 @dataclass(frozen=True)
@@ -243,19 +247,22 @@ def choose_truncation(p: SdfsParams, tail_tol: float) -> int:
     when the mass is already converged inside the cap but the sum still
     falls short of 1 - tail_tol, with a lost-precision error.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError("tail_tol must lie in (0, 1)")
+    if not TAIL_TOL_FLOOR <= tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in [{TAIL_TOL_FLOOR:g}, 1), got {tail_tol:g}")
     cap = DIM_CAP - 1
     if p.alpha0 == 0 and p.r == 0.0:
         if p.m > cap:
             raise ValueError(f"Fock seed {p.m} exceeds the truncation cap {cap}")
         return p.m
-    mean = mean_photon_number(p)
-    floor_n = math.ceil(mean + 10.0 * math.sqrt(mean + 1.0))
-    if floor_n > cap:
-        raise ValueError(
-            f"required truncation {floor_n} exceeds the cap {cap}"
-        )
+    try:
+        mean = mean_photon_number(p)
+    except OverflowError:  # cosh^2 r beyond the double range
+        mean = math.inf
+    floor = mean + 10.0 * math.sqrt(mean + 1.0)
+    if not floor <= cap:  # refuses NaN too: inf * m at m = 0
+        needed = math.ceil(floor) if math.isfinite(floor) else "beyond the double range"
+        raise ValueError(f"required truncation {needed} exceeds the cap {cap}")
+    floor_n = math.ceil(floor)
     n_hi = floor_n
     while True:
         probs = np.abs(_amplitudes(p, n_hi)) ** 2

@@ -54,16 +54,17 @@ def grid_params() -> list[SdfsParams]:
 
 def check_amplitude_oracle(tol: float = 1e-8) -> CheckResult:
     """Closed-form amplitudes vs the operator construction over the grid."""
-    worst = 0.0
-    for p in grid_params():
-        n_max = choose_truncation(p, 1e-12)
-        oracle = build_sdfs_oracle(p, 2 * (n_max + 1))
-        analytic = _amplitudes(p, n_max)
-        worst = max(worst, float(np.max(np.abs(analytic - oracle.amps[: n_max + 1]))))
+    states = grid_params()
+    n_maxes = [choose_truncation(p, 1e-12) for p in states]
+    oracles = build_sdfs_oracle(states, [2 * (n_max + 1) for n_max in n_maxes])
+    worst = max(
+        float(np.max(np.abs(_amplitudes(p, n_max) - oracle.amps[: n_max + 1])))
+        for p, n_max, oracle in zip(states, n_maxes, oracles)
+    )
     return _result(
         "amplitude-oracle-grid",
         worst <= tol,
-        f"worst deviation {worst:.3e} (tol {tol:g}) over {len(grid_params())} states",
+        f"worst deviation {worst:.3e} (tol {tol:g}) over {len(states)} states",
     )
 
 
@@ -96,12 +97,13 @@ def check_overlap_oracle(
     1e-8, where the phase of the reference itself is numerically
     undefined; the modulus comparison always applies.
     """
+    pairs = random_overlap_pairs()
+    dims = [2 * (max(choose_truncation(p, 1e-12) for p in pair) + 1) for pair in pairs]
+    oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
     worst_mod = 0.0
     worst_phase = 0.0
-    for p1, p2 in random_overlap_pairs():
-        n_max = max(choose_truncation(p1, 1e-12), choose_truncation(p2, 1e-12))
-        dim = 2 * (n_max + 1)
-        reference = inner_product(build_sdfs_oracle(p1, dim), build_sdfs_oracle(p2, dim))
+    for (p1, p2), u, v in zip(pairs, oracles[::2], oracles[1::2]):
+        reference = inner_product(u, v)
         value = sdfs_overlap(p1, p2)
         worst_mod = max(worst_mod, abs(abs(value) - abs(reference)))
         if abs(reference) > 1e-8:

@@ -43,6 +43,14 @@ def test_negative_r_names_key():
         parse_config("r = -1\n")
 
 
+def test_tail_tol_below_double_resolution_is_refused():
+    for text in ("1e-16", "1e-14", "4.9e-13"):
+        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1\)"):
+            parse_config(f"tail_tol = {text}\n")
+    assert parse_config("tail_tol = 5e-13\n").tail_tol == 5e-13
+    assert parse_config("").tail_tol == 1e-12
+
+
 def test_unknown_key_reports_line():
     with pytest.raises(ValueError, match=r"line 2.*mystery"):
         parse_config("r = 1\nmystery = 3\n")
@@ -262,3 +270,14 @@ def test_cli_run_refuses_an_overflowing_squeeze(tmp_path, capsys):
     assert main(["run", str(config_path)]) == 2
     assert "r = 800 overflows cosh" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r", ["355.5", "400", "700"])
+def test_cli_run_refuses_a_squeeze_whose_mean_photon_number_overflows(r, tmp_path, capsys):
+    config_path = tmp_path / "huge.cfg"
+    out_dir = tmp_path / "out"
+    config_path.write_text(f"alpha0_re = 1\nr = {r}\nt_points = 4\noutput_dir = {out_dir}\n")
+    assert main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "required truncation beyond the double range exceeds the cap 511" in err
+    assert not out_dir.exists()

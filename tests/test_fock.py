@@ -1,3 +1,5 @@
+import cmath
+import functools
 import math
 import os
 import subprocess
@@ -13,7 +15,6 @@ from sdfs_jcm.fock import (
     DIM_CAP,
     FockVector,
     annihilation_matrix,
-    basis_state,
     build_sdfs_oracle,
     displacement_generator,
     inner_product,
@@ -23,6 +24,11 @@ from sdfs_jcm.fock import (
 from sdfs_jcm.observables import _coherent_bras
 from sdfs_jcm.sdfs import SdfsParams, choose_truncation
 from sdfs_jcm.selfcheck import AMPLITUDE_GRID
+
+
+def basis_state(dim, n):
+    """Number state |n> on a dim-dimensional truncation."""
+    return FockVector(np.eye(dim)[n])
 
 
 def _coherent_kets(alpha, dim):
@@ -99,24 +105,23 @@ def test_inner_product_orthonormality():
 
 
 def test_coherent_overlap_value():
-    u = build_sdfs_oracle(SdfsParams(alpha0=1.0), 64)
-    v = build_sdfs_oracle(SdfsParams(alpha0=2.0), 64)
+    u, v = build_sdfs_oracle([SdfsParams(alpha0=1.0), SdfsParams(alpha0=2.0)], [64, 64])
     # <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + alpha* beta)
     assert inner_product(u, v) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
 def test_oracle_fock_limit():
-    out = build_sdfs_oracle(SdfsParams(m=3), 16)
+    (out,) = build_sdfs_oracle([SdfsParams(m=3)], [16])
     np.testing.assert_allclose(out.amps, basis_state(16, 3).amps, atol=1e-13)
 
 
 def test_oracle_coherent_limit():
-    out = build_sdfs_oracle(SdfsParams(alpha0=2.0), 64)
+    (out,) = build_sdfs_oracle([SdfsParams(alpha0=2.0)], [64])
     np.testing.assert_allclose(out.amps, _coherent_kets(2.0, 64), atol=1e-12)
 
 
 def test_oracle_normalization():
-    out = build_sdfs_oracle(SdfsParams(alpha0=3.0, r=1.0, phi=0.0, m=1), 128)
+    (out,) = build_sdfs_oracle([SdfsParams(alpha0=3.0, r=1.0, phi=0.0, m=1)], [128])
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -133,7 +138,7 @@ def test_unitarity_of_oracle_maps():
     dim = 96
     gens = [
         displacement_generator(1.2 - 0.7j, dim),
-        squeeze_generator(0.8, 0.4, dim),
+        squeeze_generator(0.8 * cmath.exp(0.4j), dim),
     ]
     for gen in gens:
         for _ in range(5):
@@ -145,7 +150,7 @@ def test_unitarity_of_oracle_maps():
 def test_exp_inverse_roundtrip():
     rng = np.random.default_rng(11)
     dim = 96
-    gen = squeeze_generator(0.6, 1.0, dim)
+    gen = squeeze_generator(0.6 * cmath.exp(1.0j), dim)
     v = _random_interior_vector(rng, dim)
     back = matrix_exp_apply(-gen, matrix_exp_apply(gen, v))
     np.testing.assert_allclose(back.amps, v.amps, atol=1e-9)
@@ -157,6 +162,7 @@ def test_amps_are_immutable():
         v.amps[0] = 1.0
 
 
+@functools.lru_cache(maxsize=None)
 def _dense_sdfs(p, dim):
     """D(alpha0) S(z) |m> from dense scaling-and-squaring exponentials."""
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
@@ -174,29 +180,69 @@ _GRID_CORNERS = [
     for m in (AMPLITUDE_GRID["m"][0], AMPLITUDE_GRID["m"][-1])
 ]
 _LARGE = (SdfsParams(alpha0=6j, r=2.0, phi=0.3, m=5), DIM_CAP)
+_CASES = [(p, 2 * (choose_truncation(p, 1e-12) + 1)) for p in _GRID_CORNERS] + [_LARGE]
+# the grid corners and _LARGE, with a Fock seed among them and a coherent state last
+_STACK = [_CASES[0], (SdfsParams(m=3), 8), *_CASES[1:], (SdfsParams(alpha0=2.0), 64)]
 
 
-@pytest.mark.parametrize(
-    "p, dim",
-    [(p, 2 * (choose_truncation(p, 1e-12) + 1)) for p in _GRID_CORNERS] + [_LARGE],
-)
+def _stacked(cases):
+    return build_sdfs_oracle([p for p, _ in cases], [dim for _, dim in cases])
+
+
+@pytest.mark.parametrize("p, dim", _CASES)
 def test_oracle_matches_dense_expm(p, dim):
-    np.testing.assert_allclose(build_sdfs_oracle(p, dim).amps, _dense_sdfs(p, dim), rtol=0, atol=1e-12)
+    (out,) = build_sdfs_oracle([p], [dim])
+    np.testing.assert_allclose(out.amps, _dense_sdfs(p, dim), rtol=0, atol=1e-12)
+
+
+def test_stacked_oracle_matches_dense_expm_block_by_block():
+    outs = _stacked(_CASES)
+    assert [out.dim for out in outs] == [dim for _, dim in _CASES]
+    for (p, dim), out in zip(_CASES, outs):
+        np.testing.assert_allclose(out.amps, _dense_sdfs(p, dim), rtol=0, atol=1e-12)
+
+
+def test_stacked_blocks_do_not_couple():
+    # zero generators on either side of the largest one: both blocks must stay |3>
+    before, large, after = _stacked([(SdfsParams(m=3), 16), _LARGE, (SdfsParams(m=3), 16)])
+    for fock in (before, after):
+        np.testing.assert_allclose(fock.amps, basis_state(16, 3).amps, rtol=0, atol=1e-13)
+    assert large.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_stacked_block_agrees_with_the_state_built_alone():
+    for case, out in zip(_STACK, _stacked(_STACK)):
+        (alone,) = _stacked([case])
+        np.testing.assert_allclose(out.amps, alone.amps, rtol=0, atol=1e-13)
+
+
+def test_oracle_rejects_bad_windows():
+    with pytest.raises(ValueError, match="2 states but 1 window dims"):
+        build_sdfs_oracle([SdfsParams(), SdfsParams()], [4])
+    with pytest.raises(ValueError, match="seed Fock number 4 does not fit in dim 4"):
+        build_sdfs_oracle([SdfsParams(m=1), SdfsParams(m=4)], [4, 4])
+    with pytest.raises(ValueError, match=f"exceeds the cap {DIM_CAP}"):
+        build_sdfs_oracle([SdfsParams(), SdfsParams()], [4, DIM_CAP + 1])
+
+
+def test_oracle_window_cap_is_per_window():
+    outs = build_sdfs_oracle([SdfsParams(alpha0=1.0)] * 2, [DIM_CAP, DIM_CAP])
+    np.testing.assert_allclose(outs[1].amps, _coherent_kets(1.0, DIM_CAP), atol=1e-12)
 
 
 def test_oracle_ignores_the_global_random_state():
-    p, dim = _LARGE
     np.random.seed(0)
-    first = build_sdfs_oracle(p, dim).amps
+    first = [out.amps for out in _stacked(_STACK)]
     np.random.seed(1)
-    assert np.array_equal(build_sdfs_oracle(p, dim).amps, first)
+    for out, amps in zip(_stacked(_STACK), first):
+        assert np.array_equal(out.amps, amps)
 
 
 def test_oracle_leaves_the_global_random_state_alone():
     np.random.seed(5)
     expected = np.random.random()
     np.random.seed(5)
-    build_sdfs_oracle(*_LARGE)
+    _stacked(_STACK)
     assert np.random.random() == expected
 
 

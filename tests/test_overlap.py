@@ -8,10 +8,11 @@ from sdfs_jcm.fock import build_sdfs_oracle, inner_product
 from sdfs_jcm.sdfs import SdfsParams, choose_truncation, sdfs_overlap
 
 
-def _oracle_overlap(p1, p2):
-    n_max = max(choose_truncation(p1, 1e-12), choose_truncation(p2, 1e-12))
-    dim = 2 * (n_max + 1)
-    return inner_product(build_sdfs_oracle(p1, dim), build_sdfs_oracle(p2, dim))
+def _oracle_overlaps(pairs):
+    """<p1|p2> of each pair from one stacked oracle call, on a window shared per pair."""
+    dims = [2 * (max(choose_truncation(p, 1e-12) for p in pair) + 1) for pair in pairs]
+    oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
+    return [inner_product(u, v) for u, v in zip(oracles[::2], oracles[1::2])]
 
 
 def test_self_overlap_is_one():
@@ -33,7 +34,7 @@ def test_displaced_fock_pair_against_oracle():
     p1 = SdfsParams(alpha0=1.0, m=1)
     p2 = SdfsParams(alpha0=2.0, m=1)
     value = sdfs_overlap(p1, p2)
-    assert value == pytest.approx(_oracle_overlap(p1, p2), abs=1e-8)
+    assert value == pytest.approx(_oracle_overlaps([(p1, p2)])[0], abs=1e-8)
     # closed displaced-Fock form: <alpha1|alpha2> (1 - |alpha2-alpha1|^2) here
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -48,11 +49,12 @@ def test_coherent_pair_closed_form():
 def test_squeezed_coherent_pair_against_oracle():
     p1 = SdfsParams(alpha0=1.2, r=0.9, phi=0.3)
     p2 = SdfsParams(alpha0=-0.4 + 0.8j, r=0.5, phi=4.0)
-    assert sdfs_overlap(p1, p2) == pytest.approx(_oracle_overlap(p1, p2), abs=1e-9)
+    assert sdfs_overlap(p1, p2) == pytest.approx(_oracle_overlaps([(p1, p2)])[0], abs=1e-9)
 
 
 def test_mixed_pairs_against_oracle():
     rng = np.random.default_rng(3)
+    pairs = []
     for _ in range(8):
         p1 = SdfsParams(
             alpha0=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
@@ -66,7 +68,9 @@ def test_mixed_pairs_against_oracle():
             phi=rng.uniform(0, 2 * math.pi),
             m=int(rng.integers(0, 4)),
         )
-        assert sdfs_overlap(p1, p2) == pytest.approx(_oracle_overlap(p1, p2), abs=1e-8)
+        pairs.append((p1, p2))
+    for (p1, p2), reference in zip(pairs, _oracle_overlaps(pairs)):
+        assert sdfs_overlap(p1, p2) == pytest.approx(reference, abs=1e-8)
 
 
 def test_hermiticity():

@@ -57,7 +57,7 @@ def test_squeezed_vacuum_odd_amplitude_vanishes():
 
 def test_amplitude_matches_oracle():
     p = SdfsParams(alpha0=3.0, r=1.0, phi=0.0, m=1)
-    oracle = build_sdfs_oracle(p, 128)
+    (oracle,) = build_sdfs_oracle([p], [128])
     assert _amplitudes(p, 5)[5] == pytest.approx(complex(oracle.amps[5]), abs=1e-8)
 
 
@@ -78,7 +78,7 @@ def test_state_matches_oracle_componentwise():
     p = SdfsParams(alpha0=0.5, r=1.0, phi=0.0, m=0)
     n_max = choose_truncation(p, 1e-12)
     state = sdfs_state(p, n_max)
-    oracle = build_sdfs_oracle(p, 2 * (n_max + 1))
+    (oracle,) = build_sdfs_oracle([p], [2 * (n_max + 1)])
     np.testing.assert_allclose(state.amps, oracle.amps[: n_max + 1], atol=1e-8)
 
 
@@ -125,7 +125,7 @@ def test_photon_distribution_matches_oracle():
     p = SdfsParams(alpha0=0.5, r=1.0, m=2)
     n_max = choose_truncation(p, 1e-12)
     state = sdfs_state(p, n_max)
-    oracle = build_sdfs_oracle(p, 2 * (n_max + 1))
+    (oracle,) = build_sdfs_oracle([p], [2 * (n_max + 1)])
     np.testing.assert_allclose(np.abs(state.amps) ** 2, np.abs(oracle.amps[: n_max + 1]) ** 2, atol=1e-8)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
@@ -138,9 +138,9 @@ def test_mean_photon_number_values():
 
 
 def test_mean_photon_number_against_number_operator():
-    for p in (SdfsParams(alpha0=3.0, r=1.0), SdfsParams(alpha0=3.0, r=1.0, m=2)):
-        n_max = choose_truncation(p, 1e-12)
-        oracle = build_sdfs_oracle(p, 2 * (n_max + 1))
+    states = [SdfsParams(alpha0=3.0, r=1.0), SdfsParams(alpha0=3.0, r=1.0, m=2)]
+    dims = [2 * (choose_truncation(p, 1e-12) + 1) for p in states]
+    for p, oracle in zip(states, build_sdfs_oracle(states, dims)):
         numeric = float(np.sum(np.arange(oracle.dim) * np.abs(oracle.amps) ** 2))
         assert numeric == pytest.approx(mean_photon_number(p), abs=1e-9)
 
@@ -170,7 +170,7 @@ def test_choose_truncation_coherent():
 def test_choose_truncation_oracle_tail():
     p = SdfsParams(alpha0=3.0, r=1.0, m=2)
     n_max = choose_truncation(p, 1e-12)
-    oracle = build_sdfs_oracle(p, 2 * (n_max + 1))
+    (oracle,) = build_sdfs_oracle([p], [2 * (n_max + 1)])
     tail = 1.0 - float(np.sum(np.abs(oracle.amps[: n_max + 1]) ** 2))
     assert tail < 1e-12
 
@@ -178,6 +178,21 @@ def test_choose_truncation_oracle_tail():
 def test_choose_truncation_bad_tol():
     with pytest.raises(ValueError):
         choose_truncation(SdfsParams(alpha0=1.0), 0.0)
+
+
+@pytest.mark.parametrize("r", [355.5, 400.0, 700.0])
+def test_choose_truncation_refuses_an_overflowing_mean(r):
+    # cosh^2 r overflows from r ~ 355.6; at 355.5 the sum mu^2 + |nu|^2 does
+    with pytest.raises(ValueError, match="required truncation beyond the double range exceeds"):
+        choose_truncation(SdfsParams(alpha0=1.0, r=r), 1e-12)
+
+
+def test_choose_truncation_refuses_an_unresolvable_tail_tol():
+    p = SdfsParams(alpha0=3.0, r=1.0, m=1)
+    for tail_tol in (1e-16, 1e-14, 4.9e-13):
+        with pytest.raises(ValueError, match=r"tail_tol must lie in \[5e-13, 1\)"):
+            choose_truncation(p, tail_tol)
+    assert choose_truncation(p, 5e-13) >= choose_truncation(p, 1e-12)
 
 
 def test_choose_truncation_cap():
