@@ -19,7 +19,7 @@ from .observables import (
 )
 from .presets import PRESET_NAMES, figure_preset
 from .runner import RunData, RunResult, compute, run
-from .sdfs import SdfsParams, choose_truncation, sdfs_overlap, sdfs_state
+from .sdfs import SdfsParams, sdfs_overlap, sdfs_state
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "RunResult",
     "SdfsParams",
     "atomic_inversion",
-    "choose_truncation",
     "compute",
     "default_etas",
     "entropy_rows",

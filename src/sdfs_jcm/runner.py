@@ -1,6 +1,6 @@
 """Executes a RunConfig: `compute` does the arithmetic, `run` writes it.
 
-`compute` chooses the truncation, builds the initial field once and
+`compute` builds the truncated initial field once and
 walks the scaled-time grid in blocks of rows. Each block is one call of
 `dynamics.evolve`, which returns A and B as (rows, dim) arrays with
 dim = n_max + 1; every time-series output keeps that layout, one row
@@ -46,7 +46,7 @@ from .observables import (
     photon_number_distribution,
     q_function_grid,
 )
-from .sdfs import choose_truncation, sdfs_state
+from .sdfs import sdfs_state
 
 FLOAT_FMT = "%.17g"
 
@@ -138,8 +138,8 @@ def _write_csv(
 def compute(cfg: RunConfig) -> RunData:
     """Every selected observable and invariant residual of cfg, with no I/O."""
     validate(cfg)
-    n_max = max(choose_truncation(cfg.state, cfg.tail_tol), 1)
-    q = sdfs_state(cfg.state, n_max)
+    q = sdfs_state(cfg.state, cfg.tail_tol)
+    n_max = q.dim - 1
     ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
     selected = set(cfg.observables)
     residuals = {"normalization_residual": abs(q.norm_sq() - 1.0)}

@@ -39,6 +39,9 @@ with phases tracked separately; Hermite polynomials use the three-term
 recurrence with on-the-fly rescaling. This keeps truncations up to
 several hundred photons finite in double precision.
 
+`sdfs_state(p, tail_tol)` is the one route from parameters to a
+truncated vector; no caller picks a truncation of its own.
+
 The closed forms were derived from the operator definition via Bargmann
 generating functions and are validated against the matrix-exponential
 construction in `fock` (see the test suite and `selfcheck`).
@@ -63,6 +66,9 @@ _W_BUDGET = 1e-10
 # sweep and check states (closed-form norm^2 off 1 by <= 1.9e-14) every true tail
 # stays below tail_tol from 5e-13 up; 3 miss it at 3e-13, and 32 (by up to 2x) at 1e-14.
 TAIL_TOL_FLOOR = 5e-13
+# Largest tail_tol, and the norm^2 deviation a truncated state may show. A looser
+# tail_tol would give the 1e-8 truncation (the floor holds that mass) or a refusal.
+TAIL_TOL_CEILING = 1e-8
 
 
 @dataclass(frozen=True)
@@ -236,24 +242,26 @@ def _amplitudes(p: SdfsParams, n_max: int) -> np.ndarray:
     return _amplitudes_squeezed(p, n_max)
 
 
-def choose_truncation(p: SdfsParams, tail_tol: float) -> int:
-    """Smallest truncation N with photon-number tail below tail_tol.
+def sdfs_state(p: SdfsParams, tail_tol: float) -> FockVector:
+    """|alpha0, z, m> on |0>..|n_max>, n_max the first n past which the
+    photon-number tail holds less than tail_tol.
 
-    Number states (alpha0 = 0, r = 0) have no tail and return m exactly.
-    Otherwise the result is floored at mean + 10 sqrt(mean + 1) so that
-    downstream operator products keep plenty of slack above the support;
-    amplitudes are accumulated outward until the remaining mass drops
-    below tail_tol. Fails if the truncation would exceed the cap, or,
-    when the mass is already converged inside the cap but the sum still
-    falls short of 1 - tail_tol, with a lost-precision error.
+    Number states (alpha0 = 0, r = 0) have no tail: |m> on |0>..|max(m, 1)>.
+    Otherwise amplitude windows, from the floor mean + 10 sqrt(mean + 1)
+    (slack above the support for operator products) growing as 2 n + 16
+    to the cap, are built until the mass crosses 1 - tail_tol; n_max is
+    at least the floor, and the last window is sliced there. Past the cap
+    the refusal names lost precision when the mass has converged but falls
+    short. A norm^2 off 1 by more than 1e-8 is an error, never a silent
+    renormalization: an excess means cancellation in the closed form.
     """
-    if not TAIL_TOL_FLOOR <= tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in [{TAIL_TOL_FLOOR:g}, 1), got {tail_tol:g}")
+    if not TAIL_TOL_FLOOR <= tail_tol <= TAIL_TOL_CEILING:
+        raise ValueError(f"tail_tol must lie in [{TAIL_TOL_FLOOR:g}, {TAIL_TOL_CEILING:g}]")
     cap = DIM_CAP - 1
     if p.alpha0 == 0 and p.r == 0.0:
         if p.m > cap:
             raise ValueError(f"Fock seed {p.m} exceeds the truncation cap {cap}")
-        return p.m
+        return FockVector(_amplitudes(p, max(p.m, 1)))
     try:
         mean = mean_photon_number(p)
     except OverflowError:  # cosh^2 r beyond the double range
@@ -265,11 +273,12 @@ def choose_truncation(p: SdfsParams, tail_tol: float) -> int:
     floor_n = math.ceil(floor)
     n_hi = floor_n
     while True:
-        probs = np.abs(_amplitudes(p, n_hi)) ** 2
+        amps = _amplitudes(p, n_hi)
+        probs = np.abs(amps) ** 2
         cum = np.cumsum(probs)
         crossing = np.nonzero(cum > 1.0 - tail_tol)[0]
         if crossing.size:
-            return max(int(crossing[0]), floor_n)
+            break
         if n_hi >= cap:
             # Mass that the upper half of the window holds is what a
             # larger cap could still add; below tail_tol, the deficit is
@@ -285,28 +294,20 @@ def choose_truncation(p: SdfsParams, tail_tol: float) -> int:
                 f"tail tolerance {tail_tol} not reachable within the cap {cap}"
             )
         n_hi = min(2 * n_hi + 16, cap)
-
-
-def sdfs_state(p: SdfsParams, n_max: int) -> FockVector:
-    """Amplitude vector of |alpha0, z, m> on |0>..|n_max>.
-
-    A norm off unity by more than 1e-8 is an error, never a silent
-    renormalization: a deficit means under-truncation, an excess means
-    the closed form lost precision to cancellation (large m).
-    """
-    amps = _amplitudes(p, n_max)
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if norm_sq < 1.0 - 1e-8:
+    n_max = max(int(crossing[0]), floor_n)
+    q = FockVector(amps[: n_max + 1])
+    norm_sq = q.norm_sq()
+    if norm_sq < 1.0 - TAIL_TOL_CEILING:
         raise ValueError(
-            f"truncation n_max={n_max} loses {1.0 - norm_sq:.3e} of the state; "
-            "increase n_max (see choose_truncation)"
+            f"truncated state loses {1.0 - norm_sq:.3e} of its norm^2 "
+            f"(tail_tol {tail_tol:g}, m={p.m}, r={p.r:g})"
         )
-    if norm_sq > 1.0 + 1e-8:
+    if norm_sq > 1.0 + TAIL_TOL_CEILING:
         raise ValueError(
             f"closed-form amplitudes lost precision: norm^2 exceeds 1 by "
             f"{norm_sq - 1.0:.3e} at n_max={n_max} (cancellation in the sum, m={p.m})"
         )
-    return FockVector(amps)
+    return q
 
 
 def _exp_quadratic_coeffs(

@@ -21,7 +21,7 @@ from .fock import FockVector, build_sdfs_oracle, inner_product
 from .observables import atomic_inversion, revival_time
 from .presets import figure_preset
 from .runner import compute
-from .sdfs import SdfsParams, choose_truncation, sdfs_overlap, _amplitudes
+from .sdfs import SdfsParams, sdfs_overlap, sdfs_state
 
 AMPLITUDE_GRID = {
     "alpha0": (0j, 0.5 + 0j, 3.0 + 0j, 1.0 + 1.0j),
@@ -55,11 +55,11 @@ def grid_params() -> list[SdfsParams]:
 def check_amplitude_oracle(tol: float = 1e-8) -> CheckResult:
     """Closed-form amplitudes vs the operator construction over the grid."""
     states = grid_params()
-    n_maxes = [choose_truncation(p, 1e-12) for p in states]
-    oracles = build_sdfs_oracle(states, [2 * (n_max + 1) for n_max in n_maxes])
+    qs = [sdfs_state(p, 1e-12) for p in states]
+    oracles = build_sdfs_oracle(states, [2 * q.dim for q in qs])
     worst = max(
-        float(np.max(np.abs(_amplitudes(p, n_max) - oracle.amps[: n_max + 1])))
-        for p, n_max, oracle in zip(states, n_maxes, oracles)
+        float(np.max(np.abs(q.amps - oracle.amps[: q.dim])))
+        for q, oracle in zip(qs, oracles)
     )
     return _result(
         "amplitude-oracle-grid",
@@ -98,7 +98,7 @@ def check_overlap_oracle(
     undefined; the modulus comparison always applies.
     """
     pairs = random_overlap_pairs()
-    dims = [2 * (max(choose_truncation(p, 1e-12) for p in pair) + 1) for pair in pairs]
+    dims = [2 * max(sdfs_state(p, 1e-12).dim for p in pair) for pair in pairs]
     oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
     worst_mod = 0.0
     worst_phase = 0.0
@@ -147,7 +147,7 @@ def check_entropy_suite(tol: float = 1e-10) -> CheckResult:
             issues.append(f"{name}: S={entropy[i]} out of [0, ln 2] at t={ts[i]}")
         for i in np.nonzero((ts == 0.0) & (entropy > 1e-10))[0]:
             issues.append(f"{name}: S(0) = {entropy[i]:.3e} > 1e-10")
-        worst_sum = max(worst_sum, float(np.max(np.abs(lam_p + lam_m - 1.0))))
+        worst_sum = max(worst_sum, data.residuals["eigenvalue_sum_residual"])
         gmat = np.empty((ts.size, 2, 2), dtype=complex)
         gmat[:, 0, 0] = data.cc
         gmat[:, 0, 1] = data.cs
@@ -323,10 +323,8 @@ def check_trivial_limits() -> CheckResult:
     ts = np.linspace(0.0, 10.0, 2000)
     w = atomic_inversion(*evolve(q, ts))
     worst_w = float(np.max(np.abs(w - np.cos(2.0 * ts))))
-    p = SdfsParams(alpha0=3.0)
-    n_max = choose_truncation(p, 1e-12)
-    probs = np.abs(_amplitudes(p, n_max)) ** 2
-    ns = np.arange(n_max + 1)
+    probs = np.abs(sdfs_state(SdfsParams(alpha0=3.0), 1e-12).amps) ** 2
+    ns = np.arange(probs.size)
     poisson = np.exp(ns * math.log(9.0) - 9.0 - gammaln(ns + 1.0))
     worst_p = float(np.max(np.abs(probs - poisson)))
     passed = worst_w <= 1e-12 and worst_p <= 1e-10

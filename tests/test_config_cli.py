@@ -45,10 +45,18 @@ def test_negative_r_names_key():
 
 def test_tail_tol_below_double_resolution_is_refused():
     for text in ("1e-16", "1e-14", "4.9e-13"):
-        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1\)"):
+        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1e-08\]"):
             parse_config(f"tail_tol = {text}\n")
     assert parse_config("tail_tol = 5e-13\n").tail_tol == 5e-13
     assert parse_config("").tail_tol == 1e-12
+
+
+def test_tail_tol_looser_than_the_norm_check_is_refused():
+    # Above 1e-8 a state gets the 1e-8 truncation or fails the 1e-8 norm check.
+    for text in ("1e-6", "0.5", "1.1e-8"):
+        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1e-08\]"):
+            parse_config(f"tail_tol = {text}\n")
+    assert parse_config("tail_tol = 1e-8\n").tail_tol == 1e-8
 
 
 def test_unknown_key_reports_line():

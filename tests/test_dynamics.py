@@ -10,7 +10,7 @@ from sdfs_jcm.dynamics import (
     field_components,
 )
 from sdfs_jcm.fock import FockVector
-from sdfs_jcm.sdfs import SdfsParams, choose_truncation, sdfs_state
+from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 
 
 def _vacuum():
@@ -18,7 +18,7 @@ def _vacuum():
 
 
 def _state(p):
-    return sdfs_state(p, max(choose_truncation(p, 1e-12), 1))
+    return sdfs_state(p, 1e-12)
 
 
 def _at(q, t, detuning=0.0):

@@ -22,7 +22,7 @@ from sdfs_jcm.fock import (
     squeeze_generator,
 )
 from sdfs_jcm.observables import _coherent_bras
-from sdfs_jcm.sdfs import SdfsParams, choose_truncation
+from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 from sdfs_jcm.selfcheck import AMPLITUDE_GRID
 
 
@@ -180,7 +180,7 @@ _GRID_CORNERS = [
     for m in (AMPLITUDE_GRID["m"][0], AMPLITUDE_GRID["m"][-1])
 ]
 _LARGE = (SdfsParams(alpha0=6j, r=2.0, phi=0.3, m=5), DIM_CAP)
-_CASES = [(p, 2 * (choose_truncation(p, 1e-12) + 1)) for p in _GRID_CORNERS] + [_LARGE]
+_CASES = [(p, 2 * sdfs_state(p, 1e-12).dim) for p in _GRID_CORNERS] + [_LARGE]
 # the grid corners and _LARGE, with a Fock seed among them and a coherent state last
 _STACK = [_CASES[0], (SdfsParams(m=3), 8), *_CASES[1:], (SdfsParams(alpha0=2.0), 64)]
 

@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from sdfs_jcm.observables import (
 )
 from sdfs_jcm.presets import figure_preset
 from sdfs_jcm.runner import compute
-from sdfs_jcm.sdfs import SdfsParams, choose_truncation, sdfs_state
+from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 from sdfs_jcm.selfcheck import grid_params
 
 LN2 = math.log(2.0)
@@ -33,7 +31,7 @@ def _vacuum():
 
 
 def _state(p):
-    return sdfs_state(p, max(choose_truncation(p, 1e-12), 1))
+    return sdfs_state(p, 1e-12)
 
 
 def _evolved(p, t, detuning=0.0):
@@ -147,14 +145,6 @@ def _random_gram(rng, count):
     return cc, ss, cs
 
 
-def _load_sweep_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_sweep_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_entropy_pure_state():
     assert tuple(_entropy_one(1.0, 0.0, 0j)) == (0.0, 1.0, 0.0)
 
@@ -220,12 +210,11 @@ def test_entropy_rows_match_scalar_on_fig2_presets():
         _assert_rows_match_scalar(data.cc, data.ss, data.cs)
 
 
-def test_entropy_rows_match_scalar_on_detuned_sweep_configs(tmp_path):
-    workloads = _load_sweep_workloads()
-    states = workloads.sweep_states(0)[:8]
+def test_entropy_rows_match_scalar_on_detuned_sweep_configs(tmp_path, sweep_workloads):
+    states = sweep_workloads.sweep_states(0)[:8]
     assert all(state["detuning_ratio"] != 0.0 for state in states)
     for state in states:
-        cfg = parse_config(workloads.sweep_config_text(state, tmp_path))
+        cfg = parse_config(sweep_workloads.sweep_config_text(state, tmp_path))
         data = compute(cfg)
         _assert_rows_match_scalar(data.cc, data.ss, data.cs)
 

@@ -1,13 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from sdfs_jcm import runner
+from sdfs_jcm import runner, sdfs
 from sdfs_jcm.config import OBSERVABLE_NAMES, QGridSpec, RunConfig
+from sdfs_jcm.fock import DIM_CAP
 from sdfs_jcm.observables import default_etas
+from sdfs_jcm.presets import figure_preset
 from sdfs_jcm.runner import compute
-from sdfs_jcm.sdfs import SdfsParams
+from sdfs_jcm.sdfs import SdfsParams, mean_photon_number
 
 # Detuned, with every observable selected; 250 time points are not a
 # multiple of the default block rows, so the last block is partial.
@@ -59,6 +62,27 @@ def test_compute_is_independent_of_the_block_size(monkeypatch, block_entries):
             assert np.array_equal(blocked[name], value), name
         else:
             assert blocked[name] == value, name
+
+
+@pytest.mark.parametrize("preset, windows", [("fig1a", 2), ("fig3a", 3)])
+def test_compute_builds_each_amplitude_window_once(monkeypatch, preset, windows):
+    sizes = []
+    amplitudes = sdfs._amplitudes
+
+    def counting_amplitudes(p, n_max):
+        sizes.append(n_max)
+        return amplitudes(p, n_max)
+
+    monkeypatch.setattr(sdfs, "_amplitudes", counting_amplitudes)
+    cfg = dataclasses.replace(figure_preset(preset), t_points=2)
+    data = compute(cfg)
+    # the walk: the floor, then 2 n + 16 up to the cap, and no rebuild at n_max
+    mean = mean_photon_number(cfg.state)
+    walk = [math.ceil(mean + 10.0 * math.sqrt(mean + 1.0))]
+    while len(walk) < windows:
+        walk.append(min(2 * walk[-1] + 16, DIM_CAP - 1))
+    assert sizes == walk
+    assert walk[-2] < data.n_max <= walk[-1]
 
 
 # ---------------------------------------------------------------- CSV writer
