@@ -13,6 +13,7 @@ from .observables import (
     entropy_rows,
     gram,
     phase_distribution,
+    phase_kernel,
     photon_number_distribution,
     q_function_grid,
     revival_time,
@@ -42,6 +43,7 @@ __all__ = [
     "gram",
     "parse_config",
     "phase_distribution",
+    "phase_kernel",
     "photon_number_distribution",
     "q_function_grid",
     "revival_time",

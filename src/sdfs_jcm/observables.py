@@ -7,7 +7,10 @@ estimate. Everything is derived from the coefficient arrays in
 `dynamics` and keeps their leading time axis: inversion takes the
 (T, dim) arrays A and B, the field quantities take the (T, dim + 1)
 components C and S of the reduced field state. That state is rank <= 2,
-which all formulas here exploit.
+which all formulas here exploit. The phase density takes its angle
+kernel from `phase_kernel`, built once per run rather than per time
+block; it and the Q grid contract one row at a time (zgemv), which
+`runner.compute` runs on one OpenBLAS thread.
 
 The entropy is one array computation too, but maps Python's abs,
 math.hypot and math.log over its rows: the numpy versions round the
@@ -121,9 +124,19 @@ def default_etas(n_points: int = 512) -> np.ndarray:
     return np.linspace(-math.pi, math.pi, n_points, endpoint=False)
 
 
-def phase_distribution(c: np.ndarray, s: np.ndarray, etas: np.ndarray) -> np.ndarray:
+def phase_kernel(etas: np.ndarray, dim: int) -> np.ndarray:
+    """The (E, dim) matrix e^{-i n eta} of `phase_distribution`, over the
+    angles etas in [-pi, pi) and n = 0..dim-1. It depends on no time, so
+    one run builds it once for all of its rows."""
+    etas = np.asarray(etas, dtype=float)
+    if etas.size and (etas.min() < -math.pi - 1e-12 or etas.max() >= math.pi + 1e-12):
+        raise ValueError("phase angles must lie in [-pi, pi)")
+    return np.exp(-1j * np.outer(etas, np.arange(dim)))
+
+
+def phase_distribution(c: np.ndarray, s: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Pegg-Barnett phase density P(eta, t) per radian, reference angle 0,
-    as (T, E) rows over the angles etas in [-pi, pi).
+    as (T, E) rows over the angles of kernel = `phase_kernel(etas, dim + 1)`.
 
     The double sum (1/2pi) sum_{l,j} rho_lj e^{i(j-l)eta} over the full
     truncated space factorizes through the rank-2 structure into
@@ -131,10 +144,6 @@ def phase_distribution(c: np.ndarray, s: np.ndarray, etas: np.ndarray) -> np.nda
     which is evaluated exactly (no truncation beyond the state itself)
     and is manifestly real and nonnegative.
     """
-    etas = np.asarray(etas, dtype=float)
-    if etas.size and (etas.min() < -math.pi - 1e-12 or etas.max() >= math.pi + 1e-12):
-        raise ValueError("phase angles must lie in [-pi, pi)")
-    kernel = np.exp(-1j * np.outer(etas, np.arange(c.shape[-1])))
     # one matrix-vector product per time row, stacked; a single gemm over
     # all rows would change the last bits
     project_c = (kernel @ c[..., None])[..., 0]

@@ -1,12 +1,15 @@
 """Executes a RunConfig: `compute` does the arithmetic, `run` writes it.
 
-`compute` builds the truncated initial field once and
-walks the scaled-time grid in blocks of rows. Each block is one call of
+`compute` builds the truncated initial field and the phase kernel once
+and walks the scaled-time grid in blocks of rows. Each block is one call of
 `dynamics.evolve`, which returns A and B as (rows, dim) arrays with
 dim = n_max + 1; every time-series output keeps that layout, one row
 per time point: inversion (T,), the Gram entries cc, ss, cs (T,),
 entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
-(T, eta_points). The Q snapshot is one (ny, nx) grid.
+(T, eta_points). The Q snapshot is one (ny, nx) grid. All of `compute`
+runs with OpenBLAS on one thread, a process-wide setting: each loaded
+OpenBLAS gets its thread count back when `compute` returns or raises,
+so calls of `compute` from concurrent threads would race on it.
 
 `run` writes one CSV per selected observable, with fixed schemas:
 
@@ -27,8 +30,11 @@ marks the run failed, which the CLI turns into a nonzero exit status.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +49,7 @@ from .observables import (
     entropy_rows,
     gram,
     phase_distribution,
+    phase_kernel,
     photon_number_distribution,
     q_function_grid,
 )
@@ -65,6 +72,11 @@ TOLERANCES = {
     "phase_integral_residual": 1e-6,
     "q_integral_residual": 1e-3,
 }
+
+# Largest eps * t * nu_max, the rounding error of the phases t * nu_n that
+# `evolve` forms. Against mpmath, A_5 of a coherent alpha0 = 1 state was off
+# by 3.7e-13 at t = 1e6 and by 1.7e-5 at t = 1e12; the residuals cannot see it.
+PHASE_BUDGET = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,15 +147,77 @@ def _write_csv(
     return path
 
 
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS library loaded in
+    this process when first asked, found through /proc/self/maps; empty
+    where there is no such library or symbol."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (
+            ("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")
+        ):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS of `_openblas_threads` on one
+    thread and give each its own count back afterwards. The per-row
+    matvecs of the phase density and the Q grid are large enough for
+    OpenBLAS to use a second thread, which then spins between the calls:
+    CPU time doubles and the wall time does not fall."""
+    libs = _openblas_threads()
+    saved = [get() for get, _ in libs]
+    try:
+        for _, put in libs:
+            put(1)
+        yield
+    finally:
+        for (_, put), count in zip(libs, saved):
+            put(count)
+
+
+@_one_blas_thread()
 def compute(cfg: RunConfig) -> RunData:
-    """Every selected observable and invariant residual of cfg, with no I/O."""
+    """Every selected observable and invariant residual of cfg, with no I/O.
+
+    Refuses (ValueError) a t_max_scaled or q_time_scaled whose phases
+    t * nu_n lose more than PHASE_BUDGET to rounding at the truncation.
+    """
     validate(cfg)
     q = sdfs_state(cfg.state, cfg.tail_tol)
     n_max = q.dim - 1
+    nu_max = math.sqrt(0.25 * cfg.detuning_ratio**2 + q.dim)  # nu_n of `evolve` at n_max
+    for key in ("t_max_scaled", "q_time_scaled"):
+        t = getattr(cfg, key) or 0.0  # no q_time_scaled: Q at t_max_scaled
+        lost = math.ulp(1.0) * t * nu_max
+        if lost > PHASE_BUDGET:
+            raise ValueError(
+                f"key {key!r} = {t:g} loses phase precision: eps * t * nu_max = "
+                f"{lost:.3e} exceeds {PHASE_BUDGET:g} at n_max = {n_max}"
+            )
     ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
     selected = set(cfg.observables)
     residuals = {"normalization_residual": abs(q.norm_sq() - 1.0)}
     etas = default_etas(cfg.eta_points) if "phase_dist" in selected else None
+    kernel = None if etas is None else phase_kernel(etas, q.dim + 1)  # C, S have dim + 1
     series: dict[str, np.ndarray] = {}
 
     if selected & TIME_SERIES:
@@ -159,8 +233,8 @@ def compute(cfg: RunConfig) -> RunData:
                 block["cc"], block["ss"], block["cs"] = gram(c, s)
             if "photon_dist" in selected:
                 block["photon"] = photon_number_distribution(c, s)
-            if etas is not None:
-                block["phase"] = phase_distribution(c, s, etas)
+            if kernel is not None:
+                block["phase"] = phase_distribution(c, s, kernel)
             for key, value in block.items():
                 if key not in series:
                     series[key] = np.empty((ts.size, *value.shape[1:]), value.dtype)

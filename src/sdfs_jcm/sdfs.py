@@ -66,9 +66,9 @@ _W_BUDGET = 1e-10
 # sweep and check states (closed-form norm^2 off 1 by <= 1.9e-14) every true tail
 # stays below tail_tol from 5e-13 up; 3 miss it at 3e-13, and 32 (by up to 2x) at 1e-14.
 TAIL_TOL_FLOOR = 5e-13
-# Largest tail_tol, and the norm^2 deviation a truncated state may show. A looser
-# tail_tol would give the 1e-8 truncation (the floor holds that mass) or a refusal.
-TAIL_TOL_CEILING = 1e-8
+# Largest tail_tol, and the norm^2 deviation a truncated state may show: a run
+# holds its normalization and Gram trace to 1e-10, which a looser tail breaks.
+TAIL_TOL_CEILING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def sdfs_state(p: SdfsParams, tail_tol: float) -> FockVector:
     to the cap, are built until the mass crosses 1 - tail_tol; n_max is
     at least the floor, and the last window is sliced there. Past the cap
     the refusal names lost precision when the mass has converged but falls
-    short. A norm^2 off 1 by more than 1e-8 is an error, never a silent
+    short. A norm^2 off 1 by more than 1e-10 is an error, never a silent
     renormalization: an excess means cancellation in the closed form.
     """
     if not TAIL_TOL_FLOOR <= tail_tol <= TAIL_TOL_CEILING:

@@ -45,18 +45,18 @@ def test_negative_r_names_key():
 
 def test_tail_tol_below_double_resolution_is_refused():
     for text in ("1e-16", "1e-14", "4.9e-13"):
-        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1e-08\]"):
+        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1e-10\]"):
             parse_config(f"tail_tol = {text}\n")
     assert parse_config("tail_tol = 5e-13\n").tail_tol == 5e-13
     assert parse_config("").tail_tol == 1e-12
 
 
 def test_tail_tol_looser_than_the_norm_check_is_refused():
-    # Above 1e-8 a state gets the 1e-8 truncation or fails the 1e-8 norm check.
-    for text in ("1e-6", "0.5", "1.1e-8"):
-        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1e-08\]"):
+    # Above 1e-10 a run fails its 1e-10 normalization or Gram-trace check.
+    for text in ("1e-6", "0.5", "1e-8", "1.1e-10"):
+        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1e-10\]"):
             parse_config(f"tail_tol = {text}\n")
-    assert parse_config("tail_tol = 1e-8\n").tail_tol == 1e-8
+    assert parse_config("tail_tol = 1e-10\n").tail_tol == 1e-10
 
 
 def test_unknown_key_reports_line():
@@ -240,6 +240,20 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     assert main(["preset", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("key", ["t_max_scaled", "q_time_scaled"])
+def test_cli_refuses_a_time_whose_phases_lose_precision(tmp_path, capsys, key):
+    # eps * t * nu_max is about 1.4e-3 here; the phase error of A_n is of that order
+    config_path = tmp_path / "long.cfg"
+    config_path.write_text(
+        f"alpha0_re = 3\nt_points = 4\n{key} = 1e12\nobservables = inversion,qfunc\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}' = 1e+12" in err and "exceeds 1e-10" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_preset_out_dir(tmp_path):

@@ -14,6 +14,7 @@ from sdfs_jcm.observables import (
     entropy_rows,
     gram,
     phase_distribution,
+    phase_kernel,
     photon_number_distribution,
     q_function_grid,
     revival_time,
@@ -274,22 +275,24 @@ def test_photon_dist_full_rabi_transfer():
 
 
 def test_phase_distribution_vacuum_is_flat():
-    etas = default_etas(64)
-    vals = phase_distribution(*field_components(*evolve(_vacuum(), [0.0])), etas)
+    c, s = field_components(*evolve(_vacuum(), [0.0]))
+    vals = phase_distribution(c, s, phase_kernel(default_etas(64), c.shape[-1]))
     assert vals.shape == (1, 64)
     np.testing.assert_allclose(vals, 1.0 / (2 * math.pi), atol=1e-14)
 
 
 def test_phase_distribution_coherent_peak_at_zero():
     etas = default_etas(512)
-    vals = phase_distribution(*field_components(*_evolved(SdfsParams(alpha0=3.0), 0.0)), etas)
+    c, s = field_components(*_evolved(SdfsParams(alpha0=3.0), 0.0))
+    vals = phase_distribution(c, s, phase_kernel(etas, c.size))
     assert etas[int(np.argmax(vals))] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phase_distribution_unit_integral():
     etas = default_etas(512)
     q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
-    vals = phase_distribution(*field_components(*evolve(q, [0.0, 3.3, 11.0])), etas)
+    c, s = field_components(*evolve(q, [0.0, 3.3, 11.0]))
+    vals = phase_distribution(c, s, phase_kernel(etas, c.shape[-1]))
     integrals = np.sum(vals, axis=1) * (2 * math.pi / etas.size)
     np.testing.assert_allclose(integrals, 1.0, rtol=0, atol=1e-6)
 
@@ -298,7 +301,7 @@ def test_phase_distribution_matches_explicit_double_sum():
     p = SdfsParams(alpha0=1.0, r=0.4, m=1)
     a, b = _evolved(p, 2.7)
     etas = default_etas(32)
-    vals = phase_distribution(*field_components(a, b), etas)
+    vals = phase_distribution(*field_components(a, b), phase_kernel(etas, a.size + 1))
     hi = a.size
     rho = np.array(
         [[density_element(a, b, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
@@ -312,9 +315,8 @@ def test_phase_distribution_matches_explicit_double_sum():
 
 
 def test_phase_distribution_rejects_out_of_range_angles():
-    c, s = field_components(*evolve(_vacuum(), [0.0]))
-    with pytest.raises(ValueError):
-        phase_distribution(c, s, np.array([4.0]))
+    with pytest.raises(ValueError, match=r"\[-pi, pi\)"):
+        phase_kernel(np.array([4.0]), 3)
 
 
 # ------------------------------------------------------------------------ Q

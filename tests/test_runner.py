@@ -6,11 +6,12 @@ import pytest
 
 from sdfs_jcm import runner, sdfs
 from sdfs_jcm.config import OBSERVABLE_NAMES, QGridSpec, RunConfig
+from sdfs_jcm.dynamics import evolve, field_components
 from sdfs_jcm.fock import DIM_CAP
-from sdfs_jcm.observables import default_etas
+from sdfs_jcm.observables import default_etas, phase_distribution, phase_kernel, q_function_grid
 from sdfs_jcm.presets import figure_preset
 from sdfs_jcm.runner import compute
-from sdfs_jcm.sdfs import SdfsParams, mean_photon_number
+from sdfs_jcm.sdfs import SdfsParams, mean_photon_number, sdfs_state
 
 # Detuned, with every observable selected; 250 time points are not a
 # multiple of the default block rows, so the last block is partial.
@@ -83,6 +84,85 @@ def test_compute_builds_each_amplitude_window_once(monkeypatch, preset, windows)
         walk.append(min(2 * walk[-1] + 16, DIM_CAP - 1))
     assert sizes == walk
     assert walk[-2] < data.n_max <= walk[-1]
+
+
+def test_compute_builds_the_phase_kernel_once(monkeypatch):
+    dims = []
+    build = runner.phase_kernel
+
+    def counting_kernel(etas, dim):
+        dims.append(dim)
+        return build(etas, dim)
+
+    monkeypatch.setattr(runner, "phase_kernel", counting_kernel)
+    cfg = figure_preset("fig4a")
+    data = compute(cfg)
+    assert cfg.t_points > runner.BLOCK_ENTRIES // (data.n_max + 1)  # many time blocks
+    assert dims == [data.n_max + 2]
+
+
+# ------------------------------------------------------------ BLAS threads
+
+
+def _blas_counts():
+    return [get() for get, _ in runner._openblas_threads()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS on two threads for the test, then back to its
+    own count; yields the (get, set) pairs, empty without OpenBLAS."""
+    libs = runner._openblas_threads()
+    saved = _blas_counts()
+    for _, put in libs:
+        put(2)
+    try:
+        yield libs
+    finally:
+        for (_, put), count in zip(libs, saved):
+            put(count)
+
+
+@pytest.mark.parametrize("kernel_raises", [False, True])
+def test_compute_runs_on_one_blas_thread_and_restores_the_count(
+    monkeypatch, two_blas_threads, kernel_raises
+):
+    if not two_blas_threads:
+        pytest.skip("no OpenBLAS library loaded")
+    seen = []
+    kernel = runner.phase_distribution
+
+    def watched(c, s, k):
+        seen.append(_blas_counts())
+        if kernel_raises:
+            raise RuntimeError("kernel failed")
+        return kernel(c, s, k)
+
+    monkeypatch.setattr(runner, "phase_distribution", watched)
+    if kernel_raises:
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            compute(_CFG)
+    else:
+        compute(_CFG)
+    libs = len(two_blas_threads)
+    assert seen and all(counts == [1] * libs for counts in seen)
+    assert _blas_counts() == [2] * libs
+
+
+@pytest.mark.parametrize("preset", ["fig4a", "fig5b"])
+def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threads, preset):
+    cfg = figure_preset(preset)
+    data = compute(cfg)
+    q = sdfs_state(cfg.state, cfg.tail_tol)
+    if preset == "fig4a":
+        c, s = field_components(*evolve(q, data.ts, cfg.detuning_ratio))
+        got, expected = data.phase, phase_distribution(c, s, phase_kernel(data.etas, q.dim + 1))
+    else:
+        a, b = evolve(q, [cfg.q_time_scaled], cfg.detuning_ratio)
+        grid = data.qgrid
+        got = grid.values
+        expected = q_function_grid(*field_components(a[0], b[0]), grid.x_axis, grid.y_axis).values
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # ---------------------------------------------------------------- CSV writer

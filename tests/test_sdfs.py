@@ -93,11 +93,11 @@ def test_state_normalization():
 
 
 def test_under_truncation_is_an_error():
-    # A tail_tol looser than the 1e-8 norm check would under-truncate.
-    for tail_tol in (1e-6, 0.5):
-        with pytest.raises(ValueError, match=r"tail_tol must lie in \[5e-13, 1e-08\]"):
+    # A tail_tol looser than the 1e-10 norm check would under-truncate.
+    for tail_tol in (1e-6, 0.5, 1e-8):
+        with pytest.raises(ValueError, match=r"tail_tol must lie in \[5e-13, 1e-10\]"):
             sdfs_state(SdfsParams(alpha0=3.0), tail_tol)
-    assert sdfs_state(SdfsParams(alpha0=3.0), 1e-8).norm_sq() > 1.0 - 1e-8
+    assert sdfs_state(SdfsParams(alpha0=3.0), 1e-10).norm_sq() > 1.0 - 1e-10
 
 
 def test_norm_excess_is_an_error():
@@ -194,7 +194,7 @@ def test_choose_truncation_refuses_an_overflowing_mean(r):
 def test_choose_truncation_refuses_an_unresolvable_tail_tol():
     p = SdfsParams(alpha0=3.0, r=1.0, m=1)
     for tail_tol in (1e-16, 1e-14, 4.9e-13):
-        with pytest.raises(ValueError, match=r"tail_tol must lie in \[5e-13, 1e-08\]"):
+        with pytest.raises(ValueError, match=r"tail_tol must lie in \[5e-13, 1e-10\]"):
             sdfs_state(p, tail_tol)
     assert sdfs_state(p, 5e-13).dim >= sdfs_state(p, 1e-12).dim
 
