@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import sys
 
-from .config import parse_config, parse_state, with_output_dir
+from .config import parse_config, parse_state
 from .presets import PRESET_NAMES, figure_preset
 from .runner import run
 from .sdfs import sdfs_overlap
@@ -68,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "preset":
             cfg = figure_preset(args.name)
             if args.out:
-                cfg = with_output_dir(cfg, args.out)
+                cfg = dataclasses.replace(cfg, output_dir=args.out)
             return _report_run(run(cfg))
         if args.verb == "check":
             results = run_all()

@@ -10,11 +10,15 @@ reads the state keys from comma-separated items by the same rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .sdfs import TAIL_TOL_CEILING, TAIL_TOL_FLOOR, SdfsParams
+from .fock import DIM_CAP, NORM_TOL
+from .sdfs import DEFAULT_TAIL_TOL, TAIL_TOL_FLOOR, SdfsParams
 
 OBSERVABLE_NAMES = ("inversion", "entropy", "photon_dist", "phase_dist", "qfunc")
+# Most values one output array may hold: 2**27 float64 values are 1 GiB. The
+# presets peak near 1.03e6 (2000 times of P(n, t) rows of DIM_CAP + 1 values).
+OUTPUT_CAP = 2**27
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class RunConfig:
     detuning_ratio: float = 0.0
     t_max_scaled: float = 25.0
     t_points: int = 2000
-    tail_tol: float = 1e-12
+    tail_tol: float = DEFAULT_TAIL_TOL
     eta_points: int = 512
     q_grid: QGridSpec = field(default_factory=QGridSpec)
     q_time_scaled: float | None = None
@@ -120,14 +124,16 @@ def validate(cfg: RunConfig) -> RunConfig:
     """Check the run-level domain constraints, naming the offending key.
 
     The state's own constraints (r >= 0, m >= 0) hold by construction of
-    SdfsParams; `parse_config` reports them with their line numbers.
+    SdfsParams; `parse_config` reports them with their line numbers. The
+    time axis (always built) times its widest selected row, and a selected
+    Q grid, may each hold at most OUTPUT_CAP values.
     """
     if cfg.t_max_scaled <= 0:
         raise _fail("key 't_max_scaled' must be > 0")
     if cfg.t_points < 2:
         raise _fail("key 't_points' must be >= 2")
-    if not TAIL_TOL_FLOOR <= cfg.tail_tol <= TAIL_TOL_CEILING:
-        raise _fail(f"key 'tail_tol' must lie in [{TAIL_TOL_FLOOR:g}, {TAIL_TOL_CEILING:g}]")
+    if not TAIL_TOL_FLOOR <= cfg.tail_tol <= NORM_TOL:
+        raise _fail(f"key 'tail_tol' must lie in [{TAIL_TOL_FLOOR:g}, {NORM_TOL:g}]")
     if cfg.eta_points < 1:
         raise _fail("key 'eta_points' must be >= 1")
     g = cfg.q_grid
@@ -147,7 +153,19 @@ def validate(cfg: RunConfig) -> RunConfig:
         )
     if not cfg.observables:
         raise _fail("key 'observables' must select at least one output")
+    widths = dict(inversion=1, entropy=3, photon_dist=DIM_CAP + 1, phase_dist=cfg.eta_points)
+    row, widest = max(((widths[n], n) for n in cfg.observables if n in widths), default=(1, "ts"))
+    if cfg.t_points * row > OUTPUT_CAP:
+        raise _fail(
+            f"key 't_points' = {cfg.t_points} with {widest} rows of {row} values "
+            f"exceeds the output cap of {OUTPUT_CAP} values"
+        )
     if "qfunc" in cfg.observables:
+        if g.nx * g.ny > OUTPUT_CAP:
+            raise _fail(
+                f"keys 'q_nx' x 'q_ny' = {g.nx * g.ny} values exceed "
+                f"the output cap of {OUTPUT_CAP} values"
+            )
         radius = abs(cfg.state.alpha0) + 4.0
         covered = min(-g.x_min, g.x_max, -g.y_min, g.y_max)
         if covered < radius:
@@ -194,30 +212,14 @@ def parse_state(text: str) -> SdfsParams:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Emit a document that `parse_config` maps back to an equal RunConfig."""
-    pairs: list[tuple[str, str]] = [
-        ("alpha0_re", repr(cfg.state.alpha0.real)),
-        ("alpha0_im", repr(cfg.state.alpha0.imag)),
-        ("r", repr(cfg.state.r)),
-        ("phi", repr(cfg.state.phi)),
-        ("m", str(cfg.state.m)),
-        ("detuning_ratio", repr(cfg.detuning_ratio)),
-        ("t_max_scaled", repr(cfg.t_max_scaled)),
-        ("t_points", str(cfg.t_points)),
-        ("tail_tol", repr(cfg.tail_tol)),
-        ("eta_points", str(cfg.eta_points)),
-        ("q_x_min", repr(cfg.q_grid.x_min)),
-        ("q_x_max", repr(cfg.q_grid.x_max)),
-        ("q_y_min", repr(cfg.q_grid.y_min)),
-        ("q_y_max", repr(cfg.q_grid.y_max)),
-        ("q_nx", str(cfg.q_grid.nx)),
-        ("q_ny", str(cfg.q_grid.ny)),
-    ]
+    values = {"alpha0_re": cfg.state.alpha0.real, "alpha0_im": cfg.state.alpha0.imag}
+    values |= {key: getattr(cfg.state, key) for key in ("r", "phi", "m")}
+    run_keys = ("detuning_ratio", "t_max_scaled", "t_points", "tail_tol", "eta_points")
+    values |= {key: getattr(cfg, key) for key in run_keys}
+    values |= {key: getattr(cfg.q_grid, key[2:]) for key in _GRID_KEYS}
     if cfg.q_time_scaled is not None:
-        pairs.append(("q_time_scaled", repr(cfg.q_time_scaled)))
-    pairs.append(("observables", ",".join(cfg.observables)))
-    pairs.append(("output_dir", cfg.output_dir))
-    return "".join(f"{key} = {value}\n" for key, value in pairs)
+        values["q_time_scaled"] = cfg.q_time_scaled
+    lines = [f"{key} = {value!r}\n" for key, value in values.items()]  # repr of an int is str
+    lines += [f"observables = {','.join(cfg.observables)}\n", f"output_dir = {cfg.output_dir}\n"]
+    return "".join(lines)
 
-
-def with_output_dir(cfg: RunConfig, output_dir: str) -> RunConfig:
-    return replace(cfg, output_dir=output_dir)

@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import FockVector
+from .fock import NORM_TOL, FockVector
 
 
 def evolve(
     q: FockVector, ts: np.ndarray, detuning_ratio: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form A_n(t), B_n(t) at the scaled times ts, as (T, dim) arrays."""
+    """Closed-form A_n(t), B_n(t) at the scaled times ts, as (T, dim) arrays;
+    |norm^2 - 1| of q must stay within NORM_TOL, as `sdfs_state` ensures."""
     deficit = abs(q.norm_sq() - 1.0)
-    if deficit > 1e-8:
+    if deficit > NORM_TOL:
         raise ValueError(f"initial field amplitudes not normalized (|norm^2 - 1| = {deficit:.3e})")
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:

@@ -4,8 +4,8 @@ Everything downstream represents the cavity field on the finite photon
 basis |0>, ..., |dim-1>, a window of dim number states. This module
 provides the ladder-operator matrices (sparse, banded, block-diagonal
 over stacked windows), the action of a matrix exponential on a vector,
-inner products, and the direct operator construction of squeezed
-displaced Fock states
+the normalization bound NORM_TOL, and the direct operator construction
+of squeezed displaced Fock states
 
     D(alpha0) S(z) |m>,   D(alpha0) = exp(alpha0 a+ - alpha0* a),
                           S(z)      = exp((z*/2) a^2 - (z/2) a+^2),
@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
 # DIM_CAP - 1 photons, and each window of the operator reference at
 # DIM_CAP states (a stack of windows may be larger).
 DIM_CAP = 512
+# Largest deviation from 1 of a normalized quantity: the norm^2 of a truncated
+# state, the probability sum of an evolution, the trace and eigenvalue sum of
+# the reduced field state. Every layer reads this one bound.
+NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +136,6 @@ def matrix_exp_apply(mat, v: FockVector) -> FockVector:
         return FockVector(expm_multiply(mat, v.amps))
     finally:
         np.random.set_state(random_state)
-
-
-def inner_product(u: FockVector, v: FockVector) -> complex:
-    """<u|v> = sum_n conj(u_n) v_n."""
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
-    return complex(np.vdot(u.amps, v.amps))
 
 
 def build_sdfs_oracle(states: Sequence["SdfsParams"], dims: Sequence[int]) -> list[FockVector]:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .fock import NORM_TOL
 from .sdfs import SdfsParams
 
 _TWO_PI = 2.0 * math.pi
@@ -73,7 +74,7 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
     lambda+- = (cc+ss)/2 +- hypot((cc-ss)/2, |cs|), the cancellation-free
     hyperbolic-angle split, which is |cc-ss|/2 for |cs| <= _CS_FLOOR.
     Eigenvalues are clamped to [0, 1] only within 1e-12 slack. Entries
-    outside [0, 1], a trace off 1 by > 1e-10, |cs|^2 > cc*ss + 1e-12 or
+    outside [0, 1], a trace off 1 by > NORM_TOL, |cs|^2 > cc*ss + 1e-12 or
     eigenvalues beyond the slack raise ValueError naming the first such
     row. Only |cs| (Python abs), the hypot and the logarithms run element
     by element, in Python's math: numpy's versions differ in the last bit.
@@ -85,8 +86,8 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
     )
     trace = cc + ss
     _reject_first(
-        np.abs(trace - 1.0) > 1e-10,
-        lambda i: f"trace cc + ss = {trace[i]} deviates from 1 beyond 1e-10",
+        np.abs(trace - 1.0) > NORM_TOL,
+        lambda i: f"trace cc + ss = {trace[i]} deviates from 1 beyond {NORM_TOL:g}",
     )
     _reject_first(
         acs * acs > cc * ss + 1e-12, lambda i: "|<C|S>|^2 exceeds <C|C><S|S> beyond 1e-12"

@@ -42,6 +42,7 @@ import numpy as np
 
 from .config import RunConfig, validate
 from .dynamics import conservation_residual, evolve, field_components
+from .fock import NORM_TOL
 from .observables import (
     QGrid,
     atomic_inversion,
@@ -65,10 +66,10 @@ BLOCK_ENTRIES = 4096
 TIME_SERIES = frozenset({"inversion", "entropy", "photon_dist", "phase_dist"})
 
 TOLERANCES = {
-    "normalization_residual": 1e-10,
-    "conservation_residual": 1e-10,
-    "gram_trace_residual": 1e-10,
-    "eigenvalue_sum_residual": 1e-10,
+    "normalization_residual": NORM_TOL,
+    "conservation_residual": NORM_TOL,
+    "gram_trace_residual": NORM_TOL,
+    "eigenvalue_sum_residual": NORM_TOL,
     "phase_integral_residual": 1e-6,
     "q_integral_residual": 1e-3,
 }

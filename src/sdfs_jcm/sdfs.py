@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import DIM_CAP, FockVector
+from .fock import DIM_CAP, NORM_TOL, FockVector
 
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -65,10 +65,10 @@ _W_BUDGET = 1e-10
 # Smallest tail_tol whose crossing double precision resolves. On the 192 preset,
 # sweep and check states (closed-form norm^2 off 1 by <= 1.9e-14) every true tail
 # stays below tail_tol from 5e-13 up; 3 miss it at 3e-13, and 32 (by up to 2x) at 1e-14.
+# The largest tail_tol is NORM_TOL: a looser tail breaks the run's normalization.
 TAIL_TOL_FLOOR = 5e-13
-# Largest tail_tol, and the norm^2 deviation a truncated state may show: a run
-# holds its normalization and Gram trace to 1e-10, which a looser tail breaks.
-TAIL_TOL_CEILING = 1e-10
+# tail_tol of a run that sets none, and of the `check` states
+DEFAULT_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -252,11 +252,12 @@ def sdfs_state(p: SdfsParams, tail_tol: float) -> FockVector:
     to the cap, are built until the mass crosses 1 - tail_tol; n_max is
     at least the floor, and the last window is sliced there. Past the cap
     the refusal names lost precision when the mass has converged but falls
-    short. A norm^2 off 1 by more than 1e-10 is an error, never a silent
-    renormalization: an excess means cancellation in the closed form.
+    short. A norm^2 off 1 by more than NORM_TOL, which also caps tail_tol,
+    is an error, never a silent renormalization: an excess means
+    cancellation in the closed form.
     """
-    if not TAIL_TOL_FLOOR <= tail_tol <= TAIL_TOL_CEILING:
-        raise ValueError(f"tail_tol must lie in [{TAIL_TOL_FLOOR:g}, {TAIL_TOL_CEILING:g}]")
+    if not TAIL_TOL_FLOOR <= tail_tol <= NORM_TOL:
+        raise ValueError(f"tail_tol must lie in [{TAIL_TOL_FLOOR:g}, {NORM_TOL:g}]")
     cap = DIM_CAP - 1
     if p.alpha0 == 0 and p.r == 0.0:
         if p.m > cap:
@@ -297,12 +298,12 @@ def sdfs_state(p: SdfsParams, tail_tol: float) -> FockVector:
     n_max = max(int(crossing[0]), floor_n)
     q = FockVector(amps[: n_max + 1])
     norm_sq = q.norm_sq()
-    if norm_sq < 1.0 - TAIL_TOL_CEILING:
+    if norm_sq < 1.0 - NORM_TOL:
         raise ValueError(
             f"truncated state loses {1.0 - norm_sq:.3e} of its norm^2 "
             f"(tail_tol {tail_tol:g}, m={p.m}, r={p.r:g})"
         )
-    if norm_sq > 1.0 + TAIL_TOL_CEILING:
+    if norm_sq > 1.0 + NORM_TOL:
         raise ValueError(
             f"closed-form amplitudes lost precision: norm^2 exceeds 1 by "
             f"{norm_sq - 1.0:.3e} at n_max={n_max} (cancellation in the sum, m={p.m})"

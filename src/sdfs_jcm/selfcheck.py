@@ -4,11 +4,14 @@ Each check pits an implementation path against an independent route
 (matrix-exponential state construction, direct 2x2 eigensolves,
 quadrature of analytically unit-mass densities, textbook limits) or
 verifies a structural claim (collapse-revival timing, entropy dips,
-phase/Q peak structure) at a fixed tolerance.
+phase/Q peak structure). Checks of a run residual hold it to its
+`runner.TOLERANCES` entry; every other bound is a constant below. Each
+detail line prints the bound it was compared against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,11 +20,11 @@ from scipy import ndimage
 from scipy.special import gammaln
 
 from .dynamics import evolve
-from .fock import FockVector, build_sdfs_oracle, inner_product
-from .observables import atomic_inversion, revival_time
-from .presets import figure_preset
-from .runner import compute
-from .sdfs import SdfsParams, sdfs_overlap, sdfs_state
+from .fock import FockVector, build_sdfs_oracle
+from .observables import atomic_inversion
+from .presets import REVIVAL_T, figure_preset
+from .runner import TOLERANCES, compute
+from .sdfs import DEFAULT_TAIL_TOL, SdfsParams, sdfs_overlap, sdfs_state
 
 AMPLITUDE_GRID = {
     "alpha0": (0j, 0.5 + 0j, 3.0 + 0j, 1.0 + 1.0j),
@@ -29,6 +32,17 @@ AMPLITUDE_GRID = {
     "phi": (0.0, math.pi / 2),
     "m": (0, 1, 2),
 }
+AMPLITUDE_TOL = 1e-8  # closed-form amplitudes against the operator construction
+OVERLAP_MODULUS_TOL, OVERLAP_PHASE_TOL = 1e-7, 1e-6  # modulus, phase in rad
+OVERLAP_PHASE_FLOOR = 1e-8  # below this |<u|v>| the reference phase is undefined
+ENTROPY_RANGE = (-1e-15, math.log(2.0) + 1e-12)  # [0, ln 2] with rounding slack
+PURITY_TOL = 1e-10  # S_f of the pure initial field
+NEAR = 0.1  # half-width of the windows around T_R/2 and T_R, as a fraction of T_R
+COLLAPSE_MAX = 0.1  # windowed |W| the collapse must fall below
+PEAK_FLOOR = 1e-6  # phase maxima below this fraction of the peak are tail ripple
+PEAK_ETA_TOL = 0.02  # rad
+CENTROID_TOL = 0.5  # offset of the initial Q centroid from (3, 0)
+VACUUM_TOL, POISSON_TOL = 1e-12, 1e-10  # vacuum Rabi cosine, coherent Poisson law
 
 
 @dataclass(frozen=True)
@@ -38,41 +52,32 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
-
-
 def grid_params() -> list[SdfsParams]:
     return [
         SdfsParams(alpha0=a, r=r, phi=phi, m=m)
-        for a in AMPLITUDE_GRID["alpha0"]
-        for r in AMPLITUDE_GRID["r"]
-        for phi in AMPLITUDE_GRID["phi"]
-        for m in AMPLITUDE_GRID["m"]
+        for a, r, phi, m in itertools.product(*AMPLITUDE_GRID.values())
     ]
 
 
-def check_amplitude_oracle(tol: float = 1e-8) -> CheckResult:
+def check_amplitude_oracle() -> CheckResult:
     """Closed-form amplitudes vs the operator construction over the grid."""
     states = grid_params()
-    qs = [sdfs_state(p, 1e-12) for p in states]
+    qs = [sdfs_state(p, DEFAULT_TAIL_TOL) for p in states]
     oracles = build_sdfs_oracle(states, [2 * q.dim for q in qs])
     worst = max(
         float(np.max(np.abs(q.amps - oracle.amps[: q.dim])))
         for q, oracle in zip(qs, oracles)
     )
-    return _result(
+    return CheckResult(
         "amplitude-oracle-grid",
-        worst <= tol,
-        f"worst deviation {worst:.3e} (tol {tol:g}) over {len(states)} states",
+        bool(worst <= AMPLITUDE_TOL),
+        f"worst deviation {worst:.3e} (tol {AMPLITUDE_TOL:g}) over {len(states)} states",
     )
 
 
-def random_overlap_pairs(
-    count: int = 20, seed: int = 42
-) -> list[tuple[SdfsParams, SdfsParams]]:
-    """Deterministic random pairs with |alpha| <= 3, r <= 1.2, m <= 3."""
-    rng = np.random.default_rng(seed)
+def random_overlap_pairs() -> list[tuple[SdfsParams, SdfsParams]]:
+    """20 random pairs with |alpha| <= 3, r <= 1.2, m <= 3, drawn from seed 42."""
+    rng = np.random.default_rng(42)
 
     def draw() -> SdfsParams:
         alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -85,57 +90,55 @@ def random_overlap_pairs(
             m=int(rng.integers(0, 4)),
         )
 
-    return [(draw(), draw()) for _ in range(count)]
+    return [(draw(), draw()) for _ in range(20)]
 
 
-def check_overlap_oracle(
-    mod_tol: float = 1e-7, phase_tol: float = 1e-6
-) -> CheckResult:
+def check_overlap_oracle() -> CheckResult:
     """Closed-form overlaps vs oracle inner products on random pairs.
 
     The phase comparison is skipped when the overlap modulus is below
-    1e-8, where the phase of the reference itself is numerically
-    undefined; the modulus comparison always applies.
+    OVERLAP_PHASE_FLOOR; the modulus comparison always applies.
     """
     pairs = random_overlap_pairs()
-    dims = [2 * max(sdfs_state(p, 1e-12).dim for p in pair) for pair in pairs]
+    dims = [2 * max(sdfs_state(p, DEFAULT_TAIL_TOL).dim for p in pair) for pair in pairs]
     oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
     worst_mod = 0.0
     worst_phase = 0.0
     for (p1, p2), u, v in zip(pairs, oracles[::2], oracles[1::2]):
-        reference = inner_product(u, v)
+        reference = complex(np.vdot(u.amps, v.amps))  # equal windows per pair
         value = sdfs_overlap(p1, p2)
         worst_mod = max(worst_mod, abs(abs(value) - abs(reference)))
-        if abs(reference) > 1e-8:
-            worst_phase = max(
-                worst_phase, abs(np.angle(value * np.conj(reference)))
-            )
-    passed = worst_mod <= mod_tol and worst_phase <= phase_tol
-    return _result(
+        if abs(reference) > OVERLAP_PHASE_FLOOR:
+            worst_phase = max(worst_phase, abs(np.angle(value * np.conj(reference))))
+    passed = worst_mod <= OVERLAP_MODULUS_TOL and worst_phase <= OVERLAP_PHASE_TOL
+    return CheckResult(
         "overlap-oracle-pairs",
-        passed,
-        f"worst modulus dev {worst_mod:.3e} (tol {mod_tol:g}), "
-        f"worst phase dev {worst_phase:.3e} rad (tol {phase_tol:g})",
+        bool(passed),
+        f"worst modulus dev {worst_mod:.3e} (tol {OVERLAP_MODULUS_TOL:g}), "
+        f"worst phase dev {worst_phase:.3e} rad (tol {OVERLAP_PHASE_TOL:g})",
     )
 
 
-def check_conservation(tol: float = 1e-10) -> CheckResult:
+def check_conservation() -> CheckResult:
     """sum(|A_n|^2 + |B_n|^2) stays at 1 along the fig1 sweeps."""
+    tol = TOLERANCES["conservation_residual"]
     worst = max(
         compute(figure_preset(name)).residuals["conservation_residual"]
         for name in ("fig1a", "fig1b", "fig1c")
     )
-    return _result(
+    return CheckResult(
         "conservation-fig1",
-        worst <= tol,
+        bool(worst <= tol),
         f"worst residual {worst:.3e} (tol {tol:g}) over 3 x 2000 points",
     )
 
 
-def check_entropy_suite(tol: float = 1e-10) -> CheckResult:
+def check_entropy_suite() -> CheckResult:
     """Entropy bounds, initial purity, eigenvalue sum, and the 2x2
-    eigensolve cross-check along the fig2 sweeps."""
-    ln2 = math.log(2.0)
+    eigensolve cross-check along the fig2 sweeps; the eigenvalues of both
+    routes are held to the run's eigenvalue-sum tolerance."""
+    tol = TOLERANCES["eigenvalue_sum_residual"]
+    lo, hi = ENTROPY_RANGE
     worst_eig = 0.0
     worst_sum = 0.0
     issues: list[str] = []
@@ -143,16 +146,12 @@ def check_entropy_suite(tol: float = 1e-10) -> CheckResult:
         data = compute(figure_preset(name))
         ts = data.ts
         entropy, lam_p, lam_m = data.entropy.T
-        for i in np.nonzero(~((entropy >= -1e-15) & (entropy <= ln2 + 1e-12)))[0]:
+        for i in np.nonzero(~((entropy >= lo) & (entropy <= hi)))[0]:
             issues.append(f"{name}: S={entropy[i]} out of [0, ln 2] at t={ts[i]}")
-        for i in np.nonzero((ts == 0.0) & (entropy > 1e-10))[0]:
-            issues.append(f"{name}: S(0) = {entropy[i]:.3e} > 1e-10")
+        for i in np.nonzero((ts == 0.0) & (entropy > PURITY_TOL))[0]:
+            issues.append(f"{name}: S(0) = {entropy[i]:.3e} > {PURITY_TOL:g}")
         worst_sum = max(worst_sum, data.residuals["eigenvalue_sum_residual"])
-        gmat = np.empty((ts.size, 2, 2), dtype=complex)
-        gmat[:, 0, 0] = data.cc
-        gmat[:, 0, 1] = data.cs
-        gmat[:, 1, 0] = data.cs.conj()
-        gmat[:, 1, 1] = data.ss
+        gmat = np.stack([data.cc, data.cs, data.cs.conj(), data.ss], axis=-1).reshape(-1, 2, 2)
         lam = np.linalg.eigvalsh(gmat)
         worst_eig = max(
             worst_eig,
@@ -166,7 +165,7 @@ def check_entropy_suite(tol: float = 1e-10) -> CheckResult:
     )
     if issues:
         detail += "; " + "; ".join(issues[:3])
-    return _result("entropy-fig2", passed, detail)
+    return CheckResult("entropy-fig2", bool(passed), detail)
 
 
 def sliding_abs_mean(ts: np.ndarray, values: np.ndarray, half_width: float) -> np.ndarray:
@@ -187,28 +186,27 @@ def local_maxima(values: np.ndarray) -> np.ndarray:
 
 
 def check_revival_structure() -> CheckResult:
-    """Windowed |W| collapses below 0.1, then peaks within 10% of the
-    revival-time estimate (alpha0 = 3, r = 1, m = 0, resonant)."""
+    """Windowed |W| collapses below COLLAPSE_MAX, then peaks within NEAR
+    of the revival-time estimate T_R (fig1a: alpha0 = 3, r = 1, m = 0,
+    resonant)."""
     data = compute(figure_preset("fig1a"))
     ts = data.ts
     smooth = sliding_abs_mean(ts, data.inversion, half_width=1.0)
-    t_rev = revival_time(SdfsParams(alpha0=3.0, r=1.0))
-    window = (ts >= 0.9 * t_rev) & (ts <= 1.1 * t_rev)
+    window = (ts >= (1.0 - NEAR) * REVIVAL_T) & (ts <= (1.0 + NEAR) * REVIVAL_T)
     maxima = [i for i in local_maxima(smooth) if window[i]]
     if not maxima:
-        return _result(
+        return CheckResult(
             "revival-structure",
             False,
-            f"no windowed-|W| local maximum within 10% of T_R = {t_rev:.3f}",
+            f"no windowed-|W| local maximum within {NEAR:.0%} of T_R = {REVIVAL_T:.3f}",
         )
     peak_idx = max(maxima, key=lambda i: smooth[i])
     collapse_min = float(np.min(smooth[: peak_idx + 1]))
-    passed = collapse_min < 0.1
-    return _result(
+    return CheckResult(
         "revival-structure",
-        passed,
-        f"peak at t = {ts[peak_idx]:.3f} (T_R = {t_rev:.3f}), "
-        f"collapse minimum {collapse_min:.3f} (< 0.1 required)",
+        bool(collapse_min < COLLAPSE_MAX),
+        f"peak at t = {ts[peak_idx]:.3f} (T_R = {REVIVAL_T:.3f}), "
+        f"collapse minimum {collapse_min:.3f} (< {COLLAPSE_MAX:g} required)",
     )
 
 
@@ -223,26 +221,23 @@ def _window_minimum(ts, values, lo, hi):
 
 
 def check_entropy_minima() -> CheckResult:
-    """Entropy dips near T_R/2 and T_R sit below the mid-sweep median
-    (fig2a parameters)."""
+    """Entropy dips within NEAR of T_R/2 and T_R sit below the mid-sweep
+    median (fig2a parameters)."""
     data = compute(figure_preset("fig2a"))
     ts = data.ts
     entropy = data.entropy[:, 0]
-    t_rev = revival_time(SdfsParams(alpha0=3.0, r=1.0))
-    baseline = np.median(entropy[(ts >= 0.2 * t_rev) & (ts <= 0.8 * t_rev)])
+    baseline = np.median(entropy[(ts >= 0.2 * REVIVAL_T) & (ts <= 0.8 * REVIVAL_T)])
     details = []
     passed = True
-    for lo, hi, label in (
-        (0.4 * t_rev, 0.6 * t_rev, "T_R/2"),
-        (0.9 * t_rev, 1.1 * t_rev, "T_R"),
-    ):
+    for centre, label in ((0.5, "T_R/2"), (1.0, "T_R")):
+        lo, hi = (centre - NEAR) * REVIVAL_T, (centre + NEAR) * REVIVAL_T
         value, is_local, where = _window_minimum(ts, entropy, lo, hi)
         ok = is_local and value < baseline
         passed = passed and ok
         details.append(f"{label}: min {value:.4f} at t={where:.2f} (local={is_local})")
-    return _result(
+    return CheckResult(
         "entropy-minima",
-        passed,
+        bool(passed),
         f"baseline median {baseline:.4f}; " + "; ".join(details),
     )
 
@@ -251,28 +246,26 @@ def check_phase_distribution() -> CheckResult:
     """Single phase peak at eta = 0 at t = 0 and unit integral at all
     sampled times (fig4a parameters).
 
-    Peak counting ignores maxima below 1e-6 of the global peak: the
-    truncated state carries an interference-ripple floor of order its
+    Peak counting ignores maxima below PEAK_FLOOR of the global peak:
+    the truncated state carries an interference-ripple floor of order its
     tail mass (~1e-10 here) in the far wings, nine orders below the
     peak, which any finite evaluation shows.
     """
+    tol = TOLERANCES["phase_integral_residual"]
     data = compute(figure_preset("fig4a"))
     etas = data.etas
     worst_integral = data.residuals["phase_integral_residual"]
     vals0 = data.phase[0]  # ts[0] = 0
     extended = np.concatenate(([vals0[-1]], vals0, [vals0[0]]))  # cyclic neighbours
     peaks = local_maxima(extended) - 1
-    peaks = peaks[vals0[peaks] >= 1e-6 * float(np.max(vals0))]
+    peaks = peaks[vals0[peaks] >= PEAK_FLOOR * float(np.max(vals0))]
     peak_count = len(peaks)
     peak_eta = float(etas[peaks[0]]) if peak_count else math.nan
-    passed = (
-        peak_count == 1 and abs(peak_eta) <= 0.02 and worst_integral <= 1e-6
-    )
-    return _result(
+    return CheckResult(
         "phase-distribution",
-        passed,
+        bool(peak_count == 1 and abs(peak_eta) <= PEAK_ETA_TOL and worst_integral <= tol),
         f"{peak_count} peak(s) at t=0 (location {peak_eta:.4f} rad), "
-        f"worst integral dev {worst_integral:.3e} (tol 1e-6)",
+        f"worst integral dev {worst_integral:.3e} (tol {tol:g})",
     )
 
 
@@ -291,6 +284,7 @@ def check_q_structure() -> CheckResult:
     """Half-maximum structure of the Q snapshots: one cluster centred
     near (3, 0) initially, at least two at half the revival time, unit
     grid integral throughout."""
+    tol = TOLERANCES["q_integral_residual"]
     issues = []
     integrals = []
     for variant in "abc":
@@ -298,18 +292,18 @@ def check_q_structure() -> CheckResult:
         cell = (grid.x_axis[1] - grid.x_axis[0]) * (grid.y_axis[1] - grid.y_axis[0])
         integral = float(np.sum(grid.values)) * cell
         integrals.append(integral)
-        if abs(integral - 1.0) > 1e-3:
-            issues.append(f"fig5{variant}: integral {integral:.6f} off unit by > 1e-3")
+        if abs(integral - 1.0) > tol:
+            issues.append(f"fig5{variant}: integral {integral:.6f} off unit by > {tol:g}")
         count, centroid = _half_max_components(grid)
         if variant == "a":
             offset = math.hypot(centroid[0] - 3.0, centroid[1])
-            if count < 1 or offset > 0.5:
+            if count < 1 or offset > CENTROID_TOL:
                 issues.append(
-                    f"fig5a: {count} component(s), centroid offset {offset:.3f} > 0.5"
+                    f"fig5a: {count} component(s), centroid offset {offset:.3f} > {CENTROID_TOL:g}"
                 )
         if variant == "b" and count < 2:
             issues.append(f"fig5b: expected >= 2 components, found {count}")
-    return _result(
+    return CheckResult(
         "q-structure",
         not issues,
         f"integrals {['%.6f' % v for v in integrals]}"
@@ -323,16 +317,15 @@ def check_trivial_limits() -> CheckResult:
     ts = np.linspace(0.0, 10.0, 2000)
     w = atomic_inversion(*evolve(q, ts))
     worst_w = float(np.max(np.abs(w - np.cos(2.0 * ts))))
-    probs = np.abs(sdfs_state(SdfsParams(alpha0=3.0), 1e-12).amps) ** 2
+    probs = np.abs(sdfs_state(SdfsParams(alpha0=3.0), DEFAULT_TAIL_TOL).amps) ** 2
     ns = np.arange(probs.size)
     poisson = np.exp(ns * math.log(9.0) - 9.0 - gammaln(ns + 1.0))
     worst_p = float(np.max(np.abs(probs - poisson)))
-    passed = worst_w <= 1e-12 and worst_p <= 1e-10
-    return _result(
+    return CheckResult(
         "trivial-limits",
-        passed,
-        f"vacuum inversion dev {worst_w:.3e} (tol 1e-12), "
-        f"Poisson dev {worst_p:.3e} (tol 1e-10)",
+        bool(worst_w <= VACUUM_TOL and worst_p <= POISSON_TOL),
+        f"vacuum inversion dev {worst_w:.3e} (tol {VACUUM_TOL:g}), "
+        f"Poisson dev {worst_p:.3e} (tol {POISSON_TOL:g})",
     )
 
 

@@ -4,14 +4,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria execute.
 """
 
+import dataclasses
+import inspect
 import time
 
 import pytest
 
-from sdfs_jcm.config import with_output_dir
 from sdfs_jcm.presets import PRESET_NAMES, figure_preset
 from sdfs_jcm.runner import run
 from sdfs_jcm.selfcheck import (
+    ALL_CHECKS,
     check_amplitude_oracle,
     check_conservation,
     check_entropy_minima,
@@ -21,6 +23,7 @@ from sdfs_jcm.selfcheck import (
     check_q_structure,
     check_revival_structure,
     check_trivial_limits,
+    random_overlap_pairs,
 )
 
 
@@ -31,7 +34,7 @@ def _report(num: int, name: str, passed: bool, detail: str):
 
 def test_criterion_01_amplitude_oracle_grid():
     started = time.perf_counter()
-    result = check_amplitude_oracle(tol=1e-8)
+    result = check_amplitude_oracle()
     elapsed = time.perf_counter() - started
     _report(
         1,
@@ -42,17 +45,17 @@ def test_criterion_01_amplitude_oracle_grid():
 
 
 def test_criterion_02_overlap_oracle_pairs():
-    result = check_overlap_oracle(mod_tol=1e-7, phase_tol=1e-6)
+    result = check_overlap_oracle()
     _report(2, "overlaps vs oracle inner products", result.passed, result.detail)
 
 
 def test_criterion_03_probability_conservation():
-    result = check_conservation(tol=1e-10)
+    result = check_conservation()
     _report(3, "probability conservation on fig1 sweeps", result.passed, result.detail)
 
 
 def test_criterion_04_entropy_bounds_and_eigensolve():
-    result = check_entropy_suite(tol=1e-10)
+    result = check_entropy_suite()
     _report(4, "entropy bounds, purity and eigensolve", result.passed, result.detail)
 
 
@@ -85,7 +88,7 @@ def test_criterion_10_full_preset_suite(tmp_path):
     started = time.perf_counter()
     worst_n_max = 0
     for name in PRESET_NAMES:
-        result = run(with_output_dir(figure_preset(name), str(tmp_path / name)))
+        result = run(dataclasses.replace(figure_preset(name), output_dir=str(tmp_path / name)))
         assert result.ok, f"{name}: {result.summary['status']}"
         worst_n_max = max(worst_n_max, result.summary["n_max"])
     elapsed = time.perf_counter() - started
@@ -98,3 +101,9 @@ def test_criterion_10_full_preset_suite(tmp_path):
         elapsed <= 60.0 and worst_n_max <= 130,
         f"15 presets in {elapsed:.1f}s (budget 60s), largest n_max {worst_n_max}",
     )
+
+
+def test_checks_have_no_settable_bounds():
+    # every bound lives in selfcheck or runner.TOLERANCES, not in a caller
+    for fn in (*ALL_CHECKS, random_overlap_pairs):
+        assert not inspect.signature(fn).parameters, fn.__name__

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from sdfs_jcm.config import (
     parse_config,
     parse_state,
     serialize_config,
-    with_output_dir,
 )
 from sdfs_jcm.presets import PRESET_NAMES, figure_preset
 from sdfs_jcm.runner import run
@@ -83,6 +83,40 @@ def test_non_numeric_value_rejected():
 def test_bad_observable_rejected():
     with pytest.raises(ValueError, match="observables"):
         parse_config("observables = inversion,wigner\n")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "t_points = 10000000000\n",
+        "t_points = 10000000000\nobservables = qfunc\n",  # the time axis is always built
+        "t_points = 134217729\nobservables = inversion\n",
+        "t_points = 44739243\nobservables = entropy\n",
+        "t_points = 261633\nobservables = photon_dist\n",
+        "eta_points = 100000\nobservables = phase_dist\n",
+    ],
+)
+def test_time_series_beyond_the_output_cap_are_refused(doc):
+    with pytest.raises(ValueError, match=r"'t_points' = \d+ with \w+ rows .* cap of 134217728"):
+        parse_config(doc)
+
+
+def test_time_series_at_the_output_cap_are_accepted():
+    # 2**27 values: one per time, three per entropy row, DIM_CAP + 1 per P(n, t) row
+    for doc in (
+        "t_points = 134217728\nobservables = inversion\n",
+        "t_points = 44739242\nobservables = entropy\n",
+        "t_points = 261632\nobservables = photon_dist\n",
+        "t_points = 2048\neta_points = 65536\nobservables = phase_dist\n",
+    ):
+        parse_config(doc)
+
+
+def test_a_q_grid_beyond_the_output_cap_is_refused():
+    with pytest.raises(ValueError, match=r"'q_nx' x 'q_ny' = 10000000000 .* cap of 134217728"):
+        parse_config("q_nx = 100000\nq_ny = 100000\nobservables = qfunc\n")
+    parse_config("q_nx = 100000\nq_ny = 100000\n")  # no Q grid is built
+    parse_config("q_nx = 65536\nq_ny = 2048\nobservables = qfunc\n")
 
 
 def test_q_grid_radius_enforced_when_qfunc_selected():
@@ -165,7 +199,7 @@ def test_unknown_preset_lists_names():
 
 
 def test_run_fig1a_outputs(tmp_path):
-    result = run(with_output_dir(figure_preset("fig1a"), str(tmp_path / "fig1a")))
+    result = run(dataclasses.replace(figure_preset("fig1a"), output_dir=str(tmp_path / "fig1a")))
     assert result.ok
     assert result.summary["status"] == "ok"
     lines = (tmp_path / "fig1a" / "inversion.csv").read_text().splitlines()
@@ -182,7 +216,7 @@ def test_run_fig1a_outputs(tmp_path):
 
 
 def test_run_fig2a_initial_purity(tmp_path):
-    result = run(with_output_dir(figure_preset("fig2a"), str(tmp_path / "fig2a")))
+    result = run(dataclasses.replace(figure_preset("fig2a"), output_dir=str(tmp_path / "fig2a")))
     assert result.ok
     lines = (tmp_path / "fig2a" / "entropy.csv").read_text().splitlines()
     assert lines[0] == "lambda_t,S_f,lambda_plus,lambda_minus"
@@ -191,7 +225,7 @@ def test_run_fig2a_initial_purity(tmp_path):
 
 
 def test_run_fig5a_q_normalization(tmp_path):
-    result = run(with_output_dir(figure_preset("fig5a"), str(tmp_path / "fig5a")))
+    result = run(dataclasses.replace(figure_preset("fig5a"), output_dir=str(tmp_path / "fig5a")))
     assert result.ok
     data = np.loadtxt(tmp_path / "fig5a" / "qfunc.csv", delimiter=",", skiprows=1)
     xs = np.unique(data[:, 0])
@@ -204,8 +238,8 @@ def test_run_fig5a_q_normalization(tmp_path):
 
 def test_run_is_byte_deterministic(tmp_path):
     cfg = figure_preset("fig1a")
-    run(with_output_dir(cfg, str(tmp_path / "a")))
-    run(with_output_dir(cfg, str(tmp_path / "b")))
+    run(dataclasses.replace(cfg, output_dir=str(tmp_path / "a")))
+    run(dataclasses.replace(cfg, output_dir=str(tmp_path / "b")))
     first = (tmp_path / "a" / "inversion.csv").read_bytes()
     second = (tmp_path / "b" / "inversion.csv").read_bytes()
     assert first == second

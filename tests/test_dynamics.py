@@ -9,7 +9,7 @@ from sdfs_jcm.dynamics import (
     evolve,
     field_components,
 )
-from sdfs_jcm.fock import FockVector
+from sdfs_jcm.fock import NORM_TOL, FockVector
 from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 
 
@@ -71,6 +71,17 @@ def test_unnormalized_input_rejected():
     bad = FockVector(np.array([1.0, 0.5]))
     with pytest.raises(ValueError, match="normalized"):
         evolve(bad, [1.0])
+
+
+@pytest.mark.parametrize("deviation", [1e-9, -1e-9])
+def test_evolve_refuses_a_norm_off_by_more_than_norm_tol(deviation):
+    # sdfs_state hands out nothing off 1 by more than NORM_TOL = 1e-10
+    q = FockVector(np.array([math.sqrt(1.0 + deviation), 0.0]))
+    assert abs(q.norm_sq() - 1.0) > 10 * NORM_TOL
+    with pytest.raises(ValueError, match="not normalized"):
+        evolve(q, [1.0])
+    edge = FockVector(np.array([math.sqrt(1.0 + 0.5 * NORM_TOL), 0.0]))
+    assert evolve(edge, [1.0])[0].shape == (1, 2)
 
 
 def test_field_density_at_zero_time():

@@ -17,7 +17,6 @@ from sdfs_jcm.fock import (
     annihilation_matrix,
     build_sdfs_oracle,
     displacement_generator,
-    inner_product,
     matrix_exp_apply,
     squeeze_generator,
 )
@@ -95,19 +94,12 @@ def test_non_finite_matrix_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         matrix_exp_apply(np.zeros((3, 3)), basis_state(4, 0))
-    with pytest.raises(ValueError):
-        inner_product(basis_state(3, 0), basis_state(4, 0))
-
-
-def test_inner_product_orthonormality():
-    assert inner_product(basis_state(6, 2), basis_state(6, 2)) == pytest.approx(1.0)
-    assert inner_product(basis_state(6, 2), basis_state(6, 4)) == pytest.approx(0.0)
 
 
 def test_coherent_overlap_value():
     u, v = build_sdfs_oracle([SdfsParams(alpha0=1.0), SdfsParams(alpha0=2.0)], [64, 64])
     # <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + alpha* beta)
-    assert inner_product(u, v) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert np.vdot(u.amps, v.amps) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
 def test_oracle_fock_limit():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sdfs_jcm.fock import build_sdfs_oracle, inner_product
+from sdfs_jcm.fock import build_sdfs_oracle
 from sdfs_jcm.sdfs import SdfsParams, sdfs_overlap, sdfs_state
 
 
@@ -12,7 +12,7 @@ def _oracle_overlaps(pairs):
     """<p1|p2> of each pair from one stacked oracle call, on a window shared per pair."""
     dims = [2 * max(sdfs_state(p, 1e-12).dim for p in pair) for pair in pairs]
     oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
-    return [inner_product(u, v) for u, v in zip(oracles[::2], oracles[1::2])]
+    return [np.vdot(u.amps, v.amps) for u, v in zip(oracles[::2], oracles[1::2])]
 
 
 def test_self_overlap_is_one():
