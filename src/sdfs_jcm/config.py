@@ -125,8 +125,9 @@ def validate(cfg: RunConfig) -> RunConfig:
 
     The state's own constraints (r >= 0, m >= 0) hold by construction of
     SdfsParams; `parse_config` reports them with their line numbers. The
-    time axis (always built) times its widest selected row, and a selected
-    Q grid, may each hold at most OUTPUT_CAP values.
+    time axis (always built) times its widest selected row, a selected
+    Q grid, and the phase kernel of a selected phase_dist (eta_points rows
+    of up to DIM_CAP + 1 values) may each hold at most OUTPUT_CAP values.
     """
     if cfg.t_max_scaled <= 0:
         raise _fail("key 't_max_scaled' must be > 0")
@@ -159,6 +160,11 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise _fail(
             f"key 't_points' = {cfg.t_points} with {widest} rows of {row} values "
             f"exceeds the output cap of {OUTPUT_CAP} values"
+        )
+    if "phase_dist" in cfg.observables and cfg.eta_points * (DIM_CAP + 1) > OUTPUT_CAP:
+        raise _fail(
+            f"key 'eta_points' = {cfg.eta_points} with a phase kernel of up to {DIM_CAP + 1} "
+            f"columns exceeds the output cap of {OUTPUT_CAP} values"
         )
     if "qfunc" in cfg.observables:
         if g.nx * g.ny > OUTPUT_CAP:

@@ -19,8 +19,13 @@ so calls of `compute` from concurrent threads would race on it.
     phase_dist.csv  lambda_t,eta,P
     qfunc.csv       x,y,Q
 
-Files are streamed in blocks. Each key (time, n, eta, x, y) is formatted
-once per run with '%.17g' ('%d' for n), the time keys once for all the
+Every number is written as CPython's '%.17g' ('%d' for n) would write it,
+byte for byte, but formatted in numpy by `_format_cells`: the 17 digits
+come from Dekker's exact product with a double-double power of 10, and
+the few values whose rounding that cannot settle (near-ties, zeros,
+inf, nan, magnitudes outside EXACT_RANGE) go to '%.17g' itself. Files
+are streamed in blocks of BLOCK_ENTRIES lines. Each key (time, n, eta,
+x, y) is formatted once per run, the time keys once for all the
 time-series files, and lines end in '\\n': identical configurations give
 identical bytes, equal to the np.savetxt output of earlier versions.
 run_summary.txt records the truncation, the worst invariant residuals
@@ -31,6 +36,7 @@ marks the run failed, which the CLI turns into a nonzero exit status.
 from __future__ import annotations
 
 import ctypes
+import fractions
 import functools
 import math
 import time
@@ -60,7 +66,8 @@ FLOAT_FMT = "%.17g"
 
 # Complex entries of A (and of B) per time block: a block holds
 # max(1, BLOCK_ENTRIES // dim) rows, which keeps the block arrays small.
-# Also the lines per written block of inversion.csv and entropy.csv.
+# Also the lines per written block of every CSV, and so the most values
+# one call of `_format_cells` formats.
 BLOCK_ENTRIES = 4096
 
 TIME_SERIES = frozenset({"inversion", "entropy", "photon_dist", "phase_dist"})
@@ -106,45 +113,207 @@ class RunResult:
     files: tuple[Path, ...]
 
 
-def _keys(values: np.ndarray) -> list[str]:
-    """Each key formatted once: '%d' for integers, FLOAT_FMT otherwise."""
-    fmt = "%d" if values.dtype.kind in "iu" else FLOAT_FMT
-    return [fmt % value for value in values.tolist()]
+# Values whose magnitude lies outside EXACT_RANGE, 0, inf and nan go to
+# FLOAT_FMT itself, as does every value whose scaled fraction lies within
+# TIE_MARGIN of 1/2 (`_format_cells`).
+EXACT_RANGE = (1e-280, 1e280)
+TIE_MARGIN = 1e-7
+CELL_WIDTH = 24  # the longest FLOAT_FMT output, e.g. '-2.2250738585072014e-308'
+_X_MAX = 282  # largest |decimal exponent| of the tables: EXACT_RANGE plus a correction
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit halves
+# A source row of `_format_cells` is 28 bytes: '0', '-', '.', the 17 digits, the
+# exponent's sign and 3 digits, 'e' and NULs. A template lists the source bytes
+# of one layout, keyed by (sign * _SLOTS + slot) * 18 + significant digits.
+_ZERO, _MINUS, _POINT, _DIGIT0, _EXP_SIGN, _EXP_DIGITS, _E, _NUL = 0, 1, 2, 3, 20, 21, 24, 25
+_SOURCE_WIDTH = 28
+_SLOTS = 23  # by exponent: fixed notation for -4..16, scientific with 2 or 3 exponent digits
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo exactly, each half of at most 26 bits."""
+    scaled = a * _SPLIT
+    hi = scaled - (scaled - a)
+    return hi, a - hi
+
+
+def _template(negative: bool, slot: int, digits: int) -> list[int]:
+    """Source bytes of one FLOAT_FMT layout: CPython's '%g' with precision
+    17, for a value with this many significant digits (trailing zeros cut)."""
+    body = [_DIGIT0 + j for j in range(digits)]
+    if slot >= 21:  # d.ddde+XX or d.ddde+XXX
+        body[1:1] = [_POINT] if digits > 1 else []
+        body += [_E, _EXP_SIGN, *range(_EXP_DIGITS + 22 - slot, _EXP_DIGITS + 3)]
+    elif slot < 4:  # 0.000ddd, exponent slot - 4
+        body[:0] = [_ZERO, _POINT] + [_ZERO] * (3 - slot)
+    else:  # ddd.ddd or ddd000, exponent slot - 4 >= 0
+        body += [_DIGIT0 + j for j in range(digits, slot - 3)]
+        if digits > slot - 3:
+            body.insert(slot - 3, _POINT)
+    row = [_MINUS] * negative + body
+    return row + [_NUL] * (CELL_WIDTH - len(row))
+
+
+def _words(texts) -> np.ndarray:
+    """The 4-byte ASCII texts as uint32 words, so that one take moves 4 bytes."""
+    return np.frombuffer(b"".join(texts), np.uint32)
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The constant tables of `_format_cells`, built on first use. Those
+    indexed by the decimal exponent x start at x = -_X_MAX: 10**(16 - x)
+    as a double-double (rows hi, the halves of hi, lo), the exponent text
+    of each x and its template row offset. Then the words '0-.d' of each
+    leading digit d, the 4 digits of each chunk 0..9999 and its trailing
+    zeros (4 for 0), and the templates."""
+    xs = range(-_X_MAX, _X_MAX + 1)
+    powers = np.empty((4, len(xs)))
+    for col, x in enumerate(xs):
+        exact = fractions.Fraction(10) ** (16 - x)
+        powers[0, col] = float(exact)
+        powers[3, col] = float(exact - fractions.Fraction(powers[0, col]))
+    mantissa, exponent = np.frexp(powers[0])  # split the mantissa: no overflow
+    powers[1], powers[2] = (np.ldexp(half, exponent) for half in _split(mantissa))
+    exps = _words(b"%+04d" % x for x in xs)
+    slot_keys = 18 * np.array([x + 4 if -4 <= x < 17 else 21 + (abs(x) >= 100) for x in xs])
+    leads = _words(b"0-.%d" % d for d in range(10))
+    chunks = np.arange(10_000)
+    digits = _words(b"%04d" % c for c in chunks.tolist())
+    zeros = sum((chunks % power == 0).astype(np.uint8) for power in (10, 100, 1000, 10_000))
+    templates = np.array(
+        [
+            _template(negative, slot, max(count, 1))
+            for negative in (False, True)
+            for slot in range(_SLOTS)
+            for count in range(18)
+        ],
+        np.intp,
+    )
+    return powers, exps, slot_keys, leads, digits, zeros, templates
+
+
+def _scaled(a: np.ndarray, xi: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floor (int64) and fraction of a * 10**(16 - x), xi = x + _X_MAX:
+    Dekker's exact product of a with hi, plus a times lo."""
+    hi, hi_1, hi_2, lo = np.take(powers, xi, axis=1)
+    product = a * hi
+    a_1, a_2 = _split(a)
+    error = ((a_1 * hi_1 - product) + a_1 * hi_2 + a_2 * hi_1) + a_2 * hi_2
+    rest = error + a * lo
+    whole = np.floor(rest)
+    return product.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """FLOAT_FMT % v of each float64 v, byte for byte, as (N, CELL_WIDTH)
+    NUL-padded uint8 rows.
+
+    With x = floor(log10 |v|), the 17 significant digits are the integer
+    D nearest to |v| * 10**(16 - x). It is computed as Dekker's exact
+    product with a double-double table of powers of 10, with one
+    correction of x where the floor falls outside [10**16, 10**17). The
+    scaled value is the unevaluated sum of an exact integer and a double
+    below 32, so its fraction carries an absolute error below about 2**-40
+    on D < 2**57: far inside TIE_MARGIN. Within that margin of 1/2, ties
+    included, the value goes to FLOAT_FMT itself, as do values outside
+    EXACT_RANGE. D is cut into 4-digit chunks, each one uint32 of ASCII.
+    One template per (sign, layout, exponent slot, digit count) then
+    places the digits, the point, the zeros and the exponent by CPython's
+    '%g' rules: fixed notation for -4 <= x < 17, else d.ddde+XX, trailing
+    zeros cut and at least 2 exponent digits.
+    """
+    powers, exps, slot_keys, leads, digits, zeros, templates = _tables()
+    v = np.asarray(values, np.float64).reshape(-1)
+    a = np.abs(v)
+    clipped = np.fmin(np.fmax(a, EXACT_RANGE[0]), EXACT_RANGE[1])  # nan -> EXACT_RANGE[0]
+    fallback = clipped != a
+    xi = np.floor(np.log10(clipped)).astype(np.intp) + _X_MAX
+    floor, fraction = _scaled(clipped, xi, powers)
+    off = np.flatnonzero((floor < 10**16) | (floor >= 10**17))
+    if off.size:  # log10 missed x beside a power of 10
+        xi[off] += np.where(floor[off] < 10**16, -1, 1)
+        floor[off], fraction[off] = _scaled(clipped[off], xi[off], powers)
+        fallback[off] |= (floor[off] < 10**16) | (floor[off] >= 10**17)
+    fallback |= np.abs(fraction - 0.5) < TIE_MARGIN
+    d = floor + (fraction > 0.5)
+    carry = np.flatnonzero(d == 10**17)  # rounded up to the next power of 10
+    if carry.size:
+        d[carry], xi[carry] = 10**16, xi[carry] + 1
+
+    lead = d // 10**16  # floor division by a constant is cheaper than divmod here
+    rest = d - lead * 10**16
+    high = rest // 10**8
+    halves = np.stack([high, rest - high * 10**8], axis=1).astype(np.int32)
+    top = halves // 10_000
+    chunks = np.stack([top, halves - top * 10_000], axis=2).reshape(-1, 4)
+    source = np.empty((v.size, _SOURCE_WIDTH // 4), np.uint32)
+    source[:, 0] = np.take(leads, lead)
+    source[:, 1:5] = np.take(digits, chunks)
+    source[:, 5] = np.take(exps, xi)
+    source[:, 6] = _words([b"e\0\0\0"])[0]
+    cut = np.take(zeros, chunks[:, 3])
+    more = np.flatnonzero(cut == 4)  # rows whose chunks so far are all zeros
+    for k in (2, 1, 0):
+        if not more.size:
+            break
+        step = np.take(zeros, chunks[more, k])
+        cut[more] += step
+        more = more[step == 4]
+    key = np.take(slot_keys, xi) + np.signbit(v) * (_SLOTS * 18) + 17 - cut
+    index = np.take(templates, key, axis=0)
+    index += np.arange(0, v.size * _SOURCE_WIDTH, _SOURCE_WIDTH)[:, None]
+    cells = np.take(source.view(np.uint8).reshape(-1), index)
+    for i in np.flatnonzero(fallback).tolist():
+        text = (FLOAT_FMT % v[i]).encode()
+        cells[i] = np.frombuffer(text.ljust(CELL_WIDTH, b"\0"), np.uint8)
+    return cells
+
+
+def _keys(values: np.ndarray) -> np.ndarray:
+    """Each key formatted once, as `_format_cells` rows cut to the longest,
+    BLOCK_ENTRIES at a time; integers as floats, whose FLOAT_FMT is '%d'
+    below 10**17."""
+    cells = np.concatenate(
+        [_format_cells(values[lo : lo + BLOCK_ENTRIES]) for lo in range(0, len(values), BLOCK_ENTRIES)]
+    )
+    return cells[:, : int(np.max(np.sum(cells != 0, axis=1)))]
 
 
 def _write_csv(
     path: Path,
     header: str,
-    row_keys: list[str],
+    row_keys: np.ndarray,
     values: np.ndarray,
     cols: np.ndarray | None = None,
     cols_first: bool = False,
 ) -> Path:
     """Stream values as a CSV keyed by row_keys (from `_keys`): line i is
     row_keys[i] and the cells of values[i]; with cols, each cell is a line
-    row_keys[i], cols[j], values[i, j] (cols[j] first if cols_first). A
-    block (BLOCK_ENTRIES lines, or one row with cols) is one template of
-    'prefix key suffix' lines joined from the keys, filled by one '%'.
+    row_keys[i], cols[j], values[i, j] (cols[j] first if cols_first).
+    Each block of BLOCK_ENTRIES lines is one stack of the NUL-padded keys,
+    commas, cells and newlines, written without its NULs.
     """
     values = values.reshape(len(row_keys), -1)
-    if cols is None:
-        cells = ("," + FLOAT_FMT) * values.shape[1] + "\n"
-        blocks = (
-            (row_keys[lo : lo + BLOCK_ENTRIES], "", cells, values[lo : lo + BLOCK_ENTRIES])
-            for lo in range(0, len(row_keys), BLOCK_ENTRIES)
-        )
-    else:
-        col_keys, line_end = _keys(cols), f",{FLOAT_FMT}\n"
-        blocks = (
-            (col_keys, "", f",{key}{line_end}", row) if cols_first
-            else (col_keys, f"{key},", line_end, row)
-            for key, row in zip(row_keys, values)
-        )
-    with open(path, "w", newline="\n") as handle:
-        handle.write(header + "\n")
-        for keys, prefix, suffix, block in blocks:
-            template = prefix + (suffix + prefix).join(keys) + suffix
-            handle.write(template % tuple(block.ravel().tolist()))
+    col_keys = None if cols is None else _keys(cols)
+    lines = len(row_keys) if cols is None else values.size
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
+        for lo in range(0, lines, BLOCK_ENTRIES):
+            hi = min(lo + BLOCK_ENTRIES, lines)
+            if col_keys is None:
+                fields = [row_keys[lo:hi], *map(_format_cells, values[lo:hi].T)]
+            else:
+                row, col = np.divmod(np.arange(lo, hi), len(col_keys))
+                fields = [np.take(row_keys, row, axis=0), np.take(col_keys, col, axis=0)]
+                if cols_first:
+                    fields.reverse()
+                fields.append(_format_cells(values.reshape(-1)[lo:hi]))
+            comma = np.full((hi - lo, 1), ord(","), np.uint8)
+            pieces = [fields[0]]
+            for field in fields[1:]:
+                pieces += [comma, field]
+            text = np.hstack([*pieces, np.full((hi - lo, 1), ord("\n"), np.uint8)])
+            handle.write(text[text != 0])
     return path
 
 

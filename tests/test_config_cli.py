@@ -6,12 +6,14 @@ import pytest
 
 from sdfs_jcm.cli import main
 from sdfs_jcm.config import (
+    OUTPUT_CAP,
     QGridSpec,
     RunConfig,
     parse_config,
     parse_state,
     serialize_config,
 )
+from sdfs_jcm.fock import DIM_CAP
 from sdfs_jcm.presets import PRESET_NAMES, figure_preset
 from sdfs_jcm.runner import run
 from sdfs_jcm.sdfs import SdfsParams
@@ -110,6 +112,19 @@ def test_time_series_at_the_output_cap_are_accepted():
         "t_points = 2048\neta_points = 65536\nobservables = phase_dist\n",
     ):
         parse_config(doc)
+
+
+def test_a_phase_kernel_beyond_the_output_cap_is_refused():
+    # the kernel of phase_kernel(etas, dim + 1) holds up to eta_points * (DIM_CAP + 1)
+    # values however few the times; such a config is only parsed, never run
+    doc = "t_points = 2\neta_points = 67108864\nobservables = {}\n"
+    with pytest.raises(ValueError, match=r"'eta_points' = 67108864 .* cap of 134217728"):
+        parse_config(doc.format("phase_dist"))
+    parse_config(doc.format("inversion"))  # no phase kernel is built
+    largest = OUTPUT_CAP // (DIM_CAP + 1)
+    parse_config(f"t_points = 2\neta_points = {largest}\nobservables = phase_dist\n")
+    with pytest.raises(ValueError, match=f"'eta_points' = {largest + 1} "):
+        parse_config(f"t_points = 2\neta_points = {largest + 1}\nobservables = phase_dist\n")
 
 
 def test_a_q_grid_beyond_the_output_cap_is_refused():

@@ -157,3 +157,51 @@ def test_large_detuning_suppresses_transfer():
     bound = 2.0 * np.sqrt(ns + 1.0) / 1000.0
     _, b = evolve(q, [0.7, 3.0, 11.0], 1000.0)
     assert np.all(np.abs(b) <= bound + 1e-15)
+
+
+# ------------------------------------------------ operator reference for evolve
+
+
+def _jcm_reference(q, t_max, t_points, detuning):
+    """A and B of `evolve` on linspace(0, t_max, t_points), from the operator
+    route: H = (Delta/2) sigma_z + (a sigma_+ + a^dagger sigma_-) in units of
+    lambda, as one CSR matrix on the atom x field space with dim + 1 photon
+    levels, applied with expm_multiply to |psi_0> = sum_n q_n |n, e>."""
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    levels = q.dim + 1
+    a = sparse.diags_array(np.sqrt(np.arange(1.0, levels)), offsets=1, shape=(levels, levels))
+    sigma_plus = sparse.csr_array(([1.0], ([0], [1])), shape=(2, 2))  # atom basis (e, g)
+    sigma_z = sparse.diags_array([1.0, -1.0])
+    hamiltonian = (
+        0.5 * detuning * sparse.kron(sigma_z, sparse.eye_array(levels))
+        + sparse.kron(sigma_plus, a)
+        + sparse.kron(sigma_plus.T, a.T)
+    ).tocsr()
+    psi0 = np.zeros(2 * levels, dtype=complex)
+    psi0[: q.dim] = q.amps
+    psi = expm_multiply(-1j * hamiltonian, psi0, start=0.0, stop=t_max, num=t_points)
+    return psi[:, : q.dim], psi[:, levels + 1 :]
+
+
+@pytest.mark.parametrize(
+    "alpha0, r, phi, m, detuning",
+    [
+        (2.0 + 1.0j, 0.5, 0.3, 3, 1.7),
+        (3.0, 1.0, 1.1, 2, -2.5),
+        (0.5, 0.3, 2.0, 1, 0.4),
+        (-1.5j, 1.2, 0.0, 0, -3.0),
+        (1.5, 0.8, 0.7, 3, 0.0),
+        (2.0j, 0.0, 0.0, 1, 0.0),
+    ],
+)
+def test_evolve_matches_the_operator_reference(alpha0, r, phi, m, detuning):
+    # under detuning the phase of A_n is seen here; |A_n| alone, W and P(n, t)
+    # do not change when the sign of the detuning term is flipped
+    q = _state(SdfsParams(alpha0=alpha0, r=r, phi=phi, m=m))
+    ts = np.linspace(0.0, 25.0, 11)
+    a, b = evolve(q, ts, detuning)
+    a_ref, b_ref = _jcm_reference(q, 25.0, ts.size, detuning)
+    np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -170,6 +171,62 @@ def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threa
 _F = runner.FLOAT_FMT
 
 
+def _assert_cells_match_float_fmt(values):
+    values = np.asarray(values, dtype=np.float64)
+    cells = runner._format_cells(values)
+    assert cells.shape == (values.size, runner.CELL_WIDTH)
+    got = [row.tobytes().rstrip(b"\0").decode() for row in cells]
+    expected = [_F % value for value in values.tolist()]
+    mismatches = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
+    assert not mismatches, mismatches[:5]
+
+
+def test_cells_match_float_fmt_on_random_bit_patterns():
+    # every sign and exponent: subnormals, values outside the exact range, inf and nan
+    bits = np.random.default_rng(20011).integers(0, 2**64, 100_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert np.isnan(values).any() and (np.abs(values) < 2.2250738585072014e-308).any()
+    _assert_cells_match_float_fmt(np.concatenate([values, [np.inf, -np.inf, np.nan]]))
+
+
+def test_cells_match_float_fmt_at_and_beside_every_power_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    neighbours = [np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)]
+    values = np.concatenate(neighbours)
+    _assert_cells_match_float_fmt(np.concatenate([values, -values]))
+
+
+@pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16, 1e17])
+def test_cells_match_float_fmt_where_the_layout_switches(switch):
+    # '%g' turns scientific below 1e-4 and from 1e17 on, after rounding to 17 digits
+    steps = np.arange(-40, 41)
+    near = np.concatenate([switch * (1.0 + steps * 1e-16), switch * (1.0 + steps * 1e-3)])
+    _assert_cells_match_float_fmt(np.concatenate([near, np.nextafter(near, 0.0), -near]))
+
+
+def test_cells_match_float_fmt_on_zeros_and_edge_values():
+    edge = [0.0, -0.0, 1e-300, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    edge += [0.1 + 0.2, 1.0 / 3.0, np.nextafter(1.0, 2.0), -2.0 / 3.0, 1e300, 1e280, 1e-280]
+    edge += [0.5, 1.0, 12.0, 100.0, 123456789.0, 2.0**53, 2.0**53 + 2.0, -1e22, 1e23]
+    _assert_cells_match_float_fmt(edge)
+
+
+def test_cells_match_float_fmt_on_exact_ties():
+    # m / 2**j with m odd has the exact decimal expansion m * 5**j / 10**j; with
+    # 18 significant digits its last is a 5, so '%.17g' rounds a true half
+    rng = np.random.default_rng(7)
+    ties = []
+    for j in range(2, 26):
+        lo, hi = 10**17 // 5**j, min(10**18 // 5**j, 2**53)
+        for m in rng.integers(lo, hi, 64).tolist():
+            value = (m | 1) / 2**j
+            digits = decimal.Decimal(value).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties += [value, -value]
+    assert len(ties) > 1000
+    _assert_cells_match_float_fmt(ties)
+
+
 def _tables(ts, inversion, entropy, photon, etas, phase, xs, ys, q):
     """name -> (_write_csv args with unformatted row keys, kwargs, np.savetxt
     columns, np.savetxt fmts) of each output schema, laid out as `run`
@@ -255,3 +312,20 @@ def test_run_formats_the_time_keys_once(tmp_path, monkeypatch):
     assert result.ok and len(result.files) == 5
     ts = np.linspace(0.0, _CFG.t_max_scaled, _CFG.t_points)
     assert sum(np.array_equal(values, ts) for values in formatted) == 1
+
+
+def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch):
+    # the scratch of `_format_cells` grows with its input, so a call never
+    # gets more than one block of lines (and their keys) to format
+    sizes = []
+    format_cells = runner._format_cells
+
+    def recording(values):
+        sizes.append(np.size(values))
+        return format_cells(values)
+
+    monkeypatch.setattr(runner, "_format_cells", recording)
+    monkeypatch.setattr(runner, "BLOCK_ENTRIES", 100)
+    result = runner.run(dataclasses.replace(_CFG, output_dir=str(tmp_path)))
+    assert result.ok and max(sizes) == 100
+    assert sum(sizes) > 20 * 100
