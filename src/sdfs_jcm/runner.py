@@ -36,7 +36,6 @@ marks the run failed, which the CLI turns into a nonzero exit status.
 from __future__ import annotations
 
 import ctypes
-import fractions
 import functools
 import math
 import time
@@ -166,6 +165,8 @@ def _tables() -> tuple[np.ndarray, ...]:
     of each x and its template row offset. Then the words '0-.d' of each
     leading digit d, the 4 digits of each chunk 0..9999 and its trailing
     zeros (4 for 0), and the templates."""
+    import fractions  # here, not at import time: only the first format pays for it
+
     xs = range(-_X_MAX, _X_MAX + 1)
     powers = np.empty((4, len(xs)))
     for col, x in enumerate(xs):
@@ -273,9 +274,8 @@ def _keys(values: np.ndarray) -> np.ndarray:
     """Each key formatted once, as `_format_cells` rows cut to the longest,
     BLOCK_ENTRIES at a time; integers as floats, whose FLOAT_FMT is '%d'
     below 10**17."""
-    cells = np.concatenate(
-        [_format_cells(values[lo : lo + BLOCK_ENTRIES]) for lo in range(0, len(values), BLOCK_ENTRIES)]
-    )
+    blocks = range(0, len(values), BLOCK_ENTRIES)
+    cells = np.concatenate([_format_cells(values[lo : lo + BLOCK_ENTRIES]) for lo in blocks])
     return cells[:, : int(np.max(np.sum(cells != 0, axis=1)))]
 
 
