@@ -165,14 +165,13 @@ def _tables() -> tuple[np.ndarray, ...]:
     of each x and its template row offset. Then the words '0-.d' of each
     leading digit d, the 4 digits of each chunk 0..9999 and its trailing
     zeros (4 for 0), and the templates."""
-    import fractions  # here, not at import time: only the first format pays for it
-
     xs = range(-_X_MAX, _X_MAX + 1)
     powers = np.empty((4, len(xs)))
-    for col, x in enumerate(xs):
-        exact = fractions.Fraction(10) ** (16 - x)
-        powers[0, col] = float(exact)
-        powers[3, col] = float(exact - fractions.Fraction(powers[0, col]))
+    for col, x in enumerate(xs):  # exact rationals num / den; int / int rounds correctly
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi_num, hi_den = (num / den).as_integer_ratio()
+        powers[0, col] = num / den
+        powers[3, col] = (num * hi_den - hi_num * den) / (den * hi_den)
     mantissa, exponent = np.frexp(powers[0])  # split the mantissa: no overflow
     powers[1], powers[2] = (np.ldexp(half, exponent) for half in _split(mantissa))
     exps = _words(b"%+04d" % x for x in xs)
