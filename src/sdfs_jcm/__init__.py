@@ -2,53 +2,15 @@
 squeezed displaced Fock state: atomic inversion, field entropy,
 photon-number and Pegg-Barnett phase distributions, and the Husimi Q
 function, plus a CLI that reproduces the standard figure families as
-CSV data."""
+CSV data. The package exports what the library example of the README
+uses; everything else is imported from its module."""
 
-from .config import OBSERVABLE_NAMES, QGridSpec, RunConfig, parse_config, serialize_config
-from .dynamics import evolve, field_components
-from .fock import FockVector
-from .observables import (
-    atomic_inversion,
-    default_etas,
-    entropy_rows,
-    gram,
-    phase_distribution,
-    phase_kernel,
-    photon_number_distribution,
-    q_function_grid,
-    revival_time,
-)
-from .presets import PRESET_NAMES, figure_preset
-from .runner import RunData, RunResult, compute, run
-from .sdfs import SdfsParams, sdfs_overlap, sdfs_state
+from .dynamics import evolve
+from .observables import atomic_inversion
+from .presets import figure_preset
+from .runner import compute
+from .sdfs import SdfsParams, sdfs_state
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FockVector",
-    "OBSERVABLE_NAMES",
-    "PRESET_NAMES",
-    "QGridSpec",
-    "RunConfig",
-    "RunData",
-    "RunResult",
-    "SdfsParams",
-    "atomic_inversion",
-    "compute",
-    "default_etas",
-    "entropy_rows",
-    "evolve",
-    "field_components",
-    "figure_preset",
-    "gram",
-    "parse_config",
-    "phase_distribution",
-    "phase_kernel",
-    "photon_number_distribution",
-    "q_function_grid",
-    "revival_time",
-    "run",
-    "sdfs_overlap",
-    "sdfs_state",
-    "serialize_config",
-]
+__all__ = ["SdfsParams", "atomic_inversion", "compute", "evolve", "figure_preset", "sdfs_state"]

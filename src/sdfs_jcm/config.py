@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fock import DIM_CAP, NORM_TOL
-from .sdfs import DEFAULT_TAIL_TOL, TAIL_TOL_FLOOR, SdfsParams
+from .fock import DIM_CAP
+from .sdfs import SdfsParams
 
 OBSERVABLE_NAMES = ("inversion", "entropy", "photon_dist", "phase_dist", "qfunc")
 # Most values one output array may hold: 2**27 float64 values are 1 GiB. The
@@ -41,7 +41,6 @@ class RunConfig:
     detuning_ratio: float = 0.0
     t_max_scaled: float = 25.0
     t_points: int = 2000
-    tail_tol: float = DEFAULT_TAIL_TOL
     eta_points: int = 512
     q_grid: QGridSpec = field(default_factory=QGridSpec)
     q_time_scaled: float | None = None
@@ -56,7 +55,6 @@ _FLOAT_KEYS = (
     "phi",
     "detuning_ratio",
     "t_max_scaled",
-    "tail_tol",
     "q_x_min",
     "q_x_max",
     "q_y_min",
@@ -133,8 +131,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise _fail("key 't_max_scaled' must be > 0")
     if cfg.t_points < 2:
         raise _fail("key 't_points' must be >= 2")
-    if not TAIL_TOL_FLOOR <= cfg.tail_tol <= NORM_TOL:
-        raise _fail(f"key 'tail_tol' must lie in [{TAIL_TOL_FLOOR:g}, {NORM_TOL:g}]")
     if cfg.eta_points < 1:
         raise _fail("key 'eta_points' must be >= 1")
     g = cfg.q_grid
@@ -220,7 +216,7 @@ def serialize_config(cfg: RunConfig) -> str:
     """Emit a document that `parse_config` maps back to an equal RunConfig."""
     values = {"alpha0_re": cfg.state.alpha0.real, "alpha0_im": cfg.state.alpha0.imag}
     values |= {key: getattr(cfg.state, key) for key in ("r", "phi", "m")}
-    run_keys = ("detuning_ratio", "t_max_scaled", "t_points", "tail_tol", "eta_points")
+    run_keys = ("detuning_ratio", "t_max_scaled", "t_points", "eta_points")
     values |= {key: getattr(cfg, key) for key in run_keys}
     values |= {key: getattr(cfg.q_grid, key[2:]) for key in _GRID_KEYS}
     if cfg.q_time_scaled is not None:

@@ -64,23 +64,3 @@ def field_components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     s[..., 1:] = b
     return c, s
 
-
-def density_element(a: np.ndarray, b: np.ndarray, l: int, j: int) -> complex:
-    """Reduced field matrix element rho_lj = A_l A_j* + B_{l-1} B_{j-1}*
-    at one time, from the 1-D coefficient rows a and b.
-
-    Valid for 0 <= l, j <= n_max + 1, with A_{n_max+1} and B_{-1} equal
-    to zero. This dense element is the reference the rank-2 contractions
-    of `observables` are tested against.
-    """
-    hi = a.size
-    if not (0 <= l <= hi and 0 <= j <= hi):
-        raise IndexError(f"indices ({l}, {j}) outside [0, {hi}]")
-
-    def _a(i: int) -> complex:
-        return complex(a[i]) if i < hi else 0j
-
-    def _b(i: int) -> complex:
-        return complex(b[i]) if i >= 0 else 0j
-
-    return _a(l) * np.conj(_a(j)) + _b(l - 1) * np.conj(_b(j - 1))

@@ -146,7 +146,7 @@ def build_sdfs_oracle(states: Sequence["SdfsParams"], dims: Sequence[int]) -> li
     actions: exp of the squeeze generator applied to the stacked seeds
     |m_i>, then exp of the displacement generator. A single state is a
     stack of one. Each window must hold the state's tail; twice the
-    dimension of ``sdfs.sdfs_state(p, 1e-12)`` keeps boundary contamination
+    dimension of ``sdfs.sdfs_state(p)`` keeps boundary contamination
     below 1e-12 for r <= 2. Measured: the 16 corner states of the `check`
     amplitude grid and alpha0 = 6i, r = 2, m = 5 at dim 512, in one call,
     match dense `scipy.linalg.expm` to 1.1e-14 absolute, and each window

@@ -118,7 +118,7 @@ def photon_number_distribution(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.abs(c) ** 2 + np.abs(s) ** 2
 
 
-def default_etas(n_points: int = 512) -> np.ndarray:
+def default_etas(n_points: int) -> np.ndarray:
     """Uniform phase grid on [-pi, pi)."""
     if n_points < 1:
         raise ValueError("need at least one phase point")

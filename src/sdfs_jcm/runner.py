@@ -24,9 +24,10 @@ byte for byte, but formatted in numpy by `_format_cells`: the 17 digits
 come from Dekker's exact product with a double-double power of 10, and
 the few values whose rounding that cannot settle (near-ties, zeros,
 inf, nan, magnitudes outside EXACT_RANGE) go to '%.17g' itself. Files
-are streamed in blocks of BLOCK_ENTRIES lines. Each key (time, n, eta,
-x, y) is formatted once per run, the time keys once for all the
-time-series files, and lines end in '\\n': identical configurations give
+are streamed in blocks of BLOCK_ENTRIES lines. Column keys (n, eta, x)
+are formatted once per file; row keys (time, y) BLOCK_ENTRIES at a
+time as the blocks reach them, so a write never holds more than that
+many. Lines end in '\\n': identical configurations give
 identical bytes, equal to the np.savetxt output of earlier versions.
 run_summary.txt records the truncation, the worst invariant residuals
 and the compute, write and wall times; any residual beyond its tolerance
@@ -270,9 +271,9 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _keys(values: np.ndarray) -> np.ndarray:
-    """Each key formatted once, as `_format_cells` rows cut to the longest,
-    BLOCK_ENTRIES at a time; integers as floats, whose FLOAT_FMT is '%d'
-    below 10**17."""
+    """Each column key formatted once, as `_format_cells` rows cut to the
+    longest, BLOCK_ENTRIES at a time; integers as floats, whose FLOAT_FMT
+    is '%d' below 10**17."""
     blocks = range(0, len(values), BLOCK_ENTRIES)
     cells = np.concatenate([_format_cells(values[lo : lo + BLOCK_ENTRIES]) for lo in blocks])
     return cells[:, : int(np.max(np.sum(cells != 0, axis=1)))]
@@ -281,29 +282,34 @@ def _keys(values: np.ndarray) -> np.ndarray:
 def _write_csv(
     path: Path,
     header: str,
-    row_keys: np.ndarray,
+    rows: np.ndarray,
     values: np.ndarray,
     cols: np.ndarray | None = None,
     cols_first: bool = False,
 ) -> Path:
-    """Stream values as a CSV keyed by row_keys (from `_keys`): line i is
-    row_keys[i] and the cells of values[i]; with cols, each cell is a line
-    row_keys[i], cols[j], values[i, j] (cols[j] first if cols_first).
-    Each block of BLOCK_ENTRIES lines is one stack of the NUL-padded keys,
-    commas, cells and newlines, written without its NULs.
+    """Stream values as a CSV keyed by rows: line i is rows[i] and the
+    cells of values[i]; with cols, each cell is a line rows[i], cols[j],
+    values[i, j] (cols[j] first if cols_first). Row keys are formatted
+    BLOCK_ENTRIES rows at a time, as the blocks reach them. Each block of
+    BLOCK_ENTRIES lines is one stack of the NUL-padded keys, commas,
+    cells and newlines, written without its NULs.
     """
-    values = values.reshape(len(row_keys), -1)
+    values = values.reshape(len(rows), -1)
     col_keys = None if cols is None else _keys(cols)
-    lines = len(row_keys) if cols is None else values.size
+    lines = len(rows) if cols is None else values.size
+    first = end = 0  # row_keys holds rows[first:end]
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
         for lo in range(0, lines, BLOCK_ENTRIES):
             hi = min(lo + BLOCK_ENTRIES, lines)
             if col_keys is None:
-                fields = [row_keys[lo:hi], *map(_format_cells, values[lo:hi].T)]
+                fields = list(map(_format_cells, (rows[lo:hi], *values[lo:hi].T)))
             else:
                 row, col = np.divmod(np.arange(lo, hi), len(col_keys))
-                fields = [np.take(row_keys, row, axis=0), np.take(col_keys, col, axis=0)]
+                if row[-1] >= end:  # a block spans at most BLOCK_ENTRIES rows
+                    first, end = row[0], row[0] + BLOCK_ENTRIES
+                    row_keys = _format_cells(rows[first:end])
+                fields = [np.take(row_keys, row - first, axis=0), np.take(col_keys, col, axis=0)]
                 if cols_first:
                     fields.reverse()
                 fields.append(_format_cells(values.reshape(-1)[lo:hi]))
@@ -371,7 +377,7 @@ def compute(cfg: RunConfig) -> RunData:
     t * nu_n lose more than PHASE_BUDGET to rounding at the truncation.
     """
     validate(cfg)
-    q = sdfs_state(cfg.state, cfg.tail_tol)
+    q = sdfs_state(cfg.state)
     n_max = q.dim - 1
     nu_max = math.sqrt(0.25 * cfg.detuning_ratio**2 + q.dim)  # nu_n of `evolve` at n_max
     for key in ("t_max_scaled", "q_time_scaled"):
@@ -445,17 +451,16 @@ def run(cfg: RunConfig) -> RunResult:
     ts, n_max, residuals = data.ts, data.n_max, data.residuals
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    time_keys = _keys(ts) if TIME_SERIES & set(cfg.observables) else None
-    # name, header, row keys (one formatting of ts for all), values, column keys, cols first
+    # name, header, row keys, values, column keys, cols first
     tables = [
-        ("inversion", "lambda_t,W", time_keys, data.inversion, None, False),
-        ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", time_keys, data.entropy, None, False),
-        ("photon_dist", "lambda_t,n,P", time_keys, data.photon, np.arange(n_max + 2), False),
-        ("phase_dist", "lambda_t,eta,P", time_keys, data.phase, data.etas, False),
+        ("inversion", "lambda_t,W", ts, data.inversion, None, False),
+        ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", ts, data.entropy, None, False),
+        ("photon_dist", "lambda_t,n,P", ts, data.photon, np.arange(n_max + 2), False),
+        ("phase_dist", "lambda_t,eta,P", ts, data.phase, data.etas, False),
     ]
     if data.qgrid is not None:
         grid = data.qgrid
-        tables.append(("qfunc", "x,y,Q", _keys(grid.y_axis), grid.values, grid.x_axis, True))
+        tables.append(("qfunc", "x,y,Q", grid.y_axis, grid.values, grid.x_axis, True))
     files = [
         _write_csv(out_dir / f"{name}.csv", header, *table)
         for name, header, *table in tables

@@ -39,7 +39,7 @@ with phases tracked separately; Hermite polynomials use the three-term
 recurrence with on-the-fly rescaling. This keeps truncations up to
 several hundred photons finite in double precision.
 
-`sdfs_state(p, tail_tol)` is the one route from parameters to a
+`sdfs_state(p)` is the one route from parameters to a
 truncated vector; no caller picks a truncation of its own.
 
 The closed forms were derived from the operator definition via Bargmann
@@ -62,13 +62,12 @@ _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 # largest rounding bound of the overlap's W, relative to |W|
 _W_BUDGET = 1e-10
-# Smallest tail_tol whose crossing double precision resolves. On the 192 preset,
-# sweep and check states (closed-form norm^2 off 1 by <= 1.9e-14) every true tail
-# stays below tail_tol from 5e-13 up; 3 miss it at 3e-13, and 32 (by up to 2x) at 1e-14.
-# The largest tail_tol is NORM_TOL: a looser tail breaks the run's normalization.
-TAIL_TOL_FLOOR = 5e-13
-# tail_tol of a run that sets none, and of the `check` states
-DEFAULT_TAIL_TOL = 1e-12
+# Photon-number tail mass past the truncation, the one bound `sdfs_state` cuts at.
+# Double precision resolves the crossing from 5e-13 up: on the 192 preset, sweep
+# and check states (closed-form norm^2 off 1 by <= 1.9e-14) every true tail stays
+# below it there; 3 miss it at 3e-13, and 32 (by up to 2x) at 1e-14. NORM_TOL caps
+# it: a looser tail breaks the run's normalization.
+TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,6 @@ def hermite_scaled(x: complex, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     Three-term recurrence H_{k+1} = 2x H_k - 2k H_{k-1}, rescaled each
     step so huge arguments or orders never overflow.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
     h = np.zeros(kmax + 1, dtype=complex)
     logs = np.zeros(kmax + 1, dtype=float)
     h[0] = 1.0
@@ -235,29 +232,25 @@ def _amplitudes_squeezed(p: SdfsParams, n_max: int) -> np.ndarray:
 
 
 def _amplitudes(p: SdfsParams, n_max: int) -> np.ndarray:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     if p.r == 0.0:
         return _amplitudes_displaced_fock(p, n_max)
     return _amplitudes_squeezed(p, n_max)
 
 
-def sdfs_state(p: SdfsParams, tail_tol: float) -> FockVector:
+def sdfs_state(p: SdfsParams) -> FockVector:
     """|alpha0, z, m> on |0>..|n_max>, n_max the first n past which the
-    photon-number tail holds less than tail_tol.
+    photon-number tail holds less than TAIL_TOL.
 
     Number states (alpha0 = 0, r = 0) have no tail: |m> on |0>..|max(m, 1)>.
     Otherwise amplitude windows, from the floor mean + 10 sqrt(mean + 1)
     (slack above the support for operator products) growing as 2 n + 16
-    to the cap, are built until the mass crosses 1 - tail_tol; n_max is
+    to the cap, are built until the mass crosses 1 - TAIL_TOL; n_max is
     at least the floor, and the last window is sliced there. Past the cap
     the refusal names lost precision when the mass has converged but falls
-    short. A norm^2 off 1 by more than NORM_TOL, which also caps tail_tol,
-    is an error, never a silent renormalization: an excess means
-    cancellation in the closed form.
+    short. The sliced norm^2 then lies above 1 - TAIL_TOL; one exceeding
+    1 + NORM_TOL is an error, never a silent renormalization: the excess
+    means cancellation in the closed form.
     """
-    if not TAIL_TOL_FLOOR <= tail_tol <= NORM_TOL:
-        raise ValueError(f"tail_tol must lie in [{TAIL_TOL_FLOOR:g}, {NORM_TOL:g}]")
     cap = DIM_CAP - 1
     if p.alpha0 == 0 and p.r == 0.0:
         if p.m > cap:
@@ -277,32 +270,27 @@ def sdfs_state(p: SdfsParams, tail_tol: float) -> FockVector:
         amps = _amplitudes(p, n_hi)
         probs = np.abs(amps) ** 2
         cum = np.cumsum(probs)
-        crossing = np.nonzero(cum > 1.0 - tail_tol)[0]
+        crossing = np.nonzero(cum > 1.0 - TAIL_TOL)[0]
         if crossing.size:
             break
         if n_hi >= cap:
             # Mass that the upper half of the window holds is what a
-            # larger cap could still add; below tail_tol, the deficit is
+            # larger cap could still add; below TAIL_TOL, the deficit is
             # round-off in the closed form, not a missing tail.
             upper = float(np.sum(probs[n_hi // 2 + 1 :]))
-            if upper < tail_tol:
+            if upper < TAIL_TOL:
                 raise ValueError(
                     f"closed-form amplitudes lost precision: norm^2 falls short of 1 "
                     f"by {1.0 - cum[-1]:.3e}, but n = {n_hi // 2 + 1}..{n_hi} holds "
                     f"only {upper:.3e} (cancellation in the sum, m={p.m}, r={p.r:g})"
                 )
             raise ValueError(
-                f"tail tolerance {tail_tol} not reachable within the cap {cap}"
+                f"tail tolerance {TAIL_TOL:g} not reachable within the cap {cap}"
             )
         n_hi = min(2 * n_hi + 16, cap)
     n_max = max(int(crossing[0]), floor_n)
     q = FockVector(amps[: n_max + 1])
     norm_sq = q.norm_sq()
-    if norm_sq < 1.0 - NORM_TOL:
-        raise ValueError(
-            f"truncated state loses {1.0 - norm_sq:.3e} of its norm^2 "
-            f"(tail_tol {tail_tol:g}, m={p.m}, r={p.r:g})"
-        )
     if norm_sq > 1.0 + NORM_TOL:
         raise ValueError(
             f"closed-form amplitudes lost precision: norm^2 exceeds 1 by "

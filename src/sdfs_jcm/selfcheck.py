@@ -24,7 +24,7 @@ from .fock import FockVector, build_sdfs_oracle
 from .observables import atomic_inversion
 from .presets import REVIVAL_T, figure_preset
 from .runner import TOLERANCES, compute
-from .sdfs import DEFAULT_TAIL_TOL, SdfsParams, sdfs_overlap, sdfs_state
+from .sdfs import SdfsParams, sdfs_overlap, sdfs_state
 
 AMPLITUDE_GRID = {
     "alpha0": (0j, 0.5 + 0j, 3.0 + 0j, 1.0 + 1.0j),
@@ -62,7 +62,7 @@ def grid_params() -> list[SdfsParams]:
 def check_amplitude_oracle() -> CheckResult:
     """Closed-form amplitudes vs the operator construction over the grid."""
     states = grid_params()
-    qs = [sdfs_state(p, DEFAULT_TAIL_TOL) for p in states]
+    qs = [sdfs_state(p) for p in states]
     oracles = build_sdfs_oracle(states, [2 * q.dim for q in qs])
     worst = max(
         float(np.max(np.abs(q.amps - oracle.amps[: q.dim])))
@@ -100,7 +100,7 @@ def check_overlap_oracle() -> CheckResult:
     OVERLAP_PHASE_FLOOR; the modulus comparison always applies.
     """
     pairs = random_overlap_pairs()
-    dims = [2 * max(sdfs_state(p, DEFAULT_TAIL_TOL).dim for p in pair) for pair in pairs]
+    dims = [2 * max(sdfs_state(p).dim for p in pair) for pair in pairs]
     oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
     worst_mod = 0.0
     worst_phase = 0.0
@@ -317,7 +317,7 @@ def check_trivial_limits() -> CheckResult:
     ts = np.linspace(0.0, 10.0, 2000)
     w = atomic_inversion(*evolve(q, ts))
     worst_w = float(np.max(np.abs(w - np.cos(2.0 * ts))))
-    probs = np.abs(sdfs_state(SdfsParams(alpha0=3.0), DEFAULT_TAIL_TOL).amps) ** 2
+    probs = np.abs(sdfs_state(SdfsParams(alpha0=3.0)).amps) ** 2
     ns = np.arange(probs.size)
     poisson = np.exp(ns * math.log(9.0) - 9.0 - gammaln(ns + 1.0))
     worst_p = float(np.max(np.abs(probs - poisson)))

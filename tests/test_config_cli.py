@@ -25,7 +25,6 @@ def test_minimal_document_gets_defaults():
     assert cfg.detuning_ratio == 0.0
     assert cfg.t_max_scaled == 25.0
     assert cfg.t_points == 2000
-    assert cfg.tail_tol == 1e-12
     assert cfg.eta_points == 512
     assert cfg.q_grid.nx == 201
 
@@ -45,20 +44,16 @@ def test_negative_r_names_key():
         parse_config("r = -1\n")
 
 
-def test_tail_tol_below_double_resolution_is_refused():
-    for text in ("1e-16", "1e-14", "4.9e-13"):
-        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1e-10\]"):
-            parse_config(f"tail_tol = {text}\n")
-    assert parse_config("tail_tol = 5e-13\n").tail_tol == 5e-13
-    assert parse_config("").tail_tol == 1e-12
-
-
-def test_tail_tol_looser_than_the_norm_check_is_refused():
-    # Above 1e-10 a run fails its 1e-10 normalization or Gram-trace check.
-    for text in ("1e-6", "0.5", "1e-8", "1.1e-10"):
-        with pytest.raises(ValueError, match=r"'tail_tol' must lie in \[5e-13, 1e-10\]"):
-            parse_config(f"tail_tol = {text}\n")
-    assert parse_config("tail_tol = 1e-10\n").tail_tol == 1e-10
+def test_a_tail_tol_key_is_refused_as_unknown(tmp_path, capsys):
+    # the truncation is sdfs.TAIL_TOL, never a key, whatever the value
+    for text in ("1e-12", "5e-13", "1e-10"):
+        with pytest.raises(ValueError, match=r"line 2.*unknown key 'tail_tol'"):
+            parse_config(f"alpha0_re = 3\ntail_tol = {text}\n")
+    config_path = tmp_path / "tail.cfg"
+    config_path.write_text(f"alpha0_re = 3\ntail_tol = 1e-12\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(config_path)]) == 2
+    assert "(line 2): unknown key 'tail_tol'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_reports_line():
@@ -152,7 +147,6 @@ def test_round_trip_of_a_config_that_sets_every_key():
         detuning_ratio=-1.5,
         t_max_scaled=12.0,
         t_points=300,
-        tail_tol=1e-10,
         eta_points=64,
         q_grid=QGridSpec(x_min=-6.0, x_max=7.5, y_min=-5.5, y_max=6.0, nx=31, ny=17),
         q_time_scaled=3.25,
@@ -160,7 +154,7 @@ def test_round_trip_of_a_config_that_sets_every_key():
         output_dir="elsewhere/run 1",
     )
     default = RunConfig()
-    for name in ("detuning_ratio", "t_max_scaled", "t_points", "tail_tol", "eta_points",
+    for name in ("detuning_ratio", "t_max_scaled", "t_points", "eta_points",
                  "q_time_scaled", "observables", "output_dir"):
         assert getattr(cfg, name) != getattr(default, name)
     assert all(getattr(cfg.q_grid, name) != getattr(QGridSpec(), name)

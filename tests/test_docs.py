@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import sdfs_jcm
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -13,3 +15,9 @@ def test_readme_library_example_runs():
     assert a.shape == (2000, q.dim)
     assert w.shape == (2000,)
     assert namespace["entropy"].shape == namespace["data"].ts.shape
+
+
+def test_package_exports_what_the_library_example_imports():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    (names,) = re.findall(r"from sdfs_jcm import \((.*?)\)", block, flags=re.DOTALL)
+    assert sdfs_jcm.__all__ == [name.strip() for name in names.split(",")]

@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sdfs_jcm.dynamics import (
-    conservation_residual,
-    density_element,
-    evolve,
-    field_components,
-)
+from jcm_reference import jcm_reference
+from sdfs_jcm.dynamics import conservation_residual, evolve, field_components
 from sdfs_jcm.fock import NORM_TOL, FockVector
 from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 
@@ -18,7 +14,7 @@ def _vacuum():
 
 
 def _state(p):
-    return sdfs_state(p, 1e-12)
+    return sdfs_state(p)
 
 
 def _at(q, t, detuning=0.0):
@@ -108,42 +104,11 @@ def test_vacuum_quarter_cycle_components():
     assert np.vdot(c, s) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_density_element_initial_population():
-    a, b = _at(_state(SdfsParams(alpha0=3.0)), 0.0)
-    assert density_element(a, b, 0, 0) == pytest.approx(math.exp(-9.0), abs=1e-12)
-
-
-def test_density_element_hermiticity_and_trace():
-    a, b = _at(_state(SdfsParams(alpha0=3.0, r=1.0, m=1)), 7.3)
-    rng = np.random.default_rng(2)
-    hi = a.size
-    for _ in range(20):
-        l, j = rng.integers(0, hi + 1, size=2)
-        assert density_element(a, b, int(l), int(j)) == pytest.approx(
-            np.conj(density_element(a, b, int(j), int(l))), abs=1e-14
-        )
-    trace = sum(density_element(a, b, l, l) for l in range(hi + 1))
-    assert trace == pytest.approx(1.0, abs=1e-10)
-
-
-def test_density_element_bounds():
-    a, b = _at(_vacuum(), 1.0)
-    with pytest.raises(IndexError):
-        density_element(a, b, 0, 3)
-    with pytest.raises(IndexError):
-        density_element(a, b, -1, 0)
-
-
-def _density_matrix(a, b):
-    hi = a.size
-    return np.array(
-        [[density_element(a, b, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
-    )
-
-
 def test_density_matrix_is_rank_two_and_psd():
-    p = SdfsParams(alpha0=1.2, r=0.5, m=1)
-    rho = _density_matrix(*_at(_state(p), 4.2))
+    q = _state(SdfsParams(alpha0=1.2, r=0.5, m=1))
+    rho = jcm_reference(q, 4.2, 2, 0.0)[2][-1]
+    c, s = field_components(*_at(q, 4.2))
+    np.testing.assert_allclose(rho, np.outer(c, c.conj()) + np.outer(s, s.conj()), atol=1e-13)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
     eigs = np.linalg.eigvalsh(rho)
     assert eigs.min() >= -1e-10
@@ -160,29 +125,6 @@ def test_large_detuning_suppresses_transfer():
 
 
 # ------------------------------------------------ operator reference for evolve
-
-
-def _jcm_reference(q, t_max, t_points, detuning):
-    """A and B of `evolve` on linspace(0, t_max, t_points), from the operator
-    route: H = (Delta/2) sigma_z + (a sigma_+ + a^dagger sigma_-) in units of
-    lambda, as one CSR matrix on the atom x field space with dim + 1 photon
-    levels, applied with expm_multiply to |psi_0> = sum_n q_n |n, e>."""
-    from scipy import sparse
-    from scipy.sparse.linalg import expm_multiply
-
-    levels = q.dim + 1
-    a = sparse.diags_array(np.sqrt(np.arange(1.0, levels)), offsets=1, shape=(levels, levels))
-    sigma_plus = sparse.csr_array(([1.0], ([0], [1])), shape=(2, 2))  # atom basis (e, g)
-    sigma_z = sparse.diags_array([1.0, -1.0])
-    hamiltonian = (
-        0.5 * detuning * sparse.kron(sigma_z, sparse.eye_array(levels))
-        + sparse.kron(sigma_plus, a)
-        + sparse.kron(sigma_plus.T, a.T)
-    ).tocsr()
-    psi0 = np.zeros(2 * levels, dtype=complex)
-    psi0[: q.dim] = q.amps
-    psi = expm_multiply(-1j * hamiltonian, psi0, start=0.0, stop=t_max, num=t_points)
-    return psi[:, : q.dim], psi[:, levels + 1 :]
 
 
 @pytest.mark.parametrize(
@@ -202,6 +144,6 @@ def test_evolve_matches_the_operator_reference(alpha0, r, phi, m, detuning):
     q = _state(SdfsParams(alpha0=alpha0, r=r, phi=phi, m=m))
     ts = np.linspace(0.0, 25.0, 11)
     a, b = evolve(q, ts, detuning)
-    a_ref, b_ref = _jcm_reference(q, 25.0, ts.size, detuning)
+    a_ref, b_ref, _ = jcm_reference(q, 25.0, ts.size, detuning)
     np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)

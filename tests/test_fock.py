@@ -172,7 +172,7 @@ _GRID_CORNERS = [
     for m in (AMPLITUDE_GRID["m"][0], AMPLITUDE_GRID["m"][-1])
 ]
 _LARGE = (SdfsParams(alpha0=6j, r=2.0, phi=0.3, m=5), DIM_CAP)
-_CASES = [(p, 2 * sdfs_state(p, 1e-12).dim) for p in _GRID_CORNERS] + [_LARGE]
+_CASES = [(p, 2 * sdfs_state(p).dim) for p in _GRID_CORNERS] + [_LARGE]
 # the grid corners and _LARGE, with a Fock seed among them and a coherent state last
 _STACK = [_CASES[0], (SdfsParams(m=3), 8), *_CASES[1:], (SdfsParams(alpha0=2.0), 64)]
 

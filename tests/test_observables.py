@@ -3,10 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
-from sdfs_jcm.config import parse_config
-from sdfs_jcm.dynamics import density_element, evolve, field_components
+from jcm_reference import jcm_reference
+from sdfs_jcm.config import RunConfig, parse_config
+from sdfs_jcm.dynamics import evolve, field_components
 from sdfs_jcm.fock import FockVector
 from sdfs_jcm.observables import (
     atomic_inversion,
@@ -32,7 +33,7 @@ def _vacuum():
 
 
 def _state(p):
-    return sdfs_state(p, 1e-12)
+    return sdfs_state(p)
 
 
 def _evolved(p, t, detuning=0.0):
@@ -297,21 +298,26 @@ def test_phase_distribution_unit_integral():
     np.testing.assert_allclose(integrals, 1.0, rtol=0, atol=1e-6)
 
 
+def _reference_rho(p, t):
+    """The reduced field state of the operator reference at the single time t."""
+    return jcm_reference(_state(p), t, 2, 0.0)[2][-1]
+
+
+def _phase_double_sum(rho, etas):
+    """P(eta) = sum_lj rho_lj e^{i (j - l) eta} / 2 pi, complex, over the last two axes of rho."""
+    ls = np.arange(rho.shape[-1])
+    kernel = np.exp(1j * (ls[None, None, :] - ls[None, :, None]) * etas[:, None, None])
+    return np.einsum("...lj,elj->...e", rho, kernel) / (2 * math.pi)
+
+
 def test_phase_distribution_matches_explicit_double_sum():
     p = SdfsParams(alpha0=1.0, r=0.4, m=1)
     a, b = _evolved(p, 2.7)
     etas = default_etas(32)
     vals = phase_distribution(*field_components(a, b), phase_kernel(etas, a.size + 1))
-    hi = a.size
-    rho = np.array(
-        [[density_element(a, b, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
-    )
-    for k, eta in enumerate(etas):
-        ls = np.arange(hi + 1)
-        kernel = np.exp(1j * (ls[None, :] - ls[:, None]) * eta)
-        total = np.sum(rho * kernel) / (2 * math.pi)
-        assert abs(total.imag) <= 1e-10
-        assert vals[k] == pytest.approx(total.real, abs=1e-12)
+    total = _phase_double_sum(_reference_rho(p, 2.7), etas)
+    assert np.max(np.abs(total.imag)) <= 1e-10
+    np.testing.assert_allclose(vals, total.real, rtol=0, atol=1e-12)
 
 
 def test_phase_distribution_rejects_out_of_range_angles():
@@ -346,9 +352,7 @@ def test_q_matches_explicit_double_sum():
     p = SdfsParams(alpha0=1.0, r=0.3, m=1)
     a, b = _evolved(p, 3.1)
     hi = a.size
-    rho = np.array(
-        [[density_element(a, b, l, j) for j in range(hi + 1)] for l in range(hi + 1)]
-    )
+    rho = _reference_rho(p, 3.1)
     ns = np.arange(hi + 1)
     for alpha in (0.4 + 0.2j, -1.0 + 1.5j, 2.0 - 0.5j):
         coeff = np.exp(
@@ -380,6 +384,41 @@ def test_q_grid_equals_its_single_rows():
     ys = np.linspace(-6.0, 6.0, 23)
     rows = [q_function_grid(c, s, xs, ys[i : i + 1]).values for i in range(ys.size)]
     assert np.array_equal(q_function_grid(c, s, xs, ys).values, np.vstack(rows))
+
+
+# ------------------------------------- compute rows against the reference rho
+
+
+@pytest.mark.parametrize(
+    "alpha0, r, phi, m, detuning",
+    [
+        (2.0 + 1.0j, 0.5, 0.3, 3, 1.7),
+        (3.0, 1.0, 1.1, 2, -2.5),
+        (0.5, 0.3, 2.0, 1, 0.4),
+        (-1.5j, 1.2, 0.0, 0, -3.0),
+        (1.0 - 2.0j, 0.9, 4.0, 3, 3.0),
+    ],
+)
+def test_compute_rows_match_the_reference_reduced_state(alpha0, r, phi, m, detuning):
+    # P(n, t) is the diagonal of the operator route's rho, S_f and the two
+    # eigenvalues come from its eigvalsh, the phase density from its double
+    # sum; under detuning the last two see the phase of A_n
+    cfg = RunConfig(
+        state=SdfsParams(alpha0=alpha0, r=r, phi=phi, m=m),
+        detuning_ratio=detuning,
+        t_points=11,
+        eta_points=32,
+        observables=("entropy", "photon_dist", "phase_dist"),
+    )
+    data = compute(cfg)
+    _, _, rho = jcm_reference(_state(cfg.state), cfg.t_max_scaled, cfg.t_points, detuning)
+    populations = np.real(np.diagonal(rho, axis1=1, axis2=2))
+    np.testing.assert_allclose(data.photon, populations, rtol=0, atol=1e-12)
+    lam = np.clip(np.linalg.eigvalsh(rho)[:, ::-1], 0.0, None)  # descending
+    entropy = -np.sum(xlogy(lam, lam), axis=1)
+    np.testing.assert_allclose(data.entropy[:, 0], entropy, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(data.entropy[:, 1:], lam[:, :2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data.phase, _phase_double_sum(rho, data.etas).real, rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- revival time

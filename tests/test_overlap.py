@@ -10,7 +10,7 @@ from sdfs_jcm.sdfs import SdfsParams, sdfs_overlap, sdfs_state
 
 def _oracle_overlaps(pairs):
     """<p1|p2> of each pair from one stacked oracle call, on a window shared per pair."""
-    dims = [2 * max(sdfs_state(p, 1e-12).dim for p in pair) for pair in pairs]
+    dims = [2 * max(sdfs_state(p).dim for p in pair) for pair in pairs]
     oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
     return [np.vdot(u.amps, v.amps) for u, v in zip(oracles[::2], oracles[1::2])]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_compute_runs_on_one_blas_thread_and_restores_the_count(
 def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threads, preset):
     cfg = figure_preset(preset)
     data = compute(cfg)
-    q = sdfs_state(cfg.state, cfg.tail_tol)
+    q = sdfs_state(cfg.state)
     if preset == "fig4a":
         c, s = field_components(*evolve(q, data.ts, cfg.detuning_ratio))
         got, expected = data.phase, phase_distribution(c, s, phase_kernel(data.etas, q.dim + 1))
@@ -256,9 +257,7 @@ def _tables(ts, inversion, entropy, photon, etas, phase, xs, ys, q):
 def _assert_writer_matches_savetxt(tmp_path, tables):
     for name, (args, kwargs, columns, fmts) in tables.items():
         header, rows, *rest = args
-        written = runner._write_csv(
-            tmp_path / f"{name}.csv", header, runner._keys(rows), *rest, **kwargs
-        )
+        written = runner._write_csv(tmp_path / f"{name}.csv", header, rows, *rest, **kwargs)
         reference = tmp_path / f"{name}.savetxt.csv"
         with open(reference, "w", newline="\n") as handle:
             handle.write(args[0] + "\n")
@@ -298,20 +297,22 @@ def test_writer_matches_savetxt_on_edge_values(tmp_path, t_points):
     _assert_writer_matches_savetxt(tmp_path, tables)
 
 
-def test_run_formats_the_time_keys_once(tmp_path, monkeypatch):
-    formatted = []
-    keys = runner._keys
-
-    def counting_keys(values):
-        formatted.append(values)
-        return keys(values)
-
-    monkeypatch.setattr(runner, "_keys", counting_keys)
-    cfg = dataclasses.replace(_CFG, output_dir=str(tmp_path))
-    result = runner.run(cfg)
-    assert result.ok and len(result.files) == 5
-    ts = np.linspace(0.0, _CFG.t_max_scaled, _CFG.t_points)
-    assert sum(np.array_equal(values, ts) for values in formatted) == 1
+def test_writing_holds_no_more_than_a_block_beyond_compute(tmp_path):
+    # 2**18 inversion rows: formatting every time key up front held 11.7 MB
+    # more than `compute` at its peak; a block of keys and cells is ~1 MB
+    cfg = RunConfig(
+        state=SdfsParams(alpha0=1.0), t_points=2**18, output_dir=str(tmp_path),
+        observables=("inversion",),
+    )
+    peaks = []
+    for step in (compute, runner.run):
+        tracemalloc.start()
+        try:
+            step(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
 def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch):
