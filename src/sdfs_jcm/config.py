@@ -2,9 +2,9 @@
 
 One ``key = value`` per line, ``#`` starts a comment line, blank lines
 are ignored. Unknown and duplicate keys are rejected with line numbers;
-domain violations name the offending key. `serialize_config` emits a
-document that parses back to an identical configuration. `parse_state`
-reads the state keys from comma-separated items by the same rules.
+domain violations name the offending key. `parse_state` reads the state
+keys from comma-separated items by the same rules. The phase and Q grids
+are the program's own (`observables.ETAS`, `runner.compute`), not keys.
 """
 
 from __future__ import annotations
@@ -13,24 +13,13 @@ import math
 from dataclasses import dataclass, field
 
 from .fock import DIM_CAP
+from .observables import ETA_POINTS
 from .sdfs import SdfsParams
 
 OBSERVABLE_NAMES = ("inversion", "entropy", "photon_dist", "phase_dist", "qfunc")
 # Most values one output array may hold: 2**27 float64 values are 1 GiB. The
 # presets peak near 1.03e6 (2000 times of P(n, t) rows of DIM_CAP + 1 values).
 OUTPUT_CAP = 2**27
-
-
-@dataclass(frozen=True)
-class QGridSpec:
-    """Rectangular phase-space window for the Husimi Q output."""
-
-    x_min: float = -8.0
-    x_max: float = 8.0
-    y_min: float = -8.0
-    y_max: float = 8.0
-    nx: int = 201
-    ny: int = 201
 
 
 @dataclass(frozen=True)
@@ -41,8 +30,6 @@ class RunConfig:
     detuning_ratio: float = 0.0
     t_max_scaled: float = 25.0
     t_points: int = 2000
-    eta_points: int = 512
-    q_grid: QGridSpec = field(default_factory=QGridSpec)
     q_time_scaled: float | None = None
     observables: tuple[str, ...] = ("inversion", "entropy")
     output_dir: str = "out"
@@ -55,18 +42,12 @@ _FLOAT_KEYS = (
     "phi",
     "detuning_ratio",
     "t_max_scaled",
-    "q_x_min",
-    "q_x_max",
-    "q_y_min",
-    "q_y_max",
     "q_time_scaled",
 )
-_INT_KEYS = ("m", "t_points", "eta_points", "q_nx", "q_ny")
+_INT_KEYS = ("m", "t_points")
 _STR_KEYS = ("observables", "output_dir")
 KNOWN_KEYS = (*_FLOAT_KEYS, *_INT_KEYS, *_STR_KEYS)
 _STATE_KEYS = ("alpha0_re", "alpha0_im", "r", "phi", "m")
-# each is the QGridSpec field name with a "q_" prefix
-_GRID_KEYS = ("q_x_min", "q_x_max", "q_y_min", "q_y_max", "q_nx", "q_ny")
 
 
 def _fail(msg: str, place: str | None = None) -> ValueError:
@@ -123,23 +104,14 @@ def validate(cfg: RunConfig) -> RunConfig:
 
     The state's own constraints (r >= 0, m >= 0) hold by construction of
     SdfsParams; `parse_config` reports them with their line numbers. The
-    time axis (always built) times its widest selected row, a selected
-    Q grid, and the phase kernel of a selected phase_dist (eta_points rows
-    of up to DIM_CAP + 1 values) may each hold at most OUTPUT_CAP values.
+    time axis (always built) times its widest selected row may hold at
+    most OUTPUT_CAP values. The phase kernel (ETA_POINTS rows of up to
+    DIM_CAP + 1 values) and the 201 x 201 Q grid are fixed sizes below it.
     """
     if cfg.t_max_scaled <= 0:
         raise _fail("key 't_max_scaled' must be > 0")
     if cfg.t_points < 2:
         raise _fail("key 't_points' must be >= 2")
-    if cfg.eta_points < 1:
-        raise _fail("key 'eta_points' must be >= 1")
-    g = cfg.q_grid
-    if g.nx < 2 or g.ny < 2:
-        raise _fail("keys 'q_nx'/'q_ny' must be >= 2")
-    if g.x_max <= g.x_min:
-        raise _fail("key 'q_x_max' must exceed 'q_x_min'")
-    if g.y_max <= g.y_min:
-        raise _fail("key 'q_y_max' must exceed 'q_y_min'")
     if cfg.q_time_scaled is not None and cfg.q_time_scaled < 0:
         raise _fail("key 'q_time_scaled' must be >= 0")
     bad = [name for name in cfg.observables if name not in OBSERVABLE_NAMES]
@@ -150,39 +122,21 @@ def validate(cfg: RunConfig) -> RunConfig:
         )
     if not cfg.observables:
         raise _fail("key 'observables' must select at least one output")
-    widths = dict(inversion=1, entropy=3, photon_dist=DIM_CAP + 1, phase_dist=cfg.eta_points)
+    widths = dict(inversion=1, entropy=3, photon_dist=DIM_CAP + 1, phase_dist=ETA_POINTS)
     row, widest = max(((widths[n], n) for n in cfg.observables if n in widths), default=(1, "ts"))
     if cfg.t_points * row > OUTPUT_CAP:
         raise _fail(
             f"key 't_points' = {cfg.t_points} with {widest} rows of {row} values "
             f"exceeds the output cap of {OUTPUT_CAP} values"
         )
-    if "phase_dist" in cfg.observables and cfg.eta_points * (DIM_CAP + 1) > OUTPUT_CAP:
-        raise _fail(
-            f"key 'eta_points' = {cfg.eta_points} with a phase kernel of up to {DIM_CAP + 1} "
-            f"columns exceeds the output cap of {OUTPUT_CAP} values"
-        )
-    if "qfunc" in cfg.observables:
-        if g.nx * g.ny > OUTPUT_CAP:
-            raise _fail(
-                f"keys 'q_nx' x 'q_ny' = {g.nx * g.ny} values exceed "
-                f"the output cap of {OUTPUT_CAP} values"
-            )
-        radius = abs(cfg.state.alpha0) + 4.0
-        covered = min(-g.x_min, g.x_max, -g.y_min, g.y_max)
-        if covered < radius:
-            raise _fail(
-                f"q grid must span radius >= |alpha0| + 4 = {radius:g} "
-                f"when qfunc is selected (currently {covered:g})"
-            )
     return cfg
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key = value document.
 
-    Keys the document leaves out keep the defaults of RunConfig,
-    QGridSpec and SdfsParams.
+    Keys the document leaves out keep the defaults of RunConfig and
+    SdfsParams.
     """
     items = [
         (f"line {line_no}", stripped)
@@ -191,11 +145,10 @@ def parse_config(text: str) -> RunConfig:
     ]
     values = _parse_items(items, KNOWN_KEYS)
     state = _pop_state(values)
-    grid = QGridSpec(**{key[2:]: values.pop(key) for key in _GRID_KEYS if key in values})
     if "observables" in values:
         names = values["observables"].split(",")
         values["observables"] = tuple(name.strip() for name in names if name.strip())
-    return validate(RunConfig(state=state, q_grid=grid, **values))
+    return validate(RunConfig(state=state, **values))
 
 
 def parse_state(text: str) -> SdfsParams:
@@ -210,18 +163,3 @@ def parse_state(text: str) -> SdfsParams:
         if (stripped := item.strip())
     ]
     return _pop_state(_parse_items(items, _STATE_KEYS))
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Emit a document that `parse_config` maps back to an equal RunConfig."""
-    values = {"alpha0_re": cfg.state.alpha0.real, "alpha0_im": cfg.state.alpha0.imag}
-    values |= {key: getattr(cfg.state, key) for key in ("r", "phi", "m")}
-    run_keys = ("detuning_ratio", "t_max_scaled", "t_points", "eta_points")
-    values |= {key: getattr(cfg, key) for key in run_keys}
-    values |= {key: getattr(cfg.q_grid, key[2:]) for key in _GRID_KEYS}
-    if cfg.q_time_scaled is not None:
-        values["q_time_scaled"] = cfg.q_time_scaled
-    lines = [f"{key} = {value!r}\n" for key, value in values.items()]  # repr of an int is str
-    lines += [f"observables = {','.join(cfg.observables)}\n", f"output_dir = {cfg.output_dir}\n"]
-    return "".join(lines)
-

@@ -7,9 +7,9 @@ estimate. Everything is derived from the coefficient arrays in
 `dynamics` and keeps their leading time axis: inversion takes the
 (T, dim) arrays A and B, the field quantities take the (T, dim + 1)
 components C and S of the reduced field state. That state is rank <= 2,
-which all formulas here exploit. The phase density takes its angle
-kernel from `phase_kernel`, built once per run rather than per time
-block; it and the Q grid contract one row at a time (zgemv), which
+which all formulas here exploit. The phase density at the angles ETAS
+takes its kernel from `phase_kernel`, built once per run rather than per
+time block; it and the Q grid contract one row at a time (zgemv), which
 `runner.compute` runs on one OpenBLAS thread.
 
 The entropy is one array computation too, but maps Python's abs,
@@ -31,6 +31,10 @@ from .sdfs import SdfsParams
 _TWO_PI = 2.0 * math.pi
 # |<C|S>| at or below this leaves the split to |cc - ss| / 2 alone
 _CS_FLOOR = 1e-14
+# The phase density's angles: ETA_POINTS uniform on [-pi, pi), as in the paper's plots
+ETA_POINTS = 512
+ETAS = np.linspace(-math.pi, math.pi, ETA_POINTS, endpoint=False)
+ETAS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,26 +122,16 @@ def photon_number_distribution(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.abs(c) ** 2 + np.abs(s) ** 2
 
 
-def default_etas(n_points: int) -> np.ndarray:
-    """Uniform phase grid on [-pi, pi)."""
-    if n_points < 1:
-        raise ValueError("need at least one phase point")
-    return np.linspace(-math.pi, math.pi, n_points, endpoint=False)
-
-
-def phase_kernel(etas: np.ndarray, dim: int) -> np.ndarray:
-    """The (E, dim) matrix e^{-i n eta} of `phase_distribution`, over the
-    angles etas in [-pi, pi) and n = 0..dim-1. It depends on no time, so
-    one run builds it once for all of its rows."""
-    etas = np.asarray(etas, dtype=float)
-    if etas.size and (etas.min() < -math.pi - 1e-12 or etas.max() >= math.pi + 1e-12):
-        raise ValueError("phase angles must lie in [-pi, pi)")
-    return np.exp(-1j * np.outer(etas, np.arange(dim)))
+def phase_kernel(dim: int) -> np.ndarray:
+    """The (ETA_POINTS, dim) matrix e^{-i n eta} of `phase_distribution`,
+    over the angles ETAS and n = 0..dim-1. It depends on no time, so one
+    run builds it once for all of its rows."""
+    return np.exp(-1j * np.outer(ETAS, np.arange(dim)))
 
 
 def phase_distribution(c: np.ndarray, s: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Pegg-Barnett phase density P(eta, t) per radian, reference angle 0,
-    as (T, E) rows over the angles of kernel = `phase_kernel(etas, dim + 1)`.
+    as (T, ETA_POINTS) rows over ETAS, with kernel = `phase_kernel(dim + 1)`.
 
     The double sum (1/2pi) sum_{l,j} rho_lj e^{i(j-l)eta} over the full
     truncated space factorizes through the rank-2 structure into

@@ -6,7 +6,8 @@ and walks the scaled-time grid in blocks of rows. Each block is one call of
 dim = n_max + 1; every time-series output keeps that layout, one row
 per time point: inversion (T,), the Gram entries cc, ss, cs (T,),
 entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
-(T, eta_points). The Q snapshot is one (ny, nx) grid. All of `compute`
+(T, ETA_POINTS). The Q snapshot is one grid of Q_POINTS x Q_POINTS
+values over [-h, h]^2, h = max(8, |alpha0| + 4). All of `compute`
 runs with OpenBLAS on one thread, a process-wide setting: each loaded
 OpenBLAS gets its thread count back when `compute` returns or raises,
 so calls of `compute` from concurrent threads would race on it.
@@ -50,9 +51,10 @@ from .config import RunConfig, validate
 from .dynamics import conservation_residual, evolve, field_components
 from .fock import NORM_TOL
 from .observables import (
+    ETA_POINTS,
+    ETAS,
     QGrid,
     atomic_inversion,
-    default_etas,
     entropy_rows,
     gram,
     phase_distribution,
@@ -69,6 +71,7 @@ FLOAT_FMT = "%.17g"
 # Also the lines per written block of every CSV, and so the most values
 # one call of `_format_cells` formats.
 BLOCK_ENTRIES = 4096
+Q_POINTS = 201  # per axis of the Q window
 
 TIME_SERIES = frozenset({"inversion", "entropy", "photon_dist", "phase_dist"})
 
@@ -379,20 +382,21 @@ def compute(cfg: RunConfig) -> RunData:
     validate(cfg)
     q = sdfs_state(cfg.state)
     n_max = q.dim - 1
-    nu_max = math.sqrt(0.25 * cfg.detuning_ratio**2 + q.dim)  # nu_n of `evolve` at n_max
+    # nu_n of `evolve` at n_max: inf, not an OverflowError, where Delta^2 overflows
+    nu_max = math.sqrt(0.25 * (cfg.detuning_ratio * cfg.detuning_ratio) + q.dim)
     for key in ("t_max_scaled", "q_time_scaled"):
         t = getattr(cfg, key) or 0.0  # no q_time_scaled: Q at t_max_scaled
         lost = math.ulp(1.0) * t * nu_max
         if lost > PHASE_BUDGET:
             raise ValueError(
-                f"key {key!r} = {t:g} loses phase precision: eps * t * nu_max = "
-                f"{lost:.3e} exceeds {PHASE_BUDGET:g} at n_max = {n_max}"
+                f"key {key!r} = {t:g} loses phase precision at detuning_ratio = "
+                f"{cfg.detuning_ratio:g}: eps * t * nu_max = {lost:.3e} exceeds "
+                f"{PHASE_BUDGET:g} at n_max = {n_max}"
             )
     ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
     selected = set(cfg.observables)
     residuals = {"normalization_residual": abs(q.norm_sq() - 1.0)}
-    etas = default_etas(cfg.eta_points) if "phase_dist" in selected else None
-    kernel = None if etas is None else phase_kernel(etas, q.dim + 1)  # C, S have dim + 1
+    kernel = phase_kernel(q.dim + 1) if "phase_dist" in selected else None  # C, S have dim + 1
     series: dict[str, np.ndarray] = {}
 
     if selected & TIME_SERIES:
@@ -421,8 +425,8 @@ def compute(cfg: RunConfig) -> RunData:
             residuals["gram_trace_residual"] = float(np.max(np.abs(trace - 1.0)))
             lam_sums = series["entropy"][:, 1] + series["entropy"][:, 2]
             residuals["eigenvalue_sum_residual"] = float(np.max(np.abs(lam_sums - 1.0)))
-        if etas is not None:
-            integrals = np.sum(series["phase"], axis=1) * (2.0 * math.pi / etas.size)
+        if kernel is not None:
+            integrals = np.sum(series["phase"], axis=1) * (2.0 * math.pi / ETA_POINTS)
             residuals["phase_integral_residual"] = float(np.max(np.abs(integrals - 1.0)))
 
     qgrid = None
@@ -433,13 +437,14 @@ def compute(cfg: RunConfig) -> RunData:
             residuals.get("conservation_residual", 0.0),
             float(conservation_residual(a, b)[0]),
         )
-        grid = cfg.q_grid
-        xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
-        ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
-        qgrid = q_function_grid(*field_components(a[0], b[0]), xs, ys)
-        cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
+        # the paper's [-8, 8]^2, widened to hold Q's tails 4 units around alpha0
+        h = max(8.0, abs(cfg.state.alpha0) + 4.0)
+        axis = np.linspace(-h, h, Q_POINTS)
+        qgrid = q_function_grid(*field_components(a[0], b[0]), axis, axis)
+        cell = np.square(axis[1] - axis[0])
         residuals["q_integral_residual"] = abs(float(np.sum(qgrid.values)) * cell - 1.0)
 
+    etas = None if kernel is None else ETAS
     return RunData(n_max, ts, residuals, etas=etas, qgrid=qgrid, **series)
 
 

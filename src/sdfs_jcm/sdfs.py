@@ -93,6 +93,10 @@ class SdfsParams:
             math.cosh(self.r)
         except OverflowError:
             raise ValueError(f"squeeze magnitude r = {self.r:g} overflows cosh r") from None
+        try:  # then |alpha2 - alpha1|^2 of an overlap stays finite too
+            abs(2.0 * self.alpha0) ** 2
+        except OverflowError:
+            raise ValueError(f"displacement {self.alpha0:g} overflows |2 alpha0|^2") from None
         if self.m != int(self.m) or self.m < 0:
             raise ValueError("seed Fock number m must be a nonnegative integer")
         object.__setattr__(self, "alpha0", complex(self.alpha0))
@@ -352,7 +356,8 @@ def sdfs_overlap(p1: SdfsParams, p2: SdfsParams) -> complex:
     W is formed by cancellation, with a rounding error up to
     eps (mu1 mu2 + |nu1| |nu2|) while |W| >= cosh(r1 - r2) >= 1. When that
     bound exceeds 1e-10 |W| (equal squeezes beyond r of about 6.5) the
-    overlap is refused with a lost-precision error.
+    overlap is refused with a lost-precision error, and so is a sum that
+    overflows the double range (m1 = m2 = 10000 at r2 = 0.1).
     """
     mu1, nu1, m1, a1 = p1.mu, p1.nu, p1.m, p1.alpha0
     mu2, nu2, m2, a2 = p2.mu, p2.nu, p2.m, p2.alpha0
@@ -400,4 +405,10 @@ def sdfs_overlap(p1: SdfsParams, p2: SdfsParams) -> complex:
     if not math.isfinite(peak):
         return 0j
     total = np.sum(units * np.exp(logmag - peak))
-    return complex(prefactor * total * math.exp(peak))
+    try:
+        return complex(prefactor * total * math.exp(peak))
+    except OverflowError:
+        raise ValueError(
+            f"overlap lost precision: the sum overflows the double range "
+            f"(m1={m1}, m2={m2}, r1={p1.r:g}, r2={p2.r:g})"
+        ) from None

@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 
 from sdfs_jcm.cli import main
-from sdfs_jcm.config import (
-    OUTPUT_CAP,
-    QGridSpec,
-    RunConfig,
-    parse_config,
-    parse_state,
-    serialize_config,
-)
+from sdfs_jcm.config import KNOWN_KEYS, OUTPUT_CAP, RunConfig, parse_config, parse_state
 from sdfs_jcm.fock import DIM_CAP
-from sdfs_jcm.presets import PRESET_NAMES, figure_preset
-from sdfs_jcm.runner import run
+from sdfs_jcm.observables import ETA_POINTS
+from sdfs_jcm.presets import figure_preset
+from sdfs_jcm.runner import Q_POINTS, run
 from sdfs_jcm.sdfs import SdfsParams
 
 
@@ -25,8 +19,6 @@ def test_minimal_document_gets_defaults():
     assert cfg.detuning_ratio == 0.0
     assert cfg.t_max_scaled == 25.0
     assert cfg.t_points == 2000
-    assert cfg.eta_points == 512
-    assert cfg.q_grid.nx == 201
 
 
 def test_empty_document_is_the_default_config():
@@ -53,6 +45,20 @@ def test_a_tail_tol_key_is_refused_as_unknown(tmp_path, capsys):
     config_path.write_text(f"alpha0_re = 3\ntail_tol = 1e-12\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["run", str(config_path)]) == 2
     assert "(line 2): unknown key 'tail_tol'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_GRID_KEYS = ("eta_points", "q_x_min", "q_x_max", "q_y_min", "q_y_max", "q_nx", "q_ny")
+
+
+@pytest.mark.parametrize("key", _GRID_KEYS)
+def test_a_sampling_grid_key_is_refused_as_unknown(key, tmp_path, capsys):
+    # the phase angles and the Q window are the program's own choice
+    assert key not in KNOWN_KEYS
+    config_path = tmp_path / "grid.cfg"
+    config_path.write_text(f"alpha0_re = 3\n{key} = 64\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(config_path)]) == 2
+    assert f"(line 2): unknown key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -90,7 +96,7 @@ def test_bad_observable_rejected():
         "t_points = 134217729\nobservables = inversion\n",
         "t_points = 44739243\nobservables = entropy\n",
         "t_points = 261633\nobservables = photon_dist\n",
-        "eta_points = 100000\nobservables = phase_dist\n",
+        "t_points = 262145\nobservables = phase_dist\n",
     ],
 )
 def test_time_series_beyond_the_output_cap_are_refused(doc):
@@ -99,67 +105,77 @@ def test_time_series_beyond_the_output_cap_are_refused(doc):
 
 
 def test_time_series_at_the_output_cap_are_accepted():
-    # 2**27 values: one per time, three per entropy row, DIM_CAP + 1 per P(n, t) row
+    # 2**27 values: one per time, three per entropy row, DIM_CAP + 1 per P(n, t)
+    # row, ETA_POINTS per phase row
+    assert 262144 * ETA_POINTS == OUTPUT_CAP
     for doc in (
         "t_points = 134217728\nobservables = inversion\n",
         "t_points = 44739242\nobservables = entropy\n",
         "t_points = 261632\nobservables = photon_dist\n",
-        "t_points = 2048\neta_points = 65536\nobservables = phase_dist\n",
+        "t_points = 262144\nobservables = phase_dist\n",
     ):
         parse_config(doc)
 
 
 def test_a_phase_kernel_beyond_the_output_cap_is_refused():
-    # the kernel of phase_kernel(etas, dim + 1) holds up to eta_points * (DIM_CAP + 1)
-    # values however few the times; such a config is only parsed, never run
-    doc = "t_points = 2\neta_points = 67108864\nobservables = {}\n"
-    with pytest.raises(ValueError, match=r"'eta_points' = 67108864 .* cap of 134217728"):
-        parse_config(doc.format("phase_dist"))
-    parse_config(doc.format("inversion"))  # no phase kernel is built
-    largest = OUTPUT_CAP // (DIM_CAP + 1)
-    parse_config(f"t_points = 2\neta_points = {largest}\nobservables = phase_dist\n")
-    with pytest.raises(ValueError, match=f"'eta_points' = {largest + 1} "):
-        parse_config(f"t_points = 2\neta_points = {largest + 1}\nobservables = phase_dist\n")
-
-
-def test_a_q_grid_beyond_the_output_cap_is_refused():
-    with pytest.raises(ValueError, match=r"'q_nx' x 'q_ny' = 10000000000 .* cap of 134217728"):
-        parse_config("q_nx = 100000\nq_ny = 100000\nobservables = qfunc\n")
-    parse_config("q_nx = 100000\nq_ny = 100000\n")  # no Q grid is built
-    parse_config("q_nx = 65536\nq_ny = 2048\nobservables = qfunc\n")
-
-
-def test_q_grid_radius_enforced_when_qfunc_selected():
-    doc = "alpha0_re = 6\nobservables = qfunc\n"
-    with pytest.raises(ValueError, match="radius"):
+    # the kernel of phase_kernel(dim + 1) has ETA_POINTS rows of at most
+    # DIM_CAP + 1 values; a document can no longer ask for more angles
+    assert ETA_POINTS * (DIM_CAP + 1) <= OUTPUT_CAP
+    doc = "t_points = 2\neta_points = 67108864\nobservables = phase_dist\n"
+    with pytest.raises(ValueError, match=r"line 2.*unknown key 'eta_points'"):
         parse_config(doc)
 
 
-def test_presets_round_trip():
-    for name in PRESET_NAMES:
-        cfg = figure_preset(name)
-        assert parse_config(serialize_config(cfg)) == cfg
+def test_a_q_grid_beyond_the_output_cap_is_refused():
+    assert Q_POINTS * Q_POINTS <= OUTPUT_CAP
+    with pytest.raises(ValueError, match=r"line 1.*unknown key 'q_nx'"):
+        parse_config("q_nx = 100000\nq_ny = 100000\nobservables = qfunc\n")
 
 
-def test_round_trip_of_a_config_that_sets_every_key():
+def test_q_grid_radius_enforced_when_qfunc_selected(tmp_path):
+    # the window is [-h, h]^2 with h = max(8, |alpha0| + 4): [-10, 10]^2 here
+    config_path = tmp_path / "q.cfg"
+    config_path.write_text(
+        f"alpha0_re = 6\nt_points = 2\nobservables = qfunc\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(config_path)]) == 0
+    data = np.loadtxt(tmp_path / "out" / "qfunc.csv", delimiter=",", skiprows=1)
+    for column in (data[:, 0], data[:, 1]):
+        axis = np.unique(column)
+        assert axis.size == Q_POINTS
+        assert (axis[0], axis[-1]) == (-10.0, 10.0)
+
+
+def test_a_document_that_sets_every_key_parses_to_its_config():
+    doc = """
+    alpha0_re = 1.25
+    alpha0_im = -0.75
+    r = 0.3
+    phi = 2.5
+    m = 3
+    detuning_ratio = -1.5
+    t_max_scaled = 12.0
+    t_points = 300
+    q_time_scaled = 3.25
+    observables = qfunc, phase_dist,inversion
+    output_dir = elsewhere/run 1
+    """
     cfg = RunConfig(
         state=SdfsParams(alpha0=1.25 - 0.75j, r=0.3, phi=2.5, m=3),
         detuning_ratio=-1.5,
         t_max_scaled=12.0,
         t_points=300,
-        eta_points=64,
-        q_grid=QGridSpec(x_min=-6.0, x_max=7.5, y_min=-5.5, y_max=6.0, nx=31, ny=17),
         q_time_scaled=3.25,
         observables=("qfunc", "phase_dist", "inversion"),
         output_dir="elsewhere/run 1",
     )
+    keys = [line.split("=")[0].strip() for line in doc.strip().splitlines()]
+    assert sorted(keys) == sorted(KNOWN_KEYS) and len(KNOWN_KEYS) == 11
     default = RunConfig()
-    for name in ("detuning_ratio", "t_max_scaled", "t_points", "eta_points",
-                 "q_time_scaled", "observables", "output_dir"):
+    for name in ("state", "detuning_ratio", "t_max_scaled", "t_points", "q_time_scaled",
+                 "observables", "output_dir"):
         assert getattr(cfg, name) != getattr(default, name)
-    assert all(getattr(cfg.q_grid, name) != getattr(QGridSpec(), name)
-               for name in ("x_min", "x_max", "y_min", "y_max", "nx", "ny"))
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert parse_config(doc) == cfg
 
 
 def test_parse_state_follows_the_config_rules():
@@ -320,6 +336,9 @@ def test_cli_overlap_verb(capsys):
         ("phi=inf", "r=0"),
         ("r=800", "r=0"),
         ("r=20,m=1", "r=20,m=1"),
+        ("alpha0_re=1e200", "r=0"),  # |alpha0|^2 overflows
+        ("alpha0_re=1e154", "alpha0_re=-1e154"),  # |alpha2 - alpha1|^2 overflows
+        ("m=10000", "m=10000,r=0.1"),  # the sum overflows (so does m=100000, 10x slower)
     ],
 )
 def test_cli_overlap_refusals_exit_2(p1, p2, capsys):
@@ -335,6 +354,19 @@ def test_cli_run_refuses_an_overflowing_squeeze(tmp_path, capsys):
     assert main(["run", str(config_path)]) == 2
     assert "r = 800 overflows cosh" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t_max", ["25", "1e-200"])
+def test_cli_run_refuses_a_detuning_whose_square_overflows(t_max, tmp_path, capsys):
+    config_path = tmp_path / "detuned.cfg"
+    out_dir = tmp_path / "out"
+    config_path.write_text(
+        f"detuning_ratio = 1e200\nt_max_scaled = {t_max}\nt_points = 4\noutput_dir = {out_dir}\n"
+    )
+    assert main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "loses phase precision" in err and "detuning_ratio = 1e+200" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("r", ["355.5", "400", "700"])

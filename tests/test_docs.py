@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import sdfs_jcm
+from sdfs_jcm.config import KNOWN_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +22,12 @@ def test_package_exports_what_the_library_example_imports():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
     (names,) = re.findall(r"from sdfs_jcm import \((.*?)\)", block, flags=re.DOTALL)
     assert sdfs_jcm.__all__ == [name.strip() for name in names.split(",")]
+
+
+def test_readme_documents_exactly_the_config_keys():
+    text = README.read_text()
+    section = text[text.index("### Configuration format") :]
+    block = re.search(r"```\n(.*?)```", section, flags=re.DOTALL).group(1)
+    uncommented = "\n".join(line.split("#")[0] for line in block.splitlines())
+    documented = re.findall(r"(\w+) =", uncommented)
+    assert sorted(documented) == sorted(KNOWN_KEYS)

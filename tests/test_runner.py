@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from sdfs_jcm import runner, sdfs
-from sdfs_jcm.config import OBSERVABLE_NAMES, QGridSpec, RunConfig
+from sdfs_jcm.config import OBSERVABLE_NAMES, RunConfig
 from sdfs_jcm.dynamics import evolve, field_components
 from sdfs_jcm.fock import DIM_CAP
-from sdfs_jcm.observables import default_etas, phase_distribution, phase_kernel, q_function_grid
+from sdfs_jcm.observables import ETA_POINTS, ETAS, phase_distribution, phase_kernel, q_function_grid
 from sdfs_jcm.presets import figure_preset
 from sdfs_jcm.runner import compute
 from sdfs_jcm.sdfs import SdfsParams, mean_photon_number, sdfs_state
@@ -22,11 +22,16 @@ _CFG = RunConfig(
     detuning_ratio=0.7,
     t_max_scaled=12.0,
     t_points=250,
-    eta_points=64,
-    q_grid=QGridSpec(x_min=-6.0, x_max=6.0, y_min=-6.0, y_max=6.0, nx=31, ny=31),
     q_time_scaled=4.0,
     observables=OBSERVABLE_NAMES,
 )
+
+
+@pytest.fixture
+def small_q_window(monkeypatch):
+    """31 x 31 Q points per run for the tests of _CFG, which compute it
+    about ten times: a 201 x 201 grid would take most of their time."""
+    monkeypatch.setattr(runner, "Q_POINTS", 31)
 
 
 def _arrays(data):
@@ -39,7 +44,7 @@ def _arrays(data):
     return out
 
 
-def test_compute_fills_every_selected_observable():
+def test_compute_fills_every_selected_observable(small_q_window):
     data = compute(_CFG)
     dim = data.n_max + 1
     rows = runner.BLOCK_ENTRIES // dim
@@ -47,14 +52,15 @@ def test_compute_fills_every_selected_observable():
     assert data.inversion.shape == data.cc.shape == data.cs.shape == (_CFG.t_points,)
     assert data.entropy.shape == (_CFG.t_points, 3)
     assert data.photon.shape == (_CFG.t_points, dim + 1)
-    assert data.phase.shape == (_CFG.t_points, _CFG.eta_points)
+    assert data.phase.shape == (_CFG.t_points, ETA_POINTS)
     assert data.qgrid.values.shape == (31, 31)
+    assert data.qgrid.x_axis[0] == data.qgrid.y_axis[0] == -8.0  # max(8, |alpha0| + 4)
     assert set(data.residuals) == set(runner.TOLERANCES)
     assert all(value <= runner.TOLERANCES[name] for name, value in data.residuals.items())
 
 
 @pytest.mark.parametrize("block_entries", ["one-row", "one-block"])
-def test_compute_is_independent_of_the_block_size(monkeypatch, block_entries):
+def test_compute_is_independent_of_the_block_size(monkeypatch, small_q_window, block_entries):
     reference = _arrays(compute(_CFG))
     entries = 1 if block_entries == "one-row" else 10**9
     monkeypatch.setattr(runner, "BLOCK_ENTRIES", entries)
@@ -92,9 +98,9 @@ def test_compute_builds_the_phase_kernel_once(monkeypatch):
     dims = []
     build = runner.phase_kernel
 
-    def counting_kernel(etas, dim):
+    def counting_kernel(dim):
         dims.append(dim)
-        return build(etas, dim)
+        return build(dim)
 
     monkeypatch.setattr(runner, "phase_kernel", counting_kernel)
     cfg = figure_preset("fig4a")
@@ -127,7 +133,7 @@ def two_blas_threads():
 
 @pytest.mark.parametrize("kernel_raises", [False, True])
 def test_compute_runs_on_one_blas_thread_and_restores_the_count(
-    monkeypatch, two_blas_threads, kernel_raises
+    monkeypatch, small_q_window, two_blas_threads, kernel_raises
 ):
     if not two_blas_threads:
         pytest.skip("no OpenBLAS library loaded")
@@ -158,7 +164,7 @@ def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threa
     q = sdfs_state(cfg.state)
     if preset == "fig4a":
         c, s = field_components(*evolve(q, data.ts, cfg.detuning_ratio))
-        got, expected = data.phase, phase_distribution(c, s, phase_kernel(data.etas, q.dim + 1))
+        got, expected = data.phase, phase_distribution(c, s, phase_kernel(q.dim + 1))
     else:
         a, b = evolve(q, [cfg.q_time_scaled], cfg.detuning_ratio)
         grid = data.qgrid
@@ -266,14 +272,17 @@ def _assert_writer_matches_savetxt(tmp_path, tables):
 
 
 @pytest.mark.parametrize("block_entries", [7, runner.BLOCK_ENTRIES])
-def test_writer_matches_savetxt_on_a_detuned_run(tmp_path, monkeypatch, block_entries):
+def test_writer_matches_savetxt_on_a_detuned_run(
+    tmp_path, monkeypatch, small_q_window, block_entries
+):
     data = compute(_CFG)
     assert data.inversion.min() < 0.0
     # with 7 entries, the 250-row tables span 36 blocks, the last one partial
     monkeypatch.setattr(runner, "BLOCK_ENTRIES", block_entries)
+    # every 8th of the 512 angles keeps the 7-entry blocks few
     grid = data.qgrid
     tables = _tables(
-        data.ts, data.inversion, data.entropy, data.photon, data.etas, data.phase,
+        data.ts, data.inversion, data.entropy, data.photon, data.etas[::8], data.phase[:, ::8],
         grid.x_axis, grid.y_axis, grid.values,
     )
     _assert_writer_matches_savetxt(tmp_path, tables)
@@ -291,7 +300,7 @@ def test_writer_matches_savetxt_on_edge_values(tmp_path, t_points):
 
     tables = _tables(
         cells(t_points), cells(t_points), cells(t_points, 3), cells(t_points, 4),
-        default_etas(3), cells(t_points, 3),
+        ETAS[::171], cells(t_points, 3),
         cells(3), cells(2), cells(2, 3),
     )
     _assert_writer_matches_savetxt(tmp_path, tables)
@@ -315,7 +324,7 @@ def test_writing_holds_no_more_than_a_block_beyond_compute(tmp_path):
     assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
-def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch):
+def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch, small_q_window):
     # the scratch of `_format_cells` grows with its input, so a call never
     # gets more than one block of lines (and their keys) to format
     sizes = []
@@ -327,6 +336,8 @@ def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "_format_cells", recording)
     monkeypatch.setattr(runner, "BLOCK_ENTRIES", 100)
-    result = runner.run(dataclasses.replace(_CFG, output_dir=str(tmp_path)))
+    # 120 times fill a block of time keys; the 512 angles span several
+    cfg = dataclasses.replace(_CFG, t_points=120, output_dir=str(tmp_path))
+    result = runner.run(cfg)
     assert result.ok and max(sizes) == 100
     assert sum(sizes) > 20 * 100
