@@ -20,7 +20,6 @@ from .config import parse_config, parse_state
 from .presets import PRESET_NAMES, figure_preset
 from .runner import run
 from .sdfs import sdfs_overlap
-from .selfcheck import run_all
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,6 +71,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = dataclasses.replace(cfg, output_dir=args.out)
             return _report_run(run(cfg))
         if args.verb == "check":
+            from .selfcheck import run_all  # deferred: selfcheck imports scipy.ndimage
             results = run_all()
             for res in results:
                 status = "PASS" if res.passed else "FAIL"

@@ -2,23 +2,18 @@
 
 Everything downstream represents the cavity field on the finite photon
 basis |0>, ..., |dim-1>, a window of dim number states. This module
-provides the ladder-operator matrices (sparse, banded, block-diagonal
-over stacked windows), the action of a matrix exponential on a vector,
-the normalization bound NORM_TOL, and the direct operator construction
-of squeezed displaced Fock states
+holds that vector type, the window cap DIM_CAP, the normalization bound
+NORM_TOL, and the one operator function: the direct construction of
+squeezed displaced Fock states
 
     D(alpha0) S(z) |m>,   D(alpha0) = exp(alpha0 a+ - alpha0* a),
                           S(z)      = exp((z*/2) a^2 - (z/2) a+^2),
 
-obtained by applying the exponentials of the generators to |m> on the
-truncated space, for many states at once: their windows are stacked
-into one block-diagonal system, so a batch costs two exponential actions,
-not two per state. The operator construction is deliberately independent
-of the closed-form amplitudes in `sdfs`; it is the reference the
-analytic formulas are validated against.
+built for many states at once by two exponential actions on their
+stacked windows. It is deliberately independent of the closed-form
+amplitudes in `sdfs`: it is the reference they are validated against.
 
-All values are immutable after construction and safe to share between
-threads.
+All values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -31,10 +26,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .sdfs import SdfsParams
 
-# The photon-number regimes treated here (<n> up to a few tens) never
-# need more than this; the closed-form truncation search is capped at
-# DIM_CAP - 1 photons, and each window of the operator reference at
-# DIM_CAP states (a stack of windows may be larger).
+# The photon-number regimes treated here (<n> up to a few tens) never need
+# more: the closed-form truncation search is capped at DIM_CAP - 1 photons,
+# and each window of the operator reference, not their stack, at DIM_CAP states.
 DIM_CAP = 512
 # Largest deviation from 1 of a normalized quantity: the norm^2 of a truncated
 # state, the probability sum of an evolution, the trace and eigenvalue sum of
@@ -66,101 +60,49 @@ class FockVector:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-def _check_dim(dim: int) -> int:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError("dimension must be a positive integer")
-    if dim > DIM_CAP:
-        raise ValueError(f"dimension {dim} exceeds the cap {DIM_CAP}")
-    return int(dim)
+def build_sdfs_oracle(states: Sequence["SdfsParams"], dims: Sequence[int]) -> list[FockVector]:
+    """Squeezed displaced Fock states built directly as D(alpha0) S(z) |m>.
 
+    State i lives on a window of ``dims[i]`` number states, 1 to DIM_CAP.
+    The windows are stacked block-diagonally: n counts photons within each
+    window, so a (entry (n-1, n) = sqrt(n)) couples no two windows. Both
+    exponentials act on the whole stack without being formed, by
+    `scipy.sparse.linalg.expm_multiply` (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33 (2011)). Each window must hold the state's tail; twice the
+    dimension of ``sdfs.sdfs_state(p)`` keeps boundary contamination below
+    1e-12 for r <= 2. Measured: the 16 corner states of the `check`
+    amplitude grid and alpha0 = 6i, r = 2, m = 5 at dim 512, in one call,
+    match dense `scipy.linalg.expm` to 1.1e-14 absolute, and each window
+    agrees with the same state built alone to 7.7e-15.
 
-def _local_index(dims) -> np.ndarray:
-    """Photon number n of each row of the windows of sizes ``dims`` stacked in order."""
-    return np.concatenate([np.arange(_check_dim(dim)) for dim in np.atleast_1d(dims)])
-
-
-def annihilation_matrix(dims):
-    """Truncated annihilation operator as a CSR array: entry (n-1, n) = sqrt(n).
-
-    ``dims`` is one window size or a sequence of them. The operator of a
-    sequence is block-diagonal: n counts photons within each window and is
-    0 at every window start, so no entry couples two windows.
-    """
-    from scipy import sparse
-
-    n = _local_index(dims)
-    shape = (n.size, n.size)
-    return sparse.diags_array(np.sqrt(n[1:]), offsets=1, shape=shape, format="csr", dtype=complex)
-
-
-def displacement_generator(alpha, dims):
-    """Generator alpha a+ - alpha* a of D(alpha) as CSR; alpha is one value or one per row."""
-    c = annihilation_matrix(dims).multiply(np.reshape(np.conjugate(alpha), (-1, 1)))
-    return (c.conj().T - c).tocsr()
-
-
-def squeeze_generator(z, dims):
-    """Generator (z*/2) a^2 - (z/2) a+^2 of S(z) as CSR; z is one value or one per row."""
-    a = annihilation_matrix(dims)
-    b = (a @ a).multiply(np.reshape(0.5 * np.conjugate(z), (-1, 1)))
-    return (b - b.conj().T).tocsr()
-
-
-def matrix_exp_apply(mat, v: FockVector) -> FockVector:
-    """Apply exp(mat) to v without forming the exponential.
-
-    ``mat`` may be dense or sparse; it is converted to CSR and the action
-    exp(mat) v is computed by truncated Taylor steps with scaling
-    (`scipy.sparse.linalg.expm_multiply`, Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33 (2011)). The norm estimates inside draw from numpy's
-    global random state; the results measured do not depend on it, and
-    the state is restored afterwards, so a caller's draws are unaffected.
-
-    `scipy.sparse` is imported here rather than at module level: only the
-    operator reference needs it, and `run` would otherwise pay for it on
-    every import (about +10 MB of resident memory and +0.1 s, measured
-    with `scipy.sparse.linalg` on a 2-vCPU Linux host).
+    `expm_multiply` draws its norm estimates from numpy's global random
+    state; the results do not depend on it, and it is restored after each
+    action for the caller. `scipy.sparse` is imported here, not at module
+    level: `run` would otherwise pay for it on every import (about +10 MB
+    resident and +0.1 s, measured with `scipy.sparse.linalg` on 2 vCPUs).
     """
     from scipy import sparse
     from scipy.sparse.linalg import expm_multiply
 
-    mat = sparse.csr_array(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    if mat.shape[0] != v.dim:
-        raise ValueError(f"matrix dim {mat.shape[0]} != vector dim {v.dim}")
-    if not np.all(np.isfinite(mat.data)):
-        raise ValueError("matrix has non-finite entries")
-    random_state = np.random.get_state()
-    try:
-        return FockVector(expm_multiply(mat, v.amps))
-    finally:
-        np.random.set_state(random_state)
-
-
-def build_sdfs_oracle(states: Sequence["SdfsParams"], dims: Sequence[int]) -> list[FockVector]:
-    """Squeezed displaced Fock states built directly as D(alpha0) S(z) |m>.
-
-    State i lives on a window of ``dims[i]`` number states. The windows
-    are stacked block-diagonally, so all states share two exponential
-    actions: exp of the squeeze generator applied to the stacked seeds
-    |m_i>, then exp of the displacement generator. A single state is a
-    stack of one. Each window must hold the state's tail; twice the
-    dimension of ``sdfs.sdfs_state(p)`` keeps boundary contamination
-    below 1e-12 for r <= 2. Measured: the 16 corner states of the `check`
-    amplitude grid and alpha0 = 6i, r = 2, m = 5 at dim 512, in one call,
-    match dense `scipy.linalg.expm` to 1.1e-14 absolute, and each window
-    agrees with the same state built alone to 7.7e-15.
-    """
     if len(states) != len(dims):
         raise ValueError(f"{len(states)} states but {len(dims)} window dims")
-    n = _local_index(dims)
     for p, dim in zip(states, dims):
+        if not 1 <= dim <= DIM_CAP:
+            raise ValueError(f"window dim {dim} is below 1 or exceeds the cap {DIM_CAP}")
         if p.m >= dim:
             raise ValueError(f"seed Fock number {p.m} does not fit in dim {dim}")
-    v = FockVector(n == np.repeat([p.m for p in states], dims))
+    n = np.concatenate([np.arange(dim) for dim in dims])
+    shape = (n.size, n.size)
+    a = sparse.diags_array(np.sqrt(n[1:]), offsets=1, shape=shape, format="csr", dtype=complex)
     zs = np.repeat([p.z for p in states], dims)
     alphas = np.repeat([p.alpha0 for p in states], dims)
-    v = matrix_exp_apply(squeeze_generator(zs, dims), v)
-    v = matrix_exp_apply(displacement_generator(alphas, dims), v)
-    return [FockVector(block) for block in np.split(v.amps, np.cumsum(dims)[:-1])]
+    b = (a @ a).multiply(np.reshape(0.5 * np.conjugate(zs), (-1, 1)))
+    c = a.multiply(np.reshape(np.conjugate(alphas), (-1, 1)))
+    v = (n == np.repeat([p.m for p in states], dims)).astype(complex)
+    random_state = np.random.get_state()
+    for generator in ((b - b.conj().T).tocsr(), (c.conj().T - c).tocsr()):
+        try:
+            v = expm_multiply(sparse.csr_array(generator, dtype=complex), v)
+        finally:
+            np.random.set_state(random_state)
+    return [FockVector(block) for block in np.split(v, np.cumsum(dims)[:-1])]

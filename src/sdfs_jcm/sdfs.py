@@ -60,7 +60,8 @@ from .fock import DIM_CAP, NORM_TOL, FockVector
 
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
-# largest rounding bound of the overlap's W, relative to |W|
+# largest rounding bound of the overlap: of its W relative to |W|, and of its
+# final sum in absolute terms (the overlap of two unit vectors is at most 1)
 _W_BUDGET = 1e-10
 # Photon-number tail mass past the truncation, the one bound `sdfs_state` cuts at.
 # Double precision resolves the crossing from 5e-13 up: on the 192 preset, sweep
@@ -356,8 +357,10 @@ def sdfs_overlap(p1: SdfsParams, p2: SdfsParams) -> complex:
     W is formed by cancellation, with a rounding error up to
     eps (mu1 mu2 + |nu1| |nu2|) while |W| >= cosh(r1 - r2) >= 1. When that
     bound exceeds 1e-10 |W| (equal squeezes beyond r of about 6.5) the
-    overlap is refused with a lost-precision error, and so is a sum that
-    overflows the double range (m1 = m2 = 10000 at r2 = 0.1).
+    overlap is refused with a lost-precision error. So is a sum that
+    overflows the double range (m1 = m2 = 10000 at r2 = 0.1) or cancels,
+    its rounding bound (m1 + m2 + 1) eps |prefactor| e^peak sum |terms|
+    exceeding 1e-10 (m1 = m2 = 60 at r1 = 0, r2 = 0.5).
     """
     mu1, nu1, m1, a1 = p1.mu, p1.nu, p1.m, p1.alpha0
     mu2, nu2, m2, a2 = p2.mu, p2.nu, p2.m, p2.alpha0
@@ -404,11 +407,16 @@ def sdfs_overlap(p1: SdfsParams, p2: SdfsParams) -> complex:
     peak = float(np.max(logmag))
     if not math.isfinite(peak):
         return 0j
-    total = np.sum(units * np.exp(logmag - peak))
+    terms = units * np.exp(logmag - peak)
     try:
-        return complex(prefactor * total * math.exp(peak))
+        value = complex(prefactor * np.sum(terms) * math.exp(peak))
+        rounding = (m1 + m2 + 1) * _EPS * abs(prefactor) * math.exp(peak) * np.sum(np.abs(terms))
     except OverflowError:
+        rounding = math.inf
+    if not rounding <= _W_BUDGET:
+        cause = "overflows the double range" if rounding == math.inf else "cancels"
         raise ValueError(
-            f"overlap lost precision: the sum overflows the double range "
-            f"(m1={m1}, m2={m2}, r1={p1.r:g}, r2={p2.r:g})"
-        ) from None
+            f"overlap lost precision: the sum {cause}, with a rounding bound {rounding:.3e} "
+            f"above {_W_BUDGET:g} (m1={m1}, m2={m2}, r1={p1.r:g}, r2={p2.r:g})"
+        )
+    return value

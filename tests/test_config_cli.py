@@ -339,6 +339,7 @@ def test_cli_overlap_verb(capsys):
         ("alpha0_re=1e200", "r=0"),  # |alpha0|^2 overflows
         ("alpha0_re=1e154", "alpha0_re=-1e154"),  # |alpha2 - alpha1|^2 overflows
         ("m=10000", "m=10000,r=0.1"),  # the sum overflows (so does m=100000, 10x slower)
+        ("m=130", "r=0.5,m=130"),  # the sum cancels: |overlap| would read 57
     ],
 )
 def test_cli_overlap_refusals_exit_2(p1, p2, capsys):

@@ -1,4 +1,3 @@
-import cmath
 import functools
 import math
 import os
@@ -11,15 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 import sdfs_jcm
-from sdfs_jcm.fock import (
-    DIM_CAP,
-    FockVector,
-    annihilation_matrix,
-    build_sdfs_oracle,
-    displacement_generator,
-    matrix_exp_apply,
-    squeeze_generator,
-)
+from sdfs_jcm.fock import DIM_CAP, FockVector, build_sdfs_oracle
 from sdfs_jcm.observables import _coherent_bras
 from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 from sdfs_jcm.selfcheck import AMPLITUDE_GRID
@@ -33,67 +24,6 @@ def basis_state(dim, n):
 def _coherent_kets(alpha, dim):
     """<n|alpha> for n < dim, the conjugates of the Q grid's coherent bras."""
     return _coherent_bras(np.array([alpha]), dim)[0].conj()
-
-
-def test_annihilation_matrix_dim2():
-    np.testing.assert_allclose(annihilation_matrix(2).toarray(), [[0, 1], [0, 0]])
-
-
-def test_annihilation_lowers_number_state():
-    a = annihilation_matrix(3)
-    np.testing.assert_allclose(a @ basis_state(3, 2).amps, math.sqrt(2) * basis_state(3, 1).amps)
-
-
-def test_number_operator_eigenvalue():
-    a = annihilation_matrix(8)
-    n_op = a.conj().T @ a
-    np.testing.assert_allclose(n_op @ basis_state(8, 5).amps, 5 * basis_state(8, 5).amps)
-
-
-def test_dim_zero_rejected():
-    with pytest.raises(ValueError):
-        annihilation_matrix(0)
-
-
-def test_commutator_on_interior_subspace():
-    dim = 12
-    a = annihilation_matrix(dim)
-    comm = (a @ a.conj().T - a.conj().T @ a).toarray()
-    np.testing.assert_allclose(comm[: dim - 1, : dim - 1], np.eye(dim - 1), atol=1e-14)
-
-
-def test_exp_zero_matrix_is_identity():
-    v = FockVector(np.array([0.3, 0.4 + 0.2j, 0.1]))
-    out = matrix_exp_apply(np.zeros((3, 3), dtype=complex), v)
-    np.testing.assert_allclose(out.amps, v.amps, atol=1e-14)
-
-
-def test_exp_diagonal_phases():
-    thetas = np.array([0.3, -1.1, 2.5])
-    mat = np.diag(1j * thetas)
-    for n in range(3):
-        out = matrix_exp_apply(mat, basis_state(3, n))
-        expected = np.zeros(3, dtype=complex)
-        expected[n] = np.exp(1j * thetas[n])
-        np.testing.assert_allclose(out.amps, expected, atol=1e-14)
-
-
-def test_displaced_vacuum_is_coherent_state():
-    alpha, dim = 1.5, 64
-    out = matrix_exp_apply(displacement_generator(alpha, dim), basis_state(dim, 0))
-    np.testing.assert_allclose(out.amps, _coherent_kets(alpha, dim), atol=1e-12)
-
-
-def test_non_finite_matrix_rejected():
-    mat = np.zeros((2, 2), dtype=complex)
-    mat[0, 1] = np.nan
-    with pytest.raises(ValueError):
-        matrix_exp_apply(mat, basis_state(2, 0))
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        matrix_exp_apply(np.zeros((3, 3)), basis_state(4, 0))
 
 
 def test_coherent_overlap_value():
@@ -115,37 +45,6 @@ def test_oracle_coherent_limit():
 def test_oracle_normalization():
     (out,) = build_sdfs_oracle([SdfsParams(alpha0=3.0, r=1.0, phi=0.0, m=1)], [128])
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-10)
-
-
-def _random_interior_vector(rng, dim):
-    amps = np.zeros(dim, dtype=complex)
-    support = dim // 2
-    amps[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
-    amps /= np.linalg.norm(amps)
-    return FockVector(amps)
-
-
-def test_unitarity_of_oracle_maps():
-    rng = np.random.default_rng(7)
-    dim = 96
-    gens = [
-        displacement_generator(1.2 - 0.7j, dim),
-        squeeze_generator(0.8 * cmath.exp(0.4j), dim),
-    ]
-    for gen in gens:
-        for _ in range(5):
-            v = _random_interior_vector(rng, dim)
-            out = matrix_exp_apply(gen, v)
-            assert out.norm_sq() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_exp_inverse_roundtrip():
-    rng = np.random.default_rng(11)
-    dim = 96
-    gen = squeeze_generator(0.6 * cmath.exp(1.0j), dim)
-    v = _random_interior_vector(rng, dim)
-    back = matrix_exp_apply(-gen, matrix_exp_apply(gen, v))
-    np.testing.assert_allclose(back.amps, v.amps, atol=1e-9)
 
 
 def test_amps_are_immutable():
@@ -215,6 +114,8 @@ def test_oracle_rejects_bad_windows():
         build_sdfs_oracle([SdfsParams(m=1), SdfsParams(m=4)], [4, 4])
     with pytest.raises(ValueError, match=f"exceeds the cap {DIM_CAP}"):
         build_sdfs_oracle([SdfsParams(), SdfsParams()], [4, DIM_CAP + 1])
+    with pytest.raises(ValueError, match="window dim 0 is below 1"):
+        build_sdfs_oracle([SdfsParams(), SdfsParams()], [4, 0])
 
 
 def test_oracle_window_cap_is_per_window():
@@ -238,14 +139,23 @@ def test_oracle_leaves_the_global_random_state_alone():
     assert np.random.random() == expected
 
 
-def test_preset_does_not_import_scipy_sparse(tmp_path):
+def _assert_preset_leaves_unimported(module, out):
     code = (
         "import sys\n"
         "from sdfs_jcm import cli\n"
-        f"assert cli.main(['preset', 'fig1a', '--out', {str(tmp_path)!r}]) == 0\n"
-        "assert 'scipy.sparse' not in sys.modules\n"
+        f"assert cli.main(['preset', 'fig1a', '--out', {str(out)!r}]) == 0\n"
+        f"assert {module!r} not in sys.modules\n"
     )
     src = str(Path(sdfs_jcm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
+
+
+def test_preset_does_not_import_scipy_sparse(tmp_path):
+    _assert_preset_leaves_unimported("scipy.sparse", tmp_path)
+
+
+def test_preset_does_not_import_scipy_ndimage(tmp_path):
+    # only the q-structure check of `check` labels regions
+    _assert_preset_leaves_unimported("scipy.ndimage", tmp_path)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sdfs_jcm.fock import build_sdfs_oracle
+from sdfs_jcm.fock import DIM_CAP, build_sdfs_oracle
 from sdfs_jcm.sdfs import SdfsParams, sdfs_overlap, sdfs_state
 
 
@@ -130,3 +130,19 @@ def test_overflowing_w_is_refused():
 def test_moderate_squeeze_self_overlap_stays_inside_the_budget():
     p = SdfsParams(alpha0=0.5, r=5.0, phi=1.0, m=1)
     assert sdfs_overlap(p, p) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [60, 130])
+def test_cancelling_sum_is_refused(m):
+    # the sum's rounding bound is 1.4e-7 at m = 60 (true error 5.1e-9), and
+    # 258 at m = 130, where the unfenced |overlap| reads 57
+    with pytest.raises(ValueError, match="lost precision: the sum cancels, with a rounding bound"):
+        sdfs_overlap(SdfsParams(m=m), SdfsParams(r=0.5, m=m))
+
+
+def test_high_seed_pair_inside_the_budget_matches_the_oracle():
+    # rounding bound 1.3e-11, true error 7.9e-14; `sdfs_state` refuses the
+    # squeezed state, so the oracle windows take the cap
+    p1, p2 = SdfsParams(m=30), SdfsParams(r=0.5, m=30)
+    u, v = build_sdfs_oracle([p1, p2], [DIM_CAP, DIM_CAP])
+    assert sdfs_overlap(p1, p2) == pytest.approx(np.vdot(u.amps, v.amps), abs=1e-10)
