@@ -114,6 +114,11 @@ def test_oracle_rejects_bad_windows():
         build_sdfs_oracle([SdfsParams(m=1), SdfsParams(m=4)], [4, 4])
     with pytest.raises(ValueError, match=f"exceeds the cap {DIM_CAP}"):
         build_sdfs_oracle([SdfsParams(), SdfsParams()], [4, DIM_CAP + 1])
+
+
+def test_dim_zero_rejected():
+    with pytest.raises(ValueError, match="window dim 0 is below 1"):
+        build_sdfs_oracle([SdfsParams()], [0])
     with pytest.raises(ValueError, match="window dim 0 is below 1"):
         build_sdfs_oracle([SdfsParams(), SdfsParams()], [4, 0])
 
