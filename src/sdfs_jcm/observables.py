@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import NORM_TOL
-from .sdfs import SdfsParams
+from .sdfs import SdfsParams, log_factorial
 
 _TWO_PI = 2.0 * math.pi
 # |<C|S>| at or below this leaves the split to |cc - ss| / 2 alone
@@ -156,7 +155,7 @@ def _coherent_bras(alphas: np.ndarray, dim: int) -> np.ndarray:
         logmag = (
             -0.5 * mags[:, None] ** 2
             + ns[None, :] * la[:, None]
-            - 0.5 * gammaln(ns + 1.0)[None, :]
+            - 0.5 * log_factorial(ns)[None, :]
         )
     logmag[:, 0] = -0.5 * mags**2  # fix 0 * log(0) at the origin
     phase = np.exp(-1j * ns[None, :] * np.angle(alphas)[:, None])

@@ -34,10 +34,13 @@ the displaced Fock amplitude
 
 which is handled as an exact branch rather than a small-r limit.
 
-All factorial-sized magnitudes are carried in log-domain (log-gamma),
-with phases tracked separately; Hermite polynomials use the three-term
-recurrence with on-the-fly rescaling. This keeps truncations up to
-several hundred photons finite in double precision.
+All factorial-sized magnitudes are carried in log-domain, ln k! from
+`log_factorial`, with phases tracked separately; Hermite polynomials use
+the three-term recurrence with on-the-fly rescaling. This keeps
+truncations up to several hundred photons finite in double precision.
+`log_factorial` reproduces Cephes lgam(k + 1), which scipy.special.gammaln
+evaluates, to the bit: the run path needs no scipy, and its CSVs stay
+byte-identical to those of a gammaln evaluation.
 
 `sdfs_state(p)` is the one route from parameters to a
 truncated vector; no caller picks a truncation of its own.
@@ -54,7 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import DIM_CAP, NORM_TOL, FockVector
 
@@ -69,6 +71,46 @@ _W_BUDGET = 1e-10
 # below it there; 3 miss it at 3e-13, and 32 (by up to 2x) at 1e-14. NORM_TOL caps
 # it: a looser tail breaks the run's normalization.
 TAIL_TOL = 1e-12
+# Cephes lgam (Moshier 1989): ln sqrt(2 pi), and its series in 1/x^2 for 13 <= x < 1000
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+def _lgam(k: int) -> float:
+    """ln k! by Cephes lgam(x), x = k + 1, in its operation order and with
+    math.log (glibc's log; np.log rounds differently at some integers)."""
+    x = k + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(k))  # k! <= 11! is exact in a double
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = 0.0
+    for coeff in _STIRLING:  # Horner's rule, as Cephes polevl
+        series = series * p + coeff
+    return q + series / x
+
+
+# every k of a window's amplitudes and of the Q grid's coherent bras
+_LOG_FACTORIALS = np.array([_lgam(k) for k in range(2 * DIM_CAP)])
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def log_factorial(k):
+    """ln k! for an integer k >= 0, or elementwise over an int array, bit-identical
+    to scipy.special.gammaln(k + 1.0). Arrays index a table of k < 2 DIM_CAP;
+    larger k (an overlap's seed numbers) are evaluated one by one."""
+    if not isinstance(k, np.ndarray):
+        return _lgam(k)
+    try:
+        return _LOG_FACTORIALS[k]
+    except IndexError:  # some k >= 2 DIM_CAP
+        return np.array([_lgam(n) for n in k.ravel().tolist()]).reshape(k.shape)
 
 
 @dataclass(frozen=True)
@@ -167,7 +209,7 @@ def _amplitudes_displaced_fock(p: SdfsParams, n_max: int) -> np.ndarray:
     la = math.log(abs(a0))
     th = cmath.phase(a0)
     ns = np.arange(n_max + 1)
-    base = -0.5 * abs(a0) ** 2 + 0.5 * gammaln(m + 1.0)
+    base = -0.5 * abs(a0) ** 2 + 0.5 * log_factorial(m)
     logmag = np.full((m + 1, n_max + 1), -np.inf)
     phase = np.zeros((m + 1, n_max + 1), dtype=complex)
     for k in range(m + 1):
@@ -175,10 +217,10 @@ def _amplitudes_displaced_fock(p: SdfsParams, n_max: int) -> np.ndarray:
         nn = ns[valid]
         logmag[k, valid] = (
             base
-            + 0.5 * gammaln(nn + 1.0)
-            - gammaln(k + 1.0)
-            - gammaln(m - k + 1.0)
-            - gammaln(nn - k + 1.0)
+            + 0.5 * log_factorial(nn)
+            - log_factorial(k)
+            - log_factorial(m - k)
+            - log_factorial(nn - k)
             + (m - k + nn - k) * la
         )
         # (-alpha0*)^{m-k} alpha0^{n-k}: phase(-alpha0*) = pi - phase(alpha0)
@@ -203,7 +245,7 @@ def _amplitudes_squeezed(p: SdfsParams, n_max: int) -> np.ndarray:
 
     g_exp = -0.5 * abs(a0) ** 2 - gauss_coeff * a0.conjugate() ** 2
     ns = np.arange(n_max + 1)
-    pref_log = 0.5 * (gammaln(ns + 1.0) - gammaln(m + 1.0) - math.log(mu)) + g_exp.real
+    pref_log = 0.5 * (log_factorial(ns) - log_factorial(m) - math.log(mu)) + g_exp.real
     pref_phase = cmath.exp(1j * g_exp.imag)
 
     log_c, arg_c = math.log(abs(c)), cmath.phase(c)
@@ -215,15 +257,15 @@ def _amplitudes_squeezed(p: SdfsParams, n_max: int) -> np.ndarray:
         valid = ns >= i
         k = ns[valid] - i
         logmag[i, valid] = (
-            gammaln(m + 1.0)
-            - gammaln(i + 1.0)
-            - gammaln(m - i + 1.0)
+            log_factorial(m)
+            - log_factorial(i)
+            - log_factorial(m - i)
             - i * math.log(mu)
             + (m - i) * log_c
             + lu[m - i]
             + k * log_sa
             + lx[k]
-            - gammaln(k + 1.0)
+            - log_factorial(k)
         )
         phase[i, valid] = (
             cmath.exp(1j * ((m - i) * arg_c))
@@ -322,14 +364,14 @@ def _exp_quadratic_coeffs(
             logs[0] = 0.0
             return units, logs
         ks = np.arange(kmax + 1)
-        logs = ks * math.log(abs(lin)) - gammaln(ks + 1.0)
+        logs = ks * math.log(abs(lin)) - log_factorial(ks)
         units = np.exp(1j * ks * cmath.phase(lin))
         return units, logs
     w = cmath.sqrt(-quad / 2.0)
     x = lin / (2.0 * w)
     hh, ll = hermite_scaled(x, kmax)
     ks = np.arange(kmax + 1)
-    logs = ks * math.log(abs(w)) + ll - gammaln(ks + 1.0)
+    logs = ks * math.log(abs(w)) + ll - log_factorial(ks)
     units = np.exp(1j * ks * cmath.phase(w)) * hh
     return units, logs
 
@@ -400,8 +442,8 @@ def sdfs_overlap(p1: SdfsParams, p2: SdfsParams) -> complex:
         l1[m1 - rs]
         + l2[m2 - rs]
         + log_cross
-        - gammaln(rs + 1.0)
-        + 0.5 * (gammaln(m1 + 1.0) + gammaln(m2 + 1.0))
+        - log_factorial(rs)
+        + 0.5 * (log_factorial(m1) + log_factorial(m2))
     )
     units = u1[m1 - rs] * u2[m2 - rs] * unit_cross
     peak = float(np.max(logmag))

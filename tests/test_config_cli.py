@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdfs_jcm
 from sdfs_jcm.cli import main
 from sdfs_jcm.config import KNOWN_KEYS, OUTPUT_CAP, RunConfig, parse_config, parse_state
 from sdfs_jcm.fock import DIM_CAP
@@ -319,6 +324,29 @@ def test_cli_preset_out_dir(tmp_path):
     target = tmp_path / "custom"
     assert main(["preset", "fig1a", "--out", str(target)]) == 0
     assert (target / "inversion.csv").exists()
+
+
+def test_run_preset_and_overlap_import_no_scipy(tmp_path):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(f"alpha0_re = 3\nt_points = 4\noutput_dir = {tmp_path / 'run'}\n")
+    verbs = [
+        ["preset", "fig1a", "--out", str(tmp_path / "fig1a")],
+        ["overlap", "--p1", "alpha0_re=1,r=0.5,m=1", "--p2", "m=2"],
+        ["run", str(config_path)],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from sdfs_jcm import cli\n"
+        f"for argv in {verbs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(sdfs_jcm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_overlap_verb(capsys):

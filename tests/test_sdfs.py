@@ -10,6 +10,7 @@ from sdfs_jcm.sdfs import (
     TAIL_TOL,
     SdfsParams,
     _amplitudes,
+    log_factorial,
     mean_photon_number,
     sdfs_state,
 )
@@ -46,6 +47,22 @@ def test_params_refuse_a_squeeze_whose_cosh_overflows():
     for r in (710.5, 800.0):
         with pytest.raises(ValueError, match=r"r = \d+\.?\d* overflows cosh"):
             SdfsParams(r=r)
+
+
+def _assert_same_bits(ours, reference):
+    ours, reference = np.asarray(ours, dtype=float), np.asarray(reference, dtype=float)
+    assert np.array_equal(ours.view(np.int64), reference.view(np.int64))
+
+
+def test_log_factorial_is_gammaln_to_the_bit():
+    table = np.arange(2 * DIM_CAP)  # the whole table
+    _assert_same_bits(log_factorial(table), gammaln(table + 1.0))
+    ks = np.arange(200_001)  # past the table: one by one, through every branch
+    _assert_same_bits(log_factorial(ks), gammaln(ks + 1.0))
+    # the branch edges x = k + 1 at 13, 1000 and 1e8, as scalars and as an array
+    edges = [11, 12, 998, 999, 10**8 - 2, 10**8 - 1, 10**8]
+    _assert_same_bits([log_factorial(k) for k in edges], gammaln(np.array(edges) + 1.0))
+    _assert_same_bits(log_factorial(np.array(edges)), gammaln(np.array(edges) + 1.0))
 
 
 def test_coherent_amplitude_value():
