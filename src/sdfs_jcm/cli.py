@@ -71,8 +71,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = dataclasses.replace(cfg, output_dir=args.out)
             return _report_run(run(cfg))
         if args.verb == "check":
-            # deferred: only `check` needs scipy (ndimage, the expm oracle and
-            # the independent gammaln reference); the other verbs import numpy alone
+            # deferred: only `check` needs the invariant suite and its oracle
             from .selfcheck import run_all
             results = run_all()
             for res in results:

@@ -349,6 +349,21 @@ def test_run_preset_and_overlap_import_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_check_imports_no_scipy():
+    code = (
+        "import contextlib, io, sys\n"
+        "from sdfs_jcm import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['check']) == 0\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(sdfs_jcm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_overlap_verb(capsys):
     assert main(["overlap", "--p1", "alpha0_re=1,r=0,m=1", "--p2", "alpha0_re=2,r=0,m=1"]) == 0
     out = capsys.readouterr().out
