@@ -7,10 +7,11 @@ dim = n_max + 1; every time-series output keeps that layout, one row
 per time point: inversion (T,), the Gram entries cc, ss, cs (T,),
 entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
 (T, ETA_POINTS). The Q snapshot is one grid of Q_POINTS x Q_POINTS
-values over [-h, h]^2, h = max(8, |alpha0| + 4). All of `compute`
-runs with OpenBLAS on one thread, a process-wide setting: each loaded
-OpenBLAS gets its thread count back when `compute` returns or raises,
-so calls of `compute` from concurrent threads would race on it.
+values over [-h, h]^2, h from `_q_half_width`: the paper's 8, widened
+with the displacement, the squeezing and the seed number. All of
+`compute` runs with OpenBLAS on one thread, a process-wide setting: each
+loaded OpenBLAS gets its thread count back when `compute` returns or
+raises, so calls of `compute` from concurrent threads would race on it.
 
 `run` writes one CSV per selected observable, with fixed schemas:
 
@@ -62,7 +63,7 @@ from .observables import (
     photon_number_distribution,
     q_function_grid,
 )
-from .sdfs import sdfs_state
+from .sdfs import SdfsParams, sdfs_state
 
 FLOAT_FMT = "%.17g"
 
@@ -72,6 +73,9 @@ FLOAT_FMT = "%.17g"
 # one call of `_format_cells` formats.
 BLOCK_ENTRIES = 4096
 Q_POINTS = 201  # per axis of the Q window
+# Standard deviations of the initial Q that the window holds on each axis: the
+# most that keeps the fig5 state (sqrt(Sigma_yy) = 2.41) on the paper's [-8, 8]^2.
+Q_SIGMAS = 3.3
 
 TIME_SERIES = frozenset({"inversion", "entropy", "photon_dist", "phase_dist"})
 
@@ -372,6 +376,20 @@ def _one_blas_thread():
             put(count)
 
 
+def _q_half_width(p: SdfsParams) -> float:
+    """h of the Q window [-h, h]^2: the paper's 8, |alpha0| + 4, and
+    |alpha0_x| + Q_SIGMAS sqrt(Sigma_xx) on each axis x, where
+    Sigma = ((m + 1/2) R(phi/2) diag(e^{-2r}, e^{2r}) R(phi/2)^T + I/2) / 2
+    is the covariance of the initial state's Q in alpha units."""
+    cos2, sin2 = math.cos(0.5 * p.phi) ** 2, math.sin(0.5 * p.phi) ** 2
+    narrow, wide = (p.m + 0.5) * math.exp(-2.0 * p.r), (p.m + 0.5) * math.exp(2.0 * p.r)
+    var_x = 0.5 * (narrow * cos2 + wide * sin2 + 0.5)
+    var_y = 0.5 * (narrow * sin2 + wide * cos2 + 0.5)
+    a0 = p.alpha0
+    return max(8.0, abs(a0) + 4.0, abs(a0.real) + Q_SIGMAS * math.sqrt(var_x),
+               abs(a0.imag) + Q_SIGMAS * math.sqrt(var_y))
+
+
 @_one_blas_thread()
 def compute(cfg: RunConfig) -> RunData:
     """Every selected observable and invariant residual of cfg, with no I/O.
@@ -437,8 +455,7 @@ def compute(cfg: RunConfig) -> RunData:
             residuals.get("conservation_residual", 0.0),
             float(conservation_residual(a, b)[0]),
         )
-        # the paper's [-8, 8]^2, widened to hold Q's tails 4 units around alpha0
-        h = max(8.0, abs(cfg.state.alpha0) + 4.0)
+        h = _q_half_width(cfg.state)
         axis = np.linspace(-h, h, Q_POINTS)
         qgrid = q_function_grid(*field_components(a[0], b[0]), axis, axis)
         cell = np.square(axis[1] - axis[0])

@@ -25,14 +25,17 @@ binomials times two Hermite polynomials of complex argument:
 
 with sa = sqrt(nu/2mu) and c = -nu*/s. Each square root is taken once
 and reused, so the branch ambiguity cancels inside the bracketed pairs.
-For r = 0 the nu-divisions are singular and the formula degenerates to
-the displaced Fock amplitude
+At r = 0 the nu-divisions are singular; there the amplitude is exactly
+the displaced Fock sum
 
     <n|D(alpha0)|m> = e^{-|alpha0|^2/2}
-        sum_k sqrt(n! m!) (-alpha0*)^{m-k} alpha0^{n-k}
-              / (k! (m-k)! (n-k)!),
+        sum_{i=0}^{min(n,m)} sqrt(n! m!) (-alpha0*)^{m-i} alpha0^{n-i}
+              / (i! (m-i)! (n-i)!),
 
-which is handled as an exact branch rather than a small-r limit.
+not a small-r limit. Both cases are one column sum over i <= min(n, m),
+`_column_sum`, that differs only in its term row: r = 0 is a row, not a
+separate kernel. The rows stay two formulas: building either from the
+other's pieces re-associates its sums and moves the last bits.
 
 All factorial-sized magnitudes are carried in log-domain, ln k! from
 `log_factorial`, with phases tracked separately; Hermite polynomials use
@@ -198,40 +201,40 @@ def hermite_scaled(x: complex, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return h, logs
 
 
-def _amplitudes_displaced_fock(p: SdfsParams, n_max: int) -> np.ndarray:
-    """<n|D(alpha0)|m> for n = 0..n_max (the r = 0 branch)."""
-    m, a0 = p.m, p.alpha0
-    out = np.zeros(n_max + 1, dtype=complex)
-    if a0 == 0:
-        if m <= n_max:
-            out[m] = 1.0
-        return out
-    la = math.log(abs(a0))
-    th = cmath.phase(a0)
-    ns = np.arange(n_max + 1)
-    base = -0.5 * abs(a0) ** 2 + 0.5 * log_factorial(m)
+def _column_sum(m: int, n_max: int, row) -> tuple[np.ndarray, np.ndarray]:
+    """Sum_i phase e^{logmag - peak} per column n = 0..n_max, and the column
+    peak, over the terms i <= min(n, m). row(i, k) gives term i's logmag and
+    phase at k = n - i = 0..n_max - i; rows past n_max stay empty."""
     logmag = np.full((m + 1, n_max + 1), -np.inf)
     phase = np.zeros((m + 1, n_max + 1), dtype=complex)
-    for k in range(m + 1):
-        valid = ns >= k
-        nn = ns[valid]
-        logmag[k, valid] = (
-            base
-            + 0.5 * log_factorial(nn)
-            - log_factorial(k)
-            - log_factorial(m - k)
-            - log_factorial(nn - k)
-            + (m - k + nn - k) * la
-        )
-        # (-alpha0*)^{m-k} alpha0^{n-k}: phase(-alpha0*) = pi - phase(alpha0)
-        phase[k, valid] = np.exp(1j * ((m - k) * (math.pi - th) + (nn - k) * th))
+    for i in range(min(m, n_max) + 1):
+        logmag[i, i:], phase[i, i:] = row(i, np.arange(n_max + 1 - i))
     peak = np.max(logmag, axis=0)
-    return np.sum(phase * np.exp(logmag - peak[None, :]), axis=0) * np.exp(peak)
+    return np.sum(phase * np.exp(logmag - peak[None, :]), axis=0), peak
 
 
-def _amplitudes_squeezed(p: SdfsParams, n_max: int) -> np.ndarray:
-    """<n|alpha0,z,m> for n = 0..n_max via the Hermite-sum closed form (r > 0)."""
-    m, mu, nu, a0 = p.m, p.mu, p.nu, p.alpha0
+def _amplitudes(p: SdfsParams, n_max: int) -> np.ndarray:
+    """<n|alpha0,z,m> for n = 0..n_max: the displaced Fock row at r = 0, the
+    Hermite row at r > 0, each summed by `_column_sum`."""
+    m, a0 = p.m, p.alpha0
+    if p.r == 0.0:
+        if a0 == 0:  # the number state |m>, zero where m > n_max
+            return np.eye(1, n_max + 1, m, dtype=complex)[0]
+        la = math.log(abs(a0))
+        th = cmath.phase(a0)
+        base = -0.5 * abs(a0) ** 2 + 0.5 * log_factorial(m)
+
+        def displaced_fock_row(i, k):
+            n = k + i
+            logmag = (base + 0.5 * log_factorial(n) - log_factorial(i) - log_factorial(m - i)
+                      - log_factorial(k) + (m - i + n - i) * la)
+            # (-alpha0*)^{m-i} alpha0^{n-i}: phase(-alpha0*) = pi - phase(alpha0)
+            return logmag, np.exp(1j * ((m - i) * (math.pi - th) + k * th))
+
+        total, peak = _column_sum(m, n_max, displaced_fock_row)
+        return total * np.exp(peak)
+
+    mu, nu = p.mu, p.nu
     abar = mu * a0 + nu * a0.conjugate()
     gauss_coeff = nu / (2.0 * mu)
     sa = cmath.sqrt(gauss_coeff)
@@ -251,37 +254,14 @@ def _amplitudes_squeezed(p: SdfsParams, n_max: int) -> np.ndarray:
     log_c, arg_c = math.log(abs(c)), cmath.phase(c)
     log_sa, arg_sa = math.log(abs(sa)), cmath.phase(sa)
 
-    logmag = np.full((m + 1, n_max + 1), -np.inf)
-    phase = np.zeros((m + 1, n_max + 1), dtype=complex)
-    for i in range(m + 1):
-        valid = ns >= i
-        k = ns[valid] - i
-        logmag[i, valid] = (
-            log_factorial(m)
-            - log_factorial(i)
-            - log_factorial(m - i)
-            - i * math.log(mu)
-            + (m - i) * log_c
-            + lu[m - i]
-            + k * log_sa
-            + lx[k]
-            - log_factorial(k)
-        )
-        phase[i, valid] = (
-            cmath.exp(1j * ((m - i) * arg_c))
-            * hu[m - i]
-            * np.exp(1j * k * arg_sa)
-            * hx[k]
-        )
-    peak = np.max(logmag, axis=0)
-    total = np.sum(phase * np.exp(logmag - peak[None, :]), axis=0)
+    def hermite_row(i, k):
+        logmag = (log_factorial(m) - log_factorial(i) - log_factorial(m - i) - i * math.log(mu)
+                  + (m - i) * log_c + lu[m - i] + k * log_sa + lx[k] - log_factorial(k))
+        phase = cmath.exp(1j * ((m - i) * arg_c)) * hu[m - i] * np.exp(1j * k * arg_sa) * hx[k]
+        return logmag, phase
+
+    total, peak = _column_sum(m, n_max, hermite_row)
     return pref_phase * total * np.exp(peak + pref_log)
-
-
-def _amplitudes(p: SdfsParams, n_max: int) -> np.ndarray:
-    if p.r == 0.0:
-        return _amplitudes_displaced_fock(p, n_max)
-    return _amplitudes_squeezed(p, n_max)
 
 
 def sdfs_state(p: SdfsParams) -> FockVector:

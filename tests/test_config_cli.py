@@ -138,7 +138,7 @@ def test_a_q_grid_beyond_the_output_cap_is_refused():
 
 
 def test_q_grid_radius_enforced_when_qfunc_selected(tmp_path):
-    # the window is [-h, h]^2 with h = max(8, |alpha0| + 4): [-10, 10]^2 here
+    # the window [-h, h]^2 holds 4 units around alpha0: [-10, 10]^2 here
     config_path = tmp_path / "q.cfg"
     config_path.write_text(
         f"alpha0_re = 6\nt_points = 2\nobservables = qfunc\noutput_dir = {tmp_path / 'out'}\n"
@@ -149,6 +149,20 @@ def test_q_grid_radius_enforced_when_qfunc_selected(tmp_path):
         axis = np.unique(column)
         assert axis.size == Q_POINTS
         assert (axis[0], axis[-1]) == (-10.0, 10.0)
+
+
+def test_q_window_holds_a_squeezed_seed_number(tmp_path, capsys):
+    # Q's standard deviation along y is 4.42 here: h = 3.3 * 4.42 = 14.6 holds
+    # its tails, which [-8, 8]^2 cuts (4.8e-3 of the mass)
+    config_path = tmp_path / "q.cfg"
+    config_path.write_text(
+        f"r = 1.2\nm = 3\nt_points = 2\nobservables = qfunc\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(config_path)]) == 0
+    summary = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines() if " = " in line)
+    assert float(summary["q_integral_residual"]) <= 1e-3
+    data = np.loadtxt(tmp_path / "out" / "qfunc.csv", delimiter=",", skiprows=1)
+    assert data[0, 0] == pytest.approx(-14.5876, abs=1e-4)
 
 
 def test_a_document_that_sets_every_key_parses_to_its_config():

@@ -1,15 +1,10 @@
 import functools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import sdfs_jcm
 from sdfs_jcm.fock import DIM_CAP, FockVector, build_sdfs_oracle
 from sdfs_jcm.observables import _coherent_bras
 from sdfs_jcm.sdfs import SdfsParams, sdfs_state
@@ -142,25 +137,3 @@ def test_oracle_leaves_the_global_random_state_alone():
     np.random.seed(5)
     _stacked(_STACK)
     assert np.random.random() == expected
-
-
-def _assert_preset_leaves_unimported(module, out):
-    code = (
-        "import sys\n"
-        "from sdfs_jcm import cli\n"
-        f"assert cli.main(['preset', 'fig1a', '--out', {str(out)!r}]) == 0\n"
-        f"assert {module!r} not in sys.modules\n"
-    )
-    src = str(Path(sdfs_jcm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-
-
-def test_preset_does_not_import_scipy_sparse(tmp_path):
-    _assert_preset_leaves_unimported("scipy.sparse", tmp_path)
-
-
-def test_preset_does_not_import_scipy_ndimage(tmp_path):
-    # only the q-structure check of `check` labels regions
-    _assert_preset_leaves_unimported("scipy.ndimage", tmp_path)

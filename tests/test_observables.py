@@ -397,12 +397,13 @@ def test_q_grid_equals_its_single_rows():
 def test_compute_rows_match_the_reference_reduced_state(alpha0, r, phi, m, detuning):
     # P(n, t) is the diagonal of the operator route's rho, S_f and the two
     # eigenvalues come from its eigvalsh, the phase density from its double
-    # sum; under detuning the last two see the phase of A_n
+    # sum, Q from <alpha|rho|alpha> / pi at t_max_scaled; under detuning the
+    # last three see the phase of A_n
     cfg = RunConfig(
         state=SdfsParams(alpha0=alpha0, r=r, phi=phi, m=m),
         detuning_ratio=detuning,
         t_points=11,
-        observables=("entropy", "photon_dist", "phase_dist"),
+        observables=("entropy", "photon_dist", "phase_dist", "qfunc"),
     )
     data = compute(cfg)
     _, _, rho = jcm_reference(_state(cfg.state), cfg.t_max_scaled, cfg.t_points, detuning)
@@ -414,6 +415,15 @@ def test_compute_rows_match_the_reference_reduced_state(alpha0, r, phi, m, detun
     np.testing.assert_allclose(data.entropy[:, 1:], lam[:, :2], rtol=0, atol=1e-12)
     reference = _phase_double_sum(rho, data.etas[::16]).real  # every 16th angle
     np.testing.assert_allclose(data.phase[:, ::16], reference, rtol=0, atol=1e-12)
+    picks = slice(5, None, 20)  # 10 x 10 of the grid, none at alpha = 0
+    alphas = data.qgrid.x_axis[None, picks] + 1j * data.qgrid.y_axis[picks, None]
+    ns = np.arange(rho.shape[1])
+    kets = np.exp(  # <n|alpha>, shape (10, 10, levels)
+        ns * np.log(alphas[..., None]) - 0.5 * gammaln(ns + 1.0) - 0.5 * np.abs(alphas[..., None]) ** 2
+    )
+    direct = np.einsum("...j,jk,...k->...", kets.conj(), rho[-1], kets) / math.pi
+    assert np.max(np.abs(direct.imag)) <= 1e-12
+    np.testing.assert_allclose(data.qgrid.values[picks, picks], direct.real, rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- revival time

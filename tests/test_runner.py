@@ -54,7 +54,7 @@ def test_compute_fills_every_selected_observable(small_q_window):
     assert data.photon.shape == (_CFG.t_points, dim + 1)
     assert data.phase.shape == (_CFG.t_points, ETA_POINTS)
     assert data.qgrid.values.shape == (31, 31)
-    assert data.qgrid.x_axis[0] == data.qgrid.y_axis[0] == -8.0  # max(8, |alpha0| + 4)
+    assert data.qgrid.x_axis[0] == data.qgrid.y_axis[0] == -8.0  # the paper's window holds this Q
     assert set(data.residuals) == set(runner.TOLERANCES)
     assert all(value <= runner.TOLERANCES[name] for name, value in data.residuals.items())
 

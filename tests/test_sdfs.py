@@ -80,6 +80,22 @@ def test_amplitude_matches_oracle():
     assert _amplitudes(p, 5)[5] == pytest.approx(complex(oracle.amps[5]), abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        SdfsParams(m=6),
+        SdfsParams(alpha0=1.5 - 0.5j, m=6),
+        SdfsParams(alpha0=1.5 - 0.5j, r=0.4, phi=1.0, m=6),
+    ],
+    ids=["number-state", "r=0", "r>0"],
+)
+def test_window_below_the_seed_number_is_the_head_of_the_oracle(p):
+    # n_max < m: the column sum holds only the terms i <= n_max
+    (oracle,) = build_sdfs_oracle([p], [128])
+    for n_max in (0, 2, 5):
+        np.testing.assert_allclose(_amplitudes(p, n_max), oracle.amps[: n_max + 1], rtol=0, atol=1e-12)
+
+
 def test_parity_of_undisplaced_states():
     for r in (0.4, 1.0):
         for m in (0, 1, 2):
