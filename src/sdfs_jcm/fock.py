@@ -3,8 +3,8 @@
 Everything downstream represents the cavity field on the finite photon
 basis |0>, ..., |dim-1>, a window of dim number states. This module
 holds that vector type, the window cap DIM_CAP, the normalization bound
-NORM_TOL, and the one operator function: the direct construction of
-squeezed displaced Fock states
+NORM_TOL and its rounding slack ROUND_SLACK, and the one operator
+function: the direct construction of squeezed displaced Fock states
 
     D(alpha0) S(z) |m>,   D(alpha0) = exp(alpha0 a+ - alpha0* a),
                           S(z)      = exp((z*/2) a^2 - (z/2) a+^2),
@@ -35,6 +35,9 @@ DIM_CAP = 512
 # state, the probability sum of an evolution, the trace and eigenvalue sum of
 # the reduced field state. Every layer reads this one bound.
 NORM_TOL = 1e-10
+# Rounding slack past 1 (or 0) of a closed-form norm^2, beyond which the sum has
+# cancelled, and of the reduced state's Gram entries and eigenvalues.
+ROUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,9 @@ estimate. Everything is derived from the coefficient arrays in
 components C and S of the reduced field state. That state is rank <= 2,
 which all formulas here exploit. The phase density at the angles ETAS
 takes its kernel from `phase_kernel`, built once per run rather than per
-time block; it and the Q grid contract one row at a time (zgemv), which
-`runner.compute` runs on one OpenBLAS thread.
+time block. The Q grid keeps leading axes too, and builds each y row of
+coherent bras once for all snapshots. Both contract one row at a time
+(zgemv), which `runner` runs on one OpenBLAS thread.
 
 The entropy is one array computation too, but maps Python's abs,
 math.hypot and math.log over its rows: the numpy versions round the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_TOL
+from .fock import NORM_TOL, ROUND_SLACK
 from .sdfs import SdfsParams, log_factorial
 
 _TWO_PI = 2.0 * math.pi
@@ -76,15 +77,16 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
 
     lambda+- = (cc+ss)/2 +- hypot((cc-ss)/2, |cs|), the cancellation-free
     hyperbolic-angle split, which is |cc-ss|/2 for |cs| <= _CS_FLOOR.
-    Eigenvalues are clamped to [0, 1] only within 1e-12 slack. Entries
-    outside [0, 1], a trace off 1 by > NORM_TOL, |cs|^2 > cc*ss + 1e-12 or
-    eigenvalues beyond the slack raise ValueError naming the first such
-    row. Only |cs| (Python abs), the hypot and the logarithms run element
-    by element, in Python's math: numpy's versions differ in the last bit.
+    Eigenvalues are clamped to [0, 1] only within ROUND_SLACK, the slack
+    `sdfs_state` grants its norm^2. Entries outside [0, 1] by more, a trace
+    off 1 by > NORM_TOL, |cs|^2 > cc*ss + ROUND_SLACK or eigenvalues beyond
+    the slack raise ValueError naming the first such row. Only |cs|
+    (Python abs), the hypot and the logarithms run element by element, in
+    Python's math: numpy's versions differ in the last bit.
     """
     acs = np.fromiter(map(abs, cs.tolist()), float, len(cs))
     _reject_first(
-        ~((-1e-12 <= cc) & (cc <= 1.0 + 1e-12) & (-1e-12 <= ss) & (ss <= 1.0 + 1e-12)),
+        ~((-ROUND_SLACK <= np.minimum(cc, ss)) & (np.maximum(cc, ss) <= 1.0 + ROUND_SLACK)),
         lambda i: f"cc={cc[i]}, ss={ss[i]} outside [0, 1]",
     )
     trace = cc + ss
@@ -93,7 +95,8 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
         lambda i: f"trace cc + ss = {trace[i]} deviates from 1 beyond {NORM_TOL:g}",
     )
     _reject_first(
-        acs * acs > cc * ss + 1e-12, lambda i: "|<C|S>|^2 exceeds <C|C><S|S> beyond 1e-12"
+        acs * acs > cc * ss + ROUND_SLACK,
+        lambda i: f"|<C|S>|^2 exceeds <C|C><S|S> beyond {ROUND_SLACK:g}",
     )
 
     half_gap = 0.5 * (cc - ss)
@@ -104,7 +107,7 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
     lams = rows[:, 1:]
     lams[:, 0], lams[:, 1] = 0.5 * trace + split, 0.5 * trace - split
     _reject_first(
-        (lams[:, 1] < -1e-12) | (lams[:, 0] > 1.0 + 1e-12),
+        (lams[:, 1] < -ROUND_SLACK) | (lams[:, 0] > 1.0 + ROUND_SLACK),
         lambda i: f"eigenvalues ({lams[i, 0]}, {lams[i, 1]}) outside [0, 1] beyond slack",
     )
     np.clip(lams, 0.0, 1.0, out=lams)
@@ -166,19 +169,22 @@ def q_function_grid(
     c: np.ndarray, s: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray
 ) -> QGrid:
     """Husimi Q(alpha) = <alpha|rho_f|alpha>/pi = (|<alpha|C>|^2 + |<alpha|S>|^2)/pi
-    on the rectangular grid alpha = x + iy, at one time (1-D c and s).
+    on the grid alpha = x + iy: (..., dim + 1) c and s give (..., ny, nx)
+    values, one row of bras per y serving every snapshot.
 
     The rank-2 contraction is algebraically identical to the full
     double sum over rho_nm but costs O(n_max) per point.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     y_axis = np.asarray(y_axis, dtype=float)
+    snapshots = list(zip(c.reshape(-1, c.shape[-1]), s.reshape(-1, s.shape[-1])))
     # one row of bras at a time keeps memory at O(nx * n_max)
-    values = np.empty((y_axis.size, x_axis.size))
+    values = np.empty((len(snapshots), y_axis.size, x_axis.size))
     for iy, y in enumerate(y_axis):
-        bras = _coherent_bras(x_axis + 1j * y, c.size)
-        values[iy] = (np.abs(bras @ c) ** 2 + np.abs(bras @ s) ** 2) / math.pi
-    return QGrid(x_axis, y_axis, values)
+        bras = _coherent_bras(x_axis + 1j * y, c.shape[-1])
+        for k, (ck, sk) in enumerate(snapshots):  # a matvec each: a gemm changes the bits
+            values[k, iy] = (np.abs(bras @ ck) ** 2 + np.abs(bras @ sk) ** 2) / math.pi
+    return QGrid(x_axis, y_axis, values.reshape(*c.shape[:-1], y_axis.size, x_axis.size))
 
 
 def revival_time(p: SdfsParams) -> float:

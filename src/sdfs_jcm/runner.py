@@ -8,10 +8,11 @@ per time point: inversion (T,), the Gram entries cc, ss, cs (T,),
 entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
 (T, ETA_POINTS). The Q snapshot is one grid of Q_POINTS x Q_POINTS
 values over [-h, h]^2, h from `_q_half_width`: the paper's 8, widened
-with the displacement, the squeezing and the seed number. All of
-`compute` runs with OpenBLAS on one thread, a process-wide setting: each
-loaded OpenBLAS gets its thread count back when `compute` returns or
-raises, so calls of `compute` from concurrent threads would race on it.
+with the displacement, the squeezing and the seed number; `q_grids`
+makes it, and the three fig5 snapshots of `check` in one pass of bras.
+It and `compute` run with OpenBLAS on one thread, a process-wide setting:
+each loaded OpenBLAS gets its thread count back when they return or
+raise, so calls from concurrent threads would race on it.
 
 `run` writes one CSV per selected observable, with fixed schemas:
 
@@ -50,7 +51,7 @@ import numpy as np
 
 from .config import RunConfig, validate
 from .dynamics import conservation_residual, evolve, field_components
-from .fock import NORM_TOL
+from .fock import NORM_TOL, FockVector
 from .observables import (
     ETA_POINTS,
     ETAS,
@@ -391,6 +392,19 @@ def _q_half_width(p: SdfsParams) -> float:
 
 
 @_one_blas_thread()
+def q_grids(
+    p: SdfsParams, q: FockVector, times: np.ndarray, detuning_ratio: float
+) -> tuple[list[QGrid], np.ndarray]:
+    """Q grids of q = sdfs_state(p) at the scaled times, Q_POINTS per axis of
+    [-h, h]^2 with h = `_q_half_width(p)`, and the conservation residuals."""
+    a, b = evolve(q, times, detuning_ratio)
+    h = _q_half_width(p)
+    axis = np.linspace(-h, h, Q_POINTS)
+    grid = q_function_grid(*field_components(a, b), axis, axis)
+    return [QGrid(axis, axis, values) for values in grid.values], conservation_residual(a, b)
+
+
+@_one_blas_thread()
 def compute(cfg: RunConfig) -> RunData:
     """Every selected observable and invariant residual of cfg, with no I/O.
 
@@ -450,15 +464,11 @@ def compute(cfg: RunConfig) -> RunData:
     qgrid = None
     if "qfunc" in selected:
         t_q = cfg.q_time_scaled if cfg.q_time_scaled is not None else cfg.t_max_scaled
-        a, b = evolve(q, [t_q], cfg.detuning_ratio)
+        (qgrid,), conservation = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
         residuals["conservation_residual"] = max(
-            residuals.get("conservation_residual", 0.0),
-            float(conservation_residual(a, b)[0]),
+            residuals.get("conservation_residual", 0.0), float(conservation[0])
         )
-        h = _q_half_width(cfg.state)
-        axis = np.linspace(-h, h, Q_POINTS)
-        qgrid = q_function_grid(*field_components(a[0], b[0]), axis, axis)
-        cell = np.square(axis[1] - axis[0])
+        cell = np.square(qgrid.x_axis[1] - qgrid.x_axis[0])
         residuals["q_integral_residual"] = abs(float(np.sum(qgrid.values)) * cell - 1.0)
 
     etas = None if kernel is None else ETAS

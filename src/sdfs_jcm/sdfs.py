@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DIM_CAP, NORM_TOL, FockVector
+from .fock import DIM_CAP, ROUND_SLACK, FockVector
 
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -275,7 +275,7 @@ def sdfs_state(p: SdfsParams) -> FockVector:
     at least the floor, and the last window is sliced there. Past the cap
     the refusal names lost precision when the mass has converged but falls
     short. The sliced norm^2 then lies above 1 - TAIL_TOL; one exceeding
-    1 + NORM_TOL is an error, never a silent renormalization: the excess
+    1 + ROUND_SLACK is an error, never a silent renormalization: the excess
     means cancellation in the closed form.
     """
     cap = DIM_CAP - 1
@@ -318,7 +318,7 @@ def sdfs_state(p: SdfsParams) -> FockVector:
     n_max = max(int(crossing[0]), floor_n)
     q = FockVector(amps[: n_max + 1])
     norm_sq = q.norm_sq()
-    if norm_sq > 1.0 + NORM_TOL:
+    if norm_sq > 1.0 + ROUND_SLACK:
         raise ValueError(
             f"closed-form amplitudes lost precision: norm^2 exceeds 1 by "
             f"{norm_sq - 1.0:.3e} at n_max={n_max} (cancellation in the sum, m={p.m})"

@@ -21,7 +21,7 @@ from .dynamics import evolve
 from .fock import FockVector, build_sdfs_oracle
 from .observables import atomic_inversion
 from .presets import REVIVAL_T, figure_preset
-from .runner import TOLERANCES, compute
+from .runner import TOLERANCES, compute, q_grids
 from .sdfs import SdfsParams, log_factorial, sdfs_overlap, sdfs_state
 
 AMPLITUDE_GRID = {
@@ -300,8 +300,11 @@ def check_q_structure() -> CheckResult:
     tol = TOLERANCES["q_integral_residual"]
     issues = []
     integrals = []
-    for variant in "abc":
-        grid = compute(figure_preset(f"fig5{variant}")).qgrid
+    cfgs = [figure_preset(f"fig5{variant}") for variant in "abc"]
+    p, detuning = cfgs[0].state, cfgs[0].detuning_ratio
+    assert all((cfg.state, cfg.detuning_ratio) == (p, detuning) for cfg in cfgs)
+    grids, _ = q_grids(p, sdfs_state(p), [cfg.q_time_scaled for cfg in cfgs], detuning)
+    for variant, grid in zip("abc", grids):
         cell = (grid.x_axis[1] - grid.x_axis[0]) * (grid.y_axis[1] - grid.y_axis[0])
         integral = float(np.sum(grid.values)) * cell
         integrals.append(integral)

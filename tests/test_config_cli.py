@@ -436,3 +436,21 @@ def test_cli_run_refuses_a_squeeze_whose_mean_photon_number_overflows(r, tmp_pat
     err = capsys.readouterr().err
     assert "required truncation beyond the double range exceeds the cap 511" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("observables", ["inversion,entropy", "inversion"])
+def test_cli_run_refuses_a_state_whose_norm_overshoots_the_rounding_slack(
+    observables, tmp_path, capsys
+):
+    # the closed form of (2, 1, 30) cancels: its norm^2 exceeds 1 by 2.2e-11,
+    # inside NORM_TOL but beyond the ROUND_SLACK that the entropy allows too
+    config_path = tmp_path / "cancelled.cfg"
+    out_dir = tmp_path / "out"
+    config_path.write_text(
+        f"alpha0_re = 2\nr = 1\nm = 30\nt_points = 4\nobservables = {observables}\n"
+        f"output_dir = {out_dir}\n"
+    )
+    assert main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "lost precision: norm^2 exceeds 1 by 2.153e-11 at n_max=361" in err
+    assert not out_dir.exists()

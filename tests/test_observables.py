@@ -381,6 +381,20 @@ def test_q_grid_equals_its_single_rows():
     assert np.array_equal(q_function_grid(c, s, xs, ys).values, np.vstack(rows))
 
 
+@pytest.mark.parametrize("detuning", [0.0, -0.8])
+def test_a_stacked_q_grid_equals_its_single_snapshots(detuning):
+    p = SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2)
+    c, s = field_components(*evolve(_state(p), [0.0, 2.3, 7.9], detuning))
+    xs = np.linspace(-7.0, 7.0, 29)
+    ys = np.linspace(-6.0, 6.0, 23)
+    stacked = q_function_grid(c, s, xs, ys).values
+    assert stacked.shape == (3, 23, 29)
+    assert q_function_grid(c[None], s[None], xs, ys).values.shape == (1, 3, 23, 29)
+    for k in range(3):
+        single = q_function_grid(c[k], s[k], xs, ys).values
+        assert np.array_equal(stacked[k].view(np.int64), single.view(np.int64))
+
+
 # ------------------------------------- compute rows against the reference rho
 
 

@@ -157,6 +157,32 @@ def test_compute_runs_on_one_blas_thread_and_restores_the_count(
     assert _blas_counts() == [2] * libs
 
 
+def test_compute_takes_its_q_grid_from_q_grids_on_one_blas_thread(monkeypatch, two_blas_threads):
+    seen, calls = [], []
+    grid_kernel, q_grids = runner.q_function_grid, runner.q_grids
+
+    def watched(*args):
+        seen.append(_blas_counts())
+        return grid_kernel(*args)
+
+    def recorded(*args):
+        calls.append(args)
+        return q_grids(*args)
+
+    monkeypatch.setattr(runner, "q_function_grid", watched)
+    cfg = figure_preset("fig5b")
+    (grid,), conservation = q_grids(
+        cfg.state, sdfs_state(cfg.state), [cfg.q_time_scaled], cfg.detuning_ratio
+    )
+    libs = len(two_blas_threads)
+    assert seen == [[1] * libs] and _blas_counts() == [2] * libs
+    assert conservation.shape == (1,)
+    monkeypatch.setattr(runner, "q_grids", recorded)
+    data = compute(cfg)
+    assert len(calls) == 1 and list(calls[0][2]) == [cfg.q_time_scaled]
+    assert np.array_equal(data.qgrid.values.view(np.int64), grid.values.view(np.int64))
+
+
 @pytest.mark.parametrize("preset", ["fig4a", "fig5b"])
 def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threads, preset):
     cfg = figure_preset(preset)

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from sdfs_jcm import observables, selfcheck
 from sdfs_jcm.config import parse_config
 from sdfs_jcm.presets import figure_preset
-from sdfs_jcm.runner import compute
+from sdfs_jcm.runner import Q_POINTS, compute
 from sdfs_jcm.selfcheck import (
     _count_components,
     _half_max_components,
     check_amplitude_oracle,
     check_overlap_oracle,
+    check_q_structure,
 )
 
 
@@ -52,3 +54,29 @@ def test_oracle_checks_print_the_same_after_other_work(tmp_path, sweep_workloads
     for state in sweep_workloads.sweep_states(0)[:2]:
         compute(parse_config(sweep_workloads.sweep_config_text(state, tmp_path)))
     assert [check_amplitude_oracle().detail, check_overlap_oracle().detail] == before
+
+
+def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypatch):
+    rows, grids = [], []
+    bras, q_grids = observables._coherent_bras, selfcheck.q_grids
+
+    def counted_bras(alphas, dim):
+        rows.append(dim)
+        return bras(alphas, dim)
+
+    def recorded_grids(*args):
+        result = q_grids(*args)
+        grids.extend(result[0])
+        return result
+
+    monkeypatch.setattr(observables, "_coherent_bras", counted_bras)
+    monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
+    assert check_q_structure().passed
+    assert len(rows) == Q_POINTS  # 3 * Q_POINTS with a grid per snapshot
+    monkeypatch.undo()
+    assert len(grids) == 3
+    for variant, grid in zip("abc", grids):
+        expected = compute(figure_preset(f"fig5{variant}")).qgrid
+        assert np.array_equal(grid.x_axis, expected.x_axis)
+        assert np.array_equal(grid.y_axis, expected.y_axis)
+        assert np.array_equal(grid.values.view(np.int64), expected.values.view(np.int64))
