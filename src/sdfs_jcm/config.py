@@ -2,9 +2,10 @@
 
 One ``key = value`` per line, ``#`` starts a comment line, blank lines
 are ignored. Unknown and duplicate keys are rejected with line numbers;
-domain violations name the offending key. `parse_state` reads the state
-keys from comma-separated items by the same rules. The phase and Q grids
-are the program's own (`observables.ETAS`, `runner.compute`), not keys.
+domain violations name the offending key: a RunConfig checks its own
+domain when it is built. `parse_state` reads the state keys from
+comma-separated items by the same rules. The phase and Q grids are the
+program's own (`observables.ETAS`, `runner.compute`), not keys.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ OUTPUT_CAP = 2**27
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one simulation run needs."""
+    """Everything one simulation run needs, checked on construction against
+    the run-level domain constraints, naming the offending key.
+
+    The state's own constraints (r >= 0, m >= 0) hold by construction of
+    SdfsParams; `parse_config` reports them with their line numbers. The
+    time axis (always built) times its widest selected row may hold at
+    most OUTPUT_CAP values. The phase kernel (ETA_POINTS rows of up to
+    DIM_CAP + 1 values) and the 201 x 201 Q grid are fixed sizes below it.
+    """
 
     state: SdfsParams = field(default_factory=SdfsParams)
     detuning_ratio: float = 0.0
@@ -33,6 +42,31 @@ class RunConfig:
     q_time_scaled: float | None = None
     observables: tuple[str, ...] = ("inversion", "entropy")
     output_dir: str = "out"
+
+    def __post_init__(self):
+        if self.t_max_scaled <= 0:
+            raise _fail("key 't_max_scaled' must be > 0")
+        if self.t_points < 2:
+            raise _fail("key 't_points' must be >= 2")
+        if self.q_time_scaled is not None and self.q_time_scaled < 0:
+            raise _fail("key 'q_time_scaled' must be >= 0")
+        bad = [name for name in self.observables if name not in OBSERVABLE_NAMES]
+        if bad:
+            raise _fail(
+                f"key 'observables' has unknown entries {bad}; "
+                f"valid: {', '.join(OBSERVABLE_NAMES)}"
+            )
+        if not self.observables:
+            raise _fail("key 'observables' must select at least one output")
+        widths = dict(inversion=1, entropy=3, photon_dist=DIM_CAP + 1, phase_dist=ETA_POINTS)
+        row, widest = max(
+            ((widths[n], n) for n in self.observables if n in widths), default=(1, "ts")
+        )
+        if self.t_points * row > OUTPUT_CAP:
+            raise _fail(
+                f"key 't_points' = {self.t_points} with {widest} rows of {row} values "
+                f"exceeds the output cap of {OUTPUT_CAP} values"
+            )
 
 
 _FLOAT_KEYS = (
@@ -99,39 +133,6 @@ def _pop_state(values: dict) -> SdfsParams:
     return SdfsParams(**kwargs)
 
 
-def validate(cfg: RunConfig) -> RunConfig:
-    """Check the run-level domain constraints, naming the offending key.
-
-    The state's own constraints (r >= 0, m >= 0) hold by construction of
-    SdfsParams; `parse_config` reports them with their line numbers. The
-    time axis (always built) times its widest selected row may hold at
-    most OUTPUT_CAP values. The phase kernel (ETA_POINTS rows of up to
-    DIM_CAP + 1 values) and the 201 x 201 Q grid are fixed sizes below it.
-    """
-    if cfg.t_max_scaled <= 0:
-        raise _fail("key 't_max_scaled' must be > 0")
-    if cfg.t_points < 2:
-        raise _fail("key 't_points' must be >= 2")
-    if cfg.q_time_scaled is not None and cfg.q_time_scaled < 0:
-        raise _fail("key 'q_time_scaled' must be >= 0")
-    bad = [name for name in cfg.observables if name not in OBSERVABLE_NAMES]
-    if bad:
-        raise _fail(
-            f"key 'observables' has unknown entries {bad}; "
-            f"valid: {', '.join(OBSERVABLE_NAMES)}"
-        )
-    if not cfg.observables:
-        raise _fail("key 'observables' must select at least one output")
-    widths = dict(inversion=1, entropy=3, photon_dist=DIM_CAP + 1, phase_dist=ETA_POINTS)
-    row, widest = max(((widths[n], n) for n in cfg.observables if n in widths), default=(1, "ts"))
-    if cfg.t_points * row > OUTPUT_CAP:
-        raise _fail(
-            f"key 't_points' = {cfg.t_points} with {widest} rows of {row} values "
-            f"exceeds the output cap of {OUTPUT_CAP} values"
-        )
-    return cfg
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key = value document.
 
@@ -148,7 +149,7 @@ def parse_config(text: str) -> RunConfig:
     if "observables" in values:
         names = values["observables"].split(",")
         values["observables"] = tuple(name.strip() for name in names if name.strip())
-    return validate(RunConfig(state=state, **values))
+    return RunConfig(state=state, **values)
 
 
 def parse_state(text: str) -> SdfsParams:

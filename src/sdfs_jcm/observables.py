@@ -7,11 +7,13 @@ estimate. Everything is derived from the coefficient arrays in
 `dynamics` and keeps their leading time axis: inversion takes the
 (T, dim) arrays A and B, the field quantities take the (T, dim + 1)
 components C and S of the reduced field state. That state is rank <= 2,
-which all formulas here exploit. The phase density at the angles ETAS
-takes its kernel from `phase_kernel`, built once per run rather than per
-time block. The Q grid keeps leading axes too, and builds each y row of
-coherent bras once for all snapshots. Both contract one row at a time
-(zgemv), which `runner` runs on one OpenBLAS thread.
+which all formulas here exploit. The phase density and the Q grid are one
+projection |<bra|C>|^2 + |<bra|S>|^2 over a fixed set of bras, one
+stacked matvec (zgemv) per leading index, which `runner` runs on one
+OpenBLAS thread. The phase density's bras are the kernel of
+`phase_kernel` at the angles ETAS, built once per run rather than per
+time block; the Q grid builds each y row of coherent bras once for all
+snapshots.
 
 The entropy is one array computation too, but maps Python's abs,
 math.hypot and math.log over its rows: the numpy versions round the
@@ -21,7 +23,6 @@ last bit differently, which would change the written entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +36,6 @@ _CS_FLOOR = 1e-14
 ETA_POINTS = 512
 ETAS = np.linspace(-math.pi, math.pi, ETA_POINTS, endpoint=False)
 ETAS.flags.writeable = False
-
-
-@dataclass(frozen=True, eq=False)
-class QGrid:
-    """Husimi Q values on a rectangular grid of alpha = x + iy.
-
-    values[iy, ix] is Q at (x_axis[ix], y_axis[iy]); density per unit
-    area of the complex plane.
-    """
-
-    x_axis: np.ndarray
-    y_axis: np.ndarray
-    values: np.ndarray
 
 
 def atomic_inversion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,6 +119,13 @@ def phase_kernel(dim: int) -> np.ndarray:
     return np.exp(-1j * np.outer(ETAS, np.arange(dim)))
 
 
+def _project(bras: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|bras @ C|^2 + |bras @ S|^2 per leading index of c and s: one
+    stacked matrix-vector product per row, since a single gemm over all
+    rows would change the last bits."""
+    return np.abs((bras @ c[..., None])[..., 0]) ** 2 + np.abs((bras @ s[..., None])[..., 0]) ** 2
+
+
 def phase_distribution(c: np.ndarray, s: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Pegg-Barnett phase density P(eta, t) per radian, reference angle 0,
     as (T, ETA_POINTS) rows over ETAS, with kernel = `phase_kernel(dim + 1)`.
@@ -141,11 +136,7 @@ def phase_distribution(c: np.ndarray, s: np.ndarray, kernel: np.ndarray) -> np.n
     which is evaluated exactly (no truncation beyond the state itself)
     and is manifestly real and nonnegative.
     """
-    # one matrix-vector product per time row, stacked; a single gemm over
-    # all rows would change the last bits
-    project_c = (kernel @ c[..., None])[..., 0]
-    project_s = (kernel @ s[..., None])[..., 0]
-    return (np.abs(project_c) ** 2 + np.abs(project_s) ** 2) / _TWO_PI
+    return _project(kernel, c, s) / _TWO_PI
 
 
 def _coherent_bras(alphas: np.ndarray, dim: int) -> np.ndarray:
@@ -167,24 +158,21 @@ def _coherent_bras(alphas: np.ndarray, dim: int) -> np.ndarray:
 
 def q_function_grid(
     c: np.ndarray, s: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray
-) -> QGrid:
+) -> np.ndarray:
     """Husimi Q(alpha) = <alpha|rho_f|alpha>/pi = (|<alpha|C>|^2 + |<alpha|S>|^2)/pi
-    on the grid alpha = x + iy: (..., dim + 1) c and s give (..., ny, nx)
-    values, one row of bras per y serving every snapshot.
+    per unit area on the grid alpha = x + iy: (..., dim + 1) c and s give
+    (..., ny, nx) values, [..., iy, ix] at (x_axis[ix], y_axis[iy]), one
+    row of bras per y serving every snapshot.
 
     The rank-2 contraction is algebraically identical to the full
     double sum over rho_nm but costs O(n_max) per point.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     y_axis = np.asarray(y_axis, dtype=float)
-    snapshots = list(zip(c.reshape(-1, c.shape[-1]), s.reshape(-1, s.shape[-1])))
-    # one row of bras at a time keeps memory at O(nx * n_max)
-    values = np.empty((len(snapshots), y_axis.size, x_axis.size))
-    for iy, y in enumerate(y_axis):
-        bras = _coherent_bras(x_axis + 1j * y, c.shape[-1])
-        for k, (ck, sk) in enumerate(snapshots):  # a matvec each: a gemm changes the bits
-            values[k, iy] = (np.abs(bras @ ck) ** 2 + np.abs(bras @ sk) ** 2) / math.pi
-    return QGrid(x_axis, y_axis, values.reshape(*c.shape[:-1], y_axis.size, x_axis.size))
+    values = np.empty((*c.shape[:-1], y_axis.size, x_axis.size))
+    for iy, y in enumerate(y_axis):  # one row of bras at a time: memory O(nx * n_max)
+        values[..., iy, :] = _project(_coherent_bras(x_axis + 1j * y, c.shape[-1]), c, s) / math.pi
+    return values
 
 
 def revival_time(p: SdfsParams) -> float:

@@ -6,10 +6,11 @@ and walks the scaled-time grid in blocks of rows. Each block is one call of
 dim = n_max + 1; every time-series output keeps that layout, one row
 per time point: inversion (T,), the Gram entries cc, ss, cs (T,),
 entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
-(T, ETA_POINTS). The Q snapshot is one grid of Q_POINTS x Q_POINTS
-values over [-h, h]^2, h from `_q_half_width`: the paper's 8, widened
-with the displacement, the squeezing and the seed number; `q_grids`
-makes it, and the three fig5 snapshots of `check` in one pass of bras.
+(T, ETA_POINTS). The Q snapshot is a plain (Q_POINTS, Q_POINTS) array
+indexed [y, x] over the one axis of the window [-h, h]^2, h from
+`_q_half_width`: the paper's 8, widened with the displacement, the
+squeezing and the seed number; `q_grids` makes it, and the three fig5
+snapshots of `check` in one pass of bras.
 It and `compute` run with OpenBLAS on one thread, a process-wide setting:
 each loaded OpenBLAS gets its thread count back when they return or
 raise, so calls from concurrent threads would race on it.
@@ -27,11 +28,11 @@ byte for byte, but formatted in numpy by `_format_cells`: the 17 digits
 come from Dekker's exact product with a double-double power of 10, and
 the few values whose rounding that cannot settle (near-ties, zeros,
 inf, nan, magnitudes outside EXACT_RANGE) go to '%.17g' itself. Files
-are streamed in blocks of BLOCK_ENTRIES lines. Column keys (n, eta, x)
-are formatted once per file; row keys (time, y) BLOCK_ENTRIES at a
-time as the blocks reach them, so a write never holds more than that
-many. Lines end in '\\n': identical configurations give
-identical bytes, equal to the np.savetxt output of earlier versions.
+are streamed in blocks of BLOCK_ENTRIES lines. The row and column keys
+of a keyed file (time or y, and n, eta or x) are formatted once per
+file; the output cap holds such a file to OUTPUT_CAP / ETA_POINTS rows.
+Lines end in '\\n': identical configurations give identical bytes,
+equal to the np.savetxt output of earlier versions.
 run_summary.txt records the truncation, the worst invariant residuals
 and the compute, write and wall times; any residual beyond its tolerance
 marks the run failed, which the CLI turns into a nonzero exit status.
@@ -49,13 +50,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, validate
+from .config import RunConfig
 from .dynamics import conservation_residual, evolve, field_components
 from .fock import NORM_TOL, FockVector
 from .observables import (
     ETA_POINTS,
     ETAS,
-    QGrid,
     atomic_inversion,
     entropy_rows,
     gram,
@@ -109,9 +109,9 @@ class RunData:
     cs: np.ndarray | None = None
     entropy: np.ndarray | None = None  # columns S_f, lambda_plus, lambda_minus
     photon: np.ndarray | None = None
-    etas: np.ndarray | None = None
-    phase: np.ndarray | None = None
-    qgrid: QGrid | None = None
+    phase: np.ndarray | None = None  # columns at ETAS
+    q_axis: np.ndarray | None = None  # x and y of the Q window
+    qfunc: np.ndarray | None = None  # [y, x] over q_axis
 
 
 @dataclass(frozen=True)
@@ -279,9 +279,9 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _keys(values: np.ndarray) -> np.ndarray:
-    """Each column key formatted once, as `_format_cells` rows cut to the
-    longest, BLOCK_ENTRIES at a time; integers as floats, whose FLOAT_FMT
-    is '%d' below 10**17."""
+    """Each key formatted once, as `_format_cells` rows cut to the longest,
+    BLOCK_ENTRIES at a time; integers as floats, whose FLOAT_FMT is '%d'
+    below 10**17."""
     blocks = range(0, len(values), BLOCK_ENTRIES)
     cells = np.concatenate([_format_cells(values[lo : lo + BLOCK_ENTRIES]) for lo in blocks])
     return cells[:, : int(np.max(np.sum(cells != 0, axis=1)))]
@@ -297,27 +297,22 @@ def _write_csv(
 ) -> Path:
     """Stream values as a CSV keyed by rows: line i is rows[i] and the
     cells of values[i]; with cols, each cell is a line rows[i], cols[j],
-    values[i, j] (cols[j] first if cols_first). Row keys are formatted
-    BLOCK_ENTRIES rows at a time, as the blocks reach them. Each block of
-    BLOCK_ENTRIES lines is one stack of the NUL-padded keys, commas,
-    cells and newlines, written without its NULs.
+    values[i, j] (cols[j] first if cols_first), both keys formatted once
+    by `_keys`. Each block of BLOCK_ENTRIES lines is one stack of the
+    NUL-padded keys, commas, cells and newlines, written without its NULs.
     """
     values = values.reshape(len(rows), -1)
-    col_keys = None if cols is None else _keys(cols)
+    keys = None if cols is None else (_keys(rows), _keys(cols))
     lines = len(rows) if cols is None else values.size
-    first = end = 0  # row_keys holds rows[first:end]
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
         for lo in range(0, lines, BLOCK_ENTRIES):
             hi = min(lo + BLOCK_ENTRIES, lines)
-            if col_keys is None:
+            if keys is None:
                 fields = list(map(_format_cells, (rows[lo:hi], *values[lo:hi].T)))
             else:
-                row, col = np.divmod(np.arange(lo, hi), len(col_keys))
-                if row[-1] >= end:  # a block spans at most BLOCK_ENTRIES rows
-                    first, end = row[0], row[0] + BLOCK_ENTRIES
-                    row_keys = _format_cells(rows[first:end])
-                fields = [np.take(row_keys, row - first, axis=0), np.take(col_keys, col, axis=0)]
+                row, col = np.divmod(np.arange(lo, hi), len(cols))
+                fields = [np.take(keys[0], row, axis=0), np.take(keys[1], col, axis=0)]
                 if cols_first:
                     fields.reverse()
                 fields.append(_format_cells(values.reshape(-1)[lo:hi]))
@@ -394,14 +389,14 @@ def _q_half_width(p: SdfsParams) -> float:
 @_one_blas_thread()
 def q_grids(
     p: SdfsParams, q: FockVector, times: np.ndarray, detuning_ratio: float
-) -> tuple[list[QGrid], np.ndarray]:
-    """Q grids of q = sdfs_state(p) at the scaled times, Q_POINTS per axis of
-    [-h, h]^2 with h = `_q_half_width(p)`, and the conservation residuals."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The axis of the Q window, Q_POINTS over [-h, h] with h =
+    `_q_half_width(p)` for both x and y; the (times, y, x) Q grids of
+    q = sdfs_state(p) at the scaled times over it; the conservation residuals."""
     a, b = evolve(q, times, detuning_ratio)
     h = _q_half_width(p)
     axis = np.linspace(-h, h, Q_POINTS)
-    grid = q_function_grid(*field_components(a, b), axis, axis)
-    return [QGrid(axis, axis, values) for values in grid.values], conservation_residual(a, b)
+    return axis, q_function_grid(*field_components(a, b), axis, axis), conservation_residual(a, b)
 
 
 @_one_blas_thread()
@@ -409,14 +404,15 @@ def compute(cfg: RunConfig) -> RunData:
     """Every selected observable and invariant residual of cfg, with no I/O.
 
     Refuses (ValueError) a t_max_scaled or q_time_scaled whose phases
-    t * nu_n lose more than PHASE_BUDGET to rounding at the truncation.
+    t * nu_n lose more than PHASE_BUDGET to rounding at the truncation;
+    q_time_scaled only when qfunc, the one output at that time, is selected.
     """
-    validate(cfg)
     q = sdfs_state(cfg.state)
     n_max = q.dim - 1
+    selected = set(cfg.observables)
     # nu_n of `evolve` at n_max: inf, not an OverflowError, where Delta^2 overflows
     nu_max = math.sqrt(0.25 * (cfg.detuning_ratio * cfg.detuning_ratio) + q.dim)
-    for key in ("t_max_scaled", "q_time_scaled"):
+    for key in ("t_max_scaled", "q_time_scaled") if "qfunc" in selected else ("t_max_scaled",):
         t = getattr(cfg, key) or 0.0  # no q_time_scaled: Q at t_max_scaled
         lost = math.ulp(1.0) * t * nu_max
         if lost > PHASE_BUDGET:
@@ -426,7 +422,6 @@ def compute(cfg: RunConfig) -> RunData:
                 f"{PHASE_BUDGET:g} at n_max = {n_max}"
             )
     ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
-    selected = set(cfg.observables)
     residuals = {"normalization_residual": abs(q.norm_sq() - 1.0)}
     kernel = phase_kernel(q.dim + 1) if "phase_dist" in selected else None  # C, S have dim + 1
     series: dict[str, np.ndarray] = {}
@@ -461,18 +456,17 @@ def compute(cfg: RunConfig) -> RunData:
             integrals = np.sum(series["phase"], axis=1) * (2.0 * math.pi / ETA_POINTS)
             residuals["phase_integral_residual"] = float(np.max(np.abs(integrals - 1.0)))
 
-    qgrid = None
+    q_axis = qfunc = None
     if "qfunc" in selected:
         t_q = cfg.q_time_scaled if cfg.q_time_scaled is not None else cfg.t_max_scaled
-        (qgrid,), conservation = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
+        q_axis, (qfunc,), conservation = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
         residuals["conservation_residual"] = max(
             residuals.get("conservation_residual", 0.0), float(conservation[0])
         )
-        cell = np.square(qgrid.x_axis[1] - qgrid.x_axis[0])
-        residuals["q_integral_residual"] = abs(float(np.sum(qgrid.values)) * cell - 1.0)
+        cell = np.square(q_axis[1] - q_axis[0])
+        residuals["q_integral_residual"] = abs(float(np.sum(qfunc)) * cell - 1.0)
 
-    etas = None if kernel is None else ETAS
-    return RunData(n_max, ts, residuals, etas=etas, qgrid=qgrid, **series)
+    return RunData(n_max, ts, residuals, q_axis=q_axis, qfunc=qfunc, **series)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -488,11 +482,9 @@ def run(cfg: RunConfig) -> RunResult:
         ("inversion", "lambda_t,W", ts, data.inversion, None, False),
         ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", ts, data.entropy, None, False),
         ("photon_dist", "lambda_t,n,P", ts, data.photon, np.arange(n_max + 2), False),
-        ("phase_dist", "lambda_t,eta,P", ts, data.phase, data.etas, False),
+        ("phase_dist", "lambda_t,eta,P", ts, data.phase, ETAS, False),
+        ("qfunc", "x,y,Q", data.q_axis, data.qfunc, data.q_axis, True),
     ]
-    if data.qgrid is not None:
-        grid = data.qgrid
-        tables.append(("qfunc", "x,y,Q", grid.y_axis, grid.values, grid.x_axis, True))
     files = [
         _write_csv(out_dir / f"{name}.csv", header, *table)
         for name, header, *table in tables

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import evolve
 from .fock import FockVector, build_sdfs_oracle
-from .observables import atomic_inversion
+from .observables import ETAS, atomic_inversion
 from .presets import REVIVAL_T, figure_preset
 from .runner import TOLERANCES, compute, q_grids
 from .sdfs import SdfsParams, log_factorial, sdfs_overlap, sdfs_state
@@ -251,14 +251,13 @@ def check_phase_distribution() -> CheckResult:
     """
     tol = TOLERANCES["phase_integral_residual"]
     data = compute(figure_preset("fig4a"))
-    etas = data.etas
     worst_integral = data.residuals["phase_integral_residual"]
     vals0 = data.phase[0]  # ts[0] = 0
     extended = np.concatenate(([vals0[-1]], vals0, [vals0[0]]))  # cyclic neighbours
     peaks = local_maxima(extended) - 1
     peaks = peaks[vals0[peaks] >= PEAK_FLOOR * float(np.max(vals0))]
     peak_count = len(peaks)
-    peak_eta = float(etas[peaks[0]]) if peak_count else math.nan
+    peak_eta = float(ETAS[peaks[0]]) if peak_count else math.nan
     return CheckResult(
         "phase-distribution",
         bool(peak_count == 1 and abs(peak_eta) <= PEAK_ETA_TOL and worst_integral <= tol),
@@ -282,14 +281,15 @@ def _count_components(mask: np.ndarray) -> int:
     return count
 
 
-def _half_max_components(grid) -> tuple[int, tuple[float, float]]:
-    """Connected components of {Q >= max/2} and the set's Q-weighted centroid."""
-    mask = grid.values >= 0.5 * float(np.max(grid.values))
+def _half_max_components(grid: np.ndarray, axis: np.ndarray) -> tuple[int, tuple[float, float]]:
+    """Connected components of {Q >= max/2} and the set's Q-weighted
+    centroid, for Q values grid[y, x] over axis in both x and y."""
+    mask = grid >= 0.5 * float(np.max(grid))
     count = _count_components(mask)
-    weights = np.where(mask, grid.values, 0.0)
+    weights = np.where(mask, grid, 0.0)
     total = float(np.sum(weights))
-    cx = float(np.sum(weights * grid.x_axis[None, :]) / total)
-    cy = float(np.sum(weights * grid.y_axis[:, None]) / total)
+    cx = float(np.sum(weights * axis[None, :]) / total)
+    cy = float(np.sum(weights * axis[:, None]) / total)
     return int(count), (cx, cy)
 
 
@@ -303,14 +303,14 @@ def check_q_structure() -> CheckResult:
     cfgs = [figure_preset(f"fig5{variant}") for variant in "abc"]
     p, detuning = cfgs[0].state, cfgs[0].detuning_ratio
     assert all((cfg.state, cfg.detuning_ratio) == (p, detuning) for cfg in cfgs)
-    grids, _ = q_grids(p, sdfs_state(p), [cfg.q_time_scaled for cfg in cfgs], detuning)
+    axis, grids, _ = q_grids(p, sdfs_state(p), [cfg.q_time_scaled for cfg in cfgs], detuning)
+    cell = np.square(axis[1] - axis[0])
     for variant, grid in zip("abc", grids):
-        cell = (grid.x_axis[1] - grid.x_axis[0]) * (grid.y_axis[1] - grid.y_axis[0])
-        integral = float(np.sum(grid.values)) * cell
+        integral = float(np.sum(grid)) * cell
         integrals.append(integral)
         if abs(integral - 1.0) > tol:
             issues.append(f"fig5{variant}: integral {integral:.6f} off unit by > {tol:g}")
-        count, centroid = _half_max_components(grid)
+        count, centroid = _half_max_components(grid, axis)
         if variant == "a":
             offset = math.hypot(centroid[0] - 3.0, centroid[1])
             if count < 1 or offset > CENTROID_TOL:

@@ -334,6 +334,26 @@ def test_cli_refuses_a_time_whose_phases_lose_precision(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_runs_a_q_time_that_no_selected_output_evaluates(tmp_path, capsys):
+    # the Q time would lose phase precision, but without qfunc no phase is formed at it
+    config_path = tmp_path / "unused.cfg"
+    out_dir = tmp_path / "out"
+    config_path.write_text(
+        "alpha0_re = 3\nt_points = 4\nq_time_scaled = 1e12\nobservables = inversion\n"
+        f"output_dir = {out_dir}\n"
+    )
+    assert main(["run", str(config_path)]) == 0
+    assert "loses phase precision" not in capsys.readouterr().err
+    assert sorted(path.name for path in out_dir.iterdir()) == ["inversion.csv", "run_summary.txt"]
+
+
+def test_run_config_checks_its_own_domain():
+    with pytest.raises(ValueError, match="key 't_points' must be >= 2"):
+        RunConfig(t_points=1)
+    with pytest.raises(ValueError, match="key 'observables' has unknown entries"):
+        dataclasses.replace(RunConfig(), observables=("wigner",))
+
+
 def test_cli_preset_out_dir(tmp_path):
     target = tmp_path / "custom"
     assert main(["preset", "fig1a", "--out", str(target)]) == 0

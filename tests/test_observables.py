@@ -46,7 +46,7 @@ def _evolved(p, t, detuning=0.0):
 def _q_at(a, b, alpha):
     """Q at one phase-space point, as a 1 x 1 grid."""
     grid = q_function_grid(*field_components(a, b), [alpha.real], [alpha.imag])
-    return float(grid.values[0, 0])
+    return float(grid[0, 0])
 
 
 # ---------------------------------------------------------------- inversion
@@ -339,8 +339,8 @@ def test_q_grid_normalization():
     ys = np.linspace(-8.0, 8.0, 201)
     grid = q_function_grid(*field_components(a, b), xs, ys)
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    assert float(np.sum(grid.values)) * cell == pytest.approx(1.0, abs=1e-3)
-    assert grid.values.min() >= 0.0
+    assert float(np.sum(grid)) * cell == pytest.approx(1.0, abs=1e-3)
+    assert grid.min() >= 0.0
 
 
 def test_q_matches_explicit_double_sum():
@@ -369,7 +369,7 @@ def test_q_scalar_matches_grid():
     grid = q_function_grid(*field_components(a, b), xs, ys)
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
-            assert grid.values[iy, ix] == pytest.approx(_q_at(a, b, complex(x, y)), abs=1e-14)
+            assert grid[iy, ix] == pytest.approx(_q_at(a, b, complex(x, y)), abs=1e-14)
 
 
 def test_q_grid_equals_its_single_rows():
@@ -377,8 +377,8 @@ def test_q_grid_equals_its_single_rows():
     c, s = field_components(a, b)
     xs = np.linspace(-7.0, 7.0, 29)
     ys = np.linspace(-6.0, 6.0, 23)
-    rows = [q_function_grid(c, s, xs, ys[i : i + 1]).values for i in range(ys.size)]
-    assert np.array_equal(q_function_grid(c, s, xs, ys).values, np.vstack(rows))
+    rows = [q_function_grid(c, s, xs, ys[i : i + 1]) for i in range(ys.size)]
+    assert np.array_equal(q_function_grid(c, s, xs, ys), np.vstack(rows))
 
 
 @pytest.mark.parametrize("detuning", [0.0, -0.8])
@@ -387,11 +387,11 @@ def test_a_stacked_q_grid_equals_its_single_snapshots(detuning):
     c, s = field_components(*evolve(_state(p), [0.0, 2.3, 7.9], detuning))
     xs = np.linspace(-7.0, 7.0, 29)
     ys = np.linspace(-6.0, 6.0, 23)
-    stacked = q_function_grid(c, s, xs, ys).values
+    stacked = q_function_grid(c, s, xs, ys)
     assert stacked.shape == (3, 23, 29)
-    assert q_function_grid(c[None], s[None], xs, ys).values.shape == (1, 3, 23, 29)
+    assert q_function_grid(c[None], s[None], xs, ys).shape == (1, 3, 23, 29)
     for k in range(3):
-        single = q_function_grid(c[k], s[k], xs, ys).values
+        single = q_function_grid(c[k], s[k], xs, ys)
         assert np.array_equal(stacked[k].view(np.int64), single.view(np.int64))
 
 
@@ -427,17 +427,17 @@ def test_compute_rows_match_the_reference_reduced_state(alpha0, r, phi, m, detun
     entropy = -np.sum(xlogy(lam, lam), axis=1)
     np.testing.assert_allclose(data.entropy[:, 0], entropy, rtol=0, atol=1e-11)
     np.testing.assert_allclose(data.entropy[:, 1:], lam[:, :2], rtol=0, atol=1e-12)
-    reference = _phase_double_sum(rho, data.etas[::16]).real  # every 16th angle
+    reference = _phase_double_sum(rho, ETAS[::16]).real  # every 16th angle
     np.testing.assert_allclose(data.phase[:, ::16], reference, rtol=0, atol=1e-12)
     picks = slice(5, None, 20)  # 10 x 10 of the grid, none at alpha = 0
-    alphas = data.qgrid.x_axis[None, picks] + 1j * data.qgrid.y_axis[picks, None]
+    alphas = data.q_axis[None, picks] + 1j * data.q_axis[picks, None]
     ns = np.arange(rho.shape[1])
     kets = np.exp(  # <n|alpha>, shape (10, 10, levels)
         ns * np.log(alphas[..., None]) - 0.5 * gammaln(ns + 1.0) - 0.5 * np.abs(alphas[..., None]) ** 2
     )
     direct = np.einsum("...j,jk,...k->...", kets.conj(), rho[-1], kets) / math.pi
     assert np.max(np.abs(direct.imag)) <= 1e-12
-    np.testing.assert_allclose(data.qgrid.values[picks, picks], direct.real, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data.qfunc[picks, picks], direct.real, rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- revival time

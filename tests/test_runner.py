@@ -35,13 +35,7 @@ def small_q_window(monkeypatch):
 
 
 def _arrays(data):
-    out = {}
-    for field in dataclasses.fields(data):
-        value = getattr(data, field.name)
-        if field.name == "qgrid":
-            value = value.values
-        out[field.name] = value
-    return out
+    return {field.name: getattr(data, field.name) for field in dataclasses.fields(data)}
 
 
 def test_compute_fills_every_selected_observable(small_q_window):
@@ -53,8 +47,8 @@ def test_compute_fills_every_selected_observable(small_q_window):
     assert data.entropy.shape == (_CFG.t_points, 3)
     assert data.photon.shape == (_CFG.t_points, dim + 1)
     assert data.phase.shape == (_CFG.t_points, ETA_POINTS)
-    assert data.qgrid.values.shape == (31, 31)
-    assert data.qgrid.x_axis[0] == data.qgrid.y_axis[0] == -8.0  # the paper's window holds this Q
+    assert data.qfunc.shape == (31, 31)
+    assert data.q_axis[0] == -8.0  # the paper's window holds this Q
     assert set(data.residuals) == set(runner.TOLERANCES)
     assert all(value <= runner.TOLERANCES[name] for name, value in data.residuals.items())
 
@@ -171,7 +165,7 @@ def test_compute_takes_its_q_grid_from_q_grids_on_one_blas_thread(monkeypatch, t
 
     monkeypatch.setattr(runner, "q_function_grid", watched)
     cfg = figure_preset("fig5b")
-    (grid,), conservation = q_grids(
+    axis, (grid,), conservation = q_grids(
         cfg.state, sdfs_state(cfg.state), [cfg.q_time_scaled], cfg.detuning_ratio
     )
     libs = len(two_blas_threads)
@@ -180,7 +174,8 @@ def test_compute_takes_its_q_grid_from_q_grids_on_one_blas_thread(monkeypatch, t
     monkeypatch.setattr(runner, "q_grids", recorded)
     data = compute(cfg)
     assert len(calls) == 1 and list(calls[0][2]) == [cfg.q_time_scaled]
-    assert np.array_equal(data.qgrid.values.view(np.int64), grid.values.view(np.int64))
+    assert np.array_equal(data.q_axis, axis)
+    assert np.array_equal(data.qfunc.view(np.int64), grid.view(np.int64))
 
 
 @pytest.mark.parametrize("preset", ["fig4a", "fig5b"])
@@ -193,9 +188,8 @@ def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threa
         got, expected = data.phase, phase_distribution(c, s, phase_kernel(q.dim + 1))
     else:
         a, b = evolve(q, [cfg.q_time_scaled], cfg.detuning_ratio)
-        grid = data.qgrid
-        got = grid.values
-        expected = q_function_grid(*field_components(a[0], b[0]), grid.x_axis, grid.y_axis).values
+        got = data.qfunc
+        expected = q_function_grid(*field_components(a[0], b[0]), data.q_axis, data.q_axis)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -306,10 +300,9 @@ def test_writer_matches_savetxt_on_a_detuned_run(
     # with 7 entries, the 250-row tables span 36 blocks, the last one partial
     monkeypatch.setattr(runner, "BLOCK_ENTRIES", block_entries)
     # every 8th of the 512 angles keeps the 7-entry blocks few
-    grid = data.qgrid
     tables = _tables(
-        data.ts, data.inversion, data.entropy, data.photon, data.etas[::8], data.phase[:, ::8],
-        grid.x_axis, grid.y_axis, grid.values,
+        data.ts, data.inversion, data.entropy, data.photon, ETAS[::8], data.phase[:, ::8],
+        data.q_axis, data.q_axis, data.qfunc,
     )
     _assert_writer_matches_savetxt(tmp_path, tables)
 

@@ -22,9 +22,9 @@ def _scipy_count(mask):
 
 @pytest.mark.parametrize("name", ["fig5a", "fig5b", "fig5c"])
 def test_half_max_components_count_as_ndimage_label(name):
-    grid = compute(figure_preset(name)).qgrid
-    mask = grid.values >= 0.5 * float(np.max(grid.values))
-    assert _half_max_components(grid)[0] == _scipy_count(mask)
+    data = compute(figure_preset(name))
+    mask = data.qfunc >= 0.5 * float(np.max(data.qfunc))
+    assert _half_max_components(data.qfunc, data.q_axis)[0] == _scipy_count(mask)
 
 
 def test_component_count_matches_ndimage_label_on_random_masks():
@@ -57,7 +57,7 @@ def test_oracle_checks_print_the_same_after_other_work(tmp_path, sweep_workloads
 
 
 def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypatch):
-    rows, grids = [], []
+    rows, axes, grids = [], [], []
     bras, q_grids = observables._coherent_bras, selfcheck.q_grids
 
     def counted_bras(alphas, dim):
@@ -66,7 +66,8 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
 
     def recorded_grids(*args):
         result = q_grids(*args)
-        grids.extend(result[0])
+        axes.append(result[0])
+        grids.extend(result[1])
         return result
 
     monkeypatch.setattr(observables, "_coherent_bras", counted_bras)
@@ -74,9 +75,8 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
     assert check_q_structure().passed
     assert len(rows) == Q_POINTS  # 3 * Q_POINTS with a grid per snapshot
     monkeypatch.undo()
-    assert len(grids) == 3
+    assert len(axes) == 1 and len(grids) == 3
     for variant, grid in zip("abc", grids):
-        expected = compute(figure_preset(f"fig5{variant}")).qgrid
-        assert np.array_equal(grid.x_axis, expected.x_axis)
-        assert np.array_equal(grid.y_axis, expected.y_axis)
-        assert np.array_equal(grid.values.view(np.int64), expected.values.view(np.int64))
+        expected = compute(figure_preset(f"fig5{variant}"))
+        assert np.array_equal(axes[0], expected.q_axis)  # the x and the y axis
+        assert np.array_equal(grid.view(np.int64), expected.qfunc.view(np.int64))
