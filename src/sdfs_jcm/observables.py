@@ -13,7 +13,7 @@ stacked matvec (zgemv) per leading index, which `runner` runs on one
 OpenBLAS thread. The phase density's bras are the kernel of
 `phase_kernel` at the angles ETAS, built once per run rather than per
 time block; the Q grid builds each y row of coherent bras once for all
-snapshots.
+snapshots, and once for a row y < 0 and its mirror -y.
 
 The entropy is one array computation too, but maps Python's abs,
 math.hypot and math.log over its rows: the numpy versions round the
@@ -164,14 +164,28 @@ def q_function_grid(
     (..., ny, nx) values, [..., iy, ix] at (x_axis[ix], y_axis[iy]), one
     row of bras per y serving every snapshot.
 
+    A row y < 0 whose exact negation -y is also in y_axis fills the -y row
+    too, with the conjugated bras: <x - iy|n> is conj(<x + iy|n>) bit for
+    bit, as |alpha| is even in y and arg(alpha) odd. Rows without such a
+    mirror, y = 0 among them, build their own bras.
+
     The rank-2 contraction is algebraically identical to the full
     double sum over rho_nm but costs O(n_max) per point.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     y_axis = np.asarray(y_axis, dtype=float)
     values = np.empty((*c.shape[:-1], y_axis.size, x_axis.size))
+    mirrors = {y: iy for iy, y in enumerate(y_axis.tolist()) if y > 0}
+    filled = np.zeros(y_axis.size, dtype=bool)
     for iy, y in enumerate(y_axis):  # one row of bras at a time: memory O(nx * n_max)
-        values[..., iy, :] = _project(_coherent_bras(x_axis + 1j * y, c.shape[-1]), c, s) / math.pi
+        if filled[iy]:
+            continue
+        bras = _coherent_bras(x_axis + 1j * y, c.shape[-1])
+        values[..., iy, :] = _project(bras, c, s) / math.pi
+        mirror = mirrors.get(-y)
+        if mirror is not None:
+            values[..., mirror, :] = _project(bras.conj(), c, s) / math.pi
+            filled[mirror] = True
     return values
 
 

@@ -6,22 +6,26 @@ quadrature of analytically unit-mass densities, textbook limits) or
 verifies a structural claim (collapse-revival timing, entropy dips,
 phase/Q peak structure). Checks of a run residual hold it to its
 `runner.TOLERANCES` entry; every other bound is a constant below. Each
-detail line prints the bound it was compared against.
+detail line prints the bound it was compared against. The checks of
+figures 1, 2 and 4 read one run per variant (`_figure_run`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .dynamics import evolve
 from .fock import FockVector, build_sdfs_oracle
 from .observables import ETAS, atomic_inversion
 from .presets import REVIVAL_T, figure_preset
-from .runner import TOLERANCES, compute, q_grids
+from .runner import TOLERANCES, RunData, compute, q_grids
 from .sdfs import SdfsParams, log_factorial, sdfs_overlap, sdfs_state
 
 AMPLITUDE_GRID = {
@@ -41,6 +45,12 @@ PEAK_FLOOR = 1e-6  # phase maxima below this fraction of the peak are tail rippl
 PEAK_ETA_TOL = 0.02  # rad
 CENTROID_TOL = 0.5  # offset of the initial Q centroid from (3, 0)
 VACUUM_TOL, POISSON_TOL = 1e-12, 1e-10  # vacuum Rabi cosine, coherent Poisson law
+# The CheckResult names of the checks that read `_figure_run`
+_RUN_READERS = frozenset(
+    {"conservation-fig1", "entropy-fig2", "revival-structure", "entropy-minima", "phase-distribution"}
+)
+# variant -> run, set by `run_all` for its own calls (per thread and task)
+_figure_runs: ContextVar[dict[str, RunData] | None] = ContextVar("_figure_runs", default=None)
 
 
 @dataclass(frozen=True)
@@ -117,13 +127,37 @@ def check_overlap_oracle() -> CheckResult:
     )
 
 
+def _shared_presets(names: list[str], fields: tuple[str, ...]) -> list[RunConfig]:
+    """The presets of names; ValueError unless they agree on the RunConfig fields."""
+    cfgs = [figure_preset(name) for name in names]
+    keys = [tuple(getattr(cfg, field) for field in fields) for cfg in cfgs]
+    if any(key != keys[0] for key in keys):
+        raise ValueError(f"presets {', '.join(names)} no longer share {', '.join(fields)}")
+    return cfgs
+
+
+def _figure_run(variant: str) -> RunData:
+    """The run of fig1, fig2 and fig4 `variant` (one state, detuning and
+    time grid): inversion and entropy, and the phase density for a.
+    Computed once within `run_all`, afresh for a check called on its own."""
+    runs = _figure_runs.get()
+    if runs is not None and variant in runs:
+        return runs[variant]
+    cfg, *_ = _shared_presets(
+        [f"fig{family}{variant}" for family in "124"],
+        ("state", "detuning_ratio", "t_max_scaled", "t_points"),
+    )
+    observables = ("inversion", "entropy") + (("phase_dist",) if variant == "a" else ())
+    data = compute(dataclasses.replace(cfg, observables=observables))
+    if runs is not None:
+        runs[variant] = data
+    return data
+
+
 def check_conservation() -> CheckResult:
     """sum(|A_n|^2 + |B_n|^2) stays at 1 along the fig1 sweeps."""
     tol = TOLERANCES["conservation_residual"]
-    worst = max(
-        compute(figure_preset(name)).residuals["conservation_residual"]
-        for name in ("fig1a", "fig1b", "fig1c")
-    )
+    worst = max(_figure_run(variant).residuals["conservation_residual"] for variant in "abc")
     return CheckResult(
         "conservation-fig1",
         bool(worst <= tol),
@@ -140,8 +174,8 @@ def check_entropy_suite() -> CheckResult:
     worst_eig = 0.0
     worst_sum = 0.0
     issues: list[str] = []
-    for name in ("fig2a", "fig2b", "fig2c"):
-        data = compute(figure_preset(name))
+    for variant in "abc":
+        name, data = f"fig2{variant}", _figure_run(variant)
         ts = data.ts
         entropy, lam_p, lam_m = data.entropy.T
         for i in np.nonzero(~((entropy >= lo) & (entropy <= hi)))[0]:
@@ -187,7 +221,7 @@ def check_revival_structure() -> CheckResult:
     """Windowed |W| collapses below COLLAPSE_MAX, then peaks within NEAR
     of the revival-time estimate T_R (fig1a: alpha0 = 3, r = 1, m = 0,
     resonant)."""
-    data = compute(figure_preset("fig1a"))
+    data = _figure_run("a")
     ts = data.ts
     smooth = sliding_abs_mean(ts, data.inversion, half_width=1.0)
     window = (ts >= (1.0 - NEAR) * REVIVAL_T) & (ts <= (1.0 + NEAR) * REVIVAL_T)
@@ -221,7 +255,7 @@ def _window_minimum(ts, values, lo, hi):
 def check_entropy_minima() -> CheckResult:
     """Entropy dips within NEAR of T_R/2 and T_R sit below the mid-sweep
     median (fig2a parameters)."""
-    data = compute(figure_preset("fig2a"))
+    data = _figure_run("a")
     ts = data.ts
     entropy = data.entropy[:, 0]
     baseline = np.median(entropy[(ts >= 0.2 * REVIVAL_T) & (ts <= 0.8 * REVIVAL_T)])
@@ -250,7 +284,7 @@ def check_phase_distribution() -> CheckResult:
     peak, which any finite evaluation shows.
     """
     tol = TOLERANCES["phase_integral_residual"]
-    data = compute(figure_preset("fig4a"))
+    data = _figure_run("a")
     worst_integral = data.residuals["phase_integral_residual"]
     vals0 = data.phase[0]  # ts[0] = 0
     extended = np.concatenate(([vals0[-1]], vals0, [vals0[0]]))  # cyclic neighbours
@@ -300,9 +334,8 @@ def check_q_structure() -> CheckResult:
     tol = TOLERANCES["q_integral_residual"]
     issues = []
     integrals = []
-    cfgs = [figure_preset(f"fig5{variant}") for variant in "abc"]
+    cfgs = _shared_presets([f"fig5{variant}" for variant in "abc"], ("state", "detuning_ratio"))
     p, detuning = cfgs[0].state, cfgs[0].detuning_ratio
-    assert all((cfg.state, cfg.detuning_ratio) == (p, detuning) for cfg in cfgs)
     axis, grids, _ = q_grids(p, sdfs_state(p), [cfg.q_time_scaled for cfg in cfgs], detuning)
     cell = np.square(axis[1] - axis[0])
     for variant, grid in zip("abc", grids):
@@ -359,4 +392,16 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    """ALL_CHECKS in order, each figure run computed once and dropped as
+    soon as every check of _RUN_READERS has run, before `check_q_structure`."""
+    runs, unread, results = {}, set(_RUN_READERS), []
+    token = _figure_runs.set(runs)
+    try:
+        for check in ALL_CHECKS:
+            results.append(check())
+            unread.discard(results[-1].name)
+            if not unread:
+                runs.clear()
+    finally:
+        _figure_runs.reset(token)
+    return results

@@ -372,13 +372,28 @@ def test_q_scalar_matches_grid():
             assert grid[iy, ix] == pytest.approx(_q_at(a, b, complex(x, y)), abs=1e-14)
 
 
-def test_q_grid_equals_its_single_rows():
+_HALF_AXIS = np.linspace(0.25, 6.0, 23)
+
+
+@pytest.mark.parametrize(
+    "ys, mirrored",
+    [
+        (np.linspace(-6.0, 6.0, 23), 2),
+        (np.concatenate([-_HALF_AXIS[::-1], [0.0], _HALF_AXIS]), 23),  # every y != 0
+        (np.linspace(-8.0, 8.0, 201), 57),  # the fig5 window
+        (np.linspace(-5.5, 6.5, 23), 0),
+    ],
+    ids=["linspace", "symmetric", "fig5-window", "no-mirror"],
+)
+def test_q_grid_equals_its_single_rows(ys, mirrored):
+    # a one-row grid has no mirror row: each builds its own bras
+    assert sum(y < 0 and -y in set(ys.tolist()) for y in ys.tolist()) == mirrored
     a, b = _evolved(SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2), 2.3, detuning=-0.8)
     c, s = field_components(a, b)
     xs = np.linspace(-7.0, 7.0, 29)
-    ys = np.linspace(-6.0, 6.0, 23)
     rows = [q_function_grid(c, s, xs, ys[i : i + 1]) for i in range(ys.size)]
-    assert np.array_equal(q_function_grid(c, s, xs, ys), np.vstack(rows))
+    grid = q_function_grid(c, s, xs, ys)
+    assert np.array_equal(grid.view(np.int64), np.vstack(rows).view(np.int64))
 
 
 @pytest.mark.parametrize("detuning", [0.0, -0.8])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -10,8 +12,10 @@ from sdfs_jcm.selfcheck import (
     _count_components,
     _half_max_components,
     check_amplitude_oracle,
+    check_entropy_suite,
     check_overlap_oracle,
     check_q_structure,
+    run_all,
 )
 
 
@@ -50,10 +54,56 @@ def test_component_count_edge_cases():
 
 def test_oracle_checks_print_the_same_after_other_work(tmp_path, sweep_workloads):
     before = [check_amplitude_oracle().detail, check_overlap_oracle().detail]
+    suite = [(res.name, res.passed, res.detail) for res in run_all()]
+    assert selfcheck._figure_runs.get() is None  # no run outlives run_all
     compute(figure_preset("fig4a"))
     for state in sweep_workloads.sweep_states(0)[:2]:
         compute(parse_config(sweep_workloads.sweep_config_text(state, tmp_path)))
     assert [check_amplitude_oracle().detail, check_overlap_oracle().detail] == before
+    assert [(res.name, res.passed, res.detail) for res in run_all()] == suite
+    assert selfcheck._figure_runs.get() is None
+
+
+def test_run_all_computes_each_figure_variant_once(monkeypatch):
+    configs, held = [], []
+    q_grids = selfcheck.q_grids
+
+    def counted_compute(cfg):
+        configs.append(cfg)
+        return compute(cfg)
+
+    def recorded_grids(*args):
+        held.append(dict(selfcheck._figure_runs.get()))
+        return q_grids(*args)
+
+    monkeypatch.setattr(selfcheck, "compute", counted_compute)
+    monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
+    assert all(res.passed for res in run_all())
+    assert held == [{}]  # the figure runs are gone before the Q grids are built
+    # fig1x, fig2x and fig4x share one run per variant x: 9 computes without that
+    assert [cfg.state.m for cfg in configs] == [0, 1, 2]
+    assert [cfg.observables for cfg in configs] == [
+        ("inversion", "entropy", "phase_dist"),
+        ("inversion", "entropy"),
+        ("inversion", "entropy"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "check, diverging", [(check_q_structure, "fig5b"), (check_entropy_suite, "fig4c")]
+)
+def test_a_preset_that_stops_sharing_its_run_is_an_error(monkeypatch, check, diverging):
+    preset = selfcheck.figure_preset
+
+    def diverged(name):
+        cfg = preset(name)
+        if name != diverging:
+            return cfg
+        return dataclasses.replace(cfg, state=dataclasses.replace(cfg.state, r=0.5))
+
+    monkeypatch.setattr(selfcheck, "figure_preset", diverged)
+    with pytest.raises(ValueError, match=f"{diverging}.* no longer share"):
+        check()
 
 
 def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypatch):
@@ -73,7 +123,9 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
     monkeypatch.setattr(observables, "_coherent_bras", counted_bras)
     monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
     assert check_q_structure().passed
-    assert len(rows) == Q_POINTS  # 3 * Q_POINTS with a grid per snapshot
+    # 3 * Q_POINTS with a grid per snapshot; the 57 rows y > 0 of the
+    # window [-8, 8] whose negation is on the axis reuse the bras of -y
+    assert len(rows) == Q_POINTS - 57 == 144
     monkeypatch.undo()
     assert len(axes) == 1 and len(grids) == 3
     for variant, grid in zip("abc", grids):
