@@ -44,6 +44,10 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for key in ("detuning_ratio", "t_max_scaled", "q_time_scaled"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise _fail(f"key {key!r} must be finite, got {value!r}")
         if self.t_max_scaled <= 0:
             raise _fail("key 't_max_scaled' must be > 0")
         if self.t_points < 2:

@@ -493,7 +493,7 @@ def run(cfg: RunConfig) -> RunResult:
     written = time.perf_counter()
 
     failures = sorted(
-        name for name, value in residuals.items() if value > TOLERANCES[name]
+        name for name, value in residuals.items() if not value <= TOLERANCES[name]
     )
     ok = not failures
     summary = {

@@ -14,7 +14,7 @@ from sdfs_jcm.config import KNOWN_KEYS, OUTPUT_CAP, RunConfig, parse_config, par
 from sdfs_jcm.fock import DIM_CAP
 from sdfs_jcm.observables import ETA_POINTS
 from sdfs_jcm.presets import figure_preset
-from sdfs_jcm.runner import Q_POINTS, run
+from sdfs_jcm.runner import Q_POINTS, compute, run
 from sdfs_jcm.sdfs import SdfsParams
 
 
@@ -352,6 +352,28 @@ def test_run_config_checks_its_own_domain():
         RunConfig(t_points=1)
     with pytest.raises(ValueError, match="key 'observables' has unknown entries"):
         dataclasses.replace(RunConfig(), observables=("wigner",))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["detuning_ratio", "t_max_scaled", "q_time_scaled"])
+def test_run_config_refuses_a_non_finite_number(key, value):
+    # a NaN fails no `<=` domain check, and a NaN detuning gives W = nan throughout
+    with pytest.raises(ValueError, match=f"key '{key}' must be finite"):
+        RunConfig(**{key: value})
+
+
+def test_a_nan_residual_fails_the_run(tmp_path, monkeypatch):
+    # NaN exceeds no tolerance; a residual passes only when it is <= its tolerance
+    def nan_conservation(cfg):
+        data = compute(cfg)
+        data.residuals["conservation_residual"] = math.nan
+        return data
+
+    monkeypatch.setattr("sdfs_jcm.runner.compute", nan_conservation)
+    cfg = RunConfig(SdfsParams(alpha0=3.0), t_points=4, observables=("inversion",))
+    result = run(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    assert not result.ok
+    assert result.summary["status"] == "invariant-failure: conservation_residual"
 
 
 def test_cli_preset_out_dir(tmp_path):

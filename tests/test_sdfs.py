@@ -235,14 +235,16 @@ def _preset_and_sweep_states(sweep_workloads):
 
 
 def test_state_is_the_last_window_sliced(sweep_workloads):
-    # The truncated vector is bit for bit the kernel's amplitudes at n_max.
+    # The truncated vector is bit for bit the kernel's amplitudes at n_max, and
+    # those of the widest window: an amplitude does not depend on the window.
     states = _preset_and_sweep_states(sweep_workloads)
     assert len(states) == len(PRESET_NAMES) + 40
     for p in states:
         amps = sdfs_state(p).amps
-        np.testing.assert_array_equal(
-            amps.view(np.int64), _amplitudes(p, amps.size - 1).view(np.int64)
-        )
+        for window in (amps.size - 1, DIM_CAP - 1):
+            np.testing.assert_array_equal(
+                amps.view(np.int64), _amplitudes(p, window)[: amps.size].view(np.int64)
+            )
 
 
 def test_truncation_is_the_tail_tol_crossing_or_the_floor(sweep_workloads):
