@@ -1,10 +1,12 @@
 """Usage: python scripts/same_bytes.py [BASE]     (BASE = HEAD by default)
 
 Runs the 15 presets, the 80 sweep configs of perfbench/workloads.py (seeds 0, 1),
-three qfunc configs and `check` through `cli.main` of BASE's src/ (by `git archive`)
-and of the working tree, one process per tree. Compares every output file but
-run_summary.txt, and the `check` stdout and exit code, byte for byte. Prints one
-JSON line; exits 1 if any file differs."""
+three qfunc configs and then `check` CHECK_CALLS times through `cli.main` of BASE's
+src/ (by `git archive`) and of the working tree, one process per tree. Every `check`
+of a process must print the same stdout and exit code as its first: no state left by
+earlier work may change a digit. Compares every output file but run_summary.txt, and
+the `check` stdout and exit code, byte for byte. Prints one JSON line; exits 1 if any
+file differs or any job fails."""
 
 import argparse
 import filecmp
@@ -21,6 +23,7 @@ QFUNC_STATES = {"squeezed": "r = 1.2\nm = 3",
                 "detuned": "alpha0_re = -2\nalpha0_im = 2\nr = 0.9\nm = 2\ndetuning_ratio = 1.5",
                 "rotated": "alpha0_re = 1.5\nalpha0_im = -1\nr = 0.8\nphi = 2\nm = 2"}
 QFUNC_TIMES = "t_max_scaled = 12\nt_points = 2\nq_time_scaled = 7.5\nobservables = qfunc\n"
+CHECK_CALLS = 20
 # One tree's jobs, run in its output root: argv[1] is its src/, argv[2] the jobs.
 CHILD = """
 import contextlib, io, json, os, pathlib, sys
@@ -32,7 +35,10 @@ for label, argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = sdfs_jcm.cli.main(argv)
     if argv == ["check"]:
-        pathlib.Path(label + ".txt").write_text(f"{stdout.getvalue()}exit {code}\\n")
+        text, path = f"{stdout.getvalue()}exit {code}\\n", pathlib.Path(label + ".txt")
+        if path.exists() and path.read_text() != text:
+            sys.exit(f"{label}: a later call printed other than the first, in {sys.argv[1]}")
+        path.write_text(text)
     elif code:
         sys.exit(f"{label}: exit {code} from {sdfs_jcm.__file__}")
 """
@@ -81,7 +87,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.check_output(["git", "archive", sha.strip(), "src"], cwd=REPO)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        count, differ = compare(Path(tmp, "src"), REPO / "src", jobs(Path(tmp)), Path(tmp))
+        repeats = [("check", ["check"])] * (CHECK_CALLS - 1)
+        count, differ = compare(Path(tmp, "src"), REPO / "src", jobs(Path(tmp)) + repeats, Path(tmp))
     print(json.dumps({"base": sha.strip(), "files": count, "differ": differ}))
     return 1 if differ else 0
 

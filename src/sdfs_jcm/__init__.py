@@ -5,12 +5,13 @@ function, plus a CLI that reproduces the standard figure families as
 CSV data. The package exports what the library example of the README
 uses; everything else is imported from its module."""
 
-from .dynamics import evolve
+from .dynamics import evolve, field_components, populations
 from .observables import atomic_inversion
 from .presets import figure_preset
 from .runner import compute
 from .sdfs import SdfsParams, sdfs_state
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-__all__ = ["SdfsParams", "atomic_inversion", "compute", "evolve", "figure_preset", "sdfs_state"]
+__all__ = ["SdfsParams", "atomic_inversion", "compute", "evolve", "field_components",
+           "figure_preset", "populations", "sdfs_state"]

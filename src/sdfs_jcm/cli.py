@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import sys
 
 from .config import parse_config, parse_state
@@ -22,6 +23,7 @@ from .runner import run
 from .sdfs import sdfs_overlap
 
 
+@functools.cache  # parse_args leaves the parser as it was, even on a usage error
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdfs-jcm",

@@ -18,8 +18,10 @@ runtime, so formula errors surface instead of being papered over.
 Array layout: a time axis of T points gives A and B as (T, dim) arrays,
 row i holding A_n(ts[i]) for n = 0..dim-1 with dim = n_max + 1. The
 reduced field state rho_f = |C><C| + |S><S| lives on a basis one photon
-larger, so its components C and S are (T, dim + 1) arrays. Every
-function here keeps the leading axes of its inputs.
+larger, so its components C and S are (T, dim + 1) arrays, as are their
+squared moduli from `populations`, which a function that takes them must
+get as real arrays: complex ones are a TypeError. Every function here
+keeps the leading axes of its inputs.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ def evolve(
     return a, b
 
 
-def conservation_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|sum_n (|A_n|^2 + |B_n|^2) - 1| per time, zero for the exact solution."""
-    total = np.sum(np.abs(a) ** 2 + np.abs(b) ** 2, axis=-1)
-    return np.abs(total - 1.0)
-
-
 def field_components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C and S of rho_f on the basis extended by one photon: C_n = A_n, S_{n+1} = B_n."""
     shape = a.shape[:-1] + (a.shape[-1] + 1,)
@@ -64,3 +60,13 @@ def field_components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     s[..., 1:] = b
     return c, s
 
+
+def populations(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|C_n|^2 and |S_n|^2, the populations of |n, e> and |n, g> that the observables read."""
+    return np.abs(c) ** 2, np.abs(s) ** 2
+
+
+def conservation_residual(pc: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """|sum_n (|A_n|^2 + |B_n|^2) - 1| per time from `populations`, 0 when exact."""
+    total = np.sum(np.add(pc[..., :-1], ps[..., 1:], dtype=float), axis=-1)
+    return np.abs(total - 1.0)

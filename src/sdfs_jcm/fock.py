@@ -68,6 +68,9 @@ class FockVector:
 _THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
           35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 _TOL = 2.0**-53
+# sqrt 2 lifts max(|Re|, |Im|) to a bound on |z|; _WIDEN covers the < 10 _TOL relative
+# that the rounding of f + b, of each |f_i| and of the bound itself adds per term
+_SQRT2, _WIDEN = math.sqrt(2.0), 1.0 + 16 * _TOL
 
 
 def _expm_action(upper: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
@@ -76,26 +79,34 @@ def _expm_action(upper: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
     Algorithm 3.2 of Al-Mohy & Higham: s steps of a degree-m Taylor polynomial,
     m s least with s >= ||G||_1 / theta_m, for the exact 1-norm (a column sum of two
     diagonals). A step stops once two terms satisfy c1 + c2 <= tol ||F||_inf.
+
+    That test runs only where two cheap bounds cannot rule it out: lo, the largest
+    |Re| or |Im| of a term, is at most its c, and f_up, ||F||_inf at the step's start
+    plus sqrt 2 lo per term, widened by _WIDEN, is at least the computed ||F||_inf.
+    So lo1 + lo2 > tol f_up means c1 + c2 > tol ||F||_inf: every break of the plain
+    test is taken, on the same term, and the result is the same bit for bit.
     """
     mags = np.abs(upper)
     norm = float(np.max(np.append(mags, np.zeros(k)) + np.append(np.zeros(k), mags)))
     m, s = min(((m, max(1, math.ceil(norm / t))) for m, t in _THETA.items()), key=math.prod)
     up, down = upper / s, -np.conjugate(upper) / s
-    f, b, gb = v.copy(), v.copy(), np.empty_like(v)
+    f, b, gb, low = v.copy(), v.copy(), np.empty_like(v), np.empty_like(v[k:])
     for _ in range(s):
-        c1 = np.max(np.abs(b))
+        lo1, f_up = np.max(np.abs(b.view(float))), np.max(np.abs(f))
         for j in range(1, m + 1):
             # gb = G b / (s j): two shifted slice products, then a real scale
             np.multiply(up, b[k:], out=gb[:-k])
             gb[-k:] = 0.0
-            gb[k:] += down * b[:-k]
+            gb[k:] += np.multiply(down, b[:-k], out=low)
             b, gb = gb, b
             b.view(float)[:] *= 1.0 / j
-            c2 = np.max(np.abs(b))
+            lo2 = np.max(np.abs(b.view(float)))
             f += b
-            if c1 + c2 <= _TOL * np.max(np.abs(f)):
-                break
-            c1 = c2
+            f_up = (f_up + _SQRT2 * lo2) * _WIDEN
+            if not lo1 + lo2 > _TOL * f_up:  # the bounds allow a stop: test exactly
+                if np.max(np.abs(gb)) + np.max(np.abs(b)) <= _TOL * np.max(np.abs(f)):
+                    break
+            lo1 = lo2
         b[:] = f
     return f
 

@@ -4,16 +4,17 @@ Atomic inversion, von Neumann entropy of the reduced field state, the
 time-dependent photon-number distribution, the Pegg-Barnett phase
 distribution, the Husimi Q function, and the collapse-revival time
 estimate. Everything is derived from the coefficient arrays in
-`dynamics` and keeps their leading time axis: inversion takes the
-(T, dim) arrays A and B, the field quantities take the (T, dim + 1)
-components C and S of the reduced field state. That state is rank <= 2,
-which all formulas here exploit. The phase density and the Q grid are one
-projection |<bra|C>|^2 + |<bra|S>|^2 over a fixed set of bras, one
-stacked matvec (zgemv) per leading index, which `runner` runs on one
-OpenBLAS thread. The phase density's bras are the kernel of
-`phase_kernel` at the angles ETAS, built once per run rather than per
-time block; the Q grid builds each y row of coherent bras once for all
-snapshots, and once for a row y < 0 and its mirror -y.
+`dynamics` and keeps their leading time axis: the field quantities take
+the (T, dim + 1) components C and S of the reduced field state, or their
+squared moduli from `dynamics.populations` (real: complex ones, say the
+amplitudes, are a TypeError). That state is rank <= 2, which all formulas
+here exploit. The phase density and the Q grid are one projection
+|<bra|C>|^2 + |<bra|S>|^2 over a fixed set of bras, one stacked matvec
+(zgemv) per leading index, which `runner` runs on one OpenBLAS thread.
+The phase density's bras are the kernel of `phase_kernel` at the angles
+ETAS, built once per run rather than per time block; the Q grid builds
+each y row of coherent bras once for all snapshots, and once for a row
+y < 0 and its mirror -y.
 
 The entropy is one array computation too, but maps Python's abs,
 math.hypot and math.log over its rows: the numpy versions round the
@@ -38,15 +39,16 @@ ETAS = np.linspace(-math.pi, math.pi, ETA_POINTS, endpoint=False)
 ETAS.flags.writeable = False
 
 
-def atomic_inversion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W(t) = sum_n (|A_n|^2 - |B_n|^2) per time, in [-1, 1]."""
-    return np.sum(np.abs(a) ** 2 - np.abs(b) ** 2, axis=-1)
+def atomic_inversion(pc: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """W(t) = sum_n (|A_n|^2 - |B_n|^2) per time from `dynamics.populations`, in [-1, 1]."""
+    return np.sum(np.subtract(pc[..., :-1], ps[..., 1:], dtype=float), axis=-1)
 
 
-def gram(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """<C|C>, <S|S> and <C|S> per time, which fix the rank-2 field spectrum."""
-    cc = np.sum(np.abs(c) ** 2, axis=-1)
-    ss = np.sum(np.abs(s) ** 2, axis=-1)
+def gram(c: np.ndarray, s: np.ndarray, pc: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """<C|C>, <S|S> and <C|S> per time, which fix the rank-2 field spectrum;
+    pc, ps = `dynamics.populations(c, s)`."""
+    cc = np.sum(pc, axis=-1)
+    ss = np.sum(ps, axis=-1)
     # a stacked 1 x n by n x 1 product per row keeps the bits of np.vdot; einsum does not
     cs = (c.conj()[..., None, :] @ s[..., :, None])[..., 0, 0]
     return cc, ss, cs
@@ -107,9 +109,9 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def photon_number_distribution(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """P(n, t) = <n|rho_f|n> = |C_n|^2 + |S_n|^2 for every n and time."""
-    return np.abs(c) ** 2 + np.abs(s) ** 2
+def photon_number_distribution(pc: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """P(n, t) = <n|rho_f|n> = |C_n|^2 + |S_n|^2 per n and time from `dynamics.populations`."""
+    return np.add(pc, ps, dtype=float)
 
 
 def phase_kernel(dim: int) -> np.ndarray:

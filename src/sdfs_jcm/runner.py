@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import conservation_residual, evolve, field_components
+from .dynamics import conservation_residual, evolve, field_components, populations
 from .fock import NORM_TOL, FockVector
 from .observables import (
     ETA_POINTS,
@@ -393,10 +393,10 @@ def q_grids(
     """The axis of the Q window, Q_POINTS over [-h, h] with h =
     `_q_half_width(p)` for both x and y; the (times, y, x) Q grids of
     q = sdfs_state(p) at the scaled times over it; the conservation residuals."""
-    a, b = evolve(q, times, detuning_ratio)
+    c, s = field_components(*evolve(q, times, detuning_ratio))
     h = _q_half_width(p)
     axis = np.linspace(-h, h, Q_POINTS)
-    return axis, q_function_grid(*field_components(a, b), axis, axis), conservation_residual(a, b)
+    return axis, q_function_grid(c, s, axis, axis), conservation_residual(*populations(c, s))
 
 
 @_one_blas_thread()
@@ -406,6 +406,7 @@ def compute(cfg: RunConfig) -> RunData:
     Refuses (ValueError) a t_max_scaled or q_time_scaled whose phases
     t * nu_n lose more than PHASE_BUDGET to rounding at the truncation;
     q_time_scaled only when qfunc, the one output at that time, is selected.
+    Where even t = 1 would lose them, detuning_ratio is named as the key.
     """
     q = sdfs_state(cfg.state)
     n_max = q.dim - 1
@@ -416,8 +417,10 @@ def compute(cfg: RunConfig) -> RunData:
         t = getattr(cfg, key) or 0.0  # no q_time_scaled: Q at t_max_scaled
         lost = math.ulp(1.0) * t * nu_max
         if lost > PHASE_BUDGET:
+            culprit = (f"key {key!r} = {t:g}" if math.ulp(1.0) * nu_max <= PHASE_BUDGET
+                       else "key 'detuning_ratio' is too large: even t = 1")  # or nu_max = inf
             raise ValueError(
-                f"key {key!r} = {t:g} loses phase precision at detuning_ratio = "
+                f"{culprit} loses phase precision at detuning_ratio = "
                 f"{cfg.detuning_ratio:g}: eps * t * nu_max = {lost:.3e} exceeds "
                 f"{PHASE_BUDGET:g} at n_max = {n_max}"
             )
@@ -430,15 +433,15 @@ def compute(cfg: RunConfig) -> RunData:
         step = max(1, BLOCK_ENTRIES // q.dim)
         for lo in range(0, ts.size, step):
             rows = slice(lo, lo + step)
-            a, b = evolve(q, ts[rows], cfg.detuning_ratio)
-            c, s = field_components(a, b)
-            block = {"conservation": conservation_residual(a, b)}
+            c, s = field_components(*evolve(q, ts[rows], cfg.detuning_ratio))
+            pc, ps = populations(c, s)
+            block = {"conservation": conservation_residual(pc, ps)}
             if "inversion" in selected:
-                block["inversion"] = atomic_inversion(a, b)
+                block["inversion"] = atomic_inversion(pc, ps)
             if "entropy" in selected:
-                block["cc"], block["ss"], block["cs"] = gram(c, s)
+                block["cc"], block["ss"], block["cs"] = gram(c, s, pc, ps)
             if "photon_dist" in selected:
-                block["photon"] = photon_number_distribution(c, s)
+                block["photon"] = photon_number_distribution(pc, ps)
             if kernel is not None:
                 block["phase"] = phase_distribution(c, s, kernel)
             for key, value in block.items():

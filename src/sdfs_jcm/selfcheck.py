@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import evolve
+from .dynamics import evolve, field_components, populations
 from .fock import FockVector, build_sdfs_oracle
 from .observables import ETAS, atomic_inversion
 from .presets import REVIVAL_T, figure_preset
@@ -364,7 +364,7 @@ def check_trivial_limits() -> CheckResult:
     """Vacuum Rabi cosine and coherent-state Poisson statistics."""
     q = FockVector(np.array([1.0, 0.0]))
     ts = np.linspace(0.0, 10.0, 2000)
-    w = atomic_inversion(*evolve(q, ts))
+    w = atomic_inversion(*populations(*field_components(*evolve(q, ts))))
     worst_w = float(np.max(np.abs(w - np.cos(2.0 * ts))))
     probs = np.abs(sdfs_state(SdfsParams(alpha0=3.0)).amps) ** 2
     ns = np.arange(probs.size)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sdfs_jcm
+from sdfs_jcm import cli
 from sdfs_jcm.cli import main
 from sdfs_jcm.config import KNOWN_KEYS, OUTPUT_CAP, RunConfig, parse_config, parse_state
 from sdfs_jcm.fock import DIM_CAP
@@ -420,6 +421,19 @@ def test_check_imports_no_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys):
+    argv = ["overlap", "--p1", "alpha0_re=1,r=0.5,m=1", "--p2", "alpha0_re=2,m=0"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    for bad in (["overlap", "--p1", "r=1"], ["preset"], ["nonsense"], ["check", "--out", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2 and "usage: sdfs-jcm" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert cli._build_parser() is cli._build_parser()  # built once per process
+
+
 def test_cli_overlap_verb(capsys):
     assert main(["overlap", "--p1", "alpha0_re=1,r=0,m=1", "--p2", "alpha0_re=2,r=0,m=1"]) == 0
     out = capsys.readouterr().out
@@ -467,6 +481,24 @@ def test_cli_run_refuses_a_detuning_whose_square_overflows(t_max, tmp_path, caps
     err = capsys.readouterr().err
     assert "loses phase precision" in err and "detuning_ratio = 1e+200" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("detuning", ["1e200", "1e100"])
+@pytest.mark.parametrize("observables", ["inversion", "inversion,qfunc"])
+def test_an_overflowing_detuning_is_named_as_the_key(detuning, observables, tmp_path, capsys):
+    # nu_max = inf, or so large that only t < 1e-95 would keep the phases: no time is
+    # at fault, so neither t_max_scaled nor q_time_scaled is named
+    config_path = tmp_path / "detuned.cfg"
+    config_path.write_text(
+        f"alpha0_re = 3\nt_points = 4\ndetuning_ratio = {detuning}\nq_time_scaled = 2\n"
+        f"observables = {observables}\noutput_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'detuning_ratio' is too large: even t = 1 loses")
+    # CI greps this fragment for 1e200
+    assert f"loses phase precision at detuning_ratio = {float(detuning):g}" in err
+    assert "time_scaled" not in err
 
 
 @pytest.mark.parametrize("r", ["355.5", "400", "700"])

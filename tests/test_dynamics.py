@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jcm_reference import jcm_reference
-from sdfs_jcm.dynamics import conservation_residual, evolve, field_components
+from sdfs_jcm.dynamics import conservation_residual, evolve, field_components, populations
 from sdfs_jcm.fock import NORM_TOL, FockVector
 from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 
@@ -60,7 +60,9 @@ def test_pointwise_conservation_identity():
         per_n = np.abs(a) ** 2 + np.abs(b) ** 2
         for row in per_n:
             np.testing.assert_allclose(row, np.abs(q.amps) ** 2, atol=1e-12)
-        assert np.all(conservation_residual(a, b) <= 1e-10)
+        residual = conservation_residual(*populations(*field_components(a, b)))
+        assert np.all(residual <= 1e-10)
+        assert np.array_equal(residual, np.abs(np.sum(per_n, axis=-1) - 1.0))
 
 
 def test_unnormalized_input_rejected():

@@ -1,14 +1,17 @@
 import functools
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sdfs_jcm.fock import DIM_CAP, FockVector, build_sdfs_oracle
+from sdfs_jcm import fock
+from sdfs_jcm.fock import _THETA, _TOL, DIM_CAP, FockVector, _expm_action, build_sdfs_oracle
 from sdfs_jcm.observables import _coherent_bras
 from sdfs_jcm.sdfs import SdfsParams, sdfs_state
-from sdfs_jcm.selfcheck import AMPLITUDE_GRID
+from sdfs_jcm.selfcheck import AMPLITUDE_GRID, check_amplitude_oracle, check_overlap_oracle
 
 
 def basis_state(dim, n):
@@ -137,3 +140,89 @@ def test_oracle_leaves_the_global_random_state_alone():
     np.random.seed(5)
     _stacked(_STACK)
     assert np.random.random() == expected
+
+
+def _plain_expm_action(upper, k, v):
+    """The Taylor loop of `fock._expm_action` without its bounds: the exact
+    maxima and the stopping test c1 + c2 <= tol ||F||_inf on every term."""
+    mags = np.abs(upper)
+    norm = float(np.max(np.append(mags, np.zeros(k)) + np.append(np.zeros(k), mags)))
+    m, s = min(((m, max(1, math.ceil(norm / t))) for m, t in _THETA.items()), key=math.prod)
+    up, down = upper / s, -np.conjugate(upper) / s
+    f, b, gb = v.copy(), v.copy(), np.empty_like(v)
+    for _ in range(s):
+        c1 = np.max(np.abs(b))
+        for j in range(1, m + 1):
+            np.multiply(up, b[k:], out=gb[:-k])
+            gb[-k:] = 0.0
+            gb[k:] += down * b[:-k]
+            b, gb = gb, b
+            b.view(float)[:] *= 1.0 / j
+            c2 = np.max(np.abs(b))
+            f += b
+            if c1 + c2 <= _TOL * np.max(np.abs(f)):
+                break
+            c1 = c2
+        b[:] = f
+    return f
+
+
+@pytest.fixture(scope="module")
+def action_inputs():
+    """(upper, k, v) of the two stacks of `check`, 100 seeded random stacks
+    (k = 1 or 2, n up to 600, generator scales 1e-3 to 10, a tenth of the
+    generator entries zero), a zero generator, a zero vector and a vector
+    shorter than k."""
+    calls = []
+
+    def record(upper, k, v):
+        calls.append((upper.copy(), k, v.copy()))
+        return _expm_action(upper, k, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_expm_action", record)
+        check_amplitude_oracle()
+        check_overlap_oracle()
+    assert len(calls) == 4
+    rng = np.random.default_rng(2011)
+    for _ in range(100):
+        k, n = int(rng.integers(1, 3)), int(rng.integers(1, 601))
+        upper = (rng.normal(size=max(0, n - k)) + 1j * rng.normal(size=max(0, n - k)))
+        upper *= 10 ** rng.uniform(-3, 1)
+        upper[rng.random(upper.size) < 0.1] = 0.0
+        calls.append((upper, k, rng.normal(size=n) + 1j * rng.normal(size=n)))
+    v = np.zeros(40, complex)
+    v[7] = 1.0 - 2.0j
+    calls.append((np.zeros(39, complex), 1, v))
+    calls.append((np.full(38, 2.0 + 1.0j), 2, np.zeros(40, complex)))  # stops on the first term
+    calls.append((np.zeros(0, complex), 2, np.ones(1, complex)))  # a window shorter than k
+    return calls
+
+
+def test_expm_action_is_bitwise_the_plain_taylor_loop(action_inputs):
+    for upper, k, v in action_inputs:
+        expected = _plain_expm_action(upper, k, v)
+        assert np.array_equal(_expm_action(upper, k, v).view(np.int64), expected.view(np.int64))
+
+
+def test_expm_action_upper_bound_holds_the_norm_on_every_term(action_inputs):
+    # trace the loop itself: each time its bound test runs, f_up >= ||F||_inf
+    lines, start = inspect.getsourcelines(_expm_action)
+    (test_line,) = [start + i for i, line in enumerate(lines) if "_TOL * f_up:" in line]
+    code, terms = _expm_action.__code__, []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == test_line:
+            f_up, f = frame.f_locals["f_up"], frame.f_locals["f"]
+            terms.append(f_up >= np.max(np.abs(f)))
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        for upper, k, v in action_inputs:
+            _expm_action(upper, k, v)
+    finally:
+        sys.settrace(None)
+    assert len(terms) > 1827 and all(terms)

@@ -7,7 +7,7 @@ from scipy.special import gammaln, xlogy
 
 from jcm_reference import jcm_reference
 from sdfs_jcm.config import RunConfig, parse_config
-from sdfs_jcm.dynamics import evolve, field_components
+from sdfs_jcm.dynamics import conservation_residual, evolve, field_components, populations
 from sdfs_jcm.fock import FockVector
 from sdfs_jcm.observables import (
     ETA_POINTS,
@@ -43,6 +43,16 @@ def _evolved(p, t, detuning=0.0):
     return a[0], b[0]
 
 
+def _pops(a, b):
+    """|C_n|^2 and |S_n|^2 of the A and B rows a, b."""
+    return populations(*field_components(a, b))
+
+
+def _gram(a, b):
+    c, s = field_components(a, b)
+    return gram(c, s, *populations(c, s))
+
+
 def _q_at(a, b, alpha):
     """Q at one phase-space point, as a 1 x 1 grid."""
     grid = q_function_grid(*field_components(a, b), [alpha.real], [alpha.imag])
@@ -54,55 +64,68 @@ def _q_at(a, b, alpha):
 
 def test_inversion_starts_at_one():
     a, b = _evolved(SdfsParams(alpha0=2.0, r=0.6, m=1), 0.0)
-    assert atomic_inversion(a, b) == pytest.approx(1.0, abs=1e-10)
+    assert atomic_inversion(*_pops(a, b)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_inversion_vacuum_cosine():
     a, b = evolve(_vacuum(), [math.pi / 4])
-    assert atomic_inversion(a, b)[0] == pytest.approx(0.0, abs=1e-12)
+    assert atomic_inversion(*_pops(a, b))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inversion_single_fock_cosine():
     q = FockVector(np.array([0.0, 1.0]))
     ts = np.linspace(0.0, 6.0, 23)
-    w = atomic_inversion(*evolve(q, ts))
+    w = atomic_inversion(*_pops(*evolve(q, ts)))
     for t, value in zip(ts, w):
         assert value == pytest.approx(math.cos(2.0 * math.sqrt(2.0) * t), abs=1e-12)
 
 
 def test_inversion_bounded():
     q = _state(SdfsParams(alpha0=3.0, r=1.0, m=2))
-    w = atomic_inversion(*evolve(q, np.linspace(0.0, 25.0, 400)))
+    a, b = evolve(q, np.linspace(0.0, 25.0, 400))
+    w = atomic_inversion(*_pops(a, b))
     assert w.shape == (400,)
     assert np.all(np.abs(w) <= 1.0 + 1e-12)
+    # the slices of the populations give the bits of the direct sum over A and B
+    assert np.array_equal(w, np.sum(np.abs(a) ** 2 - np.abs(b) ** 2, axis=-1))
+
+
+def test_amplitudes_in_place_of_populations_are_a_type_error():
+    # the arguments these functions took before they read `populations`
+    a, b = evolve(_state(SdfsParams(alpha0=2.0, r=0.5)), np.linspace(0.0, 5.0, 7))
+    c, s = field_components(a, b)
+    for function, args in ((atomic_inversion, (a, b)), (conservation_residual, (a, b)),
+                           (photon_number_distribution, (c, s))):
+        with pytest.raises(TypeError):
+            function(*args)
 
 
 # --------------------------------------------------------------------- gram
 
 
 def test_gram_at_zero_time():
-    cc, ss, cs = gram(*field_components(*_evolved(SdfsParams(alpha0=1.0, r=0.5), 0.0)))
+    cc, ss, cs = _gram(*_evolved(SdfsParams(alpha0=1.0, r=0.5), 0.0))
     assert cc == pytest.approx(1.0, abs=1e-10)
     assert ss == pytest.approx(0.0, abs=1e-15)
     assert abs(cs) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gram_vacuum_quarter_cycle():
-    cc, ss, cs = gram(*field_components(*evolve(_vacuum(), [math.pi / 4])))
+    cc, ss, cs = _gram(*evolve(_vacuum(), [math.pi / 4]))
     assert cc[0] == pytest.approx(0.5, abs=1e-12)
     assert ss[0] == pytest.approx(0.5, abs=1e-12)
     assert abs(cs[0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gram_trace_identity():
-    cc, ss, _ = gram(*field_components(*_evolved(SdfsParams(alpha0=3.0, r=1.0), 10.0)))
+    cc, ss, _ = _gram(*_evolved(SdfsParams(alpha0=3.0, r=1.0), 10.0))
     assert cc + ss == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gram_rows_match_vdot():
     q = _state(SdfsParams(alpha0=2.0, r=0.7, m=1))
     c, s = field_components(*evolve(q, np.linspace(0.0, 12.0, 9), 0.5))
-    cc, ss, cs = gram(c, s)
+    cc, ss, cs = gram(c, s, *populations(c, s))
     for i in range(c.shape[0]):
         assert cc[i] == np.sum(np.abs(c[i]) ** 2)
         assert ss[i] == np.sum(np.abs(s[i]) ** 2)
@@ -188,7 +211,7 @@ def test_entropy_random_samples_match_eigensolve():
 
 def test_entropy_rows_match_scalar_entropy():
     q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
-    cc, ss, cs = gram(*field_components(*evolve(q, np.linspace(0.0, 25.0, 11))))
+    cc, ss, cs = _gram(*evolve(q, np.linspace(0.0, 25.0, 11)))
     assert entropy_rows(cc, ss, cs).shape == (11, 3)
     _assert_rows_match_scalar(cc, ss, cs)
 
@@ -245,7 +268,7 @@ def test_entropy_rejects_eigenvalues_beyond_slack():
 def test_initial_entropy_vanishes_for_every_sdfs():
     for p in grid_params():
         a, b = evolve(_state(p), [0.0])
-        assert entropy_rows(*gram(*field_components(a, b)))[0, 0] <= 1e-10
+        assert entropy_rows(*_gram(a, b))[0, 0] <= 1e-10
 
 
 # --------------------------------------------------------- photon numbers
@@ -255,20 +278,19 @@ def test_photon_dist_at_zero_time_matches_input():
     p = SdfsParams(alpha0=1.3, r=0.6, m=1)
     q = _state(p)
     a, b = evolve(q, [0.0])
-    dist = photon_number_distribution(*field_components(a, b))
+    dist = photon_number_distribution(*_pops(a, b))
     assert dist.shape == (1, q.dim + 1)
     np.testing.assert_allclose(dist[0, :-1], np.abs(q.amps) ** 2, rtol=0, atol=1e-14)
 
 
 def test_photon_dist_unit_sum():
-    dist = photon_number_distribution(
-        *field_components(*_evolved(SdfsParams(alpha0=3.0, r=1.0, m=2), 6.6))
-    )
+    a, b = _evolved(SdfsParams(alpha0=3.0, r=1.0, m=2), 6.6)
+    dist = photon_number_distribution(*_pops(a, b))
     assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_photon_dist_full_rabi_transfer():
-    dist = photon_number_distribution(*field_components(*evolve(_vacuum(), [math.pi / 2])))
+    dist = photon_number_distribution(*_pops(*evolve(_vacuum(), [math.pi / 2])))
     assert dist[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert dist[0, 1] == pytest.approx(1.0, abs=1e-12)
 

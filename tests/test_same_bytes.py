@@ -41,3 +41,23 @@ def test_a_detuning_sign_flip_changes_the_detuned_csvs_only(same_bytes, subset, 
         4,
         ["sweep/seed0-cfg000/entropy.csv", "sweep/seed0-cfg000/inversion.csv"],
     )
+
+
+@pytest.mark.parametrize("printed, fails", [("'same'", False), ("len(calls)", True)])
+def test_a_check_that_prints_otherwise_on_a_later_call_fails(
+    printed, fails, same_bytes, tmp_path, capfd
+):
+    # a stand-in tree whose `check` prints the same each call, or its call count
+    package = tmp_path / "src" / "sdfs_jcm"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        f"calls = []\n\ndef main(argv):\n    calls.append(argv)\n    print({printed})\n    return 0\n"
+    )
+    jobs = [("check", ["check"])] * 3
+    if not fails:
+        assert same_bytes.compare(package.parent, package.parent, jobs, tmp_path) == (1, [])
+        return
+    with pytest.raises(RuntimeError, match="a job failed"):
+        same_bytes.compare(package.parent, package.parent, jobs, tmp_path)
+    assert "check: a later call printed other than the first" in capfd.readouterr().err
