@@ -1,12 +1,13 @@
 """Usage: python scripts/same_bytes.py [BASE]     (BASE = HEAD by default)
 
 Runs the 15 presets, the 80 sweep configs of perfbench/workloads.py (seeds 0, 1),
-three qfunc configs and then `check` CHECK_CALLS times through `cli.main` of BASE's
+three qfunc configs, one `overlap` per pair of `selfcheck.random_overlap_pairs()` and
+of OVERLAP_PAIRS, and then `check` CHECK_CALLS times through `cli.main` of BASE's
 src/ (by `git archive`) and of the working tree, one process per tree. Every `check`
 of a process must print the same stdout and exit code as its first: no state left by
 earlier work may change a digit. Compares every output file but run_summary.txt, and
-the `check` stdout and exit code, byte for byte. Prints one JSON line; exits 1 if any
-file differs or any job fails."""
+the `check` and `overlap` stdout and exit code, byte for byte. Prints one JSON line;
+exits 1 if any file differs or any job fails."""
 
 import argparse
 import filecmp
@@ -23,6 +24,9 @@ QFUNC_STATES = {"squeezed": "r = 1.2\nm = 3",
                 "detuned": "alpha0_re = -2\nalpha0_im = 2\nr = 0.9\nm = 2\ndetuning_ratio = 1.5",
                 "rotated": "alpha0_re = 1.5\nalpha0_im = -1\nr = 0.8\nphi = 2\nm = 2"}
 QFUNC_TIMES = "t_max_scaled = 12\nt_points = 2\nq_time_scaled = 7.5\nobservables = qfunc\n"
+# Seed numbers m >= 2 DIM_CAP, whose ln m! `sdfs.log_factorial` evaluates one by one
+OVERLAP_PAIRS = [("alpha0_re=1,m=1100", "alpha0_re=1.01,m=1100"),
+                 ("alpha0_re=0.5,r=0.01,m=1024", "alpha0_re=0.5,r=0.011,m=1024")]
 CHECK_CALLS = 20
 # One tree's jobs, run in its output root: argv[1] is its src/, argv[2] the jobs.
 CHILD = """
@@ -34,7 +38,7 @@ if sdfs_jcm.__file__ != os.path.join(sys.argv[1], "sdfs_jcm", "__init__.py"):
 for label, argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = sdfs_jcm.cli.main(argv)
-    if argv == ["check"]:
+    if argv[0] in ("check", "overlap"):
         text, path = f"{stdout.getvalue()}exit {code}\\n", pathlib.Path(label + ".txt")
         if path.exists() and path.read_text() != text:
             sys.exit(f"{label}: a later call printed other than the first, in {sys.argv[1]}")
@@ -60,7 +64,23 @@ def jobs(cfg_dir: Path) -> list[tuple[str, list[str]]]:
     for i, (label, text) in enumerate(configs.items()):
         (cfg_dir / f"{i}.cfg").write_text(text)
         found.append((label, ["run", str(cfg_dir / f"{i}.cfg")]))
+    for i, (p1, p2) in enumerate(overlap_pairs()):
+        found.append((f"overlap-{i:02d}", ["overlap", "--p1", p1, "--p2", p2]))
     return found + [("check", ["check"])]
+
+
+def overlap_pairs() -> list[tuple[str, str]]:
+    """--p1 and --p2 of each `overlap` job: the pairs of the working tree's
+    `selfcheck.random_overlap_pairs()` as %r values, then OVERLAP_PAIRS."""
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    from sdfs_jcm.selfcheck import random_overlap_pairs
+
+    def items(p) -> str:
+        values = dict(alpha0_re=p.alpha0.real, alpha0_im=p.alpha0.imag, r=p.r, phi=p.phi, m=p.m)
+        return ",".join(f"{key}={value!r}" for key, value in values.items())
+
+    return [(items(p1), items(p2)) for p1, p2 in random_overlap_pairs()] + OVERLAP_PAIRS
 
 
 def compare(base_src: Path, head_src: Path, jobs: list, root: Path) -> tuple[int, list[str]]:

@@ -62,6 +62,9 @@ class RunConfig:
             )
         if not self.observables:
             raise _fail("key 'observables' must select at least one output")
+        repeated = [n for i, n in enumerate(self.observables) if n in self.observables[:i]]
+        if repeated:
+            raise _fail(f"key 'observables' lists {repeated[0]!r} more than once")
         widths = dict(inversion=1, entropy=3, photon_dist=DIM_CAP + 1, phase_dist=ETA_POINTS)
         row, widest = max(
             ((widths[n], n) for n in self.observables if n in widths), default=(1, "ts")

@@ -15,13 +15,13 @@ through Delta/lambda. Probability conservation |A_n|^2 + |B_n|^2 = |q_n|^2
 holds identically and is asserted by the tests, never enforced at
 runtime, so formula errors surface instead of being papered over.
 
-Array layout: a time axis of T points gives A and B as (T, dim) arrays,
-row i holding A_n(ts[i]) for n = 0..dim-1 with dim = n_max + 1. The
-reduced field state rho_f = |C><C| + |S><S| lives on a basis one photon
-larger, so its components C and S are (T, dim + 1) arrays, as are their
-squared moduli from `populations`, which a function that takes them must
-get as real arrays: complex ones are a TypeError. Every function here
-keeps the leading axes of its inputs.
+Array layout: `evolve` returns the field vectors C and S of the reduced
+state rho_f = |C><C| + |S><S|, on a basis one photon larger than q, as
+(T, dim + 1) arrays with dim = n_max + 1: row i holds C_n = A_n(ts[i])
+and S_{n+1} = B_n(ts[i]) for n < dim, and C_dim = S_0 = 0. Their squared
+moduli from `populations` keep that layout; a function that takes them
+must get them as real arrays: complex ones are a TypeError. Every
+function here keeps the leading axes of its inputs.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .fock import NORM_TOL, FockVector
 def evolve(
     q: FockVector, ts: np.ndarray, detuning_ratio: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form A_n(t), B_n(t) at the scaled times ts, as (T, dim) arrays;
-    |norm^2 - 1| of q must stay within NORM_TOL, as `sdfs_state` ensures."""
+    """C and S at the scaled times ts, as (T, dim + 1) arrays from the closed-form
+    A_n(t), B_n(t); |norm^2 - 1| of q must stay within NORM_TOL, as `sdfs_state` ensures."""
     deficit = abs(q.norm_sq() - 1.0)
     if deficit > NORM_TOL:
         raise ValueError(f"initial field amplitudes not normalized (|norm^2 - 1| = {deficit:.3e})")
@@ -46,18 +46,9 @@ def evolve(
     nu = np.sqrt(0.25 * detuning_ratio**2 + ns + 1.0)
     ph = ts[:, None] * nu
     sin_over_nu = np.sin(ph) / nu
-    a = q.amps * (np.cos(ph) - 0.5j * detuning_ratio * sin_over_nu)
-    b = -1j * q.amps * np.sqrt(ns + 1.0) * sin_over_nu
-    return a, b
-
-
-def field_components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C and S of rho_f on the basis extended by one photon: C_n = A_n, S_{n+1} = B_n."""
-    shape = a.shape[:-1] + (a.shape[-1] + 1,)
-    c = np.zeros(shape, dtype=complex)
-    s = np.zeros(shape, dtype=complex)
-    c[..., :-1] = a
-    s[..., 1:] = b
+    c, s = np.zeros((2, ts.size, q.dim + 1), dtype=complex)
+    c[:, :-1] = q.amps * (np.cos(ph) - 0.5j * detuning_ratio * sin_over_nu)
+    s[:, 1:] = -1j * q.amps * np.sqrt(ns + 1.0) * sin_over_nu
     return c, s
 
 

@@ -2,10 +2,10 @@
 
 `compute` builds the truncated initial field and the phase kernel once
 and walks the scaled-time grid in blocks of rows. Each block is one call of
-`dynamics.evolve`, which returns A and B as (rows, dim) arrays with
-dim = n_max + 1; every time-series output keeps that layout, one row
-per time point: inversion (T,), the Gram entries cc, ss, cs (T,),
-entropy (T, 3), P(n, t) (T, dim + 1) and the phase density
+`dynamics.evolve`, which returns C and S as (rows, dim + 1) arrays with
+dim = n_max + 1; every time-series output keeps one row per time
+point: inversion (T,), the Gram entries cc, ss, cs (T,), entropy
+(T, 3), P(n, t) (T, dim + 1) and the phase density
 (T, ETA_POINTS). The Q snapshot is a plain (Q_POINTS, Q_POINTS) array
 indexed [y, x] over the one axis of the window [-h, h]^2, h from
 `_q_half_width`: the paper's 8, widened with the displacement, the
@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import conservation_residual, evolve, field_components, populations
+from .dynamics import conservation_residual, evolve, populations
 from .fock import NORM_TOL, FockVector
 from .observables import (
     ETA_POINTS,
@@ -68,8 +68,8 @@ from .sdfs import SdfsParams, sdfs_state
 
 FLOAT_FMT = "%.17g"
 
-# Complex entries of A (and of B) per time block: a block holds
-# max(1, BLOCK_ENTRIES // dim) rows, which keeps the block arrays small.
+# A time block holds max(1, BLOCK_ENTRIES // dim) rows, so about this many
+# complex entries of C (and of S), which keeps the block arrays small.
 # Also the lines per written block of every CSV, and so the most values
 # one call of `_format_cells` formats.
 BLOCK_ENTRIES = 4096
@@ -393,7 +393,7 @@ def q_grids(
     """The axis of the Q window, Q_POINTS over [-h, h] with h =
     `_q_half_width(p)` for both x and y; the (times, y, x) Q grids of
     q = sdfs_state(p) at the scaled times over it; the conservation residuals."""
-    c, s = field_components(*evolve(q, times, detuning_ratio))
+    c, s = evolve(q, times, detuning_ratio)
     h = _q_half_width(p)
     axis = np.linspace(-h, h, Q_POINTS)
     return axis, q_function_grid(c, s, axis, axis), conservation_residual(*populations(c, s))
@@ -403,20 +403,24 @@ def q_grids(
 def compute(cfg: RunConfig) -> RunData:
     """Every selected observable and invariant residual of cfg, with no I/O.
 
-    Refuses (ValueError) a t_max_scaled or q_time_scaled whose phases
-    t * nu_n lose more than PHASE_BUDGET to rounding at the truncation;
-    q_time_scaled only when qfunc, the one output at that time, is selected.
-    Where even t = 1 would lose them, detuning_ratio is named as the key.
+    Refuses (ValueError) a time that a selected output reads (t_max_scaled: a
+    time series, or qfunc without q_time_scaled; q_time_scaled: qfunc) whose
+    phases t * nu_n lose more than PHASE_BUDGET to rounding at the truncation;
+    where even t = 1 would lose them, detuning_ratio is named as the key.
     """
     q = sdfs_state(cfg.state)
     n_max = q.dim - 1
     selected = set(cfg.observables)
     # nu_n of `evolve` at n_max: inf, not an OverflowError, where Delta^2 overflows
     nu_max = math.sqrt(0.25 * (cfg.detuning_ratio * cfg.detuning_ratio) + q.dim)
-    for key in ("t_max_scaled", "q_time_scaled") if "qfunc" in selected else ("t_max_scaled",):
-        t = getattr(cfg, key) or 0.0  # no q_time_scaled: Q at t_max_scaled
+    q_key = "t_max_scaled" if cfg.q_time_scaled is None else "q_time_scaled"  # Q's time
+    keys = ["t_max_scaled"] if selected & TIME_SERIES else []
+    if "qfunc" in selected and q_key not in keys:
+        keys.append(q_key)
+    for key in keys:
+        t = getattr(cfg, key)
         lost = math.ulp(1.0) * t * nu_max
-        if lost > PHASE_BUDGET:
+        if not lost <= PHASE_BUDGET:  # nan where t = 0 meets nu_max = inf
             culprit = (f"key {key!r} = {t:g}" if math.ulp(1.0) * nu_max <= PHASE_BUDGET
                        else "key 'detuning_ratio' is too large: even t = 1")  # or nu_max = inf
             raise ValueError(
@@ -433,7 +437,7 @@ def compute(cfg: RunConfig) -> RunData:
         step = max(1, BLOCK_ENTRIES // q.dim)
         for lo in range(0, ts.size, step):
             rows = slice(lo, lo + step)
-            c, s = field_components(*evolve(q, ts[rows], cfg.detuning_ratio))
+            c, s = evolve(q, ts[rows], cfg.detuning_ratio)
             pc, ps = populations(c, s)
             block = {"conservation": conservation_residual(pc, ps)}
             if "inversion" in selected:
@@ -461,7 +465,7 @@ def compute(cfg: RunConfig) -> RunData:
 
     q_axis = qfunc = None
     if "qfunc" in selected:
-        t_q = cfg.q_time_scaled if cfg.q_time_scaled is not None else cfg.t_max_scaled
+        t_q = getattr(cfg, q_key)
         q_axis, (qfunc,), conservation = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
         residuals["conservation_residual"] = max(
             residuals.get("conservation_residual", 0.0), float(conservation[0])

@@ -4,9 +4,11 @@ import numpy as np
 
 
 def jcm_reference(q, t_max, t_points, detuning):
-    """A and B of `evolve` on linspace(0, t_max, t_points), and the reduced
-    field state rho = Psi_e Psi_e^dagger + Psi_g Psi_g^dagger, the partial
-    trace over the atom, as (T, dim + 1, dim + 1) arrays.
+    """The excited and ground parts Psi_e, Psi_g of the state on
+    linspace(0, t_max, t_points), as `evolve` returns them in C and S
+    ((T, dim + 1) arrays), and the reduced field state rho = Psi_e Psi_e^dagger
+    + Psi_g Psi_g^dagger, the partial trace over the atom, as (T, dim + 1,
+    dim + 1) arrays.
 
     The route is the operator one: H = (Delta/2) sigma_z + (a sigma_+ +
     a^dagger sigma_-) in units of lambda, as one CSR matrix on the atom x
@@ -30,4 +32,4 @@ def jcm_reference(q, t_max, t_points, detuning):
     psi = expm_multiply(-1j * hamiltonian, psi0, start=0.0, stop=t_max, num=t_points)
     excited, ground = psi[:, :levels], psi[:, levels:]
     rho = sum(np.einsum("ti,tj->tij", part, part.conj()) for part in (excited, ground))
-    return excited[:, : q.dim], ground[:, 1:], rho
+    return excited, ground, rho

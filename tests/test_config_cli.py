@@ -348,6 +348,44 @@ def test_cli_runs_a_q_time_that_no_selected_output_evaluates(tmp_path, capsys):
     assert sorted(path.name for path in out_dir.iterdir()) == ["inversion.csv", "run_summary.txt"]
 
 
+def test_cli_runs_a_t_max_that_no_selected_output_evaluates(tmp_path, capsys):
+    # qfunc reads only q_time_scaled = 1, and no time series is selected
+    written = []
+    for t_max in ("1e12", "12"):
+        config_path = tmp_path / f"{t_max}.cfg"
+        config_path.write_text(
+            f"alpha0_re = 3\nobservables = qfunc\nq_time_scaled = 1\nt_max_scaled = {t_max}\n"
+            f"t_points = 2\noutput_dir = {tmp_path / t_max}\n"
+        )
+        assert main(["run", str(config_path)]) == 0
+        written.append((tmp_path / t_max / "qfunc.csv").read_bytes())
+    assert "loses phase precision" not in capsys.readouterr().err
+    assert written[0] == written[1]
+
+
+def test_an_overflowing_detuning_is_refused_at_a_zero_q_time(tmp_path, capsys):
+    # eps * 0 * inf is nan: no finite loss clears an infinite nu_max
+    config_path = tmp_path / "detuned.cfg"
+    config_path.write_text(
+        "alpha0_re = 3\ndetuning_ratio = 1e200\nq_time_scaled = 0\nobservables = qfunc\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: key 'detuning_ratio' is too large")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_observable_listed_twice_is_refused(tmp_path, capsys):
+    message = "key 'observables' lists 'inversion' more than once"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(observables=("inversion", "entropy", "inversion"))
+    config_path = tmp_path / "twice.cfg"
+    config_path.write_text(f"observables = inversion, inversion\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_config_checks_its_own_domain():
     with pytest.raises(ValueError, match="key 't_points' must be >= 2"):
         RunConfig(t_points=1)

@@ -12,8 +12,8 @@ def test_readme_library_example_runs():
     assert len(blocks) == 1
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
-    q, a, w = namespace["q"], namespace["a"], namespace["w"]
-    assert a.shape == (2000, q.dim)
+    q, c, w = namespace["q"], namespace["c"], namespace["w"]
+    assert c.shape == (2000, q.dim + 1)
     assert w.shape == (2000,)
     assert namespace["entropy"].shape == namespace["data"].ts.shape
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from jcm_reference import jcm_reference
-from sdfs_jcm.dynamics import conservation_residual, evolve, field_components, populations
+from sdfs_jcm.config import parse_config
+from sdfs_jcm.dynamics import conservation_residual, evolve, populations
 from sdfs_jcm.fock import NORM_TOL, FockVector
+from sdfs_jcm.presets import PRESET_NAMES, figure_preset
 from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 
 
@@ -18,27 +20,27 @@ def _state(p):
 
 
 def _at(q, t, detuning=0.0):
-    """A and B rows at the single scaled time t."""
-    a, b = evolve(q, [t], detuning)
-    return a[0], b[0]
+    """C and S rows at the single scaled time t."""
+    c, s = evolve(q, [t], detuning)
+    return c[0], s[0]
 
 
 def test_evolve_at_zero_time():
     q = _state(SdfsParams(alpha0=1.0, r=0.4, m=1))
-    a, b = _at(q, 0.0)
-    np.testing.assert_allclose(a, q.amps, atol=1e-15)
-    np.testing.assert_allclose(b, 0, atol=1e-15)
+    c, s = _at(q, 0.0)
+    np.testing.assert_allclose(c[:-1], q.amps, atol=1e-15)
+    np.testing.assert_allclose(s, 0, atol=1e-15)
 
 
 def test_evolve_returns_time_by_photon_arrays():
     q = _state(SdfsParams(alpha0=2.0, r=0.5, m=1))
     ts = np.linspace(0.0, 9.0, 7)
-    a, b = evolve(q, ts, 0.8)
-    assert a.shape == b.shape == (ts.size, q.dim)
+    c, s = evolve(q, ts, 0.8)
+    assert c.shape == s.shape == (ts.size, q.dim + 1)
     for i, t in enumerate(ts):
-        a_i, b_i = _at(q, float(t), 0.8)
-        assert np.array_equal(a[i], a_i)
-        assert np.array_equal(b[i], b_i)
+        c_i, s_i = _at(q, float(t), 0.8)
+        assert np.array_equal(c[i], c_i)
+        assert np.array_equal(s[i], s_i)
 
 
 def test_evolve_rejects_non_vector_times():
@@ -47,20 +49,20 @@ def test_evolve_rejects_non_vector_times():
 
 
 def test_vacuum_half_rabi_cycle():
-    a, b = _at(_vacuum(), math.pi / 2)
-    assert abs(a[0]) == pytest.approx(0.0, abs=1e-12)
-    assert b[0] == pytest.approx(-1j, abs=1e-12)
+    c, s = _at(_vacuum(), math.pi / 2)
+    assert abs(c[0]) == pytest.approx(0.0, abs=1e-12)
+    assert s[1] == pytest.approx(-1j, abs=1e-12)
 
 
 def test_pointwise_conservation_identity():
     q = _state(SdfsParams(alpha0=3.0, r=1.0))
     ts = [0.3, 5.0, 12.7]
     for detuning in (0.0, 1.5):
-        a, b = evolve(q, ts, detuning)
-        per_n = np.abs(a) ** 2 + np.abs(b) ** 2
+        c, s = evolve(q, ts, detuning)
+        per_n = np.abs(c[:, :-1]) ** 2 + np.abs(s[:, 1:]) ** 2
         for row in per_n:
             np.testing.assert_allclose(row, np.abs(q.amps) ** 2, atol=1e-12)
-        residual = conservation_residual(*populations(*field_components(a, b)))
+        residual = conservation_residual(*populations(c, s))
         assert np.all(residual <= 1e-10)
         assert np.array_equal(residual, np.abs(np.sum(per_n, axis=-1) - 1.0))
 
@@ -79,27 +81,27 @@ def test_evolve_refuses_a_norm_off_by_more_than_norm_tol(deviation):
     with pytest.raises(ValueError, match="not normalized"):
         evolve(q, [1.0])
     edge = FockVector(np.array([math.sqrt(1.0 + 0.5 * NORM_TOL), 0.0]))
-    assert evolve(edge, [1.0])[0].shape == (1, 2)
+    assert evolve(edge, [1.0])[0].shape == (1, 3)
 
 
 def test_field_density_at_zero_time():
     q = _state(SdfsParams(alpha0=1.5, r=0.3, m=1))
-    c, s = field_components(*_at(q, 0.0))
+    c, s = _at(q, 0.0)
     np.testing.assert_allclose(c[:-1], q.amps, atol=1e-15)
-    assert c[-1] == 0
+    assert c[-1] == 0 and s[0] == 0
     np.testing.assert_allclose(s, 0, atol=1e-15)
 
 
 def test_field_density_trace():
     q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
-    c, s = field_components(*evolve(q, [0.0, 2.5, 9.0]))
+    c, s = evolve(q, [0.0, 2.5, 9.0])
     assert c.shape == s.shape == (3, q.dim + 1)
     trace = np.sum(np.abs(c) ** 2 + np.abs(s) ** 2, axis=1)
     np.testing.assert_allclose(trace, 1.0, rtol=0, atol=1e-10)
 
 
 def test_vacuum_quarter_cycle_components():
-    c, s = field_components(*_at(_vacuum(), math.pi / 4))
+    c, s = _at(_vacuum(), math.pi / 4)
     assert np.sum(np.abs(c) ** 2) == pytest.approx(0.5, abs=1e-12)
     assert np.sum(np.abs(s) ** 2) == pytest.approx(0.5, abs=1e-12)
     # C is supported on |0>, S on |1>: orthogonal
@@ -109,7 +111,7 @@ def test_vacuum_quarter_cycle_components():
 def test_density_matrix_is_rank_two_and_psd():
     q = _state(SdfsParams(alpha0=1.2, r=0.5, m=1))
     rho = jcm_reference(q, 4.2, 2, 0.0)[2][-1]
-    c, s = field_components(*_at(q, 4.2))
+    c, s = _at(q, 4.2)
     np.testing.assert_allclose(rho, np.outer(c, c.conj()) + np.outer(s, s.conj()), atol=1e-13)
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
     eigs = np.linalg.eigvalsh(rho)
@@ -122,8 +124,52 @@ def test_large_detuning_suppresses_transfer():
     q = _state(SdfsParams(alpha0=2.0, r=0.5))
     ns = np.arange(q.dim)
     bound = 2.0 * np.sqrt(ns + 1.0) / 1000.0
-    _, b = evolve(q, [0.7, 3.0, 11.0], 1000.0)
-    assert np.all(np.abs(b) <= bound + 1e-15)
+    _, s = evolve(q, [0.7, 3.0, 11.0], 1000.0)
+    assert np.all(np.abs(s[:, 1:]) <= bound + 1e-15)
+
+
+# ------------------------------- C and S bit for bit as A and B padded by one photon
+
+
+def _padded_closed_forms(q, ts, detuning):
+    """C and S built as before `evolve` returned them: A and B by their closed
+    forms, then zeros and the two slice assignments C_n = A_n, S_{n+1} = B_n."""
+    ts = np.asarray(ts, dtype=float)
+    ns = np.arange(q.dim)
+    nu = np.sqrt(0.25 * detuning**2 + ns + 1.0)
+    ph = ts[:, None] * nu
+    sin_over_nu = np.sin(ph) / nu
+    a = q.amps * (np.cos(ph) - 0.5j * detuning * sin_over_nu)
+    b = -1j * q.amps * np.sqrt(ns + 1.0) * sin_over_nu
+    shape = a.shape[:-1] + (a.shape[-1] + 1,)
+    c = np.zeros(shape, dtype=complex)
+    s = np.zeros(shape, dtype=complex)
+    c[..., :-1] = a
+    s[..., 1:] = b
+    return c, s
+
+
+def test_evolve_equals_the_padded_closed_forms_on_every_preset_and_sweep_state(
+    sweep_workloads, tmp_path
+):
+    cfgs = [figure_preset(name) for name in PRESET_NAMES] + [
+        parse_config(sweep_workloads.sweep_config_text(state, tmp_path))
+        for seed in (0, 1)
+        for state in sweep_workloads.sweep_states(seed)
+    ]
+    runs = {}
+    for cfg in cfgs:
+        runs.setdefault((cfg.state, cfg.detuning_ratio), cfg)
+    assert len(runs) == 86
+    assert sum(detuning < 0 for _, detuning in runs) >= 10
+    for (state, detuning), cfg in runs.items():
+        q = sdfs_state(state)
+        # every 20th time of the run, t = 0 first, and a lone t = 0 row
+        for ts in (np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)[::20], [0.0]):
+            got, expected = evolve(q, ts, detuning), _padded_closed_forms(q, ts, detuning)
+            for new, old in zip(got, expected):
+                assert new.shape == (len(ts), q.dim + 1)
+                assert np.array_equal(new.view(np.int64), old.view(np.int64)), (state, detuning)
 
 
 # ------------------------------------------------ operator reference for evolve
@@ -141,11 +187,11 @@ def test_large_detuning_suppresses_transfer():
     ],
 )
 def test_evolve_matches_the_operator_reference(alpha0, r, phi, m, detuning):
-    # under detuning the phase of A_n is seen here; |A_n| alone, W and P(n, t)
+    # under detuning the phase of C_n is seen here; |C_n| alone, W and P(n, t)
     # do not change when the sign of the detuning term is flipped
     q = _state(SdfsParams(alpha0=alpha0, r=r, phi=phi, m=m))
     ts = np.linspace(0.0, 25.0, 11)
-    a, b = evolve(q, ts, detuning)
-    a_ref, b_ref, _ = jcm_reference(q, 25.0, ts.size, detuning)
-    np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)
+    c, s = evolve(q, ts, detuning)
+    c_ref, s_ref, _ = jcm_reference(q, 25.0, ts.size, detuning)
+    np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-12)

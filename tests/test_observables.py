@@ -7,7 +7,7 @@ from scipy.special import gammaln, xlogy
 
 from jcm_reference import jcm_reference
 from sdfs_jcm.config import RunConfig, parse_config
-from sdfs_jcm.dynamics import conservation_residual, evolve, field_components, populations
+from sdfs_jcm.dynamics import conservation_residual, evolve, populations
 from sdfs_jcm.fock import FockVector
 from sdfs_jcm.observables import (
     ETA_POINTS,
@@ -38,66 +38,57 @@ def _state(p):
 
 
 def _evolved(p, t, detuning=0.0):
-    """A and B rows of the state p at the single scaled time t."""
-    a, b = evolve(_state(p), [t], detuning)
-    return a[0], b[0]
+    """C and S rows of the state p at the single scaled time t."""
+    c, s = evolve(_state(p), [t], detuning)
+    return c[0], s[0]
 
 
-def _pops(a, b):
-    """|C_n|^2 and |S_n|^2 of the A and B rows a, b."""
-    return populations(*field_components(a, b))
-
-
-def _gram(a, b):
-    c, s = field_components(a, b)
+def _gram(c, s):
     return gram(c, s, *populations(c, s))
 
 
-def _q_at(a, b, alpha):
+def _q_at(c, s, alpha):
     """Q at one phase-space point, as a 1 x 1 grid."""
-    grid = q_function_grid(*field_components(a, b), [alpha.real], [alpha.imag])
-    return float(grid[0, 0])
+    return float(q_function_grid(c, s, [alpha.real], [alpha.imag])[0, 0])
 
 
 # ---------------------------------------------------------------- inversion
 
 
 def test_inversion_starts_at_one():
-    a, b = _evolved(SdfsParams(alpha0=2.0, r=0.6, m=1), 0.0)
-    assert atomic_inversion(*_pops(a, b)) == pytest.approx(1.0, abs=1e-10)
+    w = atomic_inversion(*populations(*_evolved(SdfsParams(alpha0=2.0, r=0.6, m=1), 0.0)))
+    assert w == pytest.approx(1.0, abs=1e-10)
 
 
 def test_inversion_vacuum_cosine():
-    a, b = evolve(_vacuum(), [math.pi / 4])
-    assert atomic_inversion(*_pops(a, b))[0] == pytest.approx(0.0, abs=1e-12)
+    w = atomic_inversion(*populations(*evolve(_vacuum(), [math.pi / 4])))
+    assert w[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inversion_single_fock_cosine():
     q = FockVector(np.array([0.0, 1.0]))
     ts = np.linspace(0.0, 6.0, 23)
-    w = atomic_inversion(*_pops(*evolve(q, ts)))
+    w = atomic_inversion(*populations(*evolve(q, ts)))
     for t, value in zip(ts, w):
         assert value == pytest.approx(math.cos(2.0 * math.sqrt(2.0) * t), abs=1e-12)
 
 
 def test_inversion_bounded():
     q = _state(SdfsParams(alpha0=3.0, r=1.0, m=2))
-    a, b = evolve(q, np.linspace(0.0, 25.0, 400))
-    w = atomic_inversion(*_pops(a, b))
+    c, s = evolve(q, np.linspace(0.0, 25.0, 400))
+    w = atomic_inversion(*populations(c, s))
     assert w.shape == (400,)
     assert np.all(np.abs(w) <= 1.0 + 1e-12)
     # the slices of the populations give the bits of the direct sum over A and B
-    assert np.array_equal(w, np.sum(np.abs(a) ** 2 - np.abs(b) ** 2, axis=-1))
+    assert np.array_equal(w, np.sum(np.abs(c[:, :-1]) ** 2 - np.abs(s[:, 1:]) ** 2, axis=-1))
 
 
 def test_amplitudes_in_place_of_populations_are_a_type_error():
     # the arguments these functions took before they read `populations`
-    a, b = evolve(_state(SdfsParams(alpha0=2.0, r=0.5)), np.linspace(0.0, 5.0, 7))
-    c, s = field_components(a, b)
-    for function, args in ((atomic_inversion, (a, b)), (conservation_residual, (a, b)),
-                           (photon_number_distribution, (c, s))):
+    c, s = evolve(_state(SdfsParams(alpha0=2.0, r=0.5)), np.linspace(0.0, 5.0, 7))
+    for function in (atomic_inversion, conservation_residual, photon_number_distribution):
         with pytest.raises(TypeError):
-            function(*args)
+            function(c, s)
 
 
 # --------------------------------------------------------------------- gram
@@ -124,7 +115,7 @@ def test_gram_trace_identity():
 
 def test_gram_rows_match_vdot():
     q = _state(SdfsParams(alpha0=2.0, r=0.7, m=1))
-    c, s = field_components(*evolve(q, np.linspace(0.0, 12.0, 9), 0.5))
+    c, s = evolve(q, np.linspace(0.0, 12.0, 9), 0.5)
     cc, ss, cs = gram(c, s, *populations(c, s))
     for i in range(c.shape[0]):
         assert cc[i] == np.sum(np.abs(c[i]) ** 2)
@@ -267,8 +258,7 @@ def test_entropy_rejects_eigenvalues_beyond_slack():
 
 def test_initial_entropy_vanishes_for_every_sdfs():
     for p in grid_params():
-        a, b = evolve(_state(p), [0.0])
-        assert entropy_rows(*_gram(a, b))[0, 0] <= 1e-10
+        assert entropy_rows(*_gram(*evolve(_state(p), [0.0])))[0, 0] <= 1e-10
 
 
 # --------------------------------------------------------- photon numbers
@@ -277,20 +267,19 @@ def test_initial_entropy_vanishes_for_every_sdfs():
 def test_photon_dist_at_zero_time_matches_input():
     p = SdfsParams(alpha0=1.3, r=0.6, m=1)
     q = _state(p)
-    a, b = evolve(q, [0.0])
-    dist = photon_number_distribution(*_pops(a, b))
+    dist = photon_number_distribution(*populations(*evolve(q, [0.0])))
     assert dist.shape == (1, q.dim + 1)
     np.testing.assert_allclose(dist[0, :-1], np.abs(q.amps) ** 2, rtol=0, atol=1e-14)
 
 
 def test_photon_dist_unit_sum():
-    a, b = _evolved(SdfsParams(alpha0=3.0, r=1.0, m=2), 6.6)
-    dist = photon_number_distribution(*_pops(a, b))
+    c, s = _evolved(SdfsParams(alpha0=3.0, r=1.0, m=2), 6.6)
+    dist = photon_number_distribution(*populations(c, s))
     assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_photon_dist_full_rabi_transfer():
-    dist = photon_number_distribution(*_pops(*evolve(_vacuum(), [math.pi / 2])))
+    dist = photon_number_distribution(*populations(*evolve(_vacuum(), [math.pi / 2])))
     assert dist[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert dist[0, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -299,21 +288,21 @@ def test_photon_dist_full_rabi_transfer():
 
 
 def test_phase_distribution_vacuum_is_flat():
-    c, s = field_components(*evolve(_vacuum(), [0.0]))
+    c, s = evolve(_vacuum(), [0.0])
     vals = phase_distribution(c, s, phase_kernel(c.shape[-1]))
     assert vals.shape == (1, ETA_POINTS)
     np.testing.assert_allclose(vals, 1.0 / (2 * math.pi), atol=1e-14)
 
 
 def test_phase_distribution_coherent_peak_at_zero():
-    c, s = field_components(*_evolved(SdfsParams(alpha0=3.0), 0.0))
+    c, s = _evolved(SdfsParams(alpha0=3.0), 0.0)
     vals = phase_distribution(c, s, phase_kernel(c.size))
     assert ETAS[int(np.argmax(vals))] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phase_distribution_unit_integral():
     q = _state(SdfsParams(alpha0=3.0, r=1.0, m=1))
-    c, s = field_components(*evolve(q, [0.0, 3.3, 11.0]))
+    c, s = evolve(q, [0.0, 3.3, 11.0])
     vals = phase_distribution(c, s, phase_kernel(c.shape[-1]))
     integrals = np.sum(vals, axis=1) * (2 * math.pi / ETA_POINTS)
     np.testing.assert_allclose(integrals, 1.0, rtol=0, atol=1e-6)
@@ -333,8 +322,8 @@ def _phase_double_sum(rho, etas):
 
 def test_phase_distribution_matches_explicit_double_sum():
     p = SdfsParams(alpha0=1.0, r=0.4, m=1)
-    a, b = _evolved(p, 2.7)
-    vals = phase_distribution(*field_components(a, b), phase_kernel(a.size + 1))
+    c, s = _evolved(p, 2.7)
+    vals = phase_distribution(c, s, phase_kernel(c.size))
     # every 16th angle keeps the reference's (E, dim + 1, dim + 1) kernel small
     vals, etas = vals[::16], ETAS[::16]
     total = _phase_double_sum(_reference_rho(p, 2.7), etas)
@@ -346,20 +335,19 @@ def test_phase_distribution_matches_explicit_double_sum():
 
 
 def test_q_vacuum_value():
-    a, b = evolve(_vacuum(), [0.0])
-    assert _q_at(a[0], b[0], 1.0 + 0j) == pytest.approx(math.exp(-1.0) / math.pi, abs=1e-14)
+    c, s = evolve(_vacuum(), [0.0])
+    assert _q_at(c[0], s[0], 1.0 + 0j) == pytest.approx(math.exp(-1.0) / math.pi, abs=1e-14)
 
 
 def test_q_coherent_is_displaced_gaussian():
-    a, b = _evolved(SdfsParams(alpha0=3.0), 0.0)
-    assert _q_at(a, b, 2.5 + 0j) == pytest.approx(math.exp(-0.25) / math.pi, abs=1e-10)
+    c, s = _evolved(SdfsParams(alpha0=3.0), 0.0)
+    assert _q_at(c, s, 2.5 + 0j) == pytest.approx(math.exp(-0.25) / math.pi, abs=1e-10)
 
 
 def test_q_grid_normalization():
-    a, b = _evolved(SdfsParams(alpha0=3.0, r=1.0, m=1), 0.0)
     xs = np.linspace(-8.0, 8.0, 201)
     ys = np.linspace(-8.0, 8.0, 201)
-    grid = q_function_grid(*field_components(a, b), xs, ys)
+    grid = q_function_grid(*_evolved(SdfsParams(alpha0=3.0, r=1.0, m=1), 0.0), xs, ys)
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
     assert float(np.sum(grid)) * cell == pytest.approx(1.0, abs=1e-3)
     assert grid.min() >= 0.0
@@ -367,31 +355,30 @@ def test_q_grid_normalization():
 
 def test_q_matches_explicit_double_sum():
     p = SdfsParams(alpha0=1.0, r=0.3, m=1)
-    a, b = _evolved(p, 3.1)
-    hi = a.size
+    c, s = _evolved(p, 3.1)
     rho = _reference_rho(p, 3.1)
-    ns = np.arange(hi + 1)
+    ns = np.arange(c.size)
     for alpha in (0.4 + 0.2j, -1.0 + 1.5j, 2.0 - 0.5j):
         coeff = np.exp(
             ns * np.log(complex(alpha)) - 0.5 * gammaln(ns + 1.0)
-        ) if alpha != 0 else np.eye(hi + 1)[0]
+        ) if alpha != 0 else np.eye(c.size)[0]
         direct = (
             math.exp(-abs(alpha) ** 2)
             / math.pi
             * np.sum(rho * np.outer(np.conj(coeff), coeff))
         )
         assert abs(direct.imag) <= 1e-12
-        assert _q_at(a, b, alpha) == pytest.approx(direct.real, abs=1e-12)
+        assert _q_at(c, s, alpha) == pytest.approx(direct.real, abs=1e-12)
 
 
 def test_q_scalar_matches_grid():
-    a, b = _evolved(SdfsParams(alpha0=1.5, r=0.5), 1.0)
+    c, s = _evolved(SdfsParams(alpha0=1.5, r=0.5), 1.0)
     xs = np.array([0.5, 2.0])
     ys = np.array([-1.0, 0.5])
-    grid = q_function_grid(*field_components(a, b), xs, ys)
+    grid = q_function_grid(c, s, xs, ys)
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
-            assert grid[iy, ix] == pytest.approx(_q_at(a, b, complex(x, y)), abs=1e-14)
+            assert grid[iy, ix] == pytest.approx(_q_at(c, s, complex(x, y)), abs=1e-14)
 
 
 _HALF_AXIS = np.linspace(0.25, 6.0, 23)
@@ -410,8 +397,7 @@ _HALF_AXIS = np.linspace(0.25, 6.0, 23)
 def test_q_grid_equals_its_single_rows(ys, mirrored):
     # a one-row grid has no mirror row: each builds its own bras
     assert sum(y < 0 and -y in set(ys.tolist()) for y in ys.tolist()) == mirrored
-    a, b = _evolved(SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2), 2.3, detuning=-0.8)
-    c, s = field_components(a, b)
+    c, s = _evolved(SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2), 2.3, detuning=-0.8)
     xs = np.linspace(-7.0, 7.0, 29)
     rows = [q_function_grid(c, s, xs, ys[i : i + 1]) for i in range(ys.size)]
     grid = q_function_grid(c, s, xs, ys)
@@ -421,7 +407,7 @@ def test_q_grid_equals_its_single_rows(ys, mirrored):
 @pytest.mark.parametrize("detuning", [0.0, -0.8])
 def test_a_stacked_q_grid_equals_its_single_snapshots(detuning):
     p = SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2)
-    c, s = field_components(*evolve(_state(p), [0.0, 2.3, 7.9], detuning))
+    c, s = evolve(_state(p), [0.0, 2.3, 7.9], detuning)
     xs = np.linspace(-7.0, 7.0, 29)
     ys = np.linspace(-6.0, 6.0, 23)
     stacked = q_function_grid(c, s, xs, ys)

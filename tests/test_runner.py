@@ -8,7 +8,7 @@ import pytest
 
 from sdfs_jcm import runner, sdfs
 from sdfs_jcm.config import OBSERVABLE_NAMES, RunConfig
-from sdfs_jcm.dynamics import evolve, field_components
+from sdfs_jcm.dynamics import evolve
 from sdfs_jcm.fock import DIM_CAP
 from sdfs_jcm.observables import ETA_POINTS, ETAS, phase_distribution, phase_kernel, q_function_grid
 from sdfs_jcm.presets import figure_preset
@@ -184,12 +184,12 @@ def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threa
     data = compute(cfg)
     q = sdfs_state(cfg.state)
     if preset == "fig4a":
-        c, s = field_components(*evolve(q, data.ts, cfg.detuning_ratio))
+        c, s = evolve(q, data.ts, cfg.detuning_ratio)
         got, expected = data.phase, phase_distribution(c, s, phase_kernel(q.dim + 1))
     else:
-        a, b = evolve(q, [cfg.q_time_scaled], cfg.detuning_ratio)
+        c, s = evolve(q, [cfg.q_time_scaled], cfg.detuning_ratio)
         got = data.qfunc
-        expected = q_function_grid(*field_components(a[0], b[0]), data.q_axis, data.q_axis)
+        expected = q_function_grid(c[0], s[0], data.q_axis, data.q_axis)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
-SUBSET = ("presets/fig1a", "sweep/seed0-cfg000", "check")
+SUBSET = ("presets/fig1a", "sweep/seed0-cfg000", "overlap-20", "check")
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +20,16 @@ def same_bytes():
 def subset(same_bytes, tmp_path_factory):
     jobs = same_bytes.jobs(tmp_path_factory.mktemp("configs"))
     labels = [label for label, _ in jobs]
-    assert len(labels) == len(set(labels)) == 15 + 80 + 3 + 1
+    assert len(labels) == len(set(labels)) == 15 + 80 + 3 + 20 + 2 + 1
+    assert jobs[labels.index("overlap-20")][1][2] == "alpha0_re=1,m=1100"
     return [job for job in jobs if job[0] in SUBSET]
 
 
 def test_the_working_tree_writes_the_same_bytes_as_itself(same_bytes, subset, tmp_path):
-    # fig1a's CSV, the sweep config's two CSVs and the check stdout
-    assert same_bytes.compare(REPO / "src", REPO / "src", subset, tmp_path) == (4, [])
+    # fig1a's CSV, the sweep config's two CSVs, an m = 1100 overlap and the check stdout
+    assert same_bytes.compare(REPO / "src", REPO / "src", subset, tmp_path) == (5, [])
+    printed = (tmp_path / "head" / "overlap-20.txt").read_text()
+    assert printed.startswith("overlap = 0.89294") and printed.endswith("exit 0\n")
 
 
 def test_a_detuning_sign_flip_changes_the_detuned_csvs_only(same_bytes, subset, tmp_path):
@@ -36,9 +39,9 @@ def test_a_detuning_sign_flip_changes_the_detuned_csvs_only(same_bytes, subset, 
     text = dynamics.read_text()
     assert text.count("- 0.5j * detuning_ratio") == 1
     dynamics.write_text(text.replace("- 0.5j * detuning_ratio", "+ 0.5j * detuning_ratio"))
-    # fig1a is resonant; no check line evolves a detuned state
+    # fig1a is resonant; no check line evolves a detuned state, and no overlap evolves
     assert same_bytes.compare(mutant, REPO / "src", subset, tmp_path) == (
-        4,
+        5,
         ["sweep/seed0-cfg000/entropy.csv", "sweep/seed0-cfg000/inversion.csv"],
     )
 
