@@ -18,8 +18,10 @@ from .observables import ETA_POINTS
 from .sdfs import SdfsParams
 
 OBSERVABLE_NAMES = ("inversion", "entropy", "photon_dist", "phase_dist", "qfunc")
-# Most values one output array may hold: 2**27 float64 values are 1 GiB. The
-# presets peak near 1.03e6 (2000 times of P(n, t) rows of DIM_CAP + 1 values).
+# Most values one output may hold. It bounds the size of a CSV and the arrays
+# that library `compute` gathers (2**27 float64 values are 1 GiB); `run` holds
+# only one time block of P(n, t) and of the phase density, which it streams.
+# The presets peak near 1.03e6 (2000 times of P(n, t) rows of DIM_CAP + 1 values).
 OUTPUT_CAP = 2**27
 
 

@@ -6,8 +6,10 @@ and walks the scaled-time grid in blocks of rows. Each block is one call of
 dim = n_max + 1; every time-series output keeps one row per time
 point: inversion (T,), the Gram entries cc, ss, cs (T,), entropy
 (T, 3), P(n, t) (T, dim + 1) and the phase density
-(T, ETA_POINTS). The Q snapshot is a plain (Q_POINTS, Q_POINTS) array
-indexed [y, x] over the one axis of the window [-h, h]^2, h from
+(T, ETA_POINTS). The last two, the wide series, go block by block to
+a sink where the caller gives one, and are then not gathered. The Q
+snapshot is a plain (Q_POINTS, Q_POINTS) array indexed [y, x] over the
+one axis of the window [-h, h]^2, h from
 `_q_half_width`: the paper's 8, widened with the displacement, the
 squeezing and the seed number; `q_grids` makes it, and the three fig5
 snapshots of `check` in one pass of bras.
@@ -27,30 +29,36 @@ Every number is written as CPython's '%.17g' ('%d' for n) would write it,
 byte for byte, but formatted in numpy by `_format_cells`: the 17 digits
 come from Dekker's exact product with a double-double power of 10, and
 the few values whose rounding that cannot settle (near-ties, zeros,
-inf, nan, magnitudes outside EXACT_RANGE) go to '%.17g' itself. Files
-are streamed in blocks of BLOCK_ENTRIES lines. The row and column keys
-of a keyed file (time or y, and n, eta or x) are formatted once per
-file; the output cap holds such a file to OUTPUT_CAP / ETA_POINTS rows.
+inf, nan, magnitudes outside EXACT_RANGE) go to '%.17g' itself.
+photon_dist.csv and phase_dist.csv are appended to as `compute` hands
+each time block of them to `run`'s sink, so a run holds one block of
+each whatever its t_points; the other files are written when `compute`
+returns. `_write_lines` writes every file in blocks of BLOCK_ENTRIES
+lines. The column keys of a keyed file (n, eta or x) are formatted once
+per file, its row keys (time or y) once per call of `_write_lines`: per
+time block of a streamed file, once for qfunc.csv. A run that raises
+leaves no CSV behind.
 Lines end in '\\n': identical configurations give identical bytes,
 equal to the np.savetxt output of earlier versions.
 run_summary.txt records the truncation, the worst invariant residuals
-and the compute, write and wall times; any residual beyond its tolerance
+and the compute, write and wall times (write_s includes the streamed
+blocks, which compute_s leaves out); any residual beyond its tolerance
 marks the run failed, which the CLI turns into a nonzero exit status.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import OBSERVABLE_NAMES, RunConfig
 from .dynamics import conservation_residual, evolve, populations
 from .fock import NORM_TOL, FockVector
 from .observables import (
@@ -79,6 +87,12 @@ Q_POINTS = 201  # per axis of the Q window
 Q_SIGMAS = 3.3
 
 TIME_SERIES = frozenset({"inversion", "entropy", "photon_dist", "phase_dist"})
+# The wide series, which `run` writes block by block as `compute` hands them
+# over: RunData field -> CSV name, header, column keys (None: n = 0..dim)
+STREAMED = {
+    "photon": ("photon_dist", "lambda_t,n,P", None),
+    "phase": ("phase_dist", "lambda_t,eta,P", ETAS),
+}
 
 TOLERANCES = {
     "normalization_residual": NORM_TOL,
@@ -287,6 +301,39 @@ def _keys(values: np.ndarray) -> np.ndarray:
     return cells[:, : int(np.max(np.sum(cells != 0, axis=1)))]
 
 
+def _write_lines(
+    handle, rows: np.ndarray, values: np.ndarray, keys: np.ndarray | None = None,
+    cols_first: bool = False,
+) -> None:
+    """Write values as CSV lines keyed by rows: line i is rows[i] and the
+    cells of values[i]; with the column keys of `_keys`, each cell is a
+    line rows[i], key j, values[i, j] (key j first if cols_first), the row
+    keys formatted once here. Each block of BLOCK_ENTRIES lines is one
+    stack of the NUL-padded keys, commas, cells and newlines, written
+    without its NULs.
+    """
+    values = values.reshape(len(rows), -1)
+    if keys is not None:
+        row_keys, cells = _keys(rows), values.reshape(-1)
+    lines = len(rows) if keys is None else values.size
+    for lo in range(0, lines, BLOCK_ENTRIES):
+        hi = min(lo + BLOCK_ENTRIES, lines)
+        if keys is None:
+            fields = list(map(_format_cells, (rows[lo:hi], *values[lo:hi].T)))
+        else:
+            row, col = np.divmod(np.arange(lo, hi), len(keys))
+            fields = [np.take(row_keys, row, axis=0), np.take(keys, col, axis=0)]
+            if cols_first:
+                fields.reverse()
+            fields.append(_format_cells(cells[lo:hi]))
+        comma = np.full((hi - lo, 1), ord(","), np.uint8)
+        pieces = [fields[0]]
+        for field in fields[1:]:
+            pieces += [comma, field]
+        text = np.hstack([*pieces, np.full((hi - lo, 1), ord("\n"), np.uint8)])
+        handle.write(text[text != 0])
+
+
 def _write_csv(
     path: Path,
     header: str,
@@ -295,33 +342,11 @@ def _write_csv(
     cols: np.ndarray | None = None,
     cols_first: bool = False,
 ) -> Path:
-    """Stream values as a CSV keyed by rows: line i is rows[i] and the
-    cells of values[i]; with cols, each cell is a line rows[i], cols[j],
-    values[i, j] (cols[j] first if cols_first), both keys formatted once
-    by `_keys`. Each block of BLOCK_ENTRIES lines is one stack of the
-    NUL-padded keys, commas, cells and newlines, written without its NULs.
-    """
-    values = values.reshape(len(rows), -1)
-    keys = None if cols is None else (_keys(rows), _keys(cols))
-    lines = len(rows) if cols is None else values.size
+    """Write header and the `_write_lines` of values to path in one call,
+    the column keys cols, if any, formatted once."""
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        for lo in range(0, lines, BLOCK_ENTRIES):
-            hi = min(lo + BLOCK_ENTRIES, lines)
-            if keys is None:
-                fields = list(map(_format_cells, (rows[lo:hi], *values[lo:hi].T)))
-            else:
-                row, col = np.divmod(np.arange(lo, hi), len(cols))
-                fields = [np.take(keys[0], row, axis=0), np.take(keys[1], col, axis=0)]
-                if cols_first:
-                    fields.reverse()
-                fields.append(_format_cells(values.reshape(-1)[lo:hi]))
-            comma = np.full((hi - lo, 1), ord(","), np.uint8)
-            pieces = [fields[0]]
-            for field in fields[1:]:
-                pieces += [comma, field]
-            text = np.hstack([*pieces, np.full((hi - lo, 1), ord("\n"), np.uint8)])
-            handle.write(text[text != 0])
+        _write_lines(handle, rows, values, None if cols is None else _keys(cols), cols_first)
     return path
 
 
@@ -354,7 +379,7 @@ def _openblas_threads() -> tuple:
     return tuple(found)
 
 
-@contextmanager
+@contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with every OpenBLAS of `_openblas_threads` on one
     thread and give each its own count back afterwards. The per-row
@@ -400,8 +425,12 @@ def q_grids(
 
 
 @_one_blas_thread()
-def compute(cfg: RunConfig) -> RunData:
+def compute(cfg: RunConfig, sink=None) -> RunData:
     """Every selected observable and invariant residual of cfg, with no I/O.
+
+    With a sink, each time block of the wide series photon and phase goes
+    to sink(name, ts_block, block) as soon as it is computed, and RunData
+    leaves those two None; without one they are gathered like the others.
 
     Refuses (ValueError) a time that a selected output reads (t_max_scaled: a
     time series, or qfunc without q_time_scaled; q_time_scaled: qfunc) whose
@@ -435,6 +464,7 @@ def compute(cfg: RunConfig) -> RunData:
 
     if selected & TIME_SERIES:
         step = max(1, BLOCK_ENTRIES // q.dim)
+        integral = []  # the worst phase integral residual of each block
         for lo in range(0, ts.size, step):
             rows = slice(lo, lo + step)
             c, s = evolve(q, ts[rows], cfg.detuning_ratio)
@@ -448,7 +478,12 @@ def compute(cfg: RunConfig) -> RunData:
                 block["photon"] = photon_number_distribution(pc, ps)
             if kernel is not None:
                 block["phase"] = phase_distribution(c, s, kernel)
+                integrals = np.sum(block["phase"], axis=1) * (2.0 * math.pi / ETA_POINTS)
+                integral.append(np.max(np.abs(integrals - 1.0)))
             for key, value in block.items():
+                if sink is not None and key in STREAMED:
+                    sink(key, ts[rows], value)
+                    continue
                 if key not in series:
                     series[key] = np.empty((ts.size, *value.shape[1:]), value.dtype)
                 series[key][rows] = value
@@ -460,8 +495,7 @@ def compute(cfg: RunConfig) -> RunData:
             lam_sums = series["entropy"][:, 1] + series["entropy"][:, 2]
             residuals["eigenvalue_sum_residual"] = float(np.max(np.abs(lam_sums - 1.0)))
         if kernel is not None:
-            integrals = np.sum(series["phase"], axis=1) * (2.0 * math.pi / ETA_POINTS)
-            residuals["phase_integral_residual"] = float(np.max(np.abs(integrals - 1.0)))
+            residuals["phase_integral_residual"] = float(np.max(integral))
 
     q_axis = qfunc = None
     if "qfunc" in selected:
@@ -477,43 +511,77 @@ def compute(cfg: RunConfig) -> RunData:
 
 
 def run(cfg: RunConfig) -> RunResult:
-    """Compute cfg and write its CSVs and run summary into cfg.output_dir."""
+    """Compute cfg and write its CSVs and run summary into cfg.output_dir.
+
+    P(n, t) and the phase density reach their files block by block, through
+    the sink of `compute`; the other CSVs are written when it returns. If
+    anything raises, the CSVs begun are deleted, and so is every directory
+    of cfg.output_dir that `run` made.
+    """
     started = time.perf_counter()
-    data = compute(cfg)
-    computed = time.perf_counter()
-    ts, n_max, residuals = data.ts, data.n_max, data.residuals
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # name, header, row keys, values, column keys, cols first
-    tables = [
-        ("inversion", "lambda_t,W", ts, data.inversion, None, False),
-        ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", ts, data.entropy, None, False),
-        ("photon_dist", "lambda_t,n,P", ts, data.photon, np.arange(n_max + 2), False),
-        ("phase_dist", "lambda_t,eta,P", ts, data.phase, ETAS, False),
-        ("qfunc", "x,y,Q", data.q_axis, data.qfunc, data.q_axis, True),
-    ]
-    files = [
-        _write_csv(out_dir / f"{name}.csv", header, *table)
-        for name, header, *table in tables
-        if table[1] is not None
-    ]
-    written = time.perf_counter()
+    missing = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    paths: dict[str, Path] = {}  # observable -> its CSV, once begun
+    streams: dict[str, tuple] = {}  # streamed series -> open file, column keys
+    streamed_s = 0.0
+
+    def begin(name: str) -> Path:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        paths[name] = out_dir / f"{name}.csv"
+        return paths[name]
+
+    def sink(series: str, ts_block: np.ndarray, block: np.ndarray) -> None:
+        nonlocal streamed_s
+        began = time.perf_counter()
+        if series not in streams:
+            name, header, cols = STREAMED[series]
+            keys = _keys(np.arange(block.shape[1]) if cols is None else cols)
+            streams[series] = open(begin(name), "wb"), keys
+            streams[series][0].write(header.encode() + b"\n")
+        handle, keys = streams[series]
+        _write_lines(handle, ts_block, block, keys)
+        streamed_s += time.perf_counter() - began
+
+    try:
+        try:
+            data = compute(cfg, sink)
+        finally:
+            for handle, _ in streams.values():
+                handle.close()
+        computed = time.perf_counter()
+        # name, header, row keys, values, column keys, cols first
+        for name, header, *table in (
+            ("inversion", "lambda_t,W", data.ts, data.inversion, None, False),
+            ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", data.ts, data.entropy, None, False),
+            ("qfunc", "x,y,Q", data.q_axis, data.qfunc, data.q_axis, True),
+        ):
+            if table[1] is not None:
+                _write_csv(begin(name), header, *table)
+        written = time.perf_counter()
+    except BaseException:
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+        for path in missing:  # innermost first; one that is not empty stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
 
     failures = sorted(
-        name for name, value in residuals.items() if not value <= TOLERANCES[name]
+        name for name, value in data.residuals.items() if not value <= TOLERANCES[name]
     )
     ok = not failures
     summary = {
-        "n_max": n_max,
-        "dim": n_max + 1,
+        "n_max": data.n_max,
+        "dim": data.n_max + 1,
         "t_points": cfg.t_points,
-        **{name: residuals[name] for name in sorted(residuals)},
-        "compute_s": computed - started,
-        "write_s": written - computed,
+        **{name: data.residuals[name] for name in sorted(data.residuals)},
+        "compute_s": computed - started - streamed_s,
+        "write_s": written - computed + streamed_s,
         "wall_time_s": time.perf_counter() - started,
         "status": "ok" if ok else "invariant-failure: " + ", ".join(failures),
     }
     with open(out_dir / "run_summary.txt", "w", newline="\n") as handle:
         for key, value in summary.items():
             handle.write(f"{key} = {value}\n")
-    return RunResult(ok, summary, tuple(files))
+    files = tuple(paths[name] for name in OBSERVABLE_NAMES if name in paths)
+    return RunResult(ok, summary, files)

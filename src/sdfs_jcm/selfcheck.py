@@ -138,7 +138,9 @@ def _shared_presets(names: list[str], fields: tuple[str, ...]) -> list[RunConfig
 
 def _figure_run(variant: str) -> RunData:
     """The run of fig1, fig2 and fig4 `variant` (one state, detuning and
-    time grid): inversion and entropy, and the phase density for a.
+    time grid): inversion and entropy, and for a the phase integral
+    residual and the phase density at t = 0 only, as a (1, ETA_POINTS)
+    `phase`; the other rows pass through a sink that drops them.
     Computed once within `run_all`, afresh for a check called on its own."""
     runs = _figure_runs.get()
     if runs is not None and variant in runs:
@@ -148,7 +150,15 @@ def _figure_run(variant: str) -> RunData:
         ("state", "detuning_ratio", "t_max_scaled", "t_points"),
     )
     observables = ("inversion", "entropy") + (("phase_dist",) if variant == "a" else ())
-    data = compute(dataclasses.replace(cfg, observables=observables))
+    first: list[np.ndarray] = []
+
+    def keep_first_row(name: str, ts: np.ndarray, block: np.ndarray) -> None:
+        if not first:  # the block of ts[0] = 0; phase is the one series streamed here
+            first.append(block[:1].copy())
+
+    data = compute(dataclasses.replace(cfg, observables=observables), keep_first_row)
+    if first:
+        data = dataclasses.replace(data, phase=first[0])
     if runs is not None:
         runs[variant] = data
     return data

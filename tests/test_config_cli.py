@@ -403,8 +403,8 @@ def test_run_config_refuses_a_non_finite_number(key, value):
 
 def test_a_nan_residual_fails_the_run(tmp_path, monkeypatch):
     # NaN exceeds no tolerance; a residual passes only when it is <= its tolerance
-    def nan_conservation(cfg):
-        data = compute(cfg)
+    def nan_conservation(cfg, sink=None):
+        data = compute(cfg, sink)
         data.residuals["conservation_residual"] = math.nan
         return data
 
@@ -413,6 +413,29 @@ def test_a_nan_residual_fails_the_run(tmp_path, monkeypatch):
     result = run(dataclasses.replace(cfg, output_dir=str(tmp_path)))
     assert not result.ok
     assert result.summary["status"] == "invariant-failure: conservation_residual"
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_a_refusal_after_the_first_streamed_block_leaves_no_csv(tmp_path, capsys, monkeypatch, exists):
+    # phase_dist.csv is begun in the time loop; the entropy rows are formed after it
+    def refused(cc, ss, cs):
+        raise ValueError("row 0: refused")
+
+    monkeypatch.setattr("sdfs_jcm.runner.entropy_rows", refused)
+    out_dir = tmp_path / "out" / "run"
+    if exists:
+        out_dir.mkdir(parents=True)
+        (out_dir / "kept.txt").write_text("not the run's\n")
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        f"alpha0_re = 3\nt_points = 400\nobservables = entropy,phase_dist\noutput_dir = {out_dir}\n"
+    )
+    assert main(["run", str(config_path)]) == 2
+    assert capsys.readouterr().err == "error: row 0: refused\n"
+    if exists:
+        assert sorted(path.name for path in out_dir.iterdir()) == ["kept.txt"]
+    else:
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_preset_out_dir(tmp_path):

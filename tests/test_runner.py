@@ -343,6 +343,53 @@ def test_writing_holds_no_more_than_a_block_beyond_compute(tmp_path):
     assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
+def test_run_holds_one_block_of_the_wide_series_whatever_t_points(tmp_path):
+    # gathered, 768 more times of P(n, t) and of the phase density hold 3.4 MB more
+    peaks = []
+    for t_points in (2, 256, 1024):  # the first builds the formatter's tables
+        cfg = RunConfig(
+            state=SdfsParams(alpha0=3.0), t_points=t_points, output_dir=str(tmp_path),
+            observables=("photon_dist", "phase_dist"),
+        )
+        tracemalloc.start()
+        try:
+            runner.run(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 2**20, peaks
+
+
+def test_run_streams_the_bytes_of_the_gathered_series(tmp_path, small_q_window):
+    cfg = dataclasses.replace(
+        _CFG, output_dir=str(tmp_path), observables=tuple(reversed(OBSERVABLE_NAMES))
+    )
+    result = runner.run(cfg)
+    assert [path.name for path in result.files] == [f"{n}.csv" for n in OBSERVABLE_NAMES]
+    data = compute(_CFG)
+    for name, values, cols in (
+        ("photon_dist", data.photon, np.arange(data.n_max + 2)), ("phase_dist", data.phase, ETAS)
+    ):
+        header = (tmp_path / f"{name}.csv").read_bytes().split(b"\n")[0].decode()
+        gathered = runner._write_csv(tmp_path / "gathered.csv", header, data.ts, values, cols)
+        assert (tmp_path / f"{name}.csv").read_bytes() == gathered.read_bytes(), name
+    assert result.summary["phase_integral_residual"] == data.residuals["phase_integral_residual"]
+
+
+def test_compute_hands_the_wide_series_to_its_sink(small_q_window):
+    blocks = {"photon": [], "phase": []}
+    streamed = compute(_CFG, lambda name, ts, block: blocks[name].append((ts, block)))
+    gathered = compute(_CFG)
+    assert streamed.photon is None and streamed.phase is None
+    assert streamed.residuals == gathered.residuals
+    for name, pieces in blocks.items():
+        assert len(pieces) > 1
+        assert np.array_equal(np.concatenate([ts for ts, _ in pieces]), gathered.ts)
+        assert np.array_equal(np.concatenate([b for _, b in pieces]), getattr(gathered, name))
+    for name in ("inversion", "cc", "ss", "cs", "entropy", "qfunc"):
+        assert np.array_equal(getattr(streamed, name), getattr(gathered, name)), name
+
+
 def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch, small_q_window):
     # the scratch of `_format_cells` grows with its input, so a call never
     # gets more than one block of lines (and their keys) to format

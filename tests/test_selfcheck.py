@@ -65,12 +65,13 @@ def test_oracle_checks_print_the_same_after_other_work(tmp_path, sweep_workloads
 
 
 def test_run_all_computes_each_figure_variant_once(monkeypatch):
-    configs, held = [], []
+    configs, held, runs = [], [], {}
     q_grids = selfcheck.q_grids
 
-    def counted_compute(cfg):
+    def counted_compute(cfg, sink=None):
         configs.append(cfg)
-        return compute(cfg)
+        runs.update(selfcheck._figure_runs.get())
+        return compute(cfg, sink)
 
     def recorded_grids(*args):
         held.append(dict(selfcheck._figure_runs.get()))
@@ -87,6 +88,8 @@ def test_run_all_computes_each_figure_variant_once(monkeypatch):
         ("inversion", "entropy"),
         ("inversion", "entropy"),
     ]
+    # run "a" holds the phase density at t = 0 alone, not 2000 rows of it
+    assert runs["a"].phase.shape == (1, observables.ETA_POINTS)
 
 
 @pytest.mark.parametrize(
