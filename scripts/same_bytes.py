@@ -5,9 +5,9 @@ three qfunc configs, one `overlap` per pair of `selfcheck.random_overlap_pairs()
 of OVERLAP_PAIRS, and then `check` CHECK_CALLS times through `cli.main` of BASE's
 src/ (by `git archive`) and of the working tree, one process per tree. Every `check`
 of a process must print the same stdout and exit code as its first: no state left by
-earlier work may change a digit. Compares every output file but run_summary.txt, and
-the `check` and `overlap` stdout and exit code, byte for byte. Prints one JSON line;
-exits 1 if any file differs or any job fails."""
+earlier work may change a digit. Compares every output file, each run_summary.txt
+without its `*_s` timer lines, and the `check` and `overlap` stdout and exit code,
+byte for byte. Prints one JSON line; exits 1 if any file differs or any job fails."""
 
 import argparse
 import filecmp
@@ -83,6 +83,16 @@ def overlap_pairs() -> list[tuple[str, str]]:
     return [(items(p1), items(p2)) for p1, p2 in random_overlap_pairs()] + OVERLAP_PAIRS
 
 
+def same(a: Path, b: Path) -> bool:
+    """Whether files a and b hold the same bytes; for run_summary.txt, the same
+    lines but its timers, whose keys end in '_s'."""
+    if a.name != "run_summary.txt":
+        return filecmp.cmp(a, b, shallow=False)
+    untimed = [[line for line in path.read_bytes().splitlines(keepends=True)
+                if not line.split(b" = ")[0].endswith(b"_s")] for path in (a, b)]
+    return untimed[0] == untimed[1]
+
+
 def compare(base_src: Path, head_src: Path, jobs: list, root: Path) -> tuple[int, list[str]]:
     """Run jobs on both trees at once in root; (files compared, relative paths that differ)."""
     outs, procs = [root / "base", root / "head"], []
@@ -92,11 +102,10 @@ def compare(base_src: Path, head_src: Path, jobs: list, root: Path) -> tuple[int
         procs.append(subprocess.Popen(child, cwd=out))
     if any([proc.wait() for proc in procs]):
         raise RuntimeError("a job failed; see its message above")
-    files = [{path.relative_to(out).as_posix() for path in out.rglob("*")
-              if path.is_file() and path.name != "run_summary.txt"} for out in outs]
-    same = {name for name in files[0] & files[1]
-            if filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)}
-    return len(files[0] | files[1]), sorted((files[0] | files[1]) - same)
+    files = [{path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
+             for out in outs]
+    equal = {name for name in files[0] & files[1] if same(outs[0] / name, outs[1] / name)}
+    return len(files[0] | files[1]), sorted((files[0] | files[1]) - equal)
 
 
 def main() -> int:

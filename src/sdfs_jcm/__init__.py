@@ -11,7 +11,7 @@ from .presets import figure_preset
 from .runner import compute
 from .sdfs import SdfsParams, sdfs_state
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = ["SdfsParams", "atomic_inversion", "compute", "evolve", "figure_preset",
            "populations", "sdfs_state"]

@@ -17,7 +17,16 @@ from .fock import DIM_CAP
 from .observables import ETA_POINTS
 from .sdfs import SdfsParams
 
-OBSERVABLE_NAMES = ("inversion", "entropy", "photon_dist", "phase_dist", "qfunc")
+# Each output: its CSV header and the values one time row of it holds (0 for
+# qfunc, no time series). `runner.run` writes <name>.csv with this header.
+OUTPUTS = {
+    "inversion": ("lambda_t,W", 1),
+    "entropy": ("lambda_t,S_f,lambda_plus,lambda_minus", 3),
+    "photon_dist": ("lambda_t,n,P", DIM_CAP + 1),
+    "phase_dist": ("lambda_t,eta,P", ETA_POINTS),
+    "qfunc": ("x,y,Q", 0),
+}
+OBSERVABLE_NAMES = tuple(OUTPUTS)
 # Most values one output may hold. It bounds the size of a CSV and the arrays
 # that library `compute` gathers (2**27 float64 values are 1 GiB); `run` holds
 # only one time block of P(n, t) and of the phase density, which it streams.
@@ -67,9 +76,8 @@ class RunConfig:
         repeated = [n for i, n in enumerate(self.observables) if n in self.observables[:i]]
         if repeated:
             raise _fail(f"key 'observables' lists {repeated[0]!r} more than once")
-        widths = dict(inversion=1, entropy=3, photon_dist=DIM_CAP + 1, phase_dist=ETA_POINTS)
         row, widest = max(
-            ((widths[n], n) for n in self.observables if n in widths), default=(1, "ts")
+            ((OUTPUTS[n][1], n) for n in self.observables if OUTPUTS[n][1]), default=(1, "ts")
         )
         if self.t_points * row > OUTPUT_CAP:
             raise _fail(

@@ -17,32 +17,25 @@ It and `compute` run with OpenBLAS on one thread, a process-wide setting:
 each loaded OpenBLAS gets its thread count back when they return or
 raise, so calls from concurrent threads would race on it.
 
-`run` writes one CSV per selected observable, with fixed schemas:
-
-    inversion.csv   lambda_t,W
-    entropy.csv     lambda_t,S_f,lambda_plus,lambda_minus
-    photon_dist.csv lambda_t,n,P
-    phase_dist.csv  lambda_t,eta,P
-    qfunc.csv       x,y,Q
-
-Every number is written as CPython's '%.17g' ('%d' for n) would write it,
+`run` writes one CSV per selected observable, <name>.csv with the
+header of `config.OUTPUTS`, all through one writer. Every number is
+written as CPython's '%.17g' ('%d' for n) would write it,
 byte for byte, but formatted in numpy by `_format_cells`: the 17 digits
 come from Dekker's exact product with a double-double power of 10, and
 the few values whose rounding that cannot settle (near-ties, zeros,
 inf, nan, magnitudes outside EXACT_RANGE) go to '%.17g' itself.
-photon_dist.csv and phase_dist.csv are appended to as `compute` hands
-each time block of them to `run`'s sink, so a run holds one block of
-each whatever its t_points; the other files are written when `compute`
-returns. `_write_lines` writes every file in blocks of BLOCK_ENTRIES
-lines. The column keys of a keyed file (n, eta or x) are formatted once
-per file, its row keys (time or y) once per call of `_write_lines`: per
-time block of a streamed file, once for qfunc.csv. A run that raises
-leaves no CSV behind.
+The writer is `compute`'s sink, so photon_dist.csv and phase_dist.csv
+are appended to as each time block of them is computed, and a run holds
+one block of each whatever its t_points; inversion.csv, entropy.csv and
+qfunc.csv are written by one call each when `compute` returns.
+`_write_lines` writes in blocks of BLOCK_ENTRIES lines. The column keys
+of a keyed file (n, eta or x) are formatted once per file, its row keys
+(time or y) once per call. A run that raises leaves no CSV behind.
 Lines end in '\\n': identical configurations give identical bytes,
 equal to the np.savetxt output of earlier versions.
 run_summary.txt records the truncation, the worst invariant residuals
-and the compute, write and wall times (write_s includes the streamed
-blocks, which compute_s leaves out); any residual beyond its tolerance
+and the compute, write and wall times (write_s is the time inside the
+writer, compute_s the rest); any residual beyond its tolerance
 marks the run failed, which the CLI turns into a nonzero exit status.
 """
 
@@ -58,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import OBSERVABLE_NAMES, RunConfig
+from .config import OBSERVABLE_NAMES, OUTPUTS, RunConfig
 from .dynamics import conservation_residual, evolve, populations
 from .fock import NORM_TOL, FockVector
 from .observables import (
@@ -86,13 +79,7 @@ Q_POINTS = 201  # per axis of the Q window
 # most that keeps the fig5 state (sqrt(Sigma_yy) = 2.41) on the paper's [-8, 8]^2.
 Q_SIGMAS = 3.3
 
-TIME_SERIES = frozenset({"inversion", "entropy", "photon_dist", "phase_dist"})
-# The wide series, which `run` writes block by block as `compute` hands them
-# over: RunData field -> CSV name, header, column keys (None: n = 0..dim)
-STREAMED = {
-    "photon": ("photon_dist", "lambda_t,n,P", None),
-    "phase": ("phase_dist", "lambda_t,eta,P", ETAS),
-}
+TIME_SERIES = frozenset(name for name, (_, row) in OUTPUTS.items() if row)
 
 TOLERANCES = {
     "normalization_residual": NORM_TOL,
@@ -122,8 +109,8 @@ class RunData:
     ss: np.ndarray | None = None
     cs: np.ndarray | None = None
     entropy: np.ndarray | None = None  # columns S_f, lambda_plus, lambda_minus
-    photon: np.ndarray | None = None
-    phase: np.ndarray | None = None  # columns at ETAS
+    photon_dist: np.ndarray | None = None
+    phase_dist: np.ndarray | None = None  # columns at ETAS
     q_axis: np.ndarray | None = None  # x and y of the Q window
     qfunc: np.ndarray | None = None  # [y, x] over q_axis
 
@@ -334,22 +321,6 @@ def _write_lines(
         handle.write(text[text != 0])
 
 
-def _write_csv(
-    path: Path,
-    header: str,
-    rows: np.ndarray,
-    values: np.ndarray,
-    cols: np.ndarray | None = None,
-    cols_first: bool = False,
-) -> Path:
-    """Write header and the `_write_lines` of values to path in one call,
-    the column keys cols, if any, formatted once."""
-    with open(path, "wb") as handle:
-        handle.write(header.encode() + b"\n")
-        _write_lines(handle, rows, values, None if cols is None else _keys(cols), cols_first)
-    return path
-
-
 @functools.cache
 def _openblas_threads() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS library loaded in
@@ -428,9 +399,10 @@ def q_grids(
 def compute(cfg: RunConfig, sink=None) -> RunData:
     """Every selected observable and invariant residual of cfg, with no I/O.
 
-    With a sink, each time block of the wide series photon and phase goes
-    to sink(name, ts_block, block) as soon as it is computed, and RunData
-    leaves those two None; without one they are gathered like the others.
+    With a sink, each time block of the wide series photon_dist and
+    phase_dist goes to sink(name, ts_block, block) as soon as it is
+    computed, and RunData leaves those two None; without one they are
+    gathered like the others.
 
     Refuses (ValueError) a time that a selected output reads (t_max_scaled: a
     time series, or qfunc without q_time_scaled; q_time_scaled: qfunc) whose
@@ -475,13 +447,13 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
             if "entropy" in selected:
                 block["cc"], block["ss"], block["cs"] = gram(c, s, pc, ps)
             if "photon_dist" in selected:
-                block["photon"] = photon_number_distribution(pc, ps)
+                block["photon_dist"] = photon_number_distribution(pc, ps)
             if kernel is not None:
-                block["phase"] = phase_distribution(c, s, kernel)
-                integrals = np.sum(block["phase"], axis=1) * (2.0 * math.pi / ETA_POINTS)
+                block["phase_dist"] = phase_distribution(c, s, kernel)
+                integrals = np.sum(block["phase_dist"], axis=1) * (2.0 * math.pi / ETA_POINTS)
                 integral.append(np.max(np.abs(integrals - 1.0)))
             for key, value in block.items():
-                if sink is not None and key in STREAMED:
+                if sink is not None and key in ("photon_dist", "phase_dist"):
                     sink(key, ts[rows], value)
                     continue
                 if key not in series:
@@ -513,75 +485,64 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
 def run(cfg: RunConfig) -> RunResult:
     """Compute cfg and write its CSVs and run summary into cfg.output_dir.
 
-    P(n, t) and the phase density reach their files block by block, through
-    the sink of `compute`; the other CSVs are written when it returns. If
-    anything raises, the CSVs begun are deleted, and so is every directory
-    of cfg.output_dir that `run` made.
+    One writer begins each CSV at its first block: it is the sink of
+    `compute`, which hands it P(n, t) and the phase density block by block,
+    and then writes the other CSVs in one call each. If anything raises,
+    the summary write included, the CSVs begun are deleted, and so is
+    every directory of cfg.output_dir that `run` made.
     """
     started = time.perf_counter()
     out_dir = Path(cfg.output_dir)
     missing = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-    paths: dict[str, Path] = {}  # observable -> its CSV, once begun
-    streams: dict[str, tuple] = {}  # streamed series -> open file, column keys
-    streamed_s = 0.0
+    begun: dict[str, tuple] = {}  # observable -> its open CSV, column keys
+    write_s = 0.0
 
-    def begin(name: str) -> Path:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        paths[name] = out_dir / f"{name}.csv"
-        return paths[name]
-
-    def sink(series: str, ts_block: np.ndarray, block: np.ndarray) -> None:
-        nonlocal streamed_s
+    def write(name: str, rows: np.ndarray, block: np.ndarray) -> None:
+        nonlocal write_s
         began = time.perf_counter()
-        if series not in streams:
-            name, header, cols = STREAMED[series]
-            keys = _keys(np.arange(block.shape[1]) if cols is None else cols)
-            streams[series] = open(begin(name), "wb"), keys
-            streams[series][0].write(header.encode() + b"\n")
-        handle, keys = streams[series]
-        _write_lines(handle, ts_block, block, keys)
-        streamed_s += time.perf_counter() - began
+        if name not in begun:
+            cols = {"photon_dist": np.arange(block.shape[-1]), "phase_dist": ETAS, "qfunc": rows}
+            keys = _keys(cols[name]) if name in cols else None
+            out_dir.mkdir(parents=True, exist_ok=True)
+            begun[name] = open(out_dir / f"{name}.csv", "wb"), keys
+            begun[name][0].write(OUTPUTS[name][0].encode() + b"\n")
+        handle, keys = begun[name]
+        _write_lines(handle, rows, block, keys, cols_first=name == "qfunc")
+        write_s += time.perf_counter() - began
 
     try:
         try:
-            data = compute(cfg, sink)
+            data = compute(cfg, write)
+            for name, rows in ("inversion", data.ts), ("entropy", data.ts), ("qfunc", data.q_axis):
+                if getattr(data, name) is not None:
+                    write(name, rows, getattr(data, name))
         finally:
-            for handle, _ in streams.values():
+            for handle, _ in begun.values():
                 handle.close()
-        computed = time.perf_counter()
-        # name, header, row keys, values, column keys, cols first
-        for name, header, *table in (
-            ("inversion", "lambda_t,W", data.ts, data.inversion, None, False),
-            ("entropy", "lambda_t,S_f,lambda_plus,lambda_minus", data.ts, data.entropy, None, False),
-            ("qfunc", "x,y,Q", data.q_axis, data.qfunc, data.q_axis, True),
-        ):
-            if table[1] is not None:
-                _write_csv(begin(name), header, *table)
-        written = time.perf_counter()
+        failures = sorted(
+            name for name, value in data.residuals.items() if not value <= TOLERANCES[name]
+        )
+        ok = not failures
+        summary = {
+            "n_max": data.n_max,
+            "dim": data.n_max + 1,
+            "t_points": cfg.t_points,
+            **{name: data.residuals[name] for name in sorted(data.residuals)},
+            "compute_s": time.perf_counter() - started - write_s,
+            "write_s": write_s,
+            "wall_time_s": time.perf_counter() - started,
+            "status": "ok" if ok else "invariant-failure: " + ", ".join(failures),
+        }
+        with open(out_dir / "run_summary.txt", "w", newline="\n") as handle:
+            for key, value in summary.items():
+                handle.write(f"{key} = {value}\n")
     except BaseException:
-        for path in paths.values():
-            path.unlink(missing_ok=True)
+        for name in begun:
+            (out_dir / f"{name}.csv").unlink(missing_ok=True)
         for path in missing:  # innermost first; one that is not empty stays
             with contextlib.suppress(OSError):
                 path.rmdir()
         raise
 
-    failures = sorted(
-        name for name, value in data.residuals.items() if not value <= TOLERANCES[name]
-    )
-    ok = not failures
-    summary = {
-        "n_max": data.n_max,
-        "dim": data.n_max + 1,
-        "t_points": cfg.t_points,
-        **{name: data.residuals[name] for name in sorted(data.residuals)},
-        "compute_s": computed - started - streamed_s,
-        "write_s": written - computed + streamed_s,
-        "wall_time_s": time.perf_counter() - started,
-        "status": "ok" if ok else "invariant-failure: " + ", ".join(failures),
-    }
-    with open(out_dir / "run_summary.txt", "w", newline="\n") as handle:
-        for key, value in summary.items():
-            handle.write(f"{key} = {value}\n")
-    files = tuple(paths[name] for name in OBSERVABLE_NAMES if name in paths)
+    files = tuple(out_dir / f"{name}.csv" for name in OBSERVABLE_NAMES if name in begun)
     return RunResult(ok, summary, files)

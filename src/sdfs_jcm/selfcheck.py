@@ -140,7 +140,7 @@ def _figure_run(variant: str) -> RunData:
     """The run of fig1, fig2 and fig4 `variant` (one state, detuning and
     time grid): inversion and entropy, and for a the phase integral
     residual and the phase density at t = 0 only, as a (1, ETA_POINTS)
-    `phase`; the other rows pass through a sink that drops them.
+    `phase_dist`; the other rows pass through a sink that drops them.
     Computed once within `run_all`, afresh for a check called on its own."""
     runs = _figure_runs.get()
     if runs is not None and variant in runs:
@@ -153,12 +153,12 @@ def _figure_run(variant: str) -> RunData:
     first: list[np.ndarray] = []
 
     def keep_first_row(name: str, ts: np.ndarray, block: np.ndarray) -> None:
-        if not first:  # the block of ts[0] = 0; phase is the one series streamed here
+        if not first:  # the block of ts[0] = 0; phase_dist is the one series streamed here
             first.append(block[:1].copy())
 
     data = compute(dataclasses.replace(cfg, observables=observables), keep_first_row)
     if first:
-        data = dataclasses.replace(data, phase=first[0])
+        data = dataclasses.replace(data, phase_dist=first[0])
     if runs is not None:
         runs[variant] = data
     return data
@@ -296,7 +296,7 @@ def check_phase_distribution() -> CheckResult:
     tol = TOLERANCES["phase_integral_residual"]
     data = _figure_run("a")
     worst_integral = data.residuals["phase_integral_residual"]
-    vals0 = data.phase[0]  # ts[0] = 0
+    vals0 = data.phase_dist[0]  # ts[0] = 0
     extended = np.concatenate(([vals0[-1]], vals0, [vals0[0]]))  # cyclic neighbours
     peaks = local_maxima(extended) - 1
     peaks = peaks[vals0[peaks] >= PEAK_FLOOR * float(np.max(vals0))]

@@ -110,6 +110,24 @@ def test_time_series_beyond_the_output_cap_are_refused(doc):
         parse_config(doc)
 
 
+@pytest.mark.parametrize(
+    "observables, widest",
+    [
+        ("inversion", "inversion rows of 1 values"),
+        ("entropy,inversion", "entropy rows of 3 values"),
+        ("photon_dist,qfunc", f"photon_dist rows of {DIM_CAP + 1} values"),
+        ("qfunc", "ts rows of 1 values"),  # the time axis alone
+    ],
+)
+def test_the_output_cap_message_names_the_widest_selected_row(observables, widest):
+    with pytest.raises(ValueError) as refused:
+        parse_config(f"t_points = {10**9}\nobservables = {observables}\n")
+    assert str(refused.value) == (
+        f"config error: key 't_points' = {10**9} with {widest} exceeds the output cap "
+        f"of {OUTPUT_CAP} values"
+    )
+
+
 def test_time_series_at_the_output_cap_are_accepted():
     # 2**27 values: one per time, three per entropy row, DIM_CAP + 1 per P(n, t)
     # row, ETA_POINTS per phase row
@@ -415,25 +433,32 @@ def test_a_nan_residual_fails_the_run(tmp_path, monkeypatch):
     assert result.summary["status"] == "invariant-failure: conservation_residual"
 
 
-@pytest.mark.parametrize("exists", [False, True])
+@pytest.mark.parametrize("exists", [False, True, "run_summary.txt"])
 def test_a_refusal_after_the_first_streamed_block_leaves_no_csv(tmp_path, capsys, monkeypatch, exists):
-    # phase_dist.csv is begun in the time loop; the entropy rows are formed after it
-    def refused(cc, ss, cs):
-        raise ValueError("row 0: refused")
-
-    monkeypatch.setattr("sdfs_jcm.runner.entropy_rows", refused)
+    # phase_dist.csv is begun in the time loop; the entropy rows are formed after
+    # it, and the summary is written after every CSV: here where a directory is
     out_dir = tmp_path / "out" / "run"
     if exists:
         out_dir.mkdir(parents=True)
         (out_dir / "kept.txt").write_text("not the run's\n")
+    if exists == "run_summary.txt":
+        (out_dir / exists).mkdir()
+        message = f"error: [Errno 21] Is a directory: '{out_dir / exists}'\n"
+    else:
+        def refused(cc, ss, cs):
+            raise ValueError("row 0: refused")
+
+        monkeypatch.setattr("sdfs_jcm.runner.entropy_rows", refused)
+        message = "error: row 0: refused\n"
     config_path = tmp_path / "run.cfg"
     config_path.write_text(
         f"alpha0_re = 3\nt_points = 400\nobservables = entropy,phase_dist\noutput_dir = {out_dir}\n"
     )
     assert main(["run", str(config_path)]) == 2
-    assert capsys.readouterr().err == "error: row 0: refused\n"
+    assert capsys.readouterr().err == message
     if exists:
-        assert sorted(path.name for path in out_dir.iterdir()) == ["kept.txt"]
+        kept = ["kept.txt"] + (["run_summary.txt"] if exists == "run_summary.txt" else [])
+        assert sorted(path.name for path in out_dir.iterdir()) == kept
     else:
         assert not (tmp_path / "out").exists()
 

@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import sdfs_jcm
-from sdfs_jcm.config import KNOWN_KEYS
+from sdfs_jcm.config import KNOWN_KEYS, OUTPUTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +31,11 @@ def test_readme_documents_exactly_the_config_keys():
     uncommented = "\n".join(line.split("#")[0] for line in block.splitlines())
     documented = re.findall(r"(\w+) =", uncommented)
     assert sorted(documented) == sorted(KNOWN_KEYS)
+
+
+def test_readme_documents_exactly_the_outputs():
+    text = README.read_text()
+    section = text[text.index("### Outputs") :]
+    block = re.search(r"```\n(.*?)```", section, flags=re.DOTALL).group(1)
+    documented = [tuple(line.split()) for line in block.splitlines()]
+    assert documented == [(f"{name}.csv", header) for name, (header, _) in OUTPUTS.items()]

@@ -445,13 +445,13 @@ def test_compute_rows_match_the_reference_reduced_state(alpha0, r, phi, m, detun
     data = compute(cfg)
     _, _, rho = jcm_reference(_state(cfg.state), cfg.t_max_scaled, cfg.t_points, detuning)
     populations = np.real(np.diagonal(rho, axis1=1, axis2=2))
-    np.testing.assert_allclose(data.photon, populations, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data.photon_dist, populations, rtol=0, atol=1e-12)
     lam = np.clip(np.linalg.eigvalsh(rho)[:, ::-1], 0.0, None)  # descending
     entropy = -np.sum(xlogy(lam, lam), axis=1)
     np.testing.assert_allclose(data.entropy[:, 0], entropy, rtol=0, atol=1e-11)
     np.testing.assert_allclose(data.entropy[:, 1:], lam[:, :2], rtol=0, atol=1e-12)
     reference = _phase_double_sum(rho, ETAS[::16]).real  # every 16th angle
-    np.testing.assert_allclose(data.phase[:, ::16], reference, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data.phase_dist[:, ::16], reference, rtol=0, atol=1e-12)
     picks = slice(5, None, 20)  # 10 x 10 of the grid, none at alpha = 0
     alphas = data.q_axis[None, picks] + 1j * data.q_axis[picks, None]
     ns = np.arange(rho.shape[1])

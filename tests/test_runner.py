@@ -45,8 +45,8 @@ def test_compute_fills_every_selected_observable(small_q_window):
     assert _CFG.t_points > rows and _CFG.t_points % rows
     assert data.inversion.shape == data.cc.shape == data.cs.shape == (_CFG.t_points,)
     assert data.entropy.shape == (_CFG.t_points, 3)
-    assert data.photon.shape == (_CFG.t_points, dim + 1)
-    assert data.phase.shape == (_CFG.t_points, ETA_POINTS)
+    assert data.photon_dist.shape == (_CFG.t_points, dim + 1)
+    assert data.phase_dist.shape == (_CFG.t_points, ETA_POINTS)
     assert data.qfunc.shape == (31, 31)
     assert data.q_axis[0] == -8.0  # the paper's window holds this Q
     assert set(data.residuals) == set(runner.TOLERANCES)
@@ -185,7 +185,7 @@ def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threa
     q = sdfs_state(cfg.state)
     if preset == "fig4a":
         c, s = evolve(q, data.ts, cfg.detuning_ratio)
-        got, expected = data.phase, phase_distribution(c, s, phase_kernel(q.dim + 1))
+        got, expected = data.phase_dist, phase_distribution(c, s, phase_kernel(q.dim + 1))
     else:
         c, s = evolve(q, [cfg.q_time_scaled], cfg.detuning_ratio)
         got = data.qfunc
@@ -254,8 +254,18 @@ def test_cells_match_float_fmt_on_exact_ties():
     _assert_cells_match_float_fmt(ties)
 
 
+def _write(path, header, rows, values, cols=None, cols_first=False):
+    """The file `run` writes in one call of its writer: the header, then the
+    `_write_lines` of values on the open handle, column keys formatted once."""
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
+        keys = None if cols is None else runner._keys(cols)
+        runner._write_lines(handle, rows, values, keys, cols_first)
+    return path
+
+
 def _tables(ts, inversion, entropy, photon, etas, phase, xs, ys, q):
-    """name -> (_write_csv args with unformatted row keys, kwargs, np.savetxt
+    """name -> (_write args with unformatted row keys, kwargs, np.savetxt
     columns, np.savetxt fmts) of each output schema, laid out as `run`
     writes it."""
     ns = np.arange(photon.shape[1])
@@ -283,7 +293,7 @@ def _tables(ts, inversion, entropy, photon, etas, phase, xs, ys, q):
 def _assert_writer_matches_savetxt(tmp_path, tables):
     for name, (args, kwargs, columns, fmts) in tables.items():
         header, rows, *rest = args
-        written = runner._write_csv(tmp_path / f"{name}.csv", header, rows, *rest, **kwargs)
+        written = _write(tmp_path / f"{name}.csv", header, rows, *rest, **kwargs)
         reference = tmp_path / f"{name}.savetxt.csv"
         with open(reference, "w", newline="\n") as handle:
             handle.write(args[0] + "\n")
@@ -301,7 +311,7 @@ def test_writer_matches_savetxt_on_a_detuned_run(
     monkeypatch.setattr(runner, "BLOCK_ENTRIES", block_entries)
     # every 8th of the 512 angles keeps the 7-entry blocks few
     tables = _tables(
-        data.ts, data.inversion, data.entropy, data.photon, ETAS[::8], data.phase[:, ::8],
+        data.ts, data.inversion, data.entropy, data.photon_dist, ETAS[::8], data.phase_dist[:, ::8],
         data.q_axis, data.q_axis, data.qfunc,
     )
     _assert_writer_matches_savetxt(tmp_path, tables)
@@ -368,19 +378,20 @@ def test_run_streams_the_bytes_of_the_gathered_series(tmp_path, small_q_window):
     assert [path.name for path in result.files] == [f"{n}.csv" for n in OBSERVABLE_NAMES]
     data = compute(_CFG)
     for name, values, cols in (
-        ("photon_dist", data.photon, np.arange(data.n_max + 2)), ("phase_dist", data.phase, ETAS)
+        ("photon_dist", data.photon_dist, np.arange(data.n_max + 2)),
+        ("phase_dist", data.phase_dist, ETAS),
     ):
         header = (tmp_path / f"{name}.csv").read_bytes().split(b"\n")[0].decode()
-        gathered = runner._write_csv(tmp_path / "gathered.csv", header, data.ts, values, cols)
+        gathered = _write(tmp_path / "gathered.csv", header, data.ts, values, cols)
         assert (tmp_path / f"{name}.csv").read_bytes() == gathered.read_bytes(), name
     assert result.summary["phase_integral_residual"] == data.residuals["phase_integral_residual"]
 
 
 def test_compute_hands_the_wide_series_to_its_sink(small_q_window):
-    blocks = {"photon": [], "phase": []}
+    blocks = {"photon_dist": [], "phase_dist": []}
     streamed = compute(_CFG, lambda name, ts, block: blocks[name].append((ts, block)))
     gathered = compute(_CFG)
-    assert streamed.photon is None and streamed.phase is None
+    assert streamed.photon_dist is None and streamed.phase_dist is None
     assert streamed.residuals == gathered.residuals
     for name, pieces in blocks.items():
         assert len(pieces) > 1

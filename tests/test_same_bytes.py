@@ -26,23 +26,40 @@ def subset(same_bytes, tmp_path_factory):
 
 
 def test_the_working_tree_writes_the_same_bytes_as_itself(same_bytes, subset, tmp_path):
-    # fig1a's CSV, the sweep config's two CSVs, an m = 1100 overlap and the check stdout
-    assert same_bytes.compare(REPO / "src", REPO / "src", subset, tmp_path) == (5, [])
+    # fig1a's CSV, the sweep config's two CSVs, their two run summaries, an
+    # m = 1100 overlap and the check stdout
+    assert same_bytes.compare(REPO / "src", REPO / "src", subset, tmp_path) == (7, [])
     printed = (tmp_path / "head" / "overlap-20.txt").read_text()
     assert printed.startswith("overlap = 0.89294") and printed.endswith("exit 0\n")
 
 
-def test_a_detuning_sign_flip_changes_the_detuned_csvs_only(same_bytes, subset, tmp_path):
+def _mutant(tmp_path, module, old, new):
+    """A copy of src/ in tmp_path with the one `old` of module replaced by `new`."""
     mutant = tmp_path / "src"
     shutil.copytree(REPO / "src", mutant, ignore=shutil.ignore_patterns("__pycache__"))
-    dynamics = mutant / "sdfs_jcm" / "dynamics.py"
-    text = dynamics.read_text()
-    assert text.count("- 0.5j * detuning_ratio") == 1
-    dynamics.write_text(text.replace("- 0.5j * detuning_ratio", "+ 0.5j * detuning_ratio"))
-    # fig1a is resonant; no check line evolves a detuned state, and no overlap evolves
+    path = mutant / "sdfs_jcm" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return mutant
+
+
+def test_a_detuning_sign_flip_changes_the_detuned_csvs_only(same_bytes, subset, tmp_path):
+    mutant = _mutant(tmp_path, "dynamics.py", "- 0.5j * detuning_ratio", "+ 0.5j * detuning_ratio")
+    # fig1a is resonant; no check line evolves a detuned state, and no overlap evolves;
+    # this sweep config's residuals keep every digit, so neither summary changes
     assert same_bytes.compare(mutant, REPO / "src", subset, tmp_path) == (
-        5,
+        7,
         ["sweep/seed0-cfg000/entropy.csv", "sweep/seed0-cfg000/inversion.csv"],
+    )
+
+
+def test_a_changed_summary_line_is_reported(same_bytes, subset, tmp_path):
+    # the timers differ between any two runs and are skipped; the other lines are not
+    mutant = _mutant(tmp_path, "runner.py", '"dim": data.n_max + 1', '"dim": data.n_max + 2')
+    assert same_bytes.compare(mutant, REPO / "src", subset, tmp_path) == (
+        7,
+        ["presets/fig1a/run_summary.txt", "sweep/seed0-cfg000/run_summary.txt"],
     )
 
 

@@ -89,7 +89,7 @@ def test_run_all_computes_each_figure_variant_once(monkeypatch):
         ("inversion", "entropy"),
     ]
     # run "a" holds the phase density at t = 0 alone, not 2000 rows of it
-    assert runs["a"].phase.shape == (1, observables.ETA_POINTS)
+    assert runs["a"].phase_dist.shape == (1, observables.ETA_POINTS)
 
 
 @pytest.mark.parametrize(
