@@ -48,10 +48,25 @@ for label, argv in json.loads(sys.argv[2]):
 """
 
 
+def load_workloads():
+    """The module perfbench/workloads.py of the working tree."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+    spec.loader.exec_module(module := importlib.util.module_from_spec(spec))
+    return module
+
+
+def extract_src(base: str, dest: Path) -> str:
+    """Extract src/ of commit base into dest by `git archive`; return its sha."""
+    sha = subprocess.check_output(
+        ["git", "rev-parse", "--verify", base + "^{commit}"], cwd=REPO, text=True).strip()
+    archive = subprocess.check_output(["git", "archive", sha, "src"], cwd=REPO)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return sha
+
+
 def jobs(cfg_dir: Path) -> list[tuple[str, list[str]]]:
     """(label, cli argv) of every job, writing its configs to cfg_dir; outputs go to label/."""
-    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
-    spec.loader.exec_module(workloads := importlib.util.module_from_spec(spec))
+    workloads = load_workloads()
     found = [(f"presets/{name}", ["preset", name, "--out", f"presets/{name}"])
              for name in workloads.PRESET_NAMES]
     configs = {}
@@ -111,14 +126,11 @@ def compare(base_src: Path, head_src: Path, jobs: list, root: Path) -> tuple[int
 def main() -> int:
     parser = argparse.ArgumentParser(description="Compare every output with that of BASE.")
     parser.add_argument("base", nargs="?", default="HEAD", help="a commit (default HEAD)")
-    base = parser.parse_args().base + "^{commit}"
-    sha = subprocess.check_output(["git", "rev-parse", "--verify", base], cwd=REPO, text=True)
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.check_output(["git", "archive", sha.strip(), "src"], cwd=REPO)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sha = extract_src(parser.parse_args().base, Path(tmp))
         repeats = [("check", ["check"])] * (CHECK_CALLS - 1)
         count, differ = compare(Path(tmp, "src"), REPO / "src", jobs(Path(tmp)) + repeats, Path(tmp))
-    print(json.dumps({"base": sha.strip(), "files": count, "differ": differ}))
+    print(json.dumps({"base": sha, "files": count, "differ": differ}))
     return 1 if differ else 0
 
 

@@ -16,9 +16,11 @@ ETAS, built once per run rather than per time block; the Q grid builds
 each y row of coherent bras once for all snapshots, and once for a row
 y < 0 and its mirror -y.
 
-The entropy is one array computation too, but maps Python's abs,
-math.hypot and math.log over its rows: the numpy versions round the
-last bit differently, which would change the written entropy.
+The entropy is one array computation too, but maps math.hypot and
+math.log over its rows: the numpy versions round the last bit
+differently, which would change the written entropy. Its |<C|S>| is
+numpy's hypot of the real and imaginary parts, which rounds as Python's
+abs of a complex does.
 """
 
 from __future__ import annotations
@@ -70,11 +72,11 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
     Eigenvalues are clamped to [0, 1] only within ROUND_SLACK, the slack
     `sdfs_state` grants its norm^2. Entries outside [0, 1] by more, a trace
     off 1 by > NORM_TOL, |cs|^2 > cc*ss + ROUND_SLACK or eigenvalues beyond
-    the slack raise ValueError naming the first such row. Only |cs|
-    (Python abs), the hypot and the logarithms run element by element, in
-    Python's math: numpy's versions differ in the last bit.
+    the slack raise ValueError naming the first such row. Only the hypot
+    of the split and the logarithms run element by element, in Python's
+    math: numpy's versions differ in the last bit.
     """
-    acs = np.fromiter(map(abs, cs.tolist()), float, len(cs))
+    acs = np.hypot(cs.real, cs.imag)  # bit for bit Python's abs(complex)
     _reject_first(
         ~((-ROUND_SLACK <= np.minimum(cc, ss)) & (np.maximum(cc, ss) <= 1.0 + ROUND_SLACK)),
         lambda i: f"cc={cc[i]}, ss={ss[i]} outside [0, 1]",

@@ -45,10 +45,6 @@ PEAK_FLOOR = 1e-6  # phase maxima below this fraction of the peak are tail rippl
 PEAK_ETA_TOL = 0.02  # rad
 CENTROID_TOL = 0.5  # offset of the initial Q centroid from (3, 0)
 VACUUM_TOL, POISSON_TOL = 1e-12, 1e-10  # vacuum Rabi cosine, coherent Poisson law
-# The CheckResult names of the checks that read `_figure_run`
-_RUN_READERS = frozenset(
-    {"conservation-fig1", "entropy-fig2", "revival-structure", "entropy-minima", "phase-distribution"}
-)
 # variant -> run, set by `run_all` for its own calls (per thread and task)
 _figure_runs: ContextVar[dict[str, RunData] | None] = ContextVar("_figure_runs", default=None)
 
@@ -136,29 +132,26 @@ def _shared_presets(names: list[str], fields: tuple[str, ...]) -> list[RunConfig
     return cfgs
 
 
-def _figure_run(variant: str) -> RunData:
-    """The run of fig1, fig2 and fig4 `variant` (one state, detuning and
-    time grid): inversion and entropy, and for a the phase integral
-    residual and the phase density at t = 0 only, as a (1, ETA_POINTS)
-    `phase_dist`; the other rows pass through a sink that drops them.
-    Computed once within `run_all`, afresh for a check called on its own."""
-    runs = _figure_runs.get()
-    if runs is not None and variant in runs:
-        return runs[variant]
+def _figure_config(variant: str) -> RunConfig:
+    """The preset fig1, fig2 and fig4 `variant` share: one state, detuning and time grid."""
     cfg, *_ = _shared_presets(
         [f"fig{family}{variant}" for family in "124"],
         ("state", "detuning_ratio", "t_max_scaled", "t_points"),
     )
+    return cfg
+
+
+def _figure_run(variant: str) -> RunData:
+    """The run of `_figure_config(variant)`: inversion and entropy, and for
+    a the phase integral residual; its phase rows go to a sink that drops
+    them. Computed once within `run_all`, afresh for a check called on
+    its own."""
+    runs = _figure_runs.get()
+    if runs is not None and variant in runs:
+        return runs[variant]
     observables = ("inversion", "entropy") + (("phase_dist",) if variant == "a" else ())
-    first: list[np.ndarray] = []
-
-    def keep_first_row(name: str, ts: np.ndarray, block: np.ndarray) -> None:
-        if not first:  # the block of ts[0] = 0; phase_dist is the one series streamed here
-            first.append(block[:1].copy())
-
-    data = compute(dataclasses.replace(cfg, observables=observables), keep_first_row)
-    if first:
-        data = dataclasses.replace(data, phase_dist=first[0])
+    data = compute(dataclasses.replace(_figure_config(variant), observables=observables),
+                   lambda *_: None)
     if runs is not None:
         runs[variant] = data
     return data
@@ -286,7 +279,8 @@ def check_entropy_minima() -> CheckResult:
 
 def check_phase_distribution() -> CheckResult:
     """Single phase peak at eta = 0 at t = 0 and unit integral at all
-    sampled times (fig4a parameters).
+    sampled times (fig4a parameters). The figure run gives the integral;
+    the density at t = 0 is row 0 of a two-point run of the same preset.
 
     Peak counting ignores maxima below PEAK_FLOOR of the global peak:
     the truncated state carries an interference-ripple floor of order its
@@ -294,9 +288,9 @@ def check_phase_distribution() -> CheckResult:
     peak, which any finite evaluation shows.
     """
     tol = TOLERANCES["phase_integral_residual"]
-    data = _figure_run("a")
-    worst_integral = data.residuals["phase_integral_residual"]
-    vals0 = data.phase_dist[0]  # ts[0] = 0
+    worst_integral = _figure_run("a").residuals["phase_integral_residual"]
+    cfg = dataclasses.replace(_figure_config("a"), observables=("phase_dist",), t_points=2)
+    vals0 = compute(cfg).phase_dist[0]  # ts[0] = 0
     extended = np.concatenate(([vals0[-1]], vals0, [vals0[0]]))  # cyclic neighbours
     peaks = local_maxima(extended) - 1
     peaks = peaks[vals0[peaks] >= PEAK_FLOOR * float(np.max(vals0))]
@@ -340,7 +334,12 @@ def _half_max_components(grid: np.ndarray, axis: np.ndarray) -> tuple[int, tuple
 def check_q_structure() -> CheckResult:
     """Half-maximum structure of the Q snapshots: one cluster centred
     near (3, 0) initially, at least two at half the revival time, unit
-    grid integral throughout."""
+    grid integral throughout. Within `run_all` it first drops the figure
+    runs, which no later check reads, so none is held while the grids
+    are built."""
+    runs = _figure_runs.get()
+    if runs is not None:
+        runs.clear()
     tol = TOLERANCES["q_integral_residual"]
     issues = []
     integrals = []
@@ -402,16 +401,10 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    """ALL_CHECKS in order, each figure run computed once and dropped as
-    soon as every check of _RUN_READERS has run, before `check_q_structure`."""
-    runs, unread, results = {}, set(_RUN_READERS), []
-    token = _figure_runs.set(runs)
+    """ALL_CHECKS in order, each figure run computed once and held until
+    `check_q_structure` drops it."""
+    token = _figure_runs.set({})
     try:
-        for check in ALL_CHECKS:
-            results.append(check())
-            unread.discard(results[-1].name)
-            if not unread:
-                runs.clear()
+        return [check() for check in ALL_CHECKS]
     finally:
         _figure_runs.reset(token)
-    return results

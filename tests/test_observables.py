@@ -162,6 +162,20 @@ def _random_gram(rng, count):
     return cc, ss, cs
 
 
+def test_numpy_hypot_of_the_parts_is_python_abs_bit_for_bit():
+    # `entropy_rows` forms |<C|S>| as np.hypot(cs.real, cs.imag) in place of
+    # mapping Python's abs; a draw over the full exponent range, with signed
+    # zeros, subnormals and 1e+-300 among its parts, must keep every bit
+    rng = np.random.default_rng(26)
+    parts = rng.uniform(-1.0, 1.0, (2, 200_000)) * 10.0 ** rng.integers(-310, 301, (2, 200_000))
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300]
+    parts[:, :2000] = rng.choice(special + rng.standard_normal(8).tolist(), (2, 2000))
+    cs = parts[0] + 1j * parts[1]
+    expected = np.array([abs(value) for value in cs.tolist()])
+    assert np.count_nonzero(expected == 0.0) and np.count_nonzero(expected < 2.3e-308) > 100
+    assert np.array_equal(np.hypot(cs.real, cs.imag).view(np.int64), expected.view(np.int64))
+
+
 def test_entropy_pure_state():
     assert tuple(_entropy_one(1.0, 0.0, 0j)) == (0.0, 1.0, 0.0)
 

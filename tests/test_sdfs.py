@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from sdfs_jcm import sdfs
 from sdfs_jcm.fock import DIM_CAP, build_sdfs_oracle
 from sdfs_jcm.presets import PRESET_NAMES, figure_preset
 from sdfs_jcm.sdfs import (
@@ -226,25 +227,30 @@ def test_choose_truncation_names_lost_precision():
         sdfs_state(p)
 
 
-def _preset_and_sweep_states(sweep_workloads):
+def _preset_and_sweep_states(sweep_workloads, seeds=(0,)):
     states = [figure_preset(name).state for name in PRESET_NAMES]
-    for row in sweep_workloads.sweep_states(0):
-        alpha0 = complex(row["alpha0_re"], row["alpha0_im"])
-        states.append(SdfsParams(alpha0=alpha0, r=row["r"], phi=row["phi"], m=row["m"]))
+    for seed in seeds:
+        for row in sweep_workloads.sweep_states(seed):
+            alpha0 = complex(row["alpha0_re"], row["alpha0_im"])
+            states.append(SdfsParams(alpha0=alpha0, r=row["r"], phi=row["phi"], m=row["m"]))
     return states
 
 
-def test_state_is_the_last_window_sliced(sweep_workloads):
+def test_state_is_the_last_window_sliced(monkeypatch, sweep_workloads):
     # The truncated vector is bit for bit the kernel's amplitudes at n_max, and
-    # those of the widest window: an amplitude does not depend on the window.
-    states = _preset_and_sweep_states(sweep_workloads)
-    assert len(states) == len(PRESET_NAMES) + 40
+    # those of every window the walk tried: each is the head of the widest
+    # window, so an amplitude does not depend on the window. A walk that
+    # extends its last window instead of rebuilding it from n = 0 relies on this.
+    states = _preset_and_sweep_states(sweep_workloads, (0, 1))
+    assert len(states) == len(PRESET_NAMES) + 80
+    walked = []
+    monkeypatch.setattr(sdfs, "_amplitudes", lambda p, w: walked.append(w) or _amplitudes(p, w))
     for p in states:
+        walked.clear()
         amps = sdfs_state(p).amps
-        for window in (amps.size - 1, DIM_CAP - 1):
-            np.testing.assert_array_equal(
-                amps.view(np.int64), _amplitudes(p, window)[: amps.size].view(np.int64)
-            )
+        cap = _amplitudes(p, DIM_CAP - 1)
+        for window in (amps, *(_amplitudes(p, w) for w in (*walked, amps.size - 1))):
+            np.testing.assert_array_equal(window.view(np.int64), cap[: window.size].view(np.int64))
 
 
 def test_truncation_is_the_tail_tol_crossing_or_the_floor(sweep_workloads):
@@ -285,3 +291,4 @@ def test_every_accepted_state_of_the_probe_grid_matches_the_oracle():
     for p, q, oracle in zip(checked, qs, oracles):
         deviation = float(np.max(np.abs(q.amps - oracle.amps[: q.dim])))
         assert deviation <= AMPLITUDE_TOL, (p, deviation)
+

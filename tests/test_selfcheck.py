@@ -81,15 +81,35 @@ def test_run_all_computes_each_figure_variant_once(monkeypatch):
     monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
     assert all(res.passed for res in run_all())
     assert held == [{}]  # the figure runs are gone before the Q grids are built
-    # fig1x, fig2x and fig4x share one run per variant x: 9 computes without that
-    assert [cfg.state.m for cfg in configs] == [0, 1, 2]
-    assert [cfg.observables for cfg in configs] == [
-        ("inversion", "entropy", "phase_dist"),
-        ("inversion", "entropy"),
-        ("inversion", "entropy"),
+    assert runs["a"].phase_dist is None  # the sink drops its phase rows
+    assert "phase_integral_residual" in runs["a"].residuals
+    # fig1x, fig2x and fig4x share one run per variant x: 9 computes without that;
+    # the fourth is the two-point fig4a run whose row 0 is the phase density at t = 0
+    t_points = figure_preset("fig4a").t_points
+    assert [(cfg.state.m, cfg.observables, cfg.t_points) for cfg in configs] == [
+        (0, ("inversion", "entropy", "phase_dist"), t_points),
+        (1, ("inversion", "entropy"), t_points),
+        (2, ("inversion", "entropy"), t_points),
+        (0, ("phase_dist",), 2),
     ]
-    # run "a" holds the phase density at t = 0 alone, not 2000 rows of it
-    assert runs["a"].phase_dist.shape == (1, observables.ETA_POINTS)
+
+
+def test_a_run_reader_after_the_q_check_computes_its_run_afresh(monkeypatch):
+    configs = []
+
+    def counted_compute(cfg, sink=None):
+        configs.append(cfg.state.m)
+        return compute(cfg, sink)
+
+    monkeypatch.setattr(selfcheck, "compute", counted_compute)
+    checks = (check_entropy_suite, check_q_structure, selfcheck.check_conservation)
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", checks)
+    results = run_all()
+    assert [res.name for res in results] == ["entropy-fig2", "q-structure", "conservation-fig1"]
+    assert all(res.passed for res in results)
+    # the runs of entropy-fig2 are dropped by q-structure, so conservation-fig1 computes its own
+    assert configs == [0, 1, 2, 0, 1, 2]
+    assert selfcheck._figure_runs.get() is None
 
 
 @pytest.mark.parametrize(
