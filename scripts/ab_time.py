@@ -15,10 +15,12 @@ For wall time and `time.process_time` it reports each tree's median, the
 median paired difference (working tree minus BASE) with its sign-test
 interval at 1 - ALPHA (null below 8 pairs, where none reaches it), the
 pairs the working tree won, the two-sided sign-test p, whether p < ALPHA,
-and each tree's failed items. It prints one JSON line and exits 0: it
-gates nothing. The two passes of a pair share the machine's load, so the
-paired difference resolves what the spread of the benchmark's medians
-hides."""
+the interquartile range of BASE's passes, whether the working tree claims a
+gain (it won at least 9 of 10 pairs and its median lies below BASE's by more
+than that range) and each tree's failed items. It prints one JSON line and
+exits 0: it gates nothing. The two passes of a pair share the machine's
+load, so the paired difference resolves what the spread of the
+benchmark's medians hides."""
 
 import argparse
 import json
@@ -61,12 +63,14 @@ def paired(base: list[float], head: list[float]) -> dict:
         return sum(math.comb(m, j) for j in range(k + 1)) / 2**m
 
     p = min(1.0, 2.0 * below(min(wins, losses), wins + losses))
+    q1, _, q3 = statistics.quantiles(base, method="inclusive") if n > 1 else base * 3
+    medians = statistics.median(base), statistics.median(head)
     # [d_(k), d_(n+1-k)] holds the median with probability 1 - 2 P(B(n) <= k - 1)
     ks = [k for k in range(1, n // 2 + 1) if 2.0 * below(k - 1, n) <= ALPHA]
-    return {"base": statistics.median(base), "head": statistics.median(head),
-            "diff": statistics.median(diffs),
+    return {"base": medians[0], "head": medians[1], "diff": statistics.median(diffs),
             "interval": [diffs[ks[-1] - 1], diffs[n - ks[-1]]] if ks else None,
-            "faster": wins, "pairs": n, "p": p, "resolved": p < ALPHA}
+            "faster": wins, "pairs": n, "p": p, "resolved": p < ALPHA, "base_iqr": q3 - q1,
+            "claim": 10 * wins >= 9 * n and medians[0] - medians[1] > q3 - q1}
 
 
 def measure(trees: list[Path], workloads: list[str], pairs: int, root: Path) -> dict:

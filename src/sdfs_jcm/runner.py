@@ -90,11 +90,6 @@ TOLERANCES = {
     "q_integral_residual": 1e-3,
 }
 
-# Largest eps * t * nu_max, the rounding error of the phases t * nu_n that
-# `evolve` forms. Against mpmath, A_5 of a coherent alpha0 = 1 state was off
-# by 3.7e-13 at t = 1e6 and by 1.7e-5 at t = 1e12; the residuals cannot see it.
-PHASE_BUDGET = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class RunData:
@@ -388,7 +383,8 @@ def q_grids(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The axis of the Q window, Q_POINTS over [-h, h] with h =
     `_q_half_width(p)` for both x and y; the (times, y, x) Q grids of
-    q = sdfs_state(p) at the scaled times over it; the conservation residuals."""
+    q = sdfs_state(p) at the scaled times over it; the conservation residuals.
+    `evolve` refuses (ValueError) times whose phases would lose precision."""
     c, s = evolve(q, times, detuning_ratio)
     h = _q_half_width(p)
     axis = np.linspace(-h, h, Q_POINTS)
@@ -404,31 +400,14 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
     computed, and RunData leaves those two None; without one they are
     gathered like the others.
 
-    Refuses (ValueError) a time that a selected output reads (t_max_scaled: a
-    time series, or qfunc without q_time_scaled; q_time_scaled: qfunc) whose
-    phases t * nu_n lose more than PHASE_BUDGET to rounding at the truncation;
-    where even t = 1 would lose them, detuning_ratio is named as the key.
+    Hands `evolve` the times its outputs read (t_max_scaled for a time series,
+    the Q time for qfunc) first, so lost phase precision is refused up front.
     """
     q = sdfs_state(cfg.state)
-    n_max = q.dim - 1
     selected = set(cfg.observables)
-    # nu_n of `evolve` at n_max: inf, not an OverflowError, where Delta^2 overflows
-    nu_max = math.sqrt(0.25 * (cfg.detuning_ratio * cfg.detuning_ratio) + q.dim)
-    q_key = "t_max_scaled" if cfg.q_time_scaled is None else "q_time_scaled"  # Q's time
-    keys = ["t_max_scaled"] if selected & TIME_SERIES else []
-    if "qfunc" in selected and q_key not in keys:
-        keys.append(q_key)
-    for key in keys:
-        t = getattr(cfg, key)
-        lost = math.ulp(1.0) * t * nu_max
-        if not lost <= PHASE_BUDGET:  # nan where t = 0 meets nu_max = inf
-            culprit = (f"key {key!r} = {t:g}" if math.ulp(1.0) * nu_max <= PHASE_BUDGET
-                       else "key 'detuning_ratio' is too large: even t = 1")  # or nu_max = inf
-            raise ValueError(
-                f"{culprit} loses phase precision at detuning_ratio = "
-                f"{cfg.detuning_ratio:g}: eps * t * nu_max = {lost:.3e} exceeds "
-                f"{PHASE_BUDGET:g} at n_max = {n_max}"
-            )
+    t_q = cfg.t_max_scaled if cfg.q_time_scaled is None else cfg.q_time_scaled
+    read = [cfg.t_max_scaled] * bool(selected & TIME_SERIES) + [t_q] * ("qfunc" in selected)
+    evolve(q, read, cfg.detuning_ratio)
     ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
     residuals = {"normalization_residual": abs(q.norm_sq() - 1.0)}
     kernel = phase_kernel(q.dim + 1) if "phase_dist" in selected else None  # C, S have dim + 1
@@ -471,7 +450,6 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
 
     q_axis = qfunc = None
     if "qfunc" in selected:
-        t_q = getattr(cfg, q_key)
         q_axis, (qfunc,), conservation = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
         residuals["conservation_residual"] = max(
             residuals.get("conservation_residual", 0.0), float(conservation[0])
@@ -479,7 +457,7 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
         cell = np.square(q_axis[1] - q_axis[0])
         residuals["q_integral_residual"] = abs(float(np.sum(qfunc)) * cell - 1.0)
 
-    return RunData(n_max, ts, residuals, q_axis=q_axis, qfunc=qfunc, **series)
+    return RunData(q.dim - 1, ts, residuals, q_axis=q_axis, qfunc=qfunc, **series)
 
 
 def run(cfg: RunConfig) -> RunResult:

@@ -61,3 +61,19 @@ def test_the_sign_test_resolves_a_steady_gain_and_not_noise(ab_time):
     assert ab_time.paired([1.0] * 8, [0.9] * 8)["interval"] is not None
     for n in (2, 7):
         assert ab_time.paired([1.0] * n, [0.9] * n)["interval"] is None
+    # a gain is claimed where the working tree wins 9 of 10 pairs and its median
+    # is below the base's by more than the base's interquartile range
+    assert gain["base_iqr"] == 0.0 and gain["claim"] and not noise["claim"]
+    base = [1.0 + 0.01 * (k % 5) for k in range(20)]  # quartiles 1.01 and 1.03
+    steady = ab_time.paired(base, [b - 0.1 for b in base])
+    assert steady["base_iqr"] == pytest.approx(0.02) and steady["claim"]
+    # 18 of 20 wins still claim; 17 do not
+    for wins, claim in ((18, True), (17, False)):
+        head = [b - 0.1 if k < wins else b + 0.1 for k, b in enumerate(base)]
+        assert ab_time.paired(base, head)["faster"] == wins
+        assert ab_time.paired(base, head)["claim"] is claim
+    # every pair won, but by less than the spread of the base's passes
+    assert not ab_time.paired(base, [b - 0.01 for b in base])["claim"]
+    noise = ab_time.paired(base, base[::-1])
+    assert noise["base_iqr"] == steady["base_iqr"] and not noise["claim"]
+    assert ab_time.paired([1.0], [0.5])["base_iqr"] == 0.0

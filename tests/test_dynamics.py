@@ -84,6 +84,24 @@ def test_evolve_refuses_a_norm_off_by_more_than_norm_tol(deviation):
     assert evolve(edge, [1.0])[0].shape == (1, 3)
 
 
+def test_evolve_refuses_a_time_whose_phases_lose_precision():
+    # eps * t * nu_max = 9.2e-4 at t = 1e12, where A_5 is 1.7e-5 off against mpmath
+    q = _state(SdfsParams(alpha0=1.0))
+    for ts in ([1e12], [0.0, -1e12]):
+        with pytest.raises(ValueError, match=r"^t = 1e\+12 loses phase precision at "
+                           r"detuning_ratio = 0: .* exceeds 1e-10 at n_max = 16$"):
+            evolve(q, ts)
+    assert evolve(q, [1e5])[0].shape == (1, q.dim + 1)  # eps * t * nu_max = 9.2e-11
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_evolve_refuses_an_overflowing_detuning_as_a_value_error(t):
+    # Delta^2 overflows to nu_max = inf, where Delta**2 raises OverflowError;
+    # eps * 0 * inf is nan, and no finite loss clears it
+    with pytest.raises(ValueError, match="^detuning_ratio is too large: even t = 1 loses"):
+        evolve(_state(SdfsParams(alpha0=1.0)), [t], 1e200)
+
+
 def test_field_density_at_zero_time():
     q = _state(SdfsParams(alpha0=1.5, r=0.3, m=1))
     c, s = _at(q, 0.0)

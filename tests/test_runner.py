@@ -9,7 +9,7 @@ import pytest
 from sdfs_jcm import runner, sdfs
 from sdfs_jcm.config import OBSERVABLE_NAMES, RunConfig
 from sdfs_jcm.dynamics import evolve
-from sdfs_jcm.fock import DIM_CAP
+from sdfs_jcm.fock import DIM_CAP, FockVector
 from sdfs_jcm.observables import ETA_POINTS, ETAS, phase_distribution, phase_kernel, q_function_grid
 from sdfs_jcm.presets import figure_preset
 from sdfs_jcm.runner import compute
@@ -176,6 +176,41 @@ def test_compute_takes_its_q_grid_from_q_grids_on_one_blas_thread(monkeypatch, t
     assert len(calls) == 1 and list(calls[0][2]) == [cfg.q_time_scaled]
     assert np.array_equal(data.q_axis, axis)
     assert np.array_equal(data.qfunc.view(np.int64), grid.view(np.int64))
+
+
+def test_q_grids_refuses_a_time_whose_phases_lose_precision():
+    p = SdfsParams(alpha0=1.0)
+    with pytest.raises(ValueError, match=r"^t = 1e\+12 loses phase precision"):
+        runner.q_grids(p, sdfs_state(p), [1e12], 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 42, 512])
+def test_compute_refuses_where_the_phase_budget_is_exceeded(dim, monkeypatch):
+    # refused exactly where eps * t * nu_max exceeds 1e-10 or is nan, nu_max
+    # formed as below, at the time each selected output reads
+    monkeypatch.setattr(runner, "sdfs_state", lambda p: FockVector(np.eye(dim)[0]))
+    # the Q grid is not under test, and at dim 512 it takes most of a second
+    monkeypatch.setattr(runner, "q_function_grid", lambda c, s, x, y: np.zeros((1, 1, 1)))
+    outcomes = set()
+    for detuning in (0.0, 3.0, -3.0, 1e100, 1e200):
+        nu_max = math.sqrt(0.25 * (detuning * detuning) + dim)
+        edge = 1e-10 / (math.ulp(1.0) * nu_max)  # 0 where nu_max = inf
+        below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
+        for t in (0.0, edge * (1.0 - 1e-9), below, edge, above, edge * (1.0 + 1e-9)):
+            refused = not math.ulp(1.0) * t * nu_max <= 1e-10
+            outcomes.add(refused)
+            for observables, key in (("inversion", "t_max_scaled"), ("qfunc", "q_time_scaled")):
+                if key == "t_max_scaled" and t == 0.0:
+                    continue  # a config error
+                cfg = RunConfig(detuning_ratio=detuning, t_points=2, observables=(observables,),
+                                **{key: t})
+                if refused:
+                    message = f"loses phase precision .* at n_max = {dim - 1}$"
+                    with pytest.raises(ValueError, match=message):
+                        compute(cfg)
+                else:
+                    assert compute(cfg).n_max == dim - 1
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("preset", ["fig4a", "fig5b"])
