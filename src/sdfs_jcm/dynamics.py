@@ -43,16 +43,19 @@ def evolve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """C and S at the scaled times ts, as (T, dim + 1) arrays from the closed-form
     A_n(t), B_n(t); |norm^2 - 1| of q must stay within NORM_TOL, as `sdfs_state` ensures.
-    Refuses (ValueError) ts whose phases t * nu_n lose more than PHASE_BUDGET to rounding."""
+    Refuses (ValueError) a non-finite detuning or t, and phases t * nu_n off by > PHASE_BUDGET."""
     deficit = abs(q.norm_sq() - 1.0)
-    if deficit > NORM_TOL:
+    if not deficit <= NORM_TOL:
         raise ValueError(f"initial field amplitudes not normalized (|norm^2 - 1| = {deficit:.3e})")
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ValueError("ts must be a 1-D array of scaled times")
+    t = float(np.max(np.abs(ts), initial=0.0))
+    for name, value in ("detuning_ratio", detuning_ratio), ("t", t):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value:g} is not finite")
     # inf, not an OverflowError, where Delta^2 overflows
     nu_max = math.sqrt(0.25 * (detuning_ratio * detuning_ratio) + q.dim)
-    t = float(np.max(np.abs(ts), initial=0.0))
     lost = math.ulp(1.0) * t * nu_max
     if not lost <= PHASE_BUDGET:  # nan where t = 0 meets nu_max = inf
         culprit = (f"t = {t:g}" if math.ulp(1.0) * nu_max <= PHASE_BUDGET

@@ -87,7 +87,7 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
         lambda i: f"trace cc + ss = {trace[i]} deviates from 1 beyond {NORM_TOL:g}",
     )
     _reject_first(
-        acs * acs > cc * ss + ROUND_SLACK,
+        ~(acs * acs <= cc * ss + ROUND_SLACK),
         lambda i: f"|<C|S>|^2 exceeds <C|C><S|S> beyond {ROUND_SLACK:g}",
     )
 

@@ -91,6 +91,12 @@ TOLERANCES = {
 }
 
 
+def worst(values) -> float:
+    """np.max of the numbers or arrays values, NaN if any holds a NaN (Python's max
+    keeps whichever of a NaN and a number came first); unwrapped, as it runs per block."""
+    return float(np.maximum.reduce([np.maximum.reduce(v, axis=None) for v in values]))
+
+
 @dataclass(frozen=True, eq=False)
 class RunData:
     """The arrays `compute` derives from a RunConfig; an observable that
@@ -413,14 +419,17 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
     kernel = phase_kernel(q.dim + 1) if "phase_dist" in selected else None  # C, S have dim + 1
     series: dict[str, np.ndarray] = {}
 
+    def fold(name: str, deviations: np.ndarray) -> None:  # residuals are >= 0
+        residuals[name] = worst([residuals.get(name, 0.0), deviations])
+
     if selected & TIME_SERIES:
         step = max(1, BLOCK_ENTRIES // q.dim)
-        integral = []  # the worst phase integral residual of each block
         for lo in range(0, ts.size, step):
             rows = slice(lo, lo + step)
             c, s = evolve(q, ts[rows], cfg.detuning_ratio)
             pc, ps = populations(c, s)
-            block = {"conservation": conservation_residual(pc, ps)}
+            fold("conservation_residual", conservation_residual(pc, ps))
+            block = {}
             if "inversion" in selected:
                 block["inversion"] = atomic_inversion(pc, ps)
             if "entropy" in selected:
@@ -430,7 +439,7 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
             if kernel is not None:
                 block["phase_dist"] = phase_distribution(c, s, kernel)
                 integrals = np.sum(block["phase_dist"], axis=1) * (2.0 * math.pi / ETA_POINTS)
-                integral.append(np.max(np.abs(integrals - 1.0)))
+                fold("phase_integral_residual", np.abs(integrals - 1.0))
             for key, value in block.items():
                 if sink is not None and key in ("photon_dist", "phase_dist"):
                     sink(key, ts[rows], value)
@@ -438,22 +447,16 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
                 if key not in series:
                     series[key] = np.empty((ts.size, *value.shape[1:]), value.dtype)
                 series[key][rows] = value
-        residuals["conservation_residual"] = float(np.max(series.pop("conservation")))
         if "entropy" in selected:
             series["entropy"] = entropy_rows(series["cc"], series["ss"], series["cs"])
-            trace = series["cc"] + series["ss"]
-            residuals["gram_trace_residual"] = float(np.max(np.abs(trace - 1.0)))
+            fold("gram_trace_residual", np.abs(series["cc"] + series["ss"] - 1.0))
             lam_sums = series["entropy"][:, 1] + series["entropy"][:, 2]
-            residuals["eigenvalue_sum_residual"] = float(np.max(np.abs(lam_sums - 1.0)))
-        if kernel is not None:
-            residuals["phase_integral_residual"] = float(np.max(integral))
+            fold("eigenvalue_sum_residual", np.abs(lam_sums - 1.0))
 
     q_axis = qfunc = None
     if "qfunc" in selected:
         q_axis, (qfunc,), conservation = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
-        residuals["conservation_residual"] = max(
-            residuals.get("conservation_residual", 0.0), float(conservation[0])
-        )
+        fold("conservation_residual", conservation)
         cell = np.square(q_axis[1] - q_axis[0])
         residuals["q_integral_residual"] = abs(float(np.sum(qfunc)) * cell - 1.0)
 
@@ -479,7 +482,7 @@ def run(cfg: RunConfig) -> RunResult:
         nonlocal write_s
         began = time.perf_counter()
         if name not in begun:
-            cols = {"photon_dist": np.arange(block.shape[-1]), "phase_dist": ETAS, "qfunc": rows}
+            cols = {"photon_dist": range(block.shape[-1]), "phase_dist": ETAS, "qfunc": rows}
             keys = _keys(cols[name]) if name in cols else None
             out_dir.mkdir(parents=True, exist_ok=True)
             begun[name] = open(out_dir / f"{name}.csv", "wb"), keys

@@ -318,7 +318,7 @@ def sdfs_state(p: SdfsParams) -> FockVector:
     n_max = max(int(crossing[0]), floor_n)
     q = FockVector(amps[: n_max + 1])
     norm_sq = q.norm_sq()
-    if norm_sq > 1.0 + ROUND_SLACK:
+    if not norm_sq <= 1.0 + ROUND_SLACK:
         raise ValueError(
             f"closed-form amplitudes lost precision: norm^2 exceeds 1 by "
             f"{norm_sq - 1.0:.3e} at n_max={n_max} (cancellation in the sum, m={p.m})"

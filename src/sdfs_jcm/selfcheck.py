@@ -25,7 +25,7 @@ from .dynamics import evolve, populations
 from .fock import FockVector, build_sdfs_oracle
 from .observables import ETAS, atomic_inversion
 from .presets import REVIVAL_T, figure_preset
-from .runner import TOLERANCES, RunData, compute, q_grids
+from .runner import TOLERANCES, RunData, compute, q_grids, worst
 from .sdfs import SdfsParams, log_factorial, sdfs_overlap, sdfs_state
 
 AMPLITUDE_GRID = {
@@ -68,14 +68,11 @@ def check_amplitude_oracle() -> CheckResult:
     states = grid_params()
     qs = [sdfs_state(p) for p in states]
     oracles = build_sdfs_oracle(states, [2 * q.dim for q in qs])
-    worst = max(
-        float(np.max(np.abs(q.amps - oracle.amps[: q.dim])))
-        for q, oracle in zip(qs, oracles)
-    )
+    dev = worst(np.abs(q.amps - oracle.amps[: q.dim]) for q, oracle in zip(qs, oracles))
     return CheckResult(
         "amplitude-oracle-grid",
-        bool(worst <= AMPLITUDE_TOL),
-        f"worst deviation {worst:.3e} (tol {AMPLITUDE_TOL:g}) over {len(states)} states",
+        bool(dev <= AMPLITUDE_TOL),
+        f"worst deviation {dev:.3e} (tol {AMPLITUDE_TOL:g}) over {len(states)} states",
     )
 
 
@@ -106,14 +103,14 @@ def check_overlap_oracle() -> CheckResult:
     pairs = random_overlap_pairs()
     dims = [2 * max(sdfs_state(p).dim for p in pair) for pair in pairs]
     oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
-    worst_mod = 0.0
-    worst_phase = 0.0
+    mods, phases = [], [0.0]
     for (p1, p2), u, v in zip(pairs, oracles[::2], oracles[1::2]):
         reference = complex(np.vdot(u.amps, v.amps))  # equal windows per pair
         value = sdfs_overlap(p1, p2)
-        worst_mod = max(worst_mod, abs(abs(value) - abs(reference)))
+        mods.append(abs(abs(value) - abs(reference)))
         if abs(reference) > OVERLAP_PHASE_FLOOR:
-            worst_phase = max(worst_phase, abs(np.angle(value * np.conj(reference))))
+            phases.append(abs(np.angle(value * np.conj(reference))))
+    worst_mod, worst_phase = worst(mods), worst(phases)
     passed = worst_mod <= OVERLAP_MODULUS_TOL and worst_phase <= OVERLAP_PHASE_TOL
     return CheckResult(
         "overlap-oracle-pairs",
@@ -160,11 +157,11 @@ def _figure_run(variant: str) -> RunData:
 def check_conservation() -> CheckResult:
     """sum(|A_n|^2 + |B_n|^2) stays at 1 along the fig1 sweeps."""
     tol = TOLERANCES["conservation_residual"]
-    worst = max(_figure_run(variant).residuals["conservation_residual"] for variant in "abc")
+    dev = worst(_figure_run(variant).residuals["conservation_residual"] for variant in "abc")
     return CheckResult(
         "conservation-fig1",
-        bool(worst <= tol),
-        f"worst residual {worst:.3e} (tol {tol:g}) over 3 x 2000 points",
+        bool(dev <= tol),
+        f"worst residual {dev:.3e} (tol {tol:g}) over 3 x 2000 points",
     )
 
 
@@ -174,8 +171,7 @@ def check_entropy_suite() -> CheckResult:
     routes are held to the run's eigenvalue-sum tolerance."""
     tol = TOLERANCES["eigenvalue_sum_residual"]
     lo, hi = ENTROPY_RANGE
-    worst_eig = 0.0
-    worst_sum = 0.0
+    eig_devs, sum_devs = [], []
     issues: list[str] = []
     for variant in "abc":
         name, data = f"fig2{variant}", _figure_run(variant)
@@ -185,14 +181,11 @@ def check_entropy_suite() -> CheckResult:
             issues.append(f"{name}: S={entropy[i]} out of [0, ln 2] at t={ts[i]}")
         for i in np.nonzero((ts == 0.0) & (entropy > PURITY_TOL))[0]:
             issues.append(f"{name}: S(0) = {entropy[i]:.3e} > {PURITY_TOL:g}")
-        worst_sum = max(worst_sum, data.residuals["eigenvalue_sum_residual"])
+        sum_devs.append(data.residuals["eigenvalue_sum_residual"])
         gmat = np.stack([data.cc, data.cs, data.cs.conj(), data.ss], axis=-1).reshape(-1, 2, 2)
         lam = np.linalg.eigvalsh(gmat)
-        worst_eig = max(
-            worst_eig,
-            float(np.max(np.abs(lam_p - lam[:, 1]))),
-            float(np.max(np.abs(lam_m - lam[:, 0]))),
-        )
+        eig_devs += [np.abs(lam_p - lam[:, 1]), np.abs(lam_m - lam[:, 0])]
+    worst_eig, worst_sum = worst(eig_devs), worst(sum_devs)
     passed = not issues and worst_eig <= tol and worst_sum <= tol
     detail = (
         f"worst eigensolve dev {worst_eig:.3e}, worst eigenvalue-sum dev "
@@ -350,12 +343,12 @@ def check_q_structure() -> CheckResult:
     for variant, grid in zip("abc", grids):
         integral = float(np.sum(grid)) * cell
         integrals.append(integral)
-        if abs(integral - 1.0) > tol:
+        if not abs(integral - 1.0) <= tol:
             issues.append(f"fig5{variant}: integral {integral:.6f} off unit by > {tol:g}")
         count, centroid = _half_max_components(grid, axis)
         if variant == "a":
             offset = math.hypot(centroid[0] - 3.0, centroid[1])
-            if count < 1 or offset > CENTROID_TOL:
+            if count < 1 or not offset <= CENTROID_TOL:
                 issues.append(
                     f"fig5a: {count} component(s), centroid offset {offset:.3f} > {CENTROID_TOL:g}"
                 )
@@ -374,11 +367,11 @@ def check_trivial_limits() -> CheckResult:
     q = FockVector(np.array([1.0, 0.0]))
     ts = np.linspace(0.0, 10.0, 2000)
     w = atomic_inversion(*populations(*evolve(q, ts)))
-    worst_w = float(np.max(np.abs(w - np.cos(2.0 * ts))))
+    worst_w = worst([np.abs(w - np.cos(2.0 * ts))])
     probs = np.abs(sdfs_state(SdfsParams(alpha0=3.0)).amps) ** 2
     ns = np.arange(probs.size)
     poisson = np.exp(ns * math.log(9.0) - 9.0 - log_factorial(ns))
-    worst_p = float(np.max(np.abs(probs - poisson)))
+    worst_p = worst([np.abs(probs - poisson)])
     return CheckResult(
         "trivial-limits",
         bool(worst_w <= VACUUM_TOL and worst_p <= POISSON_TOL),

@@ -102,6 +102,27 @@ def test_evolve_refuses_an_overflowing_detuning_as_a_value_error(t):
         evolve(_state(SdfsParams(alpha0=1.0)), [t], 1e200)
 
 
+@pytest.mark.parametrize(
+    "ts, detuning, message",
+    [
+        ([1.0], math.nan, "detuning_ratio = nan"),
+        ([1.0], -math.inf, "detuning_ratio = -inf"),
+        ([0.0, math.nan], 0.0, "t = nan"),
+        ([-math.inf], 0.5, "t = inf"),
+    ],
+    ids=["nan-detuning", "inf-detuning", "nan-time", "inf-time"],
+)
+def test_evolve_refuses_a_non_finite_detuning_or_time_as_non_finite(ts, detuning, message):
+    # a NaN detuning was named too large, a NaN time as losing phase precision
+    with pytest.raises(ValueError, match=f"^{message} is not finite$"):
+        evolve(_state(SdfsParams(alpha0=1.0)), ts, detuning)
+
+
+def test_evolve_refuses_nan_amplitudes_as_not_normalized():
+    with pytest.raises(ValueError, match=r"not normalized \(\|norm\^2 - 1\| = nan\)"):
+        evolve(FockVector(np.array([math.nan, 0.0])), [1.0])
+
+
 def test_field_density_at_zero_time():
     q = _state(SdfsParams(alpha0=1.5, r=0.3, m=1))
     c, s = _at(q, 0.0)

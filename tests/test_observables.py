@@ -255,6 +255,9 @@ def test_entropy_rejects_invalid_gram():
         ([0.5, 0.5, 1.1], [0.5, 0.5, -0.1], [0j, 0j, 0j], "row 2: cc=1.1, ss=-0.1 outside [0, 1]"),
         ([0.5, 0.9], [0.5, 0.3], [0j, 0j], "row 1: trace cc + ss = 1.2"),
         ([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0j, 0.1j, 0.9], "row 2: |<C|S>|^2 exceeds"),
+        # a NaN <C|S> gave S = ln 2, as if <C|S> were 0
+        ([0.5, 0.5], [0.5, 0.5], [0j, complex(math.nan, 0.0)], "row 1: |<C|S>|^2 exceeds"),
+        ([0.5, 0.5], [0.5, 0.5], [0j, complex(0.0, math.nan)], "row 1: |<C|S>|^2 exceeds"),
     ]
     for cc, ss, cs, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):

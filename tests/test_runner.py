@@ -370,6 +370,29 @@ def test_writer_matches_savetxt_on_edge_values(tmp_path, t_points):
     _assert_writer_matches_savetxt(tmp_path, tables)
 
 
+def test_worst_is_the_largest_value_and_nan_if_any_is_nan():
+    assert runner.worst([0.5, np.array([0.25, 2.0]), np.float64(1.0)]) == 2.0
+    for values in ([1.0, math.nan], [math.nan, 1.0], [np.array([3.0, np.nan]), 4.0]):
+        assert math.isnan(runner.worst(values))  # max() keeps 1.0 for the first
+
+
+def test_a_nan_q_conservation_residual_fails_the_run(monkeypatch, tmp_path, small_q_window):
+    # merged with max(), the NaN conservation residual of the Q call was dropped
+    q_grids = runner.q_grids
+
+    def nan_conservation(*args):
+        axis, grids, conservation = q_grids(*args)
+        return axis, grids, np.full_like(conservation, np.nan)
+
+    monkeypatch.setattr(runner, "q_grids", nan_conservation)
+    for observables in (("inversion", "qfunc"), ("qfunc",)):
+        cfg = dataclasses.replace(_CFG, output_dir=str(tmp_path), observables=observables)
+        result = runner.run(cfg)
+        assert not result.ok
+        assert result.summary["status"] == "invariant-failure: conservation_residual"
+        assert math.isnan(result.summary["conservation_residual"])
+
+
 def test_writing_holds_no_more_than_a_block_beyond_compute(tmp_path):
     # 2**18 inversion rows: formatting every time key up front held 11.7 MB
     # more than `compute` at its peak; a block of keys and cells is ~1 MB

@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from sdfs_jcm import observables, selfcheck
+from sdfs_jcm import cli, observables, selfcheck
 from sdfs_jcm.config import parse_config
+from sdfs_jcm.fock import FockVector
 from sdfs_jcm.presets import figure_preset
 from sdfs_jcm.runner import Q_POINTS, compute
 from sdfs_jcm.selfcheck import (
@@ -155,3 +158,73 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
         expected = compute(figure_preset(f"fig5{variant}"))
         assert np.array_equal(axes[0], expected.q_axis)  # the x and the y axis
         assert np.array_equal(grid.view(np.int64), expected.qfunc.view(np.int64))
+
+
+def _nan_oracle_amplitude(monkeypatch):
+    build = selfcheck.build_sdfs_oracle
+
+    def built(states, dims):  # one amplitude of the 6th grid state
+        oracles = build(states, dims)
+        if len(states) == len(selfcheck.grid_params()):
+            amps = oracles[5].amps.copy()
+            amps[0] = np.nan
+            oracles[5] = FockVector(amps)
+        return oracles
+
+    monkeypatch.setattr(selfcheck, "build_sdfs_oracle", built)
+
+
+def _nan_third_overlap(monkeypatch):
+    overlap, calls = selfcheck.sdfs_overlap, itertools.count()
+    monkeypatch.setattr(
+        selfcheck, "sdfs_overlap",
+        lambda p1, p2: complex(math.nan, 0.0) if next(calls) == 2 else overlap(p1, p2),
+    )
+
+
+def _nan_residual_of_variant_b(key):
+    def inject(monkeypatch):
+        figure_run = selfcheck._figure_run
+
+        def run(variant):
+            data = figure_run(variant)
+            if variant != "b":
+                return data
+            return dataclasses.replace(data, residuals={**data.residuals, key: math.nan})
+
+        monkeypatch.setattr(selfcheck, "_figure_run", run)
+
+    return inject
+
+
+def _nan_q_cell_of_fig5c(monkeypatch):
+    q_grids = selfcheck.q_grids
+
+    def grids_with_a_nan(*args):
+        axis, grids, conservation = q_grids(*args)
+        grids[2, 100, 120] = np.nan
+        return axis, grids, conservation
+
+    monkeypatch.setattr(selfcheck, "q_grids", grids_with_a_nan)
+
+
+_NAN_INJECTIONS = {
+    "amplitude-oracle-grid": _nan_oracle_amplitude,
+    "overlap-oracle-pairs": _nan_third_overlap,
+    "conservation-fig1": _nan_residual_of_variant_b("conservation_residual"),
+    "entropy-fig2": _nan_residual_of_variant_b("eigenvalue_sum_residual"),
+    "q-structure": _nan_q_cell_of_fig5c,
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the NaN Q grid's centroid
+@pytest.mark.parametrize("line", list(_NAN_INJECTIONS))
+def test_a_nan_deviation_fails_its_check_line(monkeypatch, capsys, line):
+    # Python's max keeps whichever of a NaN and a number comes first, so each
+    # of these NaNs used to be dropped and its line printed PASS
+    _NAN_INJECTIONS[line](monkeypatch)
+    assert cli.main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [text for text in lines if text.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL  {line}: "), lines
+    assert "nan" in failed[0]
