@@ -40,10 +40,11 @@ class RunConfig:
     the run-level domain constraints, naming the offending key.
 
     The state's own constraints (r >= 0, m >= 0) hold by construction of
-    SdfsParams; `parse_config` reports them with their line numbers. The
-    time axis (always built) times its widest selected row may hold at
-    most OUTPUT_CAP values. The phase kernel (ETA_POINTS rows of up to
-    DIM_CAP + 1 values) and the 201 x 201 Q grid are fixed sizes below it.
+    SdfsParams; `parse_config` reports them with their line numbers.
+    t_points times the widest selected row (1 for qfunc alone, which
+    builds no time axis) may be at most OUTPUT_CAP values. The phase
+    kernel (ETA_POINTS rows of up to DIM_CAP + 1 values) and the
+    201 x 201 Q grid are fixed sizes below it.
     """
 
     state: SdfsParams = field(default_factory=SdfsParams)

@@ -100,10 +100,11 @@ def worst(values) -> float:
 @dataclass(frozen=True, eq=False)
 class RunData:
     """The arrays `compute` derives from a RunConfig; an observable that
-    was not selected is None. Rows follow ts."""
+    was not selected is None, and so is ts without a time series. Rows
+    follow ts."""
 
     n_max: int
-    ts: np.ndarray
+    ts: np.ndarray | None
     residuals: dict
     inversion: np.ndarray | None = None
     cc: np.ndarray | None = None
@@ -412,9 +413,10 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
     q = sdfs_state(cfg.state)
     selected = set(cfg.observables)
     t_q = cfg.t_max_scaled if cfg.q_time_scaled is None else cfg.q_time_scaled
-    read = [cfg.t_max_scaled] * bool(selected & TIME_SERIES) + [t_q] * ("qfunc" in selected)
+    timed = bool(selected & TIME_SERIES)
+    read = [cfg.t_max_scaled] * timed + [t_q] * ("qfunc" in selected)
     evolve(q, read, cfg.detuning_ratio)
-    ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
+    ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points) if timed else None
     residuals = {"normalization_residual": abs(q.norm_sq() - 1.0)}
     kernel = phase_kernel(q.dim + 1) if "phase_dist" in selected else None  # C, S have dim + 1
     series: dict[str, np.ndarray] = {}
@@ -422,7 +424,7 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
     def fold(name: str, deviations: np.ndarray) -> None:  # residuals are >= 0
         residuals[name] = worst([residuals.get(name, 0.0), deviations])
 
-    if selected & TIME_SERIES:
+    if timed:
         step = max(1, BLOCK_ENTRIES // q.dim)
         for lo in range(0, ts.size, step):
             rows = slice(lo, lo + step)

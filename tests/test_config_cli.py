@@ -14,7 +14,9 @@ from sdfs_jcm.cli import main
 from sdfs_jcm.config import KNOWN_KEYS, OUTPUT_CAP, RunConfig, parse_config, parse_state
 from sdfs_jcm.fock import DIM_CAP
 from sdfs_jcm.observables import ETA_POINTS
-from sdfs_jcm.presets import figure_preset
+from sdfs_jcm.presets import (
+    FIGURE_RUNS, PRESET_NAMES, Q_RUN, Q_TIMES, REVIVAL_T, figure_preset,
+)
 from sdfs_jcm.runner import Q_POINTS, compute, run
 from sdfs_jcm.sdfs import SdfsParams
 
@@ -254,6 +256,26 @@ def test_preset_values():
         math.pi * math.sqrt(9.0 + math.sinh(1.0) ** 2)
     )
     assert fig5b.q_time_scaled == pytest.approx(10.12, abs=5e-3)
+
+
+def test_each_preset_is_its_declared_run_but_for_its_outputs():
+    # fig1x, fig2x and fig4x are three views of FIGURE_RUNS[x], and fig5x
+    # is Q_RUN at Q_TIMES[x]; fig3x is FIGURE_RUNS[x] at alpha0 = 0.5
+    for variant, m in zip("abc", range(3)):
+        assert FIGURE_RUNS[variant] == RunConfig(state=SdfsParams(alpha0=3.0, r=1.0, m=m))
+    assert Q_RUN == dataclasses.replace(FIGURE_RUNS["b"], t_max_scaled=REVIVAL_T, t_points=2)
+    observables = {"fig1": "inversion", "fig2": "entropy", "fig3": "photon_dist",
+                   "fig4": "phase_dist", "fig5": "qfunc"}
+    for name in PRESET_NAMES:
+        family, variant = name[:-1], name[-1]
+        run, q_time = FIGURE_RUNS[variant], None
+        if family == "fig3":
+            run = dataclasses.replace(run, state=dataclasses.replace(run.state, alpha0=0.5))
+        elif family == "fig5":
+            run, q_time = Q_RUN, Q_TIMES[variant]
+        assert figure_preset(name) == dataclasses.replace(
+            run, observables=(observables[family],), output_dir=name, q_time_scaled=q_time
+        )
 
 
 def test_unknown_preset_lists_names():

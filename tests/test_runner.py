@@ -411,6 +411,22 @@ def test_writing_holds_no_more_than_a_block_beyond_compute(tmp_path):
     assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
+def test_a_qfunc_run_builds_no_time_axis():
+    # qfunc reads only q_time_scaled; 2**24 times of the axis would be 128 MiB
+    cfg = RunConfig(
+        state=SdfsParams(alpha0=3.0, r=1.0, m=1), t_points=2**24, q_time_scaled=1.0,
+        observables=("qfunc",),
+    )
+    tracemalloc.start()
+    try:
+        data = compute(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.ts is None and data.qfunc.shape == (runner.Q_POINTS, runner.Q_POINTS)
+    assert peak < 32 * 2**20, peak
+
+
 def test_run_holds_one_block_of_the_wide_series_whatever_t_points(tmp_path):
     # gathered, 768 more times of P(n, t) and of the phase density hold 3.4 MB more
     peaks = []
