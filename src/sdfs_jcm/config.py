@@ -41,10 +41,10 @@ class RunConfig:
 
     The state's own constraints (r >= 0, m >= 0) hold by construction of
     SdfsParams; `parse_config` reports them with their line numbers.
-    t_points times the widest selected row (1 for qfunc alone, which
-    builds no time axis) may be at most OUTPUT_CAP values. The phase
-    kernel (ETA_POINTS rows of up to DIM_CAP + 1 values) and the
-    201 x 201 Q grid are fixed sizes below it.
+    t_points times the widest selected time-series row may be at most
+    OUTPUT_CAP values; qfunc alone builds no time axis, so its t_points
+    is not capped. The phase kernel (ETA_POINTS rows of up to DIM_CAP + 1
+    values) and the 201 x 201 Q grid are fixed sizes below it.
     """
 
     state: SdfsParams = field(default_factory=SdfsParams)
@@ -77,10 +77,8 @@ class RunConfig:
         repeated = [n for i, n in enumerate(self.observables) if n in self.observables[:i]]
         if repeated:
             raise _fail(f"key 'observables' lists {repeated[0]!r} more than once")
-        row, widest = max(
-            ((OUTPUTS[n][1], n) for n in self.observables if OUTPUTS[n][1]), default=(1, "ts")
-        )
-        if self.t_points * row > OUTPUT_CAP:
+        row, widest = max((OUTPUTS[n][1], n) for n in self.observables)
+        if row and self.t_points * row > OUTPUT_CAP:
             raise _fail(
                 f"key 't_points' = {self.t_points} with {widest} rows of {row} values "
                 f"exceeds the output cap of {OUTPUT_CAP} values"

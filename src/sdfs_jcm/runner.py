@@ -282,11 +282,11 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _keys(values: np.ndarray) -> np.ndarray:
-    """Each key formatted once, as `_format_cells` rows cut to the longest,
-    BLOCK_ENTRIES at a time; integers as floats, whose FLOAT_FMT is '%d'
-    below 10**17."""
-    blocks = range(0, len(values), BLOCK_ENTRIES)
-    cells = np.concatenate([_format_cells(values[lo : lo + BLOCK_ENTRIES]) for lo in blocks])
+    """Each key formatted once, as `_format_cells` rows cut to the longest;
+    integers as floats, whose FLOAT_FMT is '%d' below 10**17. `run` passes no
+    more than BLOCK_ENTRIES: one time block's rows, the photon numbers, the
+    angles or the Q axis."""
+    cells = _format_cells(values)
     return cells[:, : int(np.max(np.sum(cells != 0, axis=1)))]
 
 

@@ -100,7 +100,6 @@ def test_bad_observable_rejected():
     "doc",
     [
         "t_points = 10000000000\n",
-        "t_points = 10000000000\nobservables = qfunc\n",  # the time axis is always built
         "t_points = 134217729\nobservables = inversion\n",
         "t_points = 44739243\nobservables = entropy\n",
         "t_points = 261633\nobservables = photon_dist\n",
@@ -118,7 +117,6 @@ def test_time_series_beyond_the_output_cap_are_refused(doc):
         ("inversion", "inversion rows of 1 values"),
         ("entropy,inversion", "entropy rows of 3 values"),
         ("photon_dist,qfunc", f"photon_dist rows of {DIM_CAP + 1} values"),
-        ("qfunc", "ts rows of 1 values"),  # the time axis alone
     ],
 )
 def test_the_output_cap_message_names_the_widest_selected_row(observables, widest):
@@ -128,6 +126,12 @@ def test_the_output_cap_message_names_the_widest_selected_row(observables, wides
         f"config error: key 't_points' = {10**9} with {widest} exceeds the output cap "
         f"of {OUTPUT_CAP} values"
     )
+
+
+def test_a_qfunc_only_config_is_not_held_to_the_output_cap():
+    # qfunc alone builds no time axis, so t_points sizes no output
+    assert RunConfig(observables=("qfunc",), t_points=OUTPUT_CAP + 1).t_points == OUTPUT_CAP + 1
+    assert parse_config("t_points = 10000000000\nobservables = qfunc\n").t_points == 10**10
 
 
 def test_time_series_at_the_output_cap_are_accepted():
@@ -493,6 +497,14 @@ def test_cli_preset_out_dir(tmp_path):
     assert (target / "inversion.csv").exists()
 
 
+# No verb loads scipy, nor numpy.random or numpy.ma, which numpy leaves unloaded
+_ASSERT_UNLOADED = (
+    "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy'\n"
+    "          or name.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma'])]\n"
+    "assert not loaded, loaded\n"
+)
+
+
 def test_run_preset_and_overlap_import_no_scipy(tmp_path):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(f"alpha0_re = 3\nt_points = 4\noutput_dir = {tmp_path / 'run'}\n")
@@ -507,8 +519,7 @@ def test_run_preset_and_overlap_import_no_scipy(tmp_path):
         f"for argv in {verbs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
-        "assert not loaded, loaded\n"
+        + _ASSERT_UNLOADED
     )
     src = str(Path(sdfs_jcm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -522,8 +533,7 @@ def test_check_imports_no_scipy():
         "from sdfs_jcm import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['check']) == 0\n"
-        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
-        "assert not loaded, loaded\n"
+        + _ASSERT_UNLOADED
     )
     src = str(Path(sdfs_jcm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

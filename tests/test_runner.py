@@ -477,7 +477,7 @@ def test_compute_hands_the_wide_series_to_its_sink(small_q_window):
 
 def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch, small_q_window):
     # the scratch of `_format_cells` grows with its input, so a call never
-    # gets more than one block of lines (and their keys) to format
+    # gets more than one block of lines to format, nor a set of keys larger
     sizes = []
     format_cells = runner._format_cells
 
@@ -486,9 +486,7 @@ def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch, s
         return format_cells(values)
 
     monkeypatch.setattr(runner, "_format_cells", recording)
-    monkeypatch.setattr(runner, "BLOCK_ENTRIES", 100)
-    # 120 times fill a block of time keys; the 512 angles span several
-    cfg = dataclasses.replace(_CFG, t_points=120, output_dir=str(tmp_path))
-    result = runner.run(cfg)
-    assert result.ok and max(sizes) == 100
-    assert sum(sizes) > 20 * 100
+    # the 250 times of 512 angles span 32 blocks of lines
+    result = runner.run(dataclasses.replace(_CFG, output_dir=str(tmp_path)))
+    assert result.ok and max(sizes) == runner.BLOCK_ENTRIES
+    assert sum(sizes) > 20 * runner.BLOCK_ENTRIES

@@ -9,8 +9,9 @@ from scipy import ndimage
 from sdfs_jcm import cli, observables, selfcheck
 from sdfs_jcm.config import parse_config
 from sdfs_jcm.fock import FockVector
-from sdfs_jcm.presets import figure_preset
+from sdfs_jcm.presets import REVIVAL_T, figure_preset
 from sdfs_jcm.runner import Q_POINTS, compute
+from sdfs_jcm.sdfs import SdfsParams
 from sdfs_jcm.selfcheck import (
     _count_components,
     _half_max_components,
@@ -143,6 +144,58 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
         assert np.array_equal(grid.view(np.int64), expected.qfunc.view(np.int64))
 
 
+def _drawn_overlap_pairs():
+    """The 20 pairs as `random_overlap_pairs` once drew them, from seed 42:
+    alpha uniform on [-3, 3]^2 until |alpha| <= 3, then r, phi and m."""
+    rng = np.random.default_rng(42)
+
+    def draw():
+        alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        while abs(alpha) > 3:
+            alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        return SdfsParams(
+            alpha0=alpha,
+            r=rng.uniform(0, 1.2),
+            phi=rng.uniform(0, 2 * math.pi),
+            m=int(rng.integers(0, 4)),
+        )
+
+    return [(draw(), draw()) for _ in range(20)]
+
+
+def _field_bits(p):
+    return [(f.name, type(v := getattr(p, f.name)), np.array([v]).tobytes())
+            for f in dataclasses.fields(p)]
+
+
+def test_the_overlap_pairs_are_the_seed_42_draws_bit_for_bit():
+    table, drawn = selfcheck.random_overlap_pairs(), _drawn_overlap_pairs()
+    assert [[_field_bits(p) for p in pair] for pair in table] == [
+        [_field_bits(p) for p in pair] for pair in drawn
+    ]
+
+
+def _entropy_windows():
+    """The fig2 entropy over the baseline window of `check_entropy_minima`."""
+    for variant in "abc":
+        data = compute(figure_preset(f"fig2{variant}"))
+        yield data.entropy[(data.ts >= 0.2 * REVIVAL_T) & (data.ts <= 0.8 * REVIVAL_T), 0]
+
+
+def test_the_entropy_baseline_is_np_median_bit_for_bit():
+    rng = np.random.default_rng(8)
+    windows = [*_entropy_windows(), *(rng.normal(size=n) for n in (1, 2, 7, 8, 999, 1000))]
+    windows.append(rng.integers(0, 4, size=12).astype(float))  # ties
+    assert min(map(len, windows[:3])) == 971
+    for values in windows:
+        got, expected = selfcheck._median(values), np.median(values)
+        assert type(got) is type(expected) and got.tobytes() == expected.tobytes()
+        for i in {0, len(values) // 2, len(values) - 1}:
+            with_nan = values.copy()
+            with_nan[i] = np.nan
+            assert np.isnan(selfcheck._median(with_nan)) and np.isnan(np.median(with_nan))
+
+
 def _nan_oracle_amplitude(monkeypatch):
     build = selfcheck.build_sdfs_oracle
 
@@ -180,6 +233,17 @@ def _nan_residual_of_variant_b(key):
     return inject
 
 
+def _nan_in_the_entropy_baseline_window(monkeypatch):
+    median = selfcheck._median
+
+    def median_with_a_nan(values):
+        values = values.copy()
+        values[values.size // 3] = np.nan
+        return median(values)
+
+    monkeypatch.setattr(selfcheck, "_median", median_with_a_nan)
+
+
 def _nan_q_cell_of_fig5c(monkeypatch):
     q_grids = selfcheck.q_grids
 
@@ -196,6 +260,7 @@ _NAN_INJECTIONS = {
     "overlap-oracle-pairs": _nan_third_overlap,
     "conservation-fig1": _nan_residual_of_variant_b("conservation_residual"),
     "entropy-fig2": _nan_residual_of_variant_b("eigenvalue_sum_residual"),
+    "entropy-minima": _nan_in_the_entropy_baseline_window,
     "q-structure": _nan_q_cell_of_fig5c,
 }
 
