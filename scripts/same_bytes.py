@@ -7,7 +7,8 @@ src/ (by `git archive`) and of the working tree, one process per tree. Every `ch
 of a process must print the same stdout and exit code as its first: no state left by
 earlier work may change a digit. Compares every output file, each run_summary.txt
 without its `*_s` timer lines, and the `check` and `overlap` stdout and exit code,
-byte for byte. Prints one JSON line; exits 1 if any file differs or any job fails."""
+byte for byte. Prints one JSON line, which names the lines that differ in each text
+output; exits 1 if any file differs or any job fails."""
 
 import argparse
 import filecmp
@@ -28,6 +29,7 @@ QFUNC_TIMES = "t_max_scaled = 12\nt_points = 2\nq_time_scaled = 7.5\nobservables
 OVERLAP_PAIRS = [("alpha0_re=1,m=1100", "alpha0_re=1.01,m=1100"),
                  ("alpha0_re=0.5,r=0.01,m=1024", "alpha0_re=0.5,r=0.011,m=1024")]
 CHECK_CALLS = 20
+SHOWN_LINES = 5  # per tree and differing text output, in the JSON line
 # One tree's jobs, run in its output root: argv[1] is its src/, argv[2] the jobs.
 CHILD = """
 import contextlib, io, json, os, pathlib, sys
@@ -98,14 +100,41 @@ def overlap_pairs() -> list[tuple[str, str]]:
     return [(items(p1), items(p2)) for p1, p2 in random_overlap_pairs()] + OVERLAP_PAIRS
 
 
+def untimed_lines(path: Path) -> list[bytes]:
+    """The lines of a file with their endings; of run_summary.txt, all but its
+    timers, whose keys end in '_s'."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    if path.name != "run_summary.txt":
+        return lines
+    return [line for line in lines if not line.split(b" = ")[0].endswith(b"_s")]
+
+
 def same(a: Path, b: Path) -> bool:
     """Whether files a and b hold the same bytes; for run_summary.txt, the same
-    lines but its timers, whose keys end in '_s'."""
+    lines but its timers."""
     if a.name != "run_summary.txt":
         return filecmp.cmp(a, b, shallow=False)
-    untimed = [[line for line in path.read_bytes().splitlines(keepends=True)
-                if not line.split(b" = ")[0].endswith(b"_s")] for path in (a, b)]
-    return untimed[0] == untimed[1]
+    return untimed_lines(a) == untimed_lines(b)
+
+
+def changed_lines(root: Path, differ: list[str]) -> dict:
+    """For each text output of differ present in both trees of root (a
+    run_summary.txt or a `check` or `overlap` stdout; no CSV), the lines found
+    only in base and only in head, at most SHOWN_LINES of each."""
+    found = {}
+    for name in differ:
+        paths = [root / tree / name for tree in ("base", "head")]
+        if name.endswith(".txt") and all(path.is_file() for path in paths):
+            base, head = (untimed_lines(path) for path in paths)
+            found[name] = {"base": _only(base, head), "head": _only(head, base)}
+    return found
+
+
+def _only(lines: list[bytes], other: list[bytes]) -> list[str]:
+    """The first SHOWN_LINES of lines that other does not hold, as text."""
+    other = set(other)
+    only = [line.decode(errors="replace").rstrip("\n") for line in lines if line not in other]
+    return only[:SHOWN_LINES]
 
 
 def compare(base_src: Path, head_src: Path, jobs: list, root: Path) -> tuple[int, list[str]]:
@@ -130,7 +159,8 @@ def main() -> int:
         sha = extract_src(parser.parse_args().base, Path(tmp))
         repeats = [("check", ["check"])] * (CHECK_CALLS - 1)
         count, differ = compare(Path(tmp, "src"), REPO / "src", jobs(Path(tmp)) + repeats, Path(tmp))
-    print(json.dumps({"base": sha, "files": count, "differ": differ}))
+        lines = changed_lines(Path(tmp), differ)
+    print(json.dumps({"base": sha, "files": count, "differ": differ, "lines": lines}))
     return 1 if differ else 0
 
 

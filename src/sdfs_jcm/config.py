@@ -11,6 +11,7 @@ program's own (`observables.ETAS`, `runner.compute`), not keys.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .fock import DIM_CAP
@@ -62,6 +63,8 @@ class RunConfig:
                 raise _fail(f"key {key!r} must be finite, got {value!r}")
         if self.t_max_scaled <= 0:
             raise _fail("key 't_max_scaled' must be > 0")
+        if not isinstance(self.t_points, numbers.Integral):
+            raise _fail(f"key 't_points' must be an integer, got {self.t_points!r}")
         if self.t_points < 2:
             raise _fail("key 't_points' must be >= 2")
         if self.q_time_scaled is not None and self.q_time_scaled < 0:

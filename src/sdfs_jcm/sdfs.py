@@ -143,7 +143,7 @@ class SdfsParams:
             abs(2.0 * self.alpha0) ** 2
         except OverflowError:
             raise ValueError(f"displacement {self.alpha0:g} overflows |2 alpha0|^2") from None
-        if self.m != int(self.m) or self.m < 0:
+        if not (0 <= self.m < math.inf and self.m == int(self.m)):  # nan, inf fail before int()
             raise ValueError("seed Fock number m must be a nonnegative integer")
         object.__setattr__(self, "alpha0", complex(self.alpha0))
         object.__setattr__(self, "r", float(self.r))

@@ -435,6 +435,9 @@ def test_an_observable_listed_twice_is_refused(tmp_path, capsys):
 def test_run_config_checks_its_own_domain():
     with pytest.raises(ValueError, match="key 't_points' must be >= 2"):
         RunConfig(t_points=1)
+    for t_points in (2.0, 2.5):  # np.linspace would raise TypeError on the float
+        with pytest.raises(ValueError, match="key 't_points' must be an integer"):
+            RunConfig(t_points=t_points)
     with pytest.raises(ValueError, match="key 'observables' has unknown entries"):
         dataclasses.replace(RunConfig(), observables=("wigner",))
 

@@ -57,10 +57,18 @@ def test_a_detuning_sign_flip_changes_the_detuned_csvs_only(same_bytes, subset, 
 def test_a_changed_summary_line_is_reported(same_bytes, subset, tmp_path):
     # the timers differ between any two runs and are skipped; the other lines are not
     mutant = _mutant(tmp_path, "runner.py", '"dim": data.n_max + 1', '"dim": data.n_max + 2')
-    assert same_bytes.compare(mutant, REPO / "src", subset, tmp_path) == (
+    count, differ = same_bytes.compare(mutant, REPO / "src", subset, tmp_path)
+    assert (count, differ) == (
         7,
         ["presets/fig1a/run_summary.txt", "sweep/seed0-cfg000/run_summary.txt"],
     )
+    # each summary names its one changed line; a CSV would be named by path only
+    dims = {}
+    for name in differ:
+        (line,) = [line for line in (tmp_path / "head" / name).read_text().splitlines()
+                   if line.startswith("dim = ")]
+        dims[name] = {"base": [f"dim = {int(line[6:]) + 1}"], "head": [line]}
+    assert same_bytes.changed_lines(tmp_path, differ + ["presets/fig1a/inversion.csv"]) == dims
 
 
 @pytest.mark.parametrize("printed, fails", [("'same'", False), ("len(calls)", True)])

@@ -23,8 +23,9 @@ SINH1_SQ = math.sinh(1.0) ** 2
 def test_params_validation():
     with pytest.raises(ValueError):
         SdfsParams(r=-0.5)
-    with pytest.raises(ValueError):
-        SdfsParams(m=-1)
+    for m in (-1, 1.5, math.inf, -math.inf, math.nan):  # int() raises on inf and nan
+        with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+            SdfsParams(m=m)
     p = SdfsParams(phi=7.0)
     assert 0.0 <= p.phi < 2 * math.pi
     assert p.mu**2 - abs(p.nu) ** 2 == pytest.approx(1.0, abs=1e-14)

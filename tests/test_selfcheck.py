@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from sdfs_jcm import cli, observables, selfcheck
+from sdfs_jcm import cli, observables, runner, selfcheck
 from sdfs_jcm.config import parse_config
 from sdfs_jcm.fock import FockVector
 from sdfs_jcm.presets import REVIVAL_T, figure_preset
@@ -85,17 +85,29 @@ def test_run_all_computes_each_figure_variant_once(monkeypatch):
     monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
     assert all(res.passed for res in run_all())
     assert held == [{}]  # the figure runs are gone before the Q grids are built
-    assert runs["a"].phase_dist is None  # the sink drops its phase rows
-    assert "phase_integral_residual" in runs["a"].residuals
-    # fig1x, fig2x and fig4x share one run per variant x: 9 computes without that;
-    # the fourth is the two-point fig4a run whose row 0 is the phase density at t = 0
-    t_points = figure_preset("fig4a").t_points
+    # fig1x and fig2x share one run per variant x: 6 computes without that; the
+    # fourth is the two-point fig4a run, whose row 0 is the phase density at t = 0
+    # and whose residual is the phase integral
     assert [(cfg.state.m, cfg.observables, cfg.t_points) for cfg in configs] == [
-        (0, ("inversion", "entropy", "phase_dist"), t_points),
-        (1, ("inversion", "entropy"), t_points),
-        (2, ("inversion", "entropy"), t_points),
+        (0, ("inversion", "entropy"), 2000),
+        (1, ("inversion", "entropy"), 2000),
+        (2, ("inversion", "entropy"), 2000),
         (0, ("phase_dist",), 2),
     ]
+    assert all(cfg.t_points <= 2 for cfg in configs if "phase_dist" in cfg.observables)
+
+
+def test_a_scaled_phase_density_fails_its_run_and_check(tmp_path, capsys, monkeypatch):
+    # the phase integral is the norm, so its bound is NORM_TOL: a scale error of
+    # 3e-7 in the density fails it, which a bound of 1e-6 would let pass
+    density = runner.phase_distribution
+    monkeypatch.setattr(runner, "phase_distribution",
+                        lambda *args: density(*args) * (1.0 + 3e-7))
+    assert cli.main(["preset", "fig4a", "--out", str(tmp_path / "fig4a")]) == 1
+    assert "status = invariant-failure: phase_integral_residual\n" in capsys.readouterr().out
+    assert cli.main(["check"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == ["FAIL  phase-distribution"]
 
 
 def test_a_run_reader_after_the_q_check_computes_its_run_afresh(monkeypatch):
