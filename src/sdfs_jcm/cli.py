@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
             return _report_run(run(cfg))
         if args.verb == "preset":
             cfg = figure_preset(args.name)
-            if args.out:
+            if args.out is not None:
                 cfg = dataclasses.replace(cfg, output_dir=args.out)
             return _report_run(run(cfg))
         if args.verb == "check":

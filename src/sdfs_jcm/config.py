@@ -28,9 +28,10 @@ OUTPUTS = {
     "qfunc": ("x,y,Q", 0),
 }
 OBSERVABLE_NAMES = tuple(OUTPUTS)
-# Most values one output may hold. It bounds the size of a CSV and the arrays
-# that library `compute` gathers (2**27 float64 values are 1 GiB); `run` holds
-# only one time block of P(n, t) and of the phase density, which it streams.
+# Most values one output may hold. It bounds the size of a CSV and of each output
+# array that library `compute` gathers (2**27 float64 values are 1 GiB); `run`
+# holds only one time block of P(n, t) and of the phase density, which it streams,
+# but the whole of inversion and entropy, so its peak still grows with t_points.
 # The presets peak near 1.03e6 (2000 times of P(n, t) rows of DIM_CAP + 1 values).
 OUTPUT_CAP = 2**27
 
@@ -61,6 +62,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise _fail(f"key {key!r} must be finite, got {value!r}")
+        if not self.output_dir:  # Path("") is the working directory
+            raise _fail("key 'output_dir' must not be empty")
         if self.t_max_scaled <= 0:
             raise _fail("key 't_max_scaled' must be > 0")
         if not isinstance(self.t_points, numbers.Integral):

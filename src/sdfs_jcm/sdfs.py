@@ -81,14 +81,14 @@ _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.9365034045
 
 
 def _lgam(k: int) -> float:
-    """ln k! by Cephes lgam(x), x = k + 1, in its operation order and with
-    math.log (glibc's log; np.log rounds differently at some integers)."""
+    """ln k! by Cephes lgam(x), x = k + 1, in the operation order of each of its
+    terms and with math.log (glibc's log; np.log rounds differently at some
+    integers). Past x = 1e8, where Cephes returns q alone, the x >= 1000 term
+    is below half an ulp of q, so q plus it is q."""
     x = k + 1.0
     if x < 13.0:
         return math.log(math.factorial(k))  # k! <= 11! is exact in a double
     q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1e8:
-        return q
     p = 1.0 / (x * x)
     if x >= 1000.0:
         return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p

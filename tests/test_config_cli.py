@@ -440,6 +440,8 @@ def test_run_config_checks_its_own_domain():
             RunConfig(t_points=t_points)
     with pytest.raises(ValueError, match="key 'observables' has unknown entries"):
         dataclasses.replace(RunConfig(), observables=("wigner",))
+    with pytest.raises(ValueError, match="key 'output_dir' must not be empty"):
+        RunConfig(output_dir="")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -498,6 +500,14 @@ def test_cli_preset_out_dir(tmp_path):
     target = tmp_path / "custom"
     assert main(["preset", "fig1a", "--out", str(target)]) == 0
     assert (target / "inversion.csv").exists()
+
+
+def test_cli_refuses_an_empty_preset_out_dir(tmp_path, monkeypatch, capsys):
+    # Path("") is the working directory; an empty --out must not fall back to the preset name
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "fig1a", "--out", ""]) == 2
+    assert "key 'output_dir' must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # No verb loads scipy, nor numpy.random or numpy.ma, which numpy leaves unloaded

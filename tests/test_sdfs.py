@@ -61,8 +61,9 @@ def test_log_factorial_is_gammaln_to_the_bit():
     _assert_same_bits(log_factorial(table), gammaln(table + 1.0))
     ks = np.arange(200_001)  # past the table: one by one, through every branch
     _assert_same_bits(log_factorial(ks), gammaln(ks + 1.0))
-    # the branch edges x = k + 1 at 13, 1000 and 1e8, as scalars and as an array
-    edges = [11, 12, 998, 999, 10**8 - 2, 10**8 - 1, 10**8]
+    # the branch edges x = k + 1 at 13 and 1000, Cephes's edge at 1e8, and far past
+    # it, where the series term is below half an ulp; as scalars and as an array
+    edges = [11, 12, 998, 999, 10**8 - 2, 10**8 - 1, 10**8, 10**9, 10**12, 2**53 - 1]
     _assert_same_bits([log_factorial(k) for k in edges], gammaln(np.array(edges) + 1.0))
     _assert_same_bits(log_factorial(np.array(edges)), gammaln(np.array(edges) + 1.0))
 

@@ -11,7 +11,7 @@ from sdfs_jcm.config import parse_config
 from sdfs_jcm.fock import FockVector
 from sdfs_jcm.presets import REVIVAL_T, figure_preset
 from sdfs_jcm.runner import Q_POINTS, compute
-from sdfs_jcm.sdfs import SdfsParams
+from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 from sdfs_jcm.selfcheck import (
     _count_components,
     _half_max_components,
@@ -156,35 +156,22 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
         assert np.array_equal(grid.view(np.int64), expected.qfunc.view(np.int64))
 
 
-def _drawn_overlap_pairs():
-    """The 20 pairs as `random_overlap_pairs` once drew them, from seed 42:
-    alpha uniform on [-3, 3]^2 until |alpha| <= 3, then r, phi and m."""
-    rng = np.random.default_rng(42)
-
-    def draw():
-        alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        while abs(alpha) > 3:
-            alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        return SdfsParams(
-            alpha0=alpha,
-            r=rng.uniform(0, 1.2),
-            phi=rng.uniform(0, 2 * math.pi),
-            m=int(rng.integers(0, 4)),
-        )
-
-    return [(draw(), draw()) for _ in range(20)]
-
-
-def _field_bits(p):
-    return [(f.name, type(v := getattr(p, f.name)), np.array([v]).tobytes())
-            for f in dataclasses.fields(p)]
-
-
-def test_the_overlap_pairs_are_the_seed_42_draws_bit_for_bit():
-    table, drawn = selfcheck.random_overlap_pairs(), _drawn_overlap_pairs()
-    assert [[_field_bits(p) for p in pair] for pair in table] == [
-        [_field_bits(p) for p in pair] for pair in drawn
-    ]
+def test_the_overlap_pairs_are_the_seed_42_stdlib_draws_in_the_stated_domain():
+    pairs = selfcheck.random_overlap_pairs()
+    states = [p for pair in pairs for p in pair]
+    # a change in CPython's random() sequence shows here
+    assert states[0] == SdfsParams(
+        alpha0=0.8365607907473027 - 2.8499354686639986j,
+        r=0.3300351820429431,
+        phi=1.402474430341393,
+        m=2,
+    )
+    assert len(states) == 40
+    for p in states:
+        assert abs(p.alpha0) <= 3 and 0 <= p.r < 1.2 and 0 <= p.phi < 2 * math.pi
+        assert p.m in range(4)
+        sdfs_state(p)  # raises on a refused state
+    assert selfcheck.random_overlap_pairs() == pairs
 
 
 def _entropy_windows():
