@@ -33,8 +33,6 @@ from .fock import NORM_TOL, ROUND_SLACK
 from .sdfs import SdfsParams, log_factorial
 
 _TWO_PI = 2.0 * math.pi
-# |<C|S>| at or below this leaves the split to |cc - ss| / 2 alone
-_CS_FLOOR = 1e-14
 # The phase density's angles: ETA_POINTS uniform on [-pi, pi), as in the paper's plots
 ETA_POINTS = 512
 ETAS = np.linspace(-math.pi, math.pi, ETA_POINTS, endpoint=False)
@@ -68,13 +66,12 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
     its Gram entries <C|C>, <S|S>, <C|S>; S_f = -sum lambda ln lambda (nats).
 
     lambda+- = (cc+ss)/2 +- hypot((cc-ss)/2, |cs|), the cancellation-free
-    hyperbolic-angle split, which is |cc-ss|/2 for |cs| <= _CS_FLOOR.
-    Eigenvalues are clamped to [0, 1] only within ROUND_SLACK, the slack
-    `sdfs_state` grants its norm^2. Entries outside [0, 1] by more, a trace
-    off 1 by > NORM_TOL, |cs|^2 > cc*ss + ROUND_SLACK or eigenvalues beyond
-    the slack raise ValueError naming the first such row. Only the hypot
-    of the split and the logarithms run element by element, in Python's
-    math: numpy's versions differ in the last bit.
+    hyperbolic-angle split. Eigenvalues are clamped to [0, 1] only within
+    ROUND_SLACK, the slack `sdfs_state` grants its norm^2. Entries outside
+    [0, 1] by more, a trace off 1 by > NORM_TOL, |cs|^2 > cc*ss + ROUND_SLACK
+    or eigenvalues beyond the slack raise ValueError naming the first such
+    row. Only the hypot of the split and the logarithms run element by
+    element, in Python's math: numpy's versions differ in the last bit.
     """
     acs = np.hypot(cs.real, cs.imag)  # bit for bit Python's abs(complex)
     _reject_first(
@@ -91,10 +88,7 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
         lambda i: f"|<C|S>|^2 exceeds <C|C><S|S> beyond {ROUND_SLACK:g}",
     )
 
-    half_gap = 0.5 * (cc - ss)
-    split = np.abs(half_gap)
-    wide = acs > _CS_FLOOR
-    split[wide] = list(map(math.hypot, half_gap[wide].tolist(), acs[wide].tolist()))
+    split = np.array(list(map(math.hypot, (0.5 * (cc - ss)).tolist(), acs.tolist())))
     rows = np.empty((len(cc), 3))
     lams = rows[:, 1:]
     lams[:, 0], lams[:, 1] = 0.5 * trace + split, 0.5 * trace - split

@@ -7,8 +7,9 @@ verifies a structural claim (collapse-revival timing, entropy dips,
 phase/Q peak structure). Checks of a run residual hold it to its
 `runner.TOLERANCES` entry; every other bound is a constant below. Each
 detail line prints the bound it was compared against. The checks of
-figures 1 and 2 read the run per variant that `presets` declares (`_figure_run`),
-the phase check a two-point run of variant a, the Q check figure 5's state and times.
+figures 1 and 2 take the runs of `figure_runs`, one per variant that `presets`
+declares; the phase check reads a two-point run of variant a, the Q check
+figure 5's state and times.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import dataclasses
 import itertools
 import math
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +50,9 @@ COLLAPSE_MAX = 0.1  # windowed |W| the collapse must fall below; reaches 0.001
 PEAK_FLOOR = 1e-6  # phase maxima below this fraction of the peak are tail ripple; top ripple 1.1e-10
 PEAK_ETA_TOL = 0.02  # rad, the t = 0 phase peak's offset from eta = 0; worst 0
 CENTROID_TOL = 0.5  # offset of the initial Q centroid from (3, 0); worst 4.8e-16
+INITIAL_Q_LOBES = 2  # half-maximum components of the initial Q, one each side of alpha0
 # |W - cos 2t| of the vacuum, |P(n) - Poisson| of the coherent state; worst 2.2e-16, 2.5e-16
 VACUUM_TOL, POISSON_TOL = 1e-12, 1e-10
-# variant -> run, set by `run_all` for its own calls (per thread and task)
-_figure_runs: ContextVar[dict[str, RunData] | None] = ContextVar("_figure_runs", default=None)
 
 
 @dataclass(frozen=True)
@@ -130,23 +129,18 @@ def check_overlap_oracle() -> CheckResult:
     )
 
 
-def _figure_run(variant: str) -> RunData:
-    """The inversion and entropy of the run `presets.FIGURE_RUNS[variant]` of
-    fig1 and fig2. Computed once within `run_all`, afresh for a check called
-    on its own."""
-    runs = _figure_runs.get()
-    if runs is not None and variant in runs:
-        return runs[variant]
-    data = compute(dataclasses.replace(FIGURE_RUNS[variant], observables=("inversion", "entropy")))
-    if runs is not None:
-        runs[variant] = data
-    return data
+def figure_runs() -> dict[str, RunData]:
+    """variant -> the inversion and entropy of `presets.FIGURE_RUNS[variant]`."""
+    return {
+        variant: compute(dataclasses.replace(cfg, observables=("inversion", "entropy")))
+        for variant, cfg in FIGURE_RUNS.items()
+    }
 
 
-def check_conservation() -> CheckResult:
+def check_conservation(runs: dict[str, RunData]) -> CheckResult:
     """sum(|A_n|^2 + |B_n|^2) stays at 1 along the fig1 sweeps."""
     tol = TOLERANCES["conservation_residual"]
-    dev = worst(_figure_run(variant).residuals["conservation_residual"] for variant in "abc")
+    dev = worst(data.residuals["conservation_residual"] for data in runs.values())
     return CheckResult(
         "conservation-fig1",
         bool(dev <= tol),
@@ -154,7 +148,7 @@ def check_conservation() -> CheckResult:
     )
 
 
-def check_entropy_suite() -> CheckResult:
+def check_entropy_suite(runs: dict[str, RunData]) -> CheckResult:
     """Entropy bounds, initial purity, eigenvalue sum, and the 2x2
     eigensolve cross-check along the fig2 sweeps; the eigenvalues of both
     routes are held to the run's eigenvalue-sum tolerance."""
@@ -162,14 +156,13 @@ def check_entropy_suite() -> CheckResult:
     lo, hi = ENTROPY_RANGE
     eig_devs, sum_devs = [], []
     issues: list[str] = []
-    for variant in "abc":
-        name, data = f"fig2{variant}", _figure_run(variant)
+    for variant, data in runs.items():
         ts = data.ts
         entropy, lam_p, lam_m = data.entropy.T
         for i in np.nonzero(~((entropy >= lo) & (entropy <= hi)))[0]:
-            issues.append(f"{name}: S={entropy[i]} out of [0, ln 2] at t={ts[i]}")
+            issues.append(f"fig2{variant}: S={entropy[i]} out of [0, ln 2] at t={ts[i]}")
         for i in np.nonzero((ts == 0.0) & (entropy > PURITY_TOL))[0]:
-            issues.append(f"{name}: S(0) = {entropy[i]:.3e} > {PURITY_TOL:g}")
+            issues.append(f"fig2{variant}: S(0) = {entropy[i]:.3e} > {PURITY_TOL:g}")
         sum_devs.append(data.residuals["eigenvalue_sum_residual"])
         gmat = np.stack([data.cc, data.cs, data.cs.conj(), data.ss], axis=-1).reshape(-1, 2, 2)
         lam = np.linalg.eigvalsh(gmat)
@@ -202,11 +195,11 @@ def local_maxima(values: np.ndarray) -> np.ndarray:
     return np.nonzero(flat & strict)[0] + 1
 
 
-def check_revival_structure() -> CheckResult:
+def check_revival_structure(runs: dict[str, RunData]) -> CheckResult:
     """Windowed |W| collapses below COLLAPSE_MAX, then peaks within NEAR
     of the revival-time estimate T_R (fig1a: alpha0 = 3, r = 1, m = 0,
     resonant)."""
-    data = _figure_run("a")
+    data = runs["a"]
     ts = data.ts
     smooth = sliding_abs_mean(ts, data.inversion, half_width=1.0)
     window = (ts >= (1.0 - NEAR) * REVIVAL_T) & (ts <= (1.0 + NEAR) * REVIVAL_T)
@@ -248,10 +241,10 @@ def _median(values: np.ndarray) -> np.float64:
     return np.mean(ordered[mid - 1 + ordered.size % 2 : mid + 1])
 
 
-def check_entropy_minima() -> CheckResult:
+def check_entropy_minima(runs: dict[str, RunData]) -> CheckResult:
     """Entropy dips within NEAR of T_R/2 and T_R sit below the mid-sweep
     median (fig2a parameters)."""
-    data = _figure_run("a")
+    data = runs["a"]
     ts = data.ts
     entropy = data.entropy[:, 0]
     baseline = _median(entropy[(ts >= 0.2 * REVIVAL_T) & (ts <= 0.8 * REVIVAL_T)])
@@ -328,17 +321,13 @@ def _half_max_components(grid: np.ndarray, axis: np.ndarray) -> tuple[int, tuple
 
 
 def check_q_structure() -> CheckResult:
-    """Half-maximum structure of the Q snapshots: one cluster centred
-    near (3, 0) initially, at least two at half the revival time, unit
-    grid integral throughout. Within `run_all` it first drops the figure
-    runs, which no later check reads, so none is held while the grids
-    are built."""
-    runs = _figure_runs.get()
-    if runs is not None:
-        runs.clear()
+    """Half-maximum structure of the Q snapshots: initially INITIAL_Q_LOBES
+    components whose centroid is near alpha0 = (3, 0), at least two at half
+    the revival time, unit grid integral throughout. The initial Q of the
+    squeezed one-photon state is |beta - alpha0|^2 times an anisotropic
+    Gaussian, so it vanishes at alpha0 and peaks on either side of it."""
     tol = TOLERANCES["q_integral_residual"]
-    issues = []
-    integrals = []
+    issues, integrals, counts = [], [], []
     p = Q_RUN.state
     axis, grids, _ = q_grids(p, sdfs_state(p), list(Q_TIMES.values()), Q_RUN.detuning_ratio)
     cell = np.square(axis[1] - axis[0])
@@ -348,18 +337,20 @@ def check_q_structure() -> CheckResult:
         if not abs(integral - 1.0) <= tol:
             issues.append(f"fig5{variant}: integral {integral:.6f} off unit by > {tol:g}")
         count, centroid = _half_max_components(grid, axis)
+        counts.append(count)
         if variant == "a":
             offset = math.hypot(centroid[0] - 3.0, centroid[1])
-            if count < 1 or not offset <= CENTROID_TOL:
+            if count != INITIAL_Q_LOBES or not offset <= CENTROID_TOL:
                 issues.append(
-                    f"fig5a: {count} component(s), centroid offset {offset:.3f} > {CENTROID_TOL:g}"
+                    f"fig5a: {count} component(s) (expected {INITIAL_Q_LOBES}), "
+                    f"centroid offset {offset:.3f} (tol {CENTROID_TOL:g})"
                 )
         if variant == "b" and count < 2:
             issues.append(f"fig5b: expected >= 2 components, found {count}")
     return CheckResult(
         "q-structure",
         not issues,
-        f"integrals {['%.6f' % v for v in integrals]}"
+        f"integrals {['%.6f' % v for v in integrals]}, components {counts}"
         + ("; " + "; ".join(issues) if issues else ""),
     )
 
@@ -382,24 +373,17 @@ def check_trivial_limits() -> CheckResult:
     )
 
 
-ALL_CHECKS = (
-    check_amplitude_oracle,
-    check_overlap_oracle,
-    check_conservation,
-    check_entropy_suite,
-    check_revival_structure,
-    check_entropy_minima,
-    check_phase_distribution,
-    check_q_structure,
-    check_trivial_limits,
-)
-
-
 def run_all() -> list[CheckResult]:
-    """ALL_CHECKS in order, each figure run computed once and held until
-    `check_q_structure` drops it."""
-    token = _figure_runs.set({})
-    try:
-        return [check() for check in ALL_CHECKS]
-    finally:
-        _figure_runs.reset(token)
+    """The nine checks in print order, the figure runs computed once."""
+    runs = figure_runs()
+    return [
+        check_amplitude_oracle(),
+        check_overlap_oracle(),
+        check_conservation(runs),
+        check_entropy_suite(runs),
+        check_revival_structure(runs),
+        check_entropy_minima(runs),
+        check_phase_distribution(),
+        check_q_structure(),
+        check_trivial_limits(),
+    ]

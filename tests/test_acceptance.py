@@ -13,7 +13,6 @@ import pytest
 from sdfs_jcm.presets import PRESET_NAMES, figure_preset
 from sdfs_jcm.runner import run
 from sdfs_jcm.selfcheck import (
-    ALL_CHECKS,
     check_amplitude_oracle,
     check_conservation,
     check_entropy_minima,
@@ -23,8 +22,13 @@ from sdfs_jcm.selfcheck import (
     check_q_structure,
     check_revival_structure,
     check_trivial_limits,
+    figure_runs,
     random_overlap_pairs,
 )
+
+@pytest.fixture(scope="module")
+def runs():
+    return figure_runs()
 
 
 def _report(num: int, name: str, passed: bool, detail: str):
@@ -49,23 +53,23 @@ def test_criterion_02_overlap_oracle_pairs():
     _report(2, "overlaps vs oracle inner products", result.passed, result.detail)
 
 
-def test_criterion_03_probability_conservation():
-    result = check_conservation()
+def test_criterion_03_probability_conservation(runs):
+    result = check_conservation(runs)
     _report(3, "probability conservation on fig1 sweeps", result.passed, result.detail)
 
 
-def test_criterion_04_entropy_bounds_and_eigensolve():
-    result = check_entropy_suite()
+def test_criterion_04_entropy_bounds_and_eigensolve(runs):
+    result = check_entropy_suite(runs)
     _report(4, "entropy bounds, purity and eigensolve", result.passed, result.detail)
 
 
-def test_criterion_05_revival_structure():
-    result = check_revival_structure()
+def test_criterion_05_revival_structure(runs):
+    result = check_revival_structure(runs)
     _report(5, "collapse-revival timing", result.passed, result.detail)
 
 
-def test_criterion_06_entropy_minima():
-    result = check_entropy_minima()
+def test_criterion_06_entropy_minima(runs):
+    result = check_entropy_minima(runs)
     _report(6, "entropy minima near T_R/2 and T_R", result.passed, result.detail)
 
 
@@ -105,5 +109,13 @@ def test_criterion_10_full_preset_suite(tmp_path):
 
 def test_checks_have_no_settable_bounds():
     # every bound lives in selfcheck or runner.TOLERANCES, not in a caller
-    for fn in (*ALL_CHECKS, random_overlap_pairs):
+    for fn in (check_amplitude_oracle, check_overlap_oracle, check_phase_distribution,
+               check_q_structure, check_trivial_limits, figure_runs, random_overlap_pairs):
         assert not inspect.signature(fn).parameters, fn.__name__
+    # the checks of figures 1 and 2 take the runs of `figure_runs` alone, with no default
+    for fn in (check_conservation, check_entropy_suite, check_revival_structure,
+               check_entropy_minima):
+        params = inspect.signature(fn).parameters.values()
+        assert [(p.name, p.default, p.annotation) for p in params] == [
+            ("runs", inspect.Parameter.empty, "dict[str, RunData]")
+        ], fn.__name__

@@ -129,9 +129,7 @@ def test_gram_rows_match_vdot():
 def _scalar_entropy(cc: float, ss: float, cs: complex) -> tuple[float, float, float]:
     """(S_f, lambda_plus, lambda_minus) of one row by the earlier scalar
     formula, the bit-for-bit reference of `entropy_rows`."""
-    acs = abs(cs)
-    half_gap = 0.5 * (cc - ss)
-    split = math.hypot(half_gap, acs) if acs > 1e-14 else abs(half_gap)
+    split = math.hypot(0.5 * (cc - ss), abs(cs))
     lam_p = min(max(0.5 * (cc + ss) + split, 0.0), 1.0)
     lam_m = min(max(0.5 * (cc + ss) - split, 0.0), 1.0)
     entropy = 0.0
@@ -222,13 +220,20 @@ def test_entropy_rows_match_scalar_entropy():
 
 
 def test_entropy_rows_match_scalar_on_edge_rows():
-    at_floor = 1e-14
-    above_floor = np.nextafter(1e-14, 1.0)
     _assert_rows_match_scalar(
         [1.0, 0.5, 0.5 + 1e-14, 0.5 + 1e-14, 0.3, 0.25, -1e-13, 1.0 + 1e-13],
         [0.0, 0.5, 0.5 - 1e-14, 0.5 - 1e-14, 0.7, 0.75, 1.0 + 1e-13, -1e-13],
-        [0j, 0j, at_floor, above_floor * 1j, 0j, 0.2 - 0.3j, 0j, 0j],
+        [0j, 0j, 1e-14, np.nextafter(1e-14, 1.0) * 1j, 0j, 0.2 - 0.3j, 0j, 0j],
     )
+
+
+def test_a_tiny_coupling_splits_the_eigenvalues_as_eigvalsh_does():
+    # hypot((cc - ss)/2, |cs|) on every row: a split taken as |cc - ss|/2
+    # wherever |cs| <= 1e-14 gave (0.5, 0.5) here
+    _, lam_p, lam_m = _entropy_one(0.5, 0.5, 1e-14 + 0j)
+    lam = np.linalg.eigvalsh(np.array([[0.5, 1e-14], [1e-14, 0.5]]))
+    assert (lam_p, lam_m) == (lam[1], lam[0])
+    assert lam_p - 0.5 == 0.5 - lam_m == 9.992007221626409e-15
 
 
 def test_entropy_rows_match_scalar_on_random_gram():

@@ -16,7 +16,6 @@ from sdfs_jcm.selfcheck import (
     _count_components,
     _half_max_components,
     check_amplitude_oracle,
-    check_entropy_suite,
     check_overlap_oracle,
     check_q_structure,
     run_all,
@@ -59,32 +58,36 @@ def test_component_count_edge_cases():
 def test_oracle_checks_print_the_same_after_other_work(tmp_path, sweep_workloads):
     before = [check_amplitude_oracle().detail, check_overlap_oracle().detail]
     suite = [(res.name, res.passed, res.detail) for res in run_all()]
-    assert selfcheck._figure_runs.get() is None  # no run outlives run_all
     compute(figure_preset("fig4a"))
     for state in sweep_workloads.sweep_states(0)[:2]:
         compute(parse_config(sweep_workloads.sweep_config_text(state, tmp_path)))
     assert [check_amplitude_oracle().detail, check_overlap_oracle().detail] == before
     assert [(res.name, res.passed, res.detail) for res in run_all()] == suite
-    assert selfcheck._figure_runs.get() is None
+
+
+def test_run_all_returns_the_nine_checks_in_print_order():
+    assert [res.name for res in run_all()] == [
+        "amplitude-oracle-grid",
+        "overlap-oracle-pairs",
+        "conservation-fig1",
+        "entropy-fig2",
+        "revival-structure",
+        "entropy-minima",
+        "phase-distribution",
+        "q-structure",
+        "trivial-limits",
+    ]
 
 
 def test_run_all_computes_each_figure_variant_once(monkeypatch):
-    configs, held, runs = [], [], {}
-    q_grids = selfcheck.q_grids
+    configs = []
 
     def counted_compute(cfg, sink=None):
         configs.append(cfg)
-        runs.update(selfcheck._figure_runs.get())
         return compute(cfg, sink)
 
-    def recorded_grids(*args):
-        held.append(dict(selfcheck._figure_runs.get()))
-        return q_grids(*args)
-
     monkeypatch.setattr(selfcheck, "compute", counted_compute)
-    monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
     assert all(res.passed for res in run_all())
-    assert held == [{}]  # the figure runs are gone before the Q grids are built
     # fig1x and fig2x share one run per variant x: 6 computes without that; the
     # fourth is the two-point fig4a run, whose row 0 is the phase density at t = 0
     # and whose residual is the phase integral
@@ -110,22 +113,26 @@ def test_a_scaled_phase_density_fails_its_run_and_check(tmp_path, capsys, monkey
     assert [line.split(":")[0] for line in failed] == ["FAIL  phase-distribution"]
 
 
-def test_a_run_reader_after_the_q_check_computes_its_run_afresh(monkeypatch):
-    configs = []
+@pytest.mark.parametrize("edit", [
+    # one lobe zeroed: the integral and the centroid fail too
+    lambda grid, x, y: np.where(y > 0.0, 0.0, grid),
+    # the one lobe of a coherent state at alpha0, unit mass and centred
+    # there: only the count shows it
+    lambda grid, x, y: np.exp(-np.square(x - 3.0) - np.square(y)) / math.pi,
+], ids=["one-lobe-zeroed", "coherent-lobe"])
+def test_an_initial_q_of_one_lobe_fails_the_q_check(monkeypatch, edit):
+    q_grids = selfcheck.q_grids
 
-    def counted_compute(cfg, sink=None):
-        configs.append(cfg.state.m)
-        return compute(cfg, sink)
+    def edited(*args):  # fig5a's grid replaced by edit(grid, x, y)
+        axis, grids, conservation = q_grids(*args)
+        grids[0] = edit(grids[0], axis[None, :], axis[:, None])
+        return axis, grids, conservation
 
-    monkeypatch.setattr(selfcheck, "compute", counted_compute)
-    checks = (check_entropy_suite, check_q_structure, selfcheck.check_conservation)
-    monkeypatch.setattr(selfcheck, "ALL_CHECKS", checks)
-    results = run_all()
-    assert [res.name for res in results] == ["entropy-fig2", "q-structure", "conservation-fig1"]
-    assert all(res.passed for res in results)
-    # the runs of entropy-fig2 are dropped by q-structure, so conservation-fig1 computes its own
-    assert configs == [0, 1, 2, 0, 1, 2]
-    assert selfcheck._figure_runs.get() is None
+    monkeypatch.setattr(selfcheck, "q_grids", edited)
+    result = check_q_structure()
+    assert not result.passed
+    assert "components [1, 4, 1]" in result.detail
+    assert "fig5a: 1 component(s) (expected 2)" in result.detail
 
 
 def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypatch):
@@ -144,7 +151,8 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
 
     monkeypatch.setattr(observables, "_coherent_bras", counted_bras)
     monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
-    assert check_q_structure().passed
+    result = check_q_structure()
+    assert result.passed and result.detail.endswith(", components [2, 4, 1]")
     # 3 * Q_POINTS with a grid per snapshot; the 57 rows y > 0 of the
     # window [-8, 8] whose negation is on the axis reuse the bras of -y
     assert len(rows) == Q_POINTS - 57 == 144
@@ -219,15 +227,15 @@ def _nan_third_overlap(monkeypatch):
 
 def _nan_residual_of_variant_b(key):
     def inject(monkeypatch):
-        figure_run = selfcheck._figure_run
+        figure_runs = selfcheck.figure_runs
 
-        def run(variant):
-            data = figure_run(variant)
-            if variant != "b":
-                return data
-            return dataclasses.replace(data, residuals={**data.residuals, key: math.nan})
+        def runs():
+            data = figure_runs()
+            b = data["b"]
+            data["b"] = dataclasses.replace(b, residuals={**b.residuals, key: math.nan})
+            return data
 
-        monkeypatch.setattr(selfcheck, "_figure_run", run)
+        monkeypatch.setattr(selfcheck, "figure_runs", runs)
 
     return inject
 
