@@ -5,7 +5,7 @@ atomic inversion, the field entropy and the phase distribution of the
 state alpha0 = 3, r = 1, phi = 0 with m = 0, 1, 2 for a/b/c, on
 resonance (`FIGURE_RUNS`). Figure 3 is the photon-number distribution
 of the weaker displacement alpha0 = 0.5. Figure 5 is three Husimi Q
-snapshots of one state, the m = 1 state of figure 1 (`Q_RUN`), at the
+snapshots of the m = 1 run of figure 1 (`FIGURE_RUNS["b"]`) at the
 scaled times `Q_TIMES`: 0, T_R/2 and T_R, where T_R is the revival-time
 estimate for alpha0 = 3, r = 1. A panel differs from the run of its
 variant only in its observables, its output_dir and, for figure 5, its
@@ -29,7 +29,6 @@ def _run(alpha0: float, m: int) -> RunConfig:
 
 
 FIGURE_RUNS = {variant: _run(3.0, m) for variant, m in _VARIANT_M.items()}
-Q_RUN = replace(FIGURE_RUNS["b"], t_max_scaled=REVIVAL_T, t_points=2)
 Q_TIMES = {"a": 0.0, "b": 0.5 * REVIVAL_T, "c": REVIVAL_T}
 
 # family -> its observables and the run of each variant
@@ -38,7 +37,7 @@ _FAMILIES = {
     "fig2": (("entropy",), FIGURE_RUNS),
     "fig3": (("photon_dist",), {v: _run(0.5, m) for v, m in _VARIANT_M.items()}),
     "fig4": (("phase_dist",), FIGURE_RUNS),
-    "fig5": (("qfunc",), {v: replace(Q_RUN, q_time_scaled=t) for v, t in Q_TIMES.items()}),
+    "fig5": (("qfunc",), {v: replace(FIGURE_RUNS["b"], q_time_scaled=t) for v, t in Q_TIMES.items()}),
 }
 
 PRESET_NAMES = tuple(f"{family}{variant}" for family in _FAMILIES for variant in "abc")

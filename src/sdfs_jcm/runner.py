@@ -395,15 +395,18 @@ def _q_half_width(p: SdfsParams) -> float:
 @_one_blas_thread()
 def q_grids(
     p: SdfsParams, q: FockVector, times: np.ndarray, detuning_ratio: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The axis of the Q window, Q_POINTS over [-h, h] with h =
-    `_q_half_width(p)` for both x and y; the (times, y, x) Q grids of
-    q = sdfs_state(p) at the scaled times over it; the conservation residuals.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The axis of the Q window, Q_POINTS over [-h, h] with h = `_q_half_width(p)`
+    for x and y; the (times, y, x) Q grids of q = sdfs_state(p) at the scaled times
+    over it; the conservation residuals; each grid's Riemann sum over the window.
     `evolve` refuses (ValueError) times whose phases would lose precision."""
     c, s = evolve(q, times, detuning_ratio)
     h = _q_half_width(p)
     axis = np.linspace(-h, h, Q_POINTS)
-    return axis, q_function_grid(c, s, axis, axis), conservation_residual(*populations(c, s))
+    grids = q_function_grid(c, s, axis, axis)
+    cell = np.square(axis[1] - axis[0])
+    integrals = [float(np.sum(grid)) * cell for grid in grids]
+    return axis, grids, conservation_residual(*populations(c, s)), integrals
 
 
 @_one_blas_thread()
@@ -464,10 +467,9 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
 
     q_axis = qfunc = None
     if "qfunc" in selected:
-        q_axis, (qfunc,), conservation = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
+        q_axis, (qfunc,), conservation, integrals = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
         fold("conservation_residual", conservation)
-        cell = np.square(q_axis[1] - q_axis[0])
-        residuals["q_integral_residual"] = abs(float(np.sum(qfunc)) * cell - 1.0)
+        residuals["q_integral_residual"] = abs(integrals[0] - 1.0)
 
     return RunData(q.dim - 1, ts, residuals, q_axis=q_axis, qfunc=qfunc, **series)
 
@@ -478,13 +480,14 @@ def run(cfg: RunConfig) -> RunResult:
     One writer begins each CSV at its first block: it is the sink of
     `compute`, which hands it P(n, t) and the phase density block by block,
     and then writes the other CSVs in one call each. If anything raises,
-    the summary write included, the CSVs begun are deleted, and so is
-    every directory of cfg.output_dir that `run` made.
+    the summary write included, every file that `run` opened is deleted,
+    and so is every directory of cfg.output_dir that it made.
     """
     started = time.perf_counter()
     out_dir = Path(cfg.output_dir)
     missing = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     begun: dict[str, tuple] = {}  # observable -> its open CSV, column keys
+    opened: list[Path] = []  # each CSV and the summary once this run has opened it
     write_s = 0.0
 
     def write(name: str, rows: np.ndarray, block: np.ndarray) -> None:
@@ -495,6 +498,7 @@ def run(cfg: RunConfig) -> RunResult:
             keys = _keys(cols[name]) if name in cols else None
             out_dir.mkdir(parents=True, exist_ok=True)
             begun[name] = open(out_dir / f"{name}.csv", "wb"), keys
+            opened.append(out_dir / f"{name}.csv")
             begun[name][0].write(OUTPUTS[name][0].encode() + b"\n")
         handle, keys = begun[name]
         _write_lines(handle, rows, block, keys, cols_first=name == "qfunc")
@@ -524,11 +528,12 @@ def run(cfg: RunConfig) -> RunResult:
             "status": "ok" if ok else "invariant-failure: " + ", ".join(failures),
         }
         with open(out_dir / "run_summary.txt", "w", newline="\n") as handle:
+            opened.append(out_dir / "run_summary.txt")
             for key, value in summary.items():
                 handle.write(f"{key} = {value}\n")
     except BaseException:
-        for name in begun:
-            (out_dir / f"{name}.csv").unlink(missing_ok=True)
+        for path in opened:
+            path.unlink(missing_ok=True)
         for path in missing:  # innermost first; one that is not empty stays
             with contextlib.suppress(OSError):
                 path.rmdir()

@@ -147,7 +147,8 @@ class SdfsParams:
             raise ValueError("seed Fock number m must be a nonnegative integer")
         object.__setattr__(self, "alpha0", complex(self.alpha0))
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
+        # a tiny negative phi reduces to 2 pi by rounding, which a second % makes 0
+        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI % _TWO_PI)
         object.__setattr__(self, "m", int(self.m))
 
     @property

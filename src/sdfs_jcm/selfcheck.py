@@ -9,7 +9,7 @@ phase/Q peak structure). Checks of a run residual hold it to its
 detail line prints the bound it was compared against. The checks of
 figures 1 and 2 take the runs of `figure_runs`, one per variant that `presets`
 declares; the phase check reads a two-point run of variant a, the Q check
-figure 5's state and times.
+the state of variant b at figure 5's times.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .dynamics import evolve, populations
 from .fock import FockVector, build_sdfs_oracle
 from .observables import ETAS, atomic_inversion
-from .presets import FIGURE_RUNS, Q_RUN, Q_TIMES, REVIVAL_T
+from .presets import FIGURE_RUNS, Q_TIMES, REVIVAL_T
 from .runner import TOLERANCES, RunData, compute, q_grids, worst
 from .sdfs import SdfsParams, log_factorial, sdfs_overlap, sdfs_state
 
@@ -36,7 +36,7 @@ AMPLITUDE_GRID = {
     "m": (0, 1, 2),
 }
 # Each bound names what it holds, and "worst" the value that `check` reaches today.
-AMPLITUDE_TOL = 1e-8  # |closed form - operator construction| per amplitude; worst 1.36e-14
+AMPLITUDE_TOL = 1e-8  # |closed form - operator construction| per amplitude; worst 1.39e-14
 # ||<u|v>| - |reference||, and the angle between them; worst 9.44e-16 and 9.28e-12 rad
 OVERLAP_MODULUS_TOL, OVERLAP_PHASE_TOL = 1e-7, 1e-6  # modulus, phase in rad
 OVERLAP_PHASE_FLOOR = 1e-8  # below this |<u|v>| the reference phase is undefined; least 8.9e-6
@@ -66,6 +66,7 @@ def grid_params() -> list[SdfsParams]:
     return [
         SdfsParams(alpha0=a, r=r, phi=phi, m=m)
         for a, r, phi, m in itertools.product(*AMPLITUDE_GRID.values())
+        if r > 0 or phi == 0.0  # at r = 0 phi enters neither the state nor its oracle
     ]
 
 
@@ -100,18 +101,21 @@ def random_overlap_pairs() -> list[tuple[SdfsParams, SdfsParams]]:
 
 
 def check_overlap_oracle() -> CheckResult:
-    """Closed-form overlaps vs oracle inner products on random pairs.
+    """Closed-form overlaps vs oracle inner products on random pairs, and
+    the closed-form amplitudes of each pair state vs its oracle vector.
 
     The phase comparison is skipped when the overlap modulus is below
     OVERLAP_PHASE_FLOOR; the modulus comparison always applies. Each
-    window is twice the larger truncated state of its pair, so the pair
-    states are built only to size it: twice the truncation floor would
-    be 1.1-4.8x smaller on these pairs, and in 15 of 20 below the state
-    itself, short of its squeezed tail.
+    window is twice the larger truncated state of its pair: twice the
+    truncation floor would be 1.1-4.8x smaller on these pairs, and in 15
+    of 20 below the state itself, short of its squeezed tail.
     """
     pairs = random_overlap_pairs()
-    dims = [2 * max(sdfs_state(p).dim for p in pair) for pair in pairs]
-    oracles = build_sdfs_oracle([p for pair in pairs for p in pair], np.repeat(dims, 2).tolist())
+    states = [p for pair in pairs for p in pair]
+    qs = [sdfs_state(p) for p in states]
+    dims = [2 * max(u.dim, v.dim) for u, v in zip(qs[::2], qs[1::2])]
+    oracles = build_sdfs_oracle(states, np.repeat(dims, 2).tolist())
+    amp_dev = worst(np.abs(q.amps - oracle.amps[: q.dim]) for q, oracle in zip(qs, oracles))
     mods, phases = [], [0.0]
     for (p1, p2), u, v in zip(pairs, oracles[::2], oracles[1::2]):
         reference = complex(np.vdot(u.amps, v.amps))  # equal windows per pair
@@ -120,12 +124,14 @@ def check_overlap_oracle() -> CheckResult:
         if abs(reference) > OVERLAP_PHASE_FLOOR:
             phases.append(abs(np.angle(value * np.conj(reference))))
     worst_mod, worst_phase = worst(mods), worst(phases)
-    passed = worst_mod <= OVERLAP_MODULUS_TOL and worst_phase <= OVERLAP_PHASE_TOL
+    passed = (worst_mod <= OVERLAP_MODULUS_TOL and worst_phase <= OVERLAP_PHASE_TOL
+              and amp_dev <= AMPLITUDE_TOL)
     return CheckResult(
         "overlap-oracle-pairs",
         bool(passed),
         f"worst modulus dev {worst_mod:.3e} (tol {OVERLAP_MODULUS_TOL:g}), "
-        f"worst phase dev {worst_phase:.3e} rad (tol {OVERLAP_PHASE_TOL:g})",
+        f"worst phase dev {worst_phase:.3e} rad (tol {OVERLAP_PHASE_TOL:g}), "
+        f"worst amplitude dev {amp_dev:.3e} (tol {AMPLITUDE_TOL:g})",
     )
 
 
@@ -325,15 +331,15 @@ def check_q_structure() -> CheckResult:
     components whose centroid is near alpha0 = (3, 0), at least two at half
     the revival time, unit grid integral throughout. The initial Q of the
     squeezed one-photon state is |beta - alpha0|^2 times an anisotropic
-    Gaussian, so it vanishes at alpha0 and peaks on either side of it."""
-    tol = TOLERANCES["q_integral_residual"]
-    issues, integrals, counts = [], [], []
-    p = Q_RUN.state
-    axis, grids, _ = q_grids(p, sdfs_state(p), list(Q_TIMES.values()), Q_RUN.detuning_ratio)
-    cell = np.square(axis[1] - axis[0])
-    for variant, grid in zip(Q_TIMES, grids):
-        integral = float(np.sum(grid)) * cell
-        integrals.append(integral)
+    Gaussian, so it vanishes at alpha0 and peaks on either side of it. The
+    conservation residuals of the three snapshots are held to their run bound."""
+    tol, norm_tol = TOLERANCES["q_integral_residual"], TOLERANCES["conservation_residual"]
+    issues, counts = [], []
+    p, detuning = FIGURE_RUNS["b"].state, FIGURE_RUNS["b"].detuning_ratio
+    axis, grids, conservation, integrals = q_grids(p, sdfs_state(p), list(Q_TIMES.values()), detuning)
+    if not (dev := worst([conservation])) <= norm_tol:
+        issues.append(f"worst conservation residual {dev:.3e} (tol {norm_tol:g})")
+    for variant, grid, integral in zip(Q_TIMES, grids, integrals):
         if not abs(integral - 1.0) <= tol:
             issues.append(f"fig5{variant}: integral {integral:.6f} off unit by > {tol:g}")
         count, centroid = _half_max_components(grid, axis)

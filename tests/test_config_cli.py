@@ -15,7 +15,7 @@ from sdfs_jcm.config import KNOWN_KEYS, OUTPUT_CAP, RunConfig, parse_config, par
 from sdfs_jcm.fock import DIM_CAP
 from sdfs_jcm.observables import ETA_POINTS
 from sdfs_jcm.presets import (
-    FIGURE_RUNS, PRESET_NAMES, Q_RUN, Q_TIMES, REVIVAL_T, figure_preset,
+    FIGURE_RUNS, PRESET_NAMES, Q_TIMES, figure_preset,
 )
 from sdfs_jcm.runner import Q_POINTS, compute, run
 from sdfs_jcm.sdfs import SdfsParams
@@ -264,10 +264,9 @@ def test_preset_values():
 
 def test_each_preset_is_its_declared_run_but_for_its_outputs():
     # fig1x, fig2x and fig4x are three views of FIGURE_RUNS[x], and fig5x
-    # is Q_RUN at Q_TIMES[x]; fig3x is FIGURE_RUNS[x] at alpha0 = 0.5
+    # is FIGURE_RUNS["b"] at Q_TIMES[x]; fig3x is FIGURE_RUNS[x] at alpha0 = 0.5
     for variant, m in zip("abc", range(3)):
         assert FIGURE_RUNS[variant] == RunConfig(state=SdfsParams(alpha0=3.0, r=1.0, m=m))
-    assert Q_RUN == dataclasses.replace(FIGURE_RUNS["b"], t_max_scaled=REVIVAL_T, t_points=2)
     observables = {"fig1": "inversion", "fig2": "entropy", "fig3": "photon_dist",
                    "fig4": "phase_dist", "fig5": "qfunc"}
     for name in PRESET_NAMES:
@@ -276,7 +275,7 @@ def test_each_preset_is_its_declared_run_but_for_its_outputs():
         if family == "fig3":
             run = dataclasses.replace(run, state=dataclasses.replace(run.state, alpha0=0.5))
         elif family == "fig5":
-            run, q_time = Q_RUN, Q_TIMES[variant]
+            run, q_time = FIGURE_RUNS["b"], Q_TIMES[variant]
         assert figure_preset(name) == dataclasses.replace(
             run, observables=(observables[family],), output_dir=name, q_time_scaled=q_time
         )

@@ -1,7 +1,9 @@
 import dataclasses
 import decimal
+import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,7 +167,7 @@ def test_compute_takes_its_q_grid_from_q_grids_on_one_blas_thread(monkeypatch, t
 
     monkeypatch.setattr(runner, "q_function_grid", watched)
     cfg = figure_preset("fig5b")
-    axis, (grid,), conservation = q_grids(
+    axis, (grid,), conservation, (integral,) = q_grids(
         cfg.state, sdfs_state(cfg.state), [cfg.q_time_scaled], cfg.detuning_ratio
     )
     libs = len(two_blas_threads)
@@ -176,6 +178,9 @@ def test_compute_takes_its_q_grid_from_q_grids_on_one_blas_thread(monkeypatch, t
     assert len(calls) == 1 and list(calls[0][2]) == [cfg.q_time_scaled]
     assert np.array_equal(data.q_axis, axis)
     assert np.array_equal(data.qfunc.view(np.int64), grid.view(np.int64))
+    # the Riemann sum over the window, formed in q_grids alone
+    assert integral == float(np.sum(grid)) * np.square(axis[1] - axis[0])
+    assert data.residuals["q_integral_residual"] == abs(integral - 1.0)
 
 
 def test_q_grids_refuses_a_time_whose_phases_lose_precision():
@@ -381,8 +386,8 @@ def test_a_nan_q_conservation_residual_fails_the_run(monkeypatch, tmp_path, smal
     q_grids = runner.q_grids
 
     def nan_conservation(*args):
-        axis, grids, conservation = q_grids(*args)
-        return axis, grids, np.full_like(conservation, np.nan)
+        axis, grids, conservation, integrals = q_grids(*args)
+        return axis, grids, np.full_like(conservation, np.nan), integrals
 
     monkeypatch.setattr(runner, "q_grids", nan_conservation)
     for observables in (("inversion", "qfunc"), ("qfunc",)):
@@ -391,6 +396,37 @@ def test_a_nan_q_conservation_residual_fails_the_run(monkeypatch, tmp_path, smal
         assert not result.ok
         assert result.summary["status"] == "invariant-failure: conservation_residual"
         assert math.isnan(result.summary["conservation_residual"])
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_a_failed_summary_write_leaves_no_summary_and_no_made_directory(
+    tmp_path, monkeypatch, exists
+):
+    out_dir = tmp_path / "new" / "run"
+    if exists:
+        out_dir.mkdir(parents=True)
+        (out_dir / "kept.txt").write_text("not the run's\n")
+
+    def summary_on_a_full_disk(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        if Path(path).name != "run_summary.txt":
+            return handle
+        handle.close()  # made on disk, but no write to it succeeds
+        return _FullDisk()
+
+    monkeypatch.setattr(runner, "open", summary_on_a_full_disk, raising=False)
+    cfg = RunConfig(SdfsParams(alpha0=1.0), t_points=4, output_dir=str(out_dir))
+    with pytest.raises(OSError, match="No space left on device"):
+        runner.run(cfg)
+    if exists:
+        assert [path.name for path in out_dir.iterdir()] == ["kept.txt"]
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_writing_holds_no_more_than_a_block_beyond_compute(tmp_path):

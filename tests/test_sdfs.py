@@ -31,6 +31,16 @@ def test_params_validation():
     assert p.mu**2 - abs(p.nu) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
+def test_phi_reduces_into_zero_to_two_pi_and_keeps_the_bits_already_there():
+    # x % 2 pi rounds a tiny negative x up to the modulus itself
+    for phi in (-1e-20, -1e-17, -1e-300, -5e-324):
+        assert SdfsParams(phi=phi).phi == 0.0
+    for phi in (0.0, 5e-324, 1.0, math.nextafter(2 * math.pi, 0.0)):
+        assert SdfsParams(phi=phi).phi == phi
+    for phi in (-1.0, 7.0, -2 * math.pi, 1e300, -1e300):
+        assert 0.0 <= SdfsParams(phi=phi).phi < 2 * math.pi
+
+
 def test_params_refuse_non_finite_values():
     for kwargs, name in (
         ({"alpha0": complex(math.nan, 1.0)}, "alpha0"),

@@ -121,14 +121,14 @@ def test_a_scaled_phase_density_fails_its_run_and_check(tmp_path, capsys, monkey
     lambda grid, x, y: np.exp(-np.square(x - 3.0) - np.square(y)) / math.pi,
 ], ids=["one-lobe-zeroed", "coherent-lobe"])
 def test_an_initial_q_of_one_lobe_fails_the_q_check(monkeypatch, edit):
-    q_grids = selfcheck.q_grids
+    grid_kernel = runner.q_function_grid
 
-    def edited(*args):  # fig5a's grid replaced by edit(grid, x, y)
-        axis, grids, conservation = q_grids(*args)
-        grids[0] = edit(grids[0], axis[None, :], axis[:, None])
-        return axis, grids, conservation
+    def edited(c, s, xs, ys):  # fig5a's grid replaced by edit(grid, x, y)
+        grids = grid_kernel(c, s, xs, ys)
+        grids[0] = edit(grids[0], xs[None, :], ys[:, None])
+        return grids
 
-    monkeypatch.setattr(selfcheck, "q_grids", edited)
+    monkeypatch.setattr(runner, "q_function_grid", edited)
     result = check_q_structure()
     assert not result.passed
     assert "components [1, 4, 1]" in result.detail
@@ -136,7 +136,7 @@ def test_an_initial_q_of_one_lobe_fails_the_q_check(monkeypatch, edit):
 
 
 def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypatch):
-    rows, axes, grids = [], [], []
+    rows, axes, grids, integrals = [], [], [], []
     bras, q_grids = observables._coherent_bras, selfcheck.q_grids
 
     def counted_bras(alphas, dim):
@@ -147,6 +147,7 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
         result = q_grids(*args)
         axes.append(result[0])
         grids.extend(result[1])
+        integrals.extend(result[3])
         return result
 
     monkeypatch.setattr(observables, "_coherent_bras", counted_bras)
@@ -158,10 +159,12 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
     assert len(rows) == Q_POINTS - 57 == 144
     monkeypatch.undo()
     assert len(axes) == 1 and len(grids) == 3
-    for variant, grid in zip("abc", grids):
+    assert result.detail.startswith(f"integrals {['%.6f' % v for v in integrals]}, ")
+    for variant, grid, integral in zip("abc", grids, integrals):
         expected = compute(figure_preset(f"fig5{variant}"))
         assert np.array_equal(axes[0], expected.q_axis)  # the x and the y axis
         assert np.array_equal(grid.view(np.int64), expected.qfunc.view(np.int64))
+        assert abs(integral - 1.0) == expected.residuals["q_integral_residual"]
 
 
 def test_the_overlap_pairs_are_the_seed_42_stdlib_draws_in_the_stated_domain():
@@ -180,6 +183,24 @@ def test_the_overlap_pairs_are_the_seed_42_stdlib_draws_in_the_stated_domain():
         assert p.m in range(4)
         sdfs_state(p)  # raises on a refused state
     assert selfcheck.random_overlap_pairs() == pairs
+
+
+def test_the_overlap_line_holds_each_pair_state_to_its_oracle_vector(monkeypatch):
+    # the pair states enter the line only here: the overlaps are closed forms
+    before = check_overlap_oracle().detail
+    first = selfcheck.random_overlap_pairs()[0][0]
+    build = selfcheck.sdfs_state
+
+    def off_by_1e_6(p):  # one amplitude of the first pair state
+        q = build(p)
+        return FockVector(q.amps + 1e-6 * (np.arange(q.dim) == 2)) if p == first else q
+
+    monkeypatch.setattr(selfcheck, "sdfs_state", off_by_1e_6)
+    result = check_overlap_oracle()
+    assert not result.passed
+    unchanged, amplitude = result.detail.rsplit(", ", 1)
+    assert before.startswith(unchanged + ", ")
+    assert amplitude.startswith("worst amplitude dev 1.000e-06 (tol 1e-08)")
 
 
 def _entropy_windows():
@@ -212,6 +233,20 @@ def _nan_oracle_amplitude(monkeypatch):
             amps = oracles[5].amps.copy()
             amps[0] = np.nan
             oracles[5] = FockVector(amps)
+        return oracles
+
+    monkeypatch.setattr(selfcheck, "build_sdfs_oracle", built)
+
+
+def _nan_oracle_amplitude_of_a_pair_state(monkeypatch):
+    build = selfcheck.build_sdfs_oracle
+
+    def built(states, dims):  # one amplitude of the 7th pair state
+        oracles = build(states, dims)
+        if len(states) == 2 * len(selfcheck.random_overlap_pairs()):
+            amps = oracles[6].amps.copy()
+            amps[3] = np.nan
+            oracles[6] = FockVector(amps)
         return oracles
 
     monkeypatch.setattr(selfcheck, "build_sdfs_oracle", built)
@@ -252,32 +287,47 @@ def _nan_in_the_entropy_baseline_window(monkeypatch):
 
 
 def _nan_q_cell_of_fig5c(monkeypatch):
+    grid_kernel = runner.q_function_grid
+
+    def grids_with_a_nan(*args):  # made in q_grids, so its integral holds the NaN too
+        grids = grid_kernel(*args)
+        grids[2, 100, 120] = np.nan
+        return grids
+
+    monkeypatch.setattr(runner, "q_function_grid", grids_with_a_nan)
+
+
+def _nan_q_conservation_residual(monkeypatch):
     q_grids = selfcheck.q_grids
 
-    def grids_with_a_nan(*args):
-        axis, grids, conservation = q_grids(*args)
-        grids[2, 100, 120] = np.nan
-        return axis, grids, conservation
+    def nan_conservation(*args):
+        axis, grids, conservation, integrals = q_grids(*args)
+        conservation[1] = np.nan
+        return axis, grids, conservation, integrals
 
-    monkeypatch.setattr(selfcheck, "q_grids", grids_with_a_nan)
+    monkeypatch.setattr(selfcheck, "q_grids", nan_conservation)
 
 
+# test id -> the check line that the injected NaN must fail
 _NAN_INJECTIONS = {
-    "amplitude-oracle-grid": _nan_oracle_amplitude,
-    "overlap-oracle-pairs": _nan_third_overlap,
-    "conservation-fig1": _nan_residual_of_variant_b("conservation_residual"),
-    "entropy-fig2": _nan_residual_of_variant_b("eigenvalue_sum_residual"),
-    "entropy-minima": _nan_in_the_entropy_baseline_window,
-    "q-structure": _nan_q_cell_of_fig5c,
+    "amplitude-oracle-grid": ("amplitude-oracle-grid", _nan_oracle_amplitude),
+    "overlap-oracle-pairs": ("overlap-oracle-pairs", _nan_third_overlap),
+    "overlap-pair-state": ("overlap-oracle-pairs", _nan_oracle_amplitude_of_a_pair_state),
+    "conservation-fig1": ("conservation-fig1", _nan_residual_of_variant_b("conservation_residual")),
+    "entropy-fig2": ("entropy-fig2", _nan_residual_of_variant_b("eigenvalue_sum_residual")),
+    "entropy-minima": ("entropy-minima", _nan_in_the_entropy_baseline_window),
+    "q-structure": ("q-structure", _nan_q_cell_of_fig5c),
+    "q-conservation": ("q-structure", _nan_q_conservation_residual),
 }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # as CI runs `check`
-@pytest.mark.parametrize("line", list(_NAN_INJECTIONS))
-def test_a_nan_deviation_fails_its_check_line(monkeypatch, capsys, line):
+@pytest.mark.parametrize("injection", list(_NAN_INJECTIONS))
+def test_a_nan_deviation_fails_its_check_line(monkeypatch, capsys, injection):
     # Python's max keeps whichever of a NaN and a number comes first, so each
     # of these NaNs used to be dropped and its line printed PASS
-    _NAN_INJECTIONS[line](monkeypatch)
+    line, inject = _NAN_INJECTIONS[injection]
+    inject(monkeypatch)
     assert cli.main(["check"]) == 1
     lines = capsys.readouterr().out.splitlines()
     failed = [text for text in lines if text.startswith("FAIL")]
