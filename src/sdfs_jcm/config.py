@@ -30,8 +30,8 @@ OUTPUTS = {
 OBSERVABLE_NAMES = tuple(OUTPUTS)
 # Most values one output may hold. It bounds the size of a CSV and of each output
 # array that library `compute` gathers (2**27 float64 values are 1 GiB); `run`
-# holds only one time block of P(n, t) and of the phase density, which it streams,
-# but the whole of inversion and entropy, so its peak still grows with t_points.
+# streams every output and holds one time block or chunk of each, so of its
+# arrays only the time axis (8 bytes a time) grows with t_points.
 # The presets peak near 1.03e6 (2000 times of P(n, t) rows of DIM_CAP + 1 values).
 OUTPUT_CAP = 2**27
 

@@ -54,16 +54,17 @@ def gram(c: np.ndarray, s: np.ndarray, pc: np.ndarray, ps: np.ndarray) -> tuple[
     return cc, ss, cs
 
 
-def _reject_first(bad: np.ndarray, describe) -> None:
-    """Raise ValueError naming the first row flagged in bad, if any."""
+def _reject_first(bad: np.ndarray, describe, first: int) -> None:
+    """Raise ValueError naming the first row flagged in bad, if any, counted from first."""
     rows = np.flatnonzero(bad)
     if rows.size:
-        raise ValueError(f"row {rows[0]}: {describe(rows[0])}")
+        raise ValueError(f"row {first + rows[0]}: {describe(rows[0])}")
 
 
-def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
+def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray, first: int = 0) -> np.ndarray:
     """(T, 3) rows (S_f, lambda_plus, lambda_minus) of rho_f per time from
     its Gram entries <C|C>, <S|S>, <C|S>; S_f = -sum lambda ln lambda (nats).
+    Rows are independent: a run passes chunks, whose refusals count rows from first.
 
     lambda+- = (cc+ss)/2 +- hypot((cc-ss)/2, |cs|), the cancellation-free
     hyperbolic-angle split. Eigenvalues are clamped to [0, 1] only within
@@ -76,16 +77,16 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
     acs = np.hypot(cs.real, cs.imag)  # bit for bit Python's abs(complex)
     _reject_first(
         ~((-ROUND_SLACK <= np.minimum(cc, ss)) & (np.maximum(cc, ss) <= 1.0 + ROUND_SLACK)),
-        lambda i: f"cc={cc[i]}, ss={ss[i]} outside [0, 1]",
+        lambda i: f"cc={cc[i]}, ss={ss[i]} outside [0, 1]", first,
     )
     trace = cc + ss
     _reject_first(
         np.abs(trace - 1.0) > NORM_TOL,
-        lambda i: f"trace cc + ss = {trace[i]} deviates from 1 beyond {NORM_TOL:g}",
+        lambda i: f"trace cc + ss = {trace[i]} deviates from 1 beyond {NORM_TOL:g}", first,
     )
     _reject_first(
         ~(acs * acs <= cc * ss + ROUND_SLACK),
-        lambda i: f"|<C|S>|^2 exceeds <C|C><S|S> beyond {ROUND_SLACK:g}",
+        lambda i: f"|<C|S>|^2 exceeds <C|C><S|S> beyond {ROUND_SLACK:g}", first,
     )
 
     split = np.array(list(map(math.hypot, (0.5 * (cc - ss)).tolist(), acs.tolist())))
@@ -94,7 +95,7 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray) -> np.ndarray:
     lams[:, 0], lams[:, 1] = 0.5 * trace + split, 0.5 * trace - split
     _reject_first(
         (lams[:, 1] < -ROUND_SLACK) | (lams[:, 0] > 1.0 + ROUND_SLACK),
-        lambda i: f"eigenvalues ({lams[i, 0]}, {lams[i, 1]}) outside [0, 1] beyond slack",
+        lambda i: f"eigenvalues ({lams[i, 0]}, {lams[i, 1]}) outside [0, 1] beyond slack", first,
     )
     np.clip(lams, 0.0, 1.0, out=lams)
     logs = np.zeros_like(lams)

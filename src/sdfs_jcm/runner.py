@@ -3,31 +3,30 @@
 `compute` builds the truncated initial field and the phase kernel once
 and walks the scaled-time grid in blocks of rows. Each block is one call of
 `dynamics.evolve`, which returns C and S as (rows, dim + 1) arrays with
-dim = n_max + 1; every time-series output keeps one row per time
-point: inversion (T,), the Gram entries cc, ss, cs (T,), entropy
-(T, 3), P(n, t) (T, dim + 1) and the phase density
-(T, ETA_POINTS). The last two, the wide series, go block by block to
-a sink where the caller gives one, and are then not gathered. The Q
-snapshot is a plain (Q_POINTS, Q_POINTS) array indexed [y, x] over the
-one axis of the window [-h, h]^2, h from
-`_q_half_width`: the paper's 8, widened with the displacement, the
-squeezing and the seed number; `q_grids` makes it, and the three fig5
+dim = n_max + 1; every time-series output has one row per time point:
+inversion (T,), the Gram entries cc, ss, cs (T,), entropy (T, 3),
+P(n, t) (T, dim + 1) and the phase density (T, ETA_POINTS). Every output
+goes to one sink as it is computed: P(n, t) and the phase density per
+block, the others per chunk of whole blocks that holds BLOCK_ENTRIES
+times or more, so a run holds one block and one chunk whatever its
+t_points. The Q snapshot is a plain (Q_POINTS, Q_POINTS) array indexed
+[y, x] over the one axis of the window [-h, h]^2: h is the paper's 8,
+widened with the displacement, the squeezing and the seed number
+(`_q_half_width`), then until the disk of radius h holds all but Q_TAIL
+of the mass at each Q time; `q_grids` makes it, and the three fig5
 snapshots of `check` in one pass of bras.
 It and `compute` run with OpenBLAS on one thread, a process-wide setting:
 each loaded OpenBLAS gets its thread count back when they return or
 raise, so calls from concurrent threads would race on it.
 
 `run` writes one CSV per selected observable, <name>.csv with the
-header of `config.OUTPUTS`, all through one writer. Every number is
+header of `config.OUTPUTS`, all through one writer, `compute`'s sink,
+which begins each CSV at its first block. Every number is
 written as CPython's '%.17g' ('%d' for n) would write it,
 byte for byte, but formatted in numpy by `_format_cells`: the 17 digits
 come from Dekker's exact product with a double-double power of 10, and
 the few values whose rounding that cannot settle (near-ties, zeros,
 inf, nan, magnitudes outside EXACT_RANGE) go to '%.17g' itself.
-The writer is `compute`'s sink, so photon_dist.csv and phase_dist.csv
-are appended to as each time block of them is computed, and a run holds
-one block of each whatever its t_points; inversion.csv, entropy.csv and
-qfunc.csv are written by one call each when `compute` returns.
 `_write_lines` writes in blocks of BLOCK_ENTRIES lines. The column keys
 of a keyed file (n, eta or x) are formatted once per file, its row keys
 (time or y) once per call. A run that raises leaves no CSV behind.
@@ -65,7 +64,7 @@ from .observables import (
     photon_number_distribution,
     q_function_grid,
 )
-from .sdfs import SdfsParams, sdfs_state
+from .sdfs import SdfsParams, log_factorial, sdfs_state
 
 FLOAT_FMT = "%.17g"
 
@@ -78,6 +77,10 @@ Q_POINTS = 201  # per axis of the Q window
 # Standard deviations of the initial Q that the window holds on each axis: the
 # most that keeps the fig5 state (sqrt(Sigma_yy) = 2.41) on the paper's [-8, 8]^2.
 Q_SIGMAS = 3.3
+# Most Q mass a window may leave outside its inscribed disk (`q_grids`): a tenth
+# of the Q integral's bound, the rest left to the Riemann sum. The fig5 disks of
+# radius 8 leave up to 1.3e-5, so their windows and those of `check` stay.
+Q_TAIL = 1e-4
 
 TIME_SERIES = frozenset(name for name, (_, row) in OUTPUTS.items() if row)
 
@@ -96,6 +99,8 @@ TOLERANCES = {
     "phase_integral_residual": NORM_TOL,
     # the Riemann sum of Q over its window, which holds Q_SIGMAS of the initial spread
     "q_integral_residual": 1e-3,
+    # the Q mass outside the window's inscribed disk, which `q_grids` widens it to hold
+    "q_tail_mass": Q_TAIL,
 }
 
 
@@ -107,9 +112,9 @@ def worst(values) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RunData:
-    """The arrays `compute` derives from a RunConfig; an observable that
-    was not selected is None, and so is ts without a time series. Rows
-    follow ts."""
+    """The arrays `compute` derives from a RunConfig; an output that was not
+    selected or went to a caller's sink is None, and so is ts without a time
+    series and q_axis without qfunc. Rows follow ts."""
 
     n_max: int
     ts: np.ndarray | None
@@ -392,31 +397,43 @@ def _q_half_width(p: SdfsParams) -> float:
                abs(a0.imag) + Q_SIGMAS * math.sqrt(var_y))
 
 
+def _q_tail(pc: np.ndarray, ps: np.ndarray, h: float) -> float:
+    """The most Q mass outside the disk |alpha| < h over the times of P(n, t) = pc + ps:
+    sum_n P(n, t) PoissonCDF(n; h^2), that of |n>, e^{-|alpha|^2} |alpha|^{2n} / (pi n!)."""
+    ns = np.arange(pc.shape[-1])
+    cdf = np.cumsum(np.exp(ns * math.log(h * h) - h * h - log_factorial(ns)))
+    return worst([(pc + ps) @ cdf])
+
+
 @_one_blas_thread()
 def q_grids(
     p: SdfsParams, q: FockVector, times: np.ndarray, detuning_ratio: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """The axis of the Q window, Q_POINTS over [-h, h] with h = `_q_half_width(p)`
-    for x and y; the (times, y, x) Q grids of q = sdfs_state(p) at the scaled times
-    over it; the conservation residuals; each grid's Riemann sum over the window.
-    `evolve` refuses (ValueError) times whose phases would lose precision."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, float]:
+    """The axis of the Q window, Q_POINTS over [-h, h] for x and y; the (times, y, x)
+    Q grids of q = sdfs_state(p) at the scaled times over it; the conservation
+    residuals; each grid's Riemann sum over the window; the `_q_tail` of h. Its h is
+    the first of `_q_half_width(p)`, + 0.25, + 0.5, ... whose tail over every time
+    is at most Q_TAIL, so the grids of one call share their axis. `evolve` refuses
+    (ValueError) times whose phases would lose precision."""
     c, s = evolve(q, times, detuning_ratio)
+    pc, ps = populations(c, s)
     h = _q_half_width(p)
+    while (tail := _q_tail(pc, ps, h)) > Q_TAIL:
+        h += 0.25
     axis = np.linspace(-h, h, Q_POINTS)
     grids = q_function_grid(c, s, axis, axis)
     cell = np.square(axis[1] - axis[0])
     integrals = [float(np.sum(grid)) * cell for grid in grids]
-    return axis, grids, conservation_residual(*populations(c, s)), integrals
+    return axis, grids, conservation_residual(pc, ps), integrals, tail
 
 
 @_one_blas_thread()
 def compute(cfg: RunConfig, sink=None) -> RunData:
     """Every selected observable and invariant residual of cfg, with no I/O.
 
-    With a sink, each time block of the wide series photon_dist and
-    phase_dist goes to sink(name, ts_block, block) as soon as it is
-    computed, and RunData leaves those two None; without one they are
-    gathered like the others.
+    Each output goes to sink(name, rows, block) as it is computed: photon_dist and phase_dist
+    per time block, inversion, cc, ss, cs and entropy per chunk, with their times as rows;
+    qfunc once, with its axis as rows. Without a sink, RunData gathers every output.
 
     Hands `evolve` the times its outputs read (t_max_scaled for a time series,
     the Q time for qfunc) first, so lost phase precision is refused up front.
@@ -430,58 +447,62 @@ def compute(cfg: RunConfig, sink=None) -> RunData:
     ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points) if timed else None
     residuals = {"normalization_residual": abs(q.norm_sq() - 1.0)}
     kernel = phase_kernel(q.dim + 1) if "phase_dist" in selected else None  # C, S have dim + 1
-    series: dict[str, np.ndarray] = {}
+    narrow = ["inversion"] * ("inversion" in selected)  # the series handed over per chunk
+    narrow += ["cc", "ss", "cs"] * ("entropy" in selected)
+    pieces: dict[str, list] = {}  # the blocks of each output, where no sink is given
+    sink = sink or (lambda name, rows, block: pieces.setdefault(name, []).append(block))
 
     def fold(name: str, deviations: np.ndarray) -> None:  # residuals are >= 0
         residuals[name] = worst([residuals.get(name, 0.0), deviations])
 
     if timed:
         step = max(1, BLOCK_ENTRIES // q.dim)
-        for lo in range(0, ts.size, step):
-            rows = slice(lo, lo + step)
-            c, s = evolve(q, ts[rows], cfg.detuning_ratio)
-            pc, ps = populations(c, s)
-            fold("conservation_residual", conservation_residual(pc, ps))
-            block = {}
-            if "inversion" in selected:
-                block["inversion"] = atomic_inversion(pc, ps)
+        span = -(-BLOCK_ENTRIES // step) * step  # the fewest blocks that hold BLOCK_ENTRIES times
+        for first in range(0, ts.size, span):
+            times = ts[first : first + span]
+            chunk = {name: np.empty(times.size, complex if name == "cs" else float)
+                     for name in narrow}
+            for lo in range(0, times.size, step):
+                rows = slice(lo, lo + step)
+                c, s = evolve(q, times[rows], cfg.detuning_ratio)
+                pc, ps = populations(c, s)
+                fold("conservation_residual", conservation_residual(pc, ps))
+                if "inversion" in selected:
+                    chunk["inversion"][rows] = atomic_inversion(pc, ps)
+                if "entropy" in selected:
+                    chunk["cc"][rows], chunk["ss"][rows], chunk["cs"][rows] = gram(c, s, pc, ps)
+                if "photon_dist" in selected:
+                    sink("photon_dist", times[rows], photon_number_distribution(pc, ps))
+                if kernel is not None:
+                    phase = phase_distribution(c, s, kernel)
+                    integrals = np.sum(phase, axis=1) * (2.0 * math.pi / ETA_POINTS)
+                    fold("phase_integral_residual", np.abs(integrals - 1.0))
+                    sink("phase_dist", times[rows], phase)
+            del c, s, pc, ps  # the last block's arrays go before the chunk is written
             if "entropy" in selected:
-                block["cc"], block["ss"], block["cs"] = gram(c, s, pc, ps)
-            if "photon_dist" in selected:
-                block["photon_dist"] = photon_number_distribution(pc, ps)
-            if kernel is not None:
-                block["phase_dist"] = phase_distribution(c, s, kernel)
-                integrals = np.sum(block["phase_dist"], axis=1) * (2.0 * math.pi / ETA_POINTS)
-                fold("phase_integral_residual", np.abs(integrals - 1.0))
-            for key, value in block.items():
-                if sink is not None and key in ("photon_dist", "phase_dist"):
-                    sink(key, ts[rows], value)
-                    continue
-                if key not in series:
-                    series[key] = np.empty((ts.size, *value.shape[1:]), value.dtype)
-                series[key][rows] = value
-        if "entropy" in selected:
-            series["entropy"] = entropy_rows(series["cc"], series["ss"], series["cs"])
-            lam_sums = series["entropy"][:, 1] + series["entropy"][:, 2]
-            fold("eigenvalue_sum_residual", np.abs(lam_sums - 1.0))
+                chunk["entropy"] = entropy_rows(chunk["cc"], chunk["ss"], chunk["cs"], first)
+                lam_sums = chunk["entropy"][:, 1] + chunk["entropy"][:, 2]
+                fold("eigenvalue_sum_residual", np.abs(lam_sums - 1.0))
+            for name, values in chunk.items():
+                sink(name, times, values)
 
-    q_axis = qfunc = None
+    q_axis = None
     if "qfunc" in selected:
-        q_axis, (qfunc,), conservation, integrals = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
+        q_axis, grids, conservation, sums, tail = q_grids(cfg.state, q, [t_q], cfg.detuning_ratio)
         fold("conservation_residual", conservation)
-        residuals["q_integral_residual"] = abs(integrals[0] - 1.0)
+        residuals.update(q_integral_residual=abs(sums[0] - 1.0), q_tail_mass=tail)
+        sink("qfunc", q_axis, grids[0])
 
-    return RunData(q.dim - 1, ts, residuals, q_axis=q_axis, qfunc=qfunc, **series)
+    gathered = {name: np.concatenate(p) if len(p) > 1 else p[0] for name, p in pieces.items()}
+    return RunData(q.dim - 1, ts, residuals, q_axis=q_axis, **gathered)
 
 
 def run(cfg: RunConfig) -> RunResult:
     """Compute cfg and write its CSVs and run summary into cfg.output_dir.
 
-    One writer begins each CSV at its first block: it is the sink of
-    `compute`, which hands it P(n, t) and the phase density block by block,
-    and then writes the other CSVs in one call each. If anything raises,
-    the summary write included, every file that `run` opened is deleted,
-    and so is every directory of cfg.output_dir that it made.
+    One writer, the sink of `compute`, begins each CSV at its first block.
+    If anything raises, the summary write included, every file that `run`
+    opened is deleted, and so is every directory of cfg.output_dir that it made.
     """
     started = time.perf_counter()
     out_dir = Path(cfg.output_dir)
@@ -492,6 +513,8 @@ def run(cfg: RunConfig) -> RunResult:
 
     def write(name: str, rows: np.ndarray, block: np.ndarray) -> None:
         nonlocal write_s
+        if name not in OUTPUTS:  # the Gram entries
+            return
         began = time.perf_counter()
         if name not in begun:
             cols = {"photon_dist": range(block.shape[-1]), "phase_dist": ETAS, "qfunc": rows}
@@ -507,9 +530,6 @@ def run(cfg: RunConfig) -> RunResult:
     try:
         try:
             data = compute(cfg, write)
-            for name, rows in ("inversion", data.ts), ("entropy", data.ts), ("qfunc", data.q_axis):
-                if getattr(data, name) is not None:
-                    write(name, rows, getattr(data, name))
         finally:
             for handle, _ in begun.values():
                 handle.close()

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,11 @@ class SdfsParams:
                 raise ValueError(f"state parameter {name} must be finite, got {value}")
         if self.r < 0:
             raise ValueError("squeeze magnitude r must be >= 0")
+        # subnormals underflow the coefficients of the closed forms to 0 (phi enters as e^{i phi})
+        a0 = complex(self.alpha0)
+        for name, value in (("Re alpha0", a0.real), ("Im alpha0", a0.imag), ("r", self.r)):
+            if 0.0 < abs(value) < sys.float_info.min:
+                raise ValueError(f"state parameter {name} = {value!r} is subnormal")
         try:
             math.cosh(self.r)
         except OverflowError:

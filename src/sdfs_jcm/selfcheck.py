@@ -336,7 +336,9 @@ def check_q_structure() -> CheckResult:
     tol, norm_tol = TOLERANCES["q_integral_residual"], TOLERANCES["conservation_residual"]
     issues, counts = [], []
     p, detuning = FIGURE_RUNS["b"].state, FIGURE_RUNS["b"].detuning_ratio
-    axis, grids, conservation, integrals = q_grids(p, sdfs_state(p), list(Q_TIMES.values()), detuning)
+    axis, grids, conservation, integrals, _ = q_grids(
+        p, sdfs_state(p), list(Q_TIMES.values()), detuning
+    )
     if not (dev := worst([conservation])) <= norm_tol:
         issues.append(f"worst conservation residual {dev:.3e} (tol {norm_tol:g})")
     for variant, grid, integral in zip(Q_TIMES, grids, integrals):

@@ -477,7 +477,7 @@ def test_a_refusal_after_the_first_streamed_block_leaves_no_csv(tmp_path, capsys
         (out_dir / exists).mkdir()
         message = f"error: [Errno 21] Is a directory: '{out_dir / exists}'\n"
     else:
-        def refused(cc, ss, cs):
+        def refused(cc, ss, cs, first):
             raise ValueError("row 0: refused")
 
         monkeypatch.setattr("sdfs_jcm.runner.entropy_rows", refused)
@@ -600,6 +600,24 @@ def test_cli_run_refuses_an_overflowing_squeeze(tmp_path, capsys):
     assert main(["run", str(config_path)]) == 2
     assert "r = 800 overflows cosh" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_a_subnormal_state_parameter(tmp_path, capsys):
+    # each of these ended in a traceback (exit 1) from the closed forms
+    config_path = tmp_path / "tiny.cfg"
+    config_path.write_text(f"r = 5e-324\nt_points = 4\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(config_path)]) == 2
+    assert capsys.readouterr().err == "error: state parameter r = 5e-324 is subnormal\n"
+    assert not (tmp_path / "out").exists()
+    for p1, p2, named in (
+        ("r=5e-324,m=1", "alpha0_re=1", "r = 5e-324"),
+        ("alpha0_re=-1.2129279954890553,alpha0_im=5e-324,m=40", "alpha0_re=1.8069434416137904,m=1",
+         "Im alpha0 = 5e-324"),
+    ):
+        assert main(["overlap", "--p1", p1, "--p2", p2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: state parameter {named} is subnormal\n"
 
 
 @pytest.mark.parametrize("t_max", ["25", "1e-200"])

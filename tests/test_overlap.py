@@ -127,6 +127,20 @@ def test_overflowing_w_is_refused():
         sdfs_overlap(p1, p2)
 
 
+@pytest.mark.parametrize(
+    "kwargs1, kwargs2, named",
+    [
+        ({"r": 5e-324, "m": 1}, {"alpha0": 1.0}, "r = 5e-324"),  # w = 0: ZeroDivisionError
+        # arg(alpha2 - alpha1) underflowed: OverflowError from cmath.phase
+        ({"alpha0": complex(-1.2129279954890553, 5e-324), "m": 40},
+         {"alpha0": 1.8069434416137904, "m": 1}, "Im alpha0 = 5e-324"),
+    ],
+)
+def test_overlap_refuses_a_subnormal_parameter_by_name(kwargs1, kwargs2, named):
+    with pytest.raises(ValueError, match=f"^state parameter {named} is subnormal$"):
+        sdfs_overlap(SdfsParams(**kwargs1), SdfsParams(**kwargs2))
+
+
 def test_moderate_squeeze_self_overlap_stays_inside_the_budget():
     p = SdfsParams(alpha0=0.5, r=5.0, phi=1.0, m=1)
     assert sdfs_overlap(p, p) == pytest.approx(1.0, abs=1e-10)

@@ -1,7 +1,9 @@
+import cmath
 import dataclasses
 import decimal
 import io
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -10,9 +12,18 @@ import pytest
 
 from sdfs_jcm import runner, sdfs
 from sdfs_jcm.config import OBSERVABLE_NAMES, RunConfig
-from sdfs_jcm.dynamics import evolve
-from sdfs_jcm.fock import DIM_CAP, FockVector
-from sdfs_jcm.observables import ETA_POINTS, ETAS, phase_distribution, phase_kernel, q_function_grid
+from sdfs_jcm.dynamics import evolve, populations
+from sdfs_jcm.fock import DIM_CAP, NORM_TOL, FockVector
+from sdfs_jcm.observables import (
+    ETA_POINTS,
+    ETAS,
+    atomic_inversion,
+    entropy_rows,
+    gram,
+    phase_distribution,
+    phase_kernel,
+    q_function_grid,
+)
 from sdfs_jcm.presets import figure_preset
 from sdfs_jcm.runner import compute
 from sdfs_jcm.sdfs import SdfsParams, mean_photon_number, sdfs_state
@@ -105,6 +116,59 @@ def test_compute_builds_the_phase_kernel_once(monkeypatch):
     assert dims == [data.n_max + 2]
 
 
+def _rotation_draws(count: int):
+    """Seeded accepted states with complex alpha0, phi in [0, 2 pi), r <= 1.2, half
+    of them at m in [10, 40], each with a detuning in [-3, 3] and a step k of ETAS;
+    a draw is kept when the state and its rotations by 2 pi k / 512 and by pi / 2 are
+    all accepted (the closed form's precision fence is not rotation-invariant)."""
+    rng, draws = random.Random(20260), []
+    while len(draws) < count:
+        m = rng.randrange(10, 41) if len(draws) % 2 else rng.randrange(0, 6)
+        p = SdfsParams(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0.0, 1.2),
+                       rng.uniform(0.0, 2 * math.pi), m)
+        k, detuning = rng.randrange(1, ETA_POINTS), rng.uniform(-3.0, 3.0)
+        theta = 2 * math.pi * k / ETA_POINTS
+        # R(theta) = e^{i theta a+a} maps |alpha0, z, m> to alpha0 e^{i theta}, phi + 2 theta
+        turned = [SdfsParams(p.alpha0 * cmath.exp(1j * theta), p.r, p.phi + 2 * theta, p.m),
+                  SdfsParams(p.alpha0 * 1j, p.r, p.phi + math.pi, p.m)]
+        try:
+            for state in (p, *turned):
+                sdfs_state(state)
+        except ValueError:
+            continue
+        draws.append((p, *turned, k, detuning))
+    return draws
+
+
+def test_compute_is_covariant_under_rotations_of_the_field(small_q_window):
+    # e^{i theta N} commutes with the Hamiltonian at any detuning, so the rotated state
+    # gives the same P(n, t) and entropy, phase rows shifted by theta and Q turned by it.
+    # Each truncation drops < TAIL_TOL of the mass, and its n_max moves with rounding,
+    # so the evolved states differ by up to `moved` in norm: the phase density, whose
+    # bras have norm sqrt(dim + 1), moves by up to (dim + 1) moved / pi, and Q by 2 moved / pi
+    moved = 2 * math.sqrt(sdfs.TAIL_TOL)
+    for p, by_k, by_quarter, k, detuning in _rotation_draws(24):
+        times = dict(detuning_ratio=detuning, t_max_scaled=20.0, t_points=8, q_time_scaled=7.0)
+        data = compute(RunConfig(p, observables=OBSERVABLE_NAMES, **times))
+        turned = compute(RunConfig(by_k, observables=("photon_dist", "entropy", "phase_dist"),
+                                   **times))
+        quarter = compute(RunConfig(by_quarter, observables=("qfunc",), **times))
+        width = max(data.photon_dist.shape[1], turned.photon_dist.shape[1])
+        photons = [np.pad(d.photon_dist, ((0, 0), (0, width - d.photon_dist.shape[1])))
+                   for d in (data, turned)]
+        # P_theta(eta) = P(eta - theta), and Q_theta(x + iy) = Q(y - ix) at theta = pi / 2
+        deviations = {
+            "photon_dist": (np.max(np.abs(photons[1] - photons[0])), NORM_TOL),
+            "entropy": (np.max(np.abs(turned.entropy - data.entropy)), NORM_TOL),
+            "phase_dist": (np.max(np.abs(turned.phase_dist - np.roll(data.phase_dist, k, axis=1))),
+                           width * moved / math.pi),
+            "qfunc": (np.max(np.abs(quarter.qfunc - np.rot90(data.qfunc, -1))),
+                      2 * moved / math.pi),
+        }
+        assert all(dev <= bound for dev, bound in deviations.values()), (p, k, deviations)
+        assert np.allclose(quarter.q_axis, data.q_axis, rtol=0.0, atol=1e-13)  # rounding of h
+
+
 # ------------------------------------------------------------ BLAS threads
 
 
@@ -167,7 +231,7 @@ def test_compute_takes_its_q_grid_from_q_grids_on_one_blas_thread(monkeypatch, t
 
     monkeypatch.setattr(runner, "q_function_grid", watched)
     cfg = figure_preset("fig5b")
-    axis, (grid,), conservation, (integral,) = q_grids(
+    axis, (grid,), conservation, (integral,), tail = q_grids(
         cfg.state, sdfs_state(cfg.state), [cfg.q_time_scaled], cfg.detuning_ratio
     )
     libs = len(two_blas_threads)
@@ -181,6 +245,40 @@ def test_compute_takes_its_q_grid_from_q_grids_on_one_blas_thread(monkeypatch, t
     # the Riemann sum over the window, formed in q_grids alone
     assert integral == float(np.sum(grid)) * np.square(axis[1] - axis[0])
     assert data.residuals["q_integral_residual"] == abs(integral - 1.0)
+    assert data.residuals["q_tail_mass"] == tail <= runner.Q_TAIL
+
+
+@pytest.mark.parametrize(
+    "state, detuning, q_time",
+    [
+        (SdfsParams(4.72 - 0.64j, r=1.32, phi=1.565), 0.0, 3.9),
+        (SdfsParams(-3.97 + 3.54j, r=0.95, phi=1.55, m=1), 0.0, 12.0),
+        (SdfsParams(4.72 - 0.64j, r=1.32, phi=1.565), -2.0, 10.0),
+    ],
+)
+def test_a_q_window_holds_all_but_q_tail_of_the_mass(tmp_path, state, detuning, q_time):
+    # Q_SIGMAS marginal deviations of the initial Q left 1.2e-3, 1.1e-2 and 2.1e-3
+    # outside the window: the squeezed ellipse lies on the diagonal, and Q spreads
+    cfg = RunConfig(state, detuning, q_time_scaled=q_time, observables=("qfunc",),
+                    output_dir=str(tmp_path))
+    result = runner.run(cfg)
+    assert result.summary["status"] == "ok"
+    assert result.summary["q_tail_mass"] <= runner.Q_TAIL
+    assert result.summary["q_integral_residual"] < 1e-4
+
+
+def test_the_q_tail_is_the_photon_distribution_against_the_poisson_cdf():
+    stats = pytest.importorskip("scipy.stats")
+    cfg = figure_preset("fig5b")
+    q = sdfs_state(cfg.state)
+    c, s = evolve(q, [0.0, cfg.q_time_scaled], cfg.detuning_ratio)
+    pc, ps = populations(c, s)
+    for h in (4.0, 8.0, 11.25):
+        cdf = stats.poisson.cdf(np.arange(q.dim + 1), h * h)
+        assert runner._q_tail(pc, ps, h) == pytest.approx(np.max((pc + ps) @ cdf), rel=1e-12)
+    # the fig5 window stays the paper's [-8, 8]^2
+    axis, _, _, _, tail = runner.q_grids(cfg.state, q, [cfg.q_time_scaled], cfg.detuning_ratio)
+    assert axis[-1] == 8.0 and runner.Q_TAIL / 10 < tail <= runner.Q_TAIL
 
 
 def test_q_grids_refuses_a_time_whose_phases_lose_precision():
@@ -386,8 +484,8 @@ def test_a_nan_q_conservation_residual_fails_the_run(monkeypatch, tmp_path, smal
     q_grids = runner.q_grids
 
     def nan_conservation(*args):
-        axis, grids, conservation, integrals = q_grids(*args)
-        return axis, grids, np.full_like(conservation, np.nan), integrals
+        axis, grids, conservation, integrals, tail = q_grids(*args)
+        return axis, grids, np.full_like(conservation, np.nan), integrals, tail
 
     monkeypatch.setattr(runner, "q_grids", nan_conservation)
     for observables in (("inversion", "qfunc"), ("qfunc",)):
@@ -480,6 +578,24 @@ def test_run_holds_one_block_of_the_wide_series_whatever_t_points(tmp_path):
     assert abs(peaks[2] - peaks[1]) < 2**20, peaks
 
 
+def test_run_holds_one_chunk_of_the_narrow_series_whatever_t_points(tmp_path):
+    # gathered whole, 9 * BLOCK_ENTRIES more times of inversion, entropy and the
+    # Gram entries held 8.2 MB more; ts itself, still whole, holds 0.28 MB more
+    peaks = []
+    for t_points in (2, 3 * runner.BLOCK_ENTRIES, 12 * runner.BLOCK_ENTRIES):
+        cfg = RunConfig(
+            state=SdfsParams(alpha0=3.0), t_points=t_points, output_dir=str(tmp_path),
+            observables=("inversion", "entropy"),
+        )
+        tracemalloc.start()
+        try:
+            runner.run(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 2**20, peaks
+
+
 def test_run_streams_the_bytes_of_the_gathered_series(tmp_path, small_q_window):
     cfg = dataclasses.replace(
         _CFG, output_dir=str(tmp_path), observables=tuple(reversed(OBSERVABLE_NAMES))
@@ -497,18 +613,69 @@ def test_run_streams_the_bytes_of_the_gathered_series(tmp_path, small_q_window):
     assert result.summary["phase_integral_residual"] == data.residuals["phase_integral_residual"]
 
 
-def test_compute_hands_the_wide_series_to_its_sink(small_q_window):
-    blocks = {"photon_dist": [], "phase_dist": []}
-    streamed = compute(_CFG, lambda name, ts, block: blocks[name].append((ts, block)))
+def test_compute_hands_every_output_to_its_sink(small_q_window):
+    pieces = {name: [] for name in ("photon_dist", "phase_dist", "inversion", "cc", "ss", "cs",
+                                    "entropy", "qfunc")}
+    streamed = compute(_CFG, lambda name, rows, block: pieces[name].append((rows, block)))
     gathered = compute(_CFG)
-    assert streamed.photon_dist is None and streamed.phase_dist is None
+    assert all(getattr(streamed, name) is None for name in pieces)
+    assert np.array_equal(streamed.q_axis, gathered.q_axis)
+    assert np.array_equal(streamed.ts, gathered.ts)
     assert streamed.residuals == gathered.residuals
-    for name, pieces in blocks.items():
-        assert len(pieces) > 1
-        assert np.array_equal(np.concatenate([ts for ts, _ in pieces]), gathered.ts)
-        assert np.array_equal(np.concatenate([b for _, b in pieces]), getattr(gathered, name))
-    for name in ("inversion", "cc", "ss", "cs", "entropy", "qfunc"):
-        assert np.array_equal(getattr(streamed, name), getattr(gathered, name)), name
+    blocks = -(-_CFG.t_points // (runner.BLOCK_ENTRIES // (gathered.n_max + 1)))
+    assert blocks > 1
+    for name, handed in pieces.items():
+        if name == "qfunc":  # once, with its axis as rows
+            ((axis, grid),) = handed
+            assert np.array_equal(axis, gathered.q_axis) and np.array_equal(grid, gathered.qfunc)
+            continue
+        # the wide series per time block; the others in one chunk, as 250 <= BLOCK_ENTRIES
+        assert len(handed) == (blocks if name in ("photon_dist", "phase_dist") else 1), name
+        assert np.array_equal(np.concatenate([rows for rows, _ in handed]), gathered.ts)
+        assert np.array_equal(np.concatenate([b for _, b in handed]), getattr(gathered, name))
+
+
+def test_a_run_of_several_chunks_writes_the_bytes_of_the_whole_series(tmp_path):
+    cfg = RunConfig(
+        state=SdfsParams(alpha0=1.0 - 0.5j, r=0.3, phi=1.0), detuning_ratio=-1.2,
+        t_points=2 * runner.BLOCK_ENTRIES + 123, output_dir=str(tmp_path),
+        observables=("entropy", "inversion"),
+    )
+    chunks = []
+    compute(cfg, lambda name, rows, block: chunks.append(rows.size) if name == "entropy" else None)
+    # the fewest whole time blocks that hold BLOCK_ENTRIES times, the last chunk partial
+    step, span = runner.BLOCK_ENTRIES // sdfs_state(cfg.state).dim, chunks[0]
+    assert span % step == 0 and span - step < runner.BLOCK_ENTRIES <= span
+    assert chunks == [min(span, cfg.t_points - lo) for lo in range(0, cfg.t_points, span)]
+    assert len(chunks) > 1 and chunks[-1] < span
+    assert runner.run(cfg).ok
+    # inversion and entropy of one `evolve` of every time
+    ts = np.linspace(0.0, cfg.t_max_scaled, cfg.t_points)
+    c, s = evolve(sdfs_state(cfg.state), ts, cfg.detuning_ratio)
+    pc, ps = populations(c, s)
+    whole = {"inversion": atomic_inversion(pc, ps), "entropy": entropy_rows(*gram(c, s, pc, ps))}
+    for name, values in whole.items():
+        header = (tmp_path / f"{name}.csv").read_bytes().split(b"\n")[0].decode()
+        written = _write(tmp_path / "whole.csv", header, ts, values)
+        assert (tmp_path / f"{name}.csv").read_bytes() == written.read_bytes(), name
+
+
+def test_an_entropy_refusal_names_the_row_of_the_run(monkeypatch):
+    # the entropy of each chunk is formed apart; the refusal counts rows from 0 all the same
+    cfg = RunConfig(SdfsParams(alpha0=1.0), t_points=2 * runner.BLOCK_ENTRIES + 123,
+                    observables=("entropy",))
+    bad, seen, gram_entries = 2 * runner.BLOCK_ENTRIES + 99, [0], runner.gram
+
+    def gram_with_a_bad_trace(c, s, pc, ps):
+        cc, ss, cs = gram_entries(c, s, pc, ps)
+        if 0 <= bad - seen[0] < len(cc):
+            cc[bad - seen[0]] += 1e-6
+        seen[0] += len(cc)
+        return cc, ss, cs
+
+    monkeypatch.setattr(runner, "gram", gram_with_a_bad_trace)
+    with pytest.raises(ValueError, match=f"^row {bad}: "):
+        compute(cfg)
 
 
 def test_run_formats_at_most_a_block_of_values_per_call(tmp_path, monkeypatch, small_q_window):

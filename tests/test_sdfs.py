@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +60,29 @@ def test_params_refuse_a_squeeze_whose_cosh_overflows():
     for r in (710.5, 800.0):
         with pytest.raises(ValueError, match=r"r = \d+\.?\d* overflows cosh"):
             SdfsParams(r=r)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"r": 5e-324}, "r = 5e-324"),  # sa underflowed to 0: ZeroDivisionError
+        # refused as "lost precision ... by nan": hermite_scaled divided by a subnormal
+        ({"alpha0": -5e-324j, "r": 1.2024801720166087, "phi": 5.206947378593325},
+         "Im alpha0 = -5e-324"),
+        ({"alpha0": 1e-310}, "Re alpha0 = 1e-310"),
+    ],
+)
+def test_sdfs_state_refuses_a_subnormal_parameter_by_name(kwargs, named):
+    with pytest.raises(ValueError, match=f"^state parameter {named} is subnormal$"):
+        sdfs_state(SdfsParams(**kwargs))
+
+
+def test_the_smallest_normal_parameters_are_computed():
+    assert sdfs_state(SdfsParams(r=1.2024801720166087, phi=5.206947378593325)).dim == 141
+    tiny = sys.float_info.min
+    q = sdfs_state(SdfsParams(alpha0=complex(1.0, tiny), r=tiny, phi=1.0))
+    coherent = sdfs_state(SdfsParams(alpha0=1.0)).amps
+    assert q.dim == coherent.size and np.max(np.abs(q.amps - coherent)) < 1e-15
 
 
 def _assert_same_bits(ours, reference):

@@ -301,9 +301,9 @@ def _nan_q_conservation_residual(monkeypatch):
     q_grids = selfcheck.q_grids
 
     def nan_conservation(*args):
-        axis, grids, conservation, integrals = q_grids(*args)
+        axis, grids, conservation, integrals, tail = q_grids(*args)
         conservation[1] = np.nan
-        return axis, grids, conservation, integrals
+        return axis, grids, conservation, integrals, tail
 
     monkeypatch.setattr(selfcheck, "q_grids", nan_conservation)
 
