@@ -198,4 +198,4 @@ def revival_time(p: SdfsParams) -> float:
     """
     if p.alpha0 == 0 and p.r == 0.0:
         raise ValueError("no collapse-revival structure without displacement or squeezing")
-    return _TWO_PI * math.sqrt(abs(p.alpha0) ** 2 + math.sinh(p.r) ** 2)
+    return _TWO_PI * math.sqrt(abs(p.alpha0) * abs(p.alpha0) + math.sinh(p.r) * math.sinh(p.r))

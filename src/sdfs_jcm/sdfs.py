@@ -69,6 +69,11 @@ _EPS = float(np.finfo(float).eps)
 # largest rounding bound of the overlap: of its W relative to |W|, and of its
 # final sum in absolute terms (the overlap of two unit vectors is at most 1)
 _W_BUDGET = 1e-10
+_TINY = sys.float_info.min  # numpy's complex division by a subnormal modulus overflows
+# Largest seed number of an overlap. It allocates and recurs over max(m1, m2) + 1 orders
+# in Python, up to 0.5 s at 1e5 and 5 s at 1e6 on a 2-vCPU box; past 4.5e5 orders the factor
+# (m1 + m2 + 1) eps of its sum's rounding bound alone exceeds _W_BUDGET.
+SEED_CAP = 100_000
 # Photon-number tail mass past the truncation, the one bound `sdfs_state` cuts at.
 # Double precision resolves the crossing from 5e-13 up: on the 192 preset, sweep
 # and check states (closed-form norm^2 off 1 by <= 1.9e-14) every true tail stays
@@ -145,10 +150,8 @@ class SdfsParams:
             math.cosh(self.r)
         except OverflowError:
             raise ValueError(f"squeeze magnitude r = {self.r:g} overflows cosh r") from None
-        try:  # then |alpha2 - alpha1|^2 of an overlap stays finite too
-            abs(2.0 * self.alpha0) ** 2
-        except OverflowError:
-            raise ValueError(f"displacement {self.alpha0:g} overflows |2 alpha0|^2") from None
+        if not 4.0 * (a0.real * a0.real + a0.imag * a0.imag) < math.inf:  # then |a2 - a1|^2 is too
+            raise ValueError(f"displacement {self.alpha0:g} overflows |2 alpha0|^2")
         if not (0 <= self.m < math.inf and self.m == int(self.m)):  # nan, inf fail before int()
             raise ValueError("seed Fock number m must be a nonnegative integer")
         object.__setattr__(self, "alpha0", complex(self.alpha0))
@@ -171,17 +174,17 @@ class SdfsParams:
 
 
 def mean_photon_number(p: SdfsParams) -> float:
-    """<a+ a> = (mu^2 + |nu|^2) m + |nu|^2 + |alpha0|^2."""
-    nsq = abs(p.nu) ** 2
-    return (p.mu**2 + nsq) * p.m + nsq + abs(p.alpha0) ** 2
+    """<a+ a> = (mu^2 + |nu|^2) m + |nu|^2 + |alpha0|^2; inf (NaN at m = 0) on overflow."""
+    nsq = abs(p.nu) * abs(p.nu)
+    return (p.mu * p.mu + nsq) * p.m + nsq + abs(p.alpha0) * abs(p.alpha0)
 
 
 def hermite_scaled(x: complex, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Hermite values H_k(x), k = 0..kmax, as pairs (h_k, L_k) with
     H_k(x) = h_k * exp(L_k) and |h_k| in {0} U [~1].
 
-    Three-term recurrence H_{k+1} = 2x H_k - 2k H_{k-1}, rescaled each
-    step so huge arguments or orders never overflow.
+    Three-term recurrence H_{k+1} = 2x H_k - 2k H_{k-1}, rescaled each step so
+    huge orders never overflow; a step below the normal range (_TINY) gives 0.
     """
     h = np.zeros(kmax + 1, dtype=complex)
     logs = np.zeros(kmax + 1, dtype=float)
@@ -190,7 +193,7 @@ def hermite_scaled(x: complex, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         return h, logs
     v = 2.0 * x
     mag = abs(v)
-    if mag > 0.0:
+    if mag > _TINY:
         h[1] = v / mag
         logs[1] = math.log(mag)
     for k in range(1, kmax):
@@ -199,7 +202,7 @@ def hermite_scaled(x: complex, kmax: int) -> tuple[np.ndarray, np.ndarray]:
             k - 1
         ] * math.exp(logs[k - 1] - scale)
         mag = abs(v)
-        if mag > 0.0:
+        if mag > _TINY:
             h[k + 1] = v / mag
             logs[k + 1] = scale + math.log(mag)
         else:
@@ -228,7 +231,7 @@ def _amplitudes(p: SdfsParams, n_max: int) -> np.ndarray:
         if a0 == 0:  # the number state |m>, zero where m > n_max
             return np.eye(1, n_max + 1, m, dtype=complex)[0]
         la = math.log(abs(a0))
-        th = cmath.phase(a0)
+        th = math.atan2(a0.imag, a0.real)
         base = -0.5 * abs(a0) ** 2 + 0.5 * log_factorial(m)
 
         def displaced_fock_row(i, k):
@@ -258,8 +261,8 @@ def _amplitudes(p: SdfsParams, n_max: int) -> np.ndarray:
     pref_log = 0.5 * (log_factorial(ns) - log_factorial(m) - math.log(mu)) + g_exp.real
     pref_phase = cmath.exp(1j * g_exp.imag)
 
-    log_c, arg_c = math.log(abs(c)), cmath.phase(c)
-    log_sa, arg_sa = math.log(abs(sa)), cmath.phase(sa)
+    log_c, arg_c = math.log(abs(c)), math.atan2(c.imag, c.real)
+    log_sa, arg_sa = math.log(abs(sa)), math.atan2(sa.imag, sa.real)
 
     def hermite_row(i, k):
         logmag = (log_factorial(m) - log_factorial(i) - log_factorial(m - i) - i * math.log(mu)
@@ -290,11 +293,7 @@ def sdfs_state(p: SdfsParams) -> FockVector:
         if p.m > cap:
             raise ValueError(f"Fock seed {p.m} exceeds the truncation cap {cap}")
         return FockVector(_amplitudes(p, max(p.m, 1)))
-    try:
-        mean = mean_photon_number(p)
-    except OverflowError:  # cosh^2 r beyond the double range
-        mean = math.inf
-    floor = mean + 10.0 * math.sqrt(mean + 1.0)
+    floor = (mean := mean_photon_number(p)) + 10.0 * math.sqrt(mean + 1.0)
     if not floor <= cap:  # refuses NaN too: inf * m at m = 0
         needed = math.ceil(floor) if math.isfinite(floor) else "beyond the double range"
         raise ValueError(f"required truncation {needed} exceeds the cap {cap}")
@@ -345,21 +344,20 @@ def _exp_quadratic_coeffs(
     """
     units = np.zeros(kmax + 1, dtype=complex)
     logs = np.full(kmax + 1, -np.inf)
+    ks = np.arange(kmax + 1)
     if quad == 0:
         if lin == 0:
             units[0] = 1.0
             logs[0] = 0.0
             return units, logs
-        ks = np.arange(kmax + 1)
         logs = ks * math.log(abs(lin)) - log_factorial(ks)
-        units = np.exp(1j * ks * cmath.phase(lin))
+        units = np.exp(1j * ks * math.atan2(lin.imag, lin.real))
         return units, logs
     w = cmath.sqrt(-quad / 2.0)
     x = lin / (2.0 * w)
     hh, ll = hermite_scaled(x, kmax)
-    ks = np.arange(kmax + 1)
     logs = ks * math.log(abs(w)) + ll - log_factorial(ks)
-    units = np.exp(1j * ks * cmath.phase(w)) * hh
+    units = np.exp(1j * ks * math.atan2(w.imag, w.real)) * hh
     return units, logs
 
 
@@ -386,66 +384,72 @@ def sdfs_overlap(p1: SdfsParams, p2: SdfsParams) -> complex:
     W is formed by cancellation, with a rounding error up to
     eps (mu1 mu2 + |nu1| |nu2|) while |W| >= cosh(r1 - r2) >= 1. When that
     bound exceeds 1e-10 |W| (equal squeezes beyond r of about 6.5) the
-    overlap is refused with a lost-precision error. So is a sum that
-    overflows the double range (m1 = m2 = 10000 at r2 = 0.1) or cancels,
+    overlap is refused with a lost-precision error. So is a sum that cancels,
     its rounding bound (m1 + m2 + 1) eps |prefactor| e^peak sum |terms|
-    exceeding 1e-10 (m1 = m2 = 60 at r1 = 0, r2 = 0.5).
+    exceeding 1e-10 (m1 = m2 = 60 at r1 = 0, r2 = 0.5), any value that overflows
+    the double range, raised or formed as inf or NaN (|W| at r1 = 355, r2 = 356;
+    the sum at m1 = m2 = 10000, r2 = 0.1), and a seed number above SEED_CAP.
     """
+    if (seed := max(p1.m, p2.m)) > SEED_CAP:
+        raise ValueError(f"overlap seed number m = {seed} exceeds the cap {SEED_CAP}")
     mu1, nu1, m1, a1 = p1.mu, p1.nu, p1.m, p1.alpha0
     mu2, nu2, m2, a2 = p2.mu, p2.nu, p2.m, p2.alpha0
-    d = a2 - a1
-    wden = mu1 * mu2 - nu1.conjugate() * nu2  # = mu1 mu2 K, |W| >= 1
-    rounding = _EPS * (mu1 * mu2 + abs(nu1) * abs(nu2))
-    if not math.isfinite(rounding) or rounding > _W_BUDGET * abs(wden):
-        raise ValueError(
-            f"overlap lost precision: W = mu1 mu2 - nu1* nu2 has a rounding bound "
-            f"{rounding:.3e} against |W| = {abs(wden):.3e} (r1={p1.r:g}, r2={p2.r:g})"
-        )
-    quad1 = (nu1 * mu2 - nu2 * mu1) / wden
-    quad2 = (nu2.conjugate() * mu1 - nu1.conjugate() * mu2) / wden
-    cross = 1.0 / wden
-    lin1 = (mu2 * d + nu2 * d.conjugate()) / wden
-    lin2 = -(mu1 * d.conjugate() + nu1.conjugate() * d) / wden
-    const = (
-        1j * (a1.conjugate() * a2).imag
-        - 0.5 * abs(d) ** 2
-        - (
-            nu2 * mu1 * d.conjugate() ** 2
-            + nu1.conjugate() * mu2 * d**2
-            + 2.0 * nu1.conjugate() * nu2 * abs(d) ** 2
-        )
-        / (2.0 * wden)
-    )
-    prefactor = cmath.exp(const) / cmath.sqrt(wden)
-
-    u1, l1 = _exp_quadratic_coeffs(quad1, lin1, m1)
-    u2, l2 = _exp_quadratic_coeffs(quad2, lin2, m2)
-
-    rmax = min(m1, m2)
-    rs = np.arange(rmax + 1)
-    log_cross = rs * math.log(abs(cross))
-    unit_cross = np.exp(1j * rs * cmath.phase(cross))
-    logmag = (
-        l1[m1 - rs]
-        + l2[m2 - rs]
-        + log_cross
-        - log_factorial(rs)
-        + 0.5 * (log_factorial(m1) + log_factorial(m2))
-    )
-    units = u1[m1 - rs] * u2[m2 - rs] * unit_cross
-    peak = float(np.max(logmag))
-    if not math.isfinite(peak):
-        return 0j
-    terms = units * np.exp(logmag - peak)
     try:
+        d = a2 - a1
+        wden = mu1 * mu2 - nu1.conjugate() * nu2  # = mu1 mu2 K, |W| >= 1
+        rounding = _EPS * (mu1 * mu2 + abs(nu1) * abs(nu2))
+        if not rounding < math.inf:  # products overflow silently, to inf or NaN
+            raise OverflowError
+        if rounding > _W_BUDGET * abs(wden):
+            raise ValueError(
+                f"overlap lost precision: W = mu1 mu2 - nu1* nu2 has a rounding bound "
+                f"{rounding:.3e} against |W| = {abs(wden):.3e} (r1={p1.r:g}, r2={p2.r:g})"
+            )
+        quad1 = (nu1 * mu2 - nu2 * mu1) / wden
+        quad2 = (nu2.conjugate() * mu1 - nu1.conjugate() * mu2) / wden
+        cross = 1.0 / wden
+        lin1 = (mu2 * d + nu2 * d.conjugate()) / wden
+        lin2 = -(mu1 * d.conjugate() + nu1.conjugate() * d) / wden
+        const = (
+            1j * (a1.conjugate() * a2).imag
+            - 0.5 * abs(d) ** 2
+            - (
+                nu2 * mu1 * d.conjugate() ** 2
+                + nu1.conjugate() * mu2 * d**2
+                + 2.0 * nu1.conjugate() * nu2 * abs(d) ** 2
+            )
+            / (2.0 * wden)
+        )
+        if not (cmath.isfinite(const) or const.real == -math.inf):  # e^-inf is 0 at any phase
+            raise OverflowError
+        prefactor = cmath.exp(const) / cmath.sqrt(wden)
+
+        u1, l1 = _exp_quadratic_coeffs(quad1, lin1, m1)
+        u2, l2 = _exp_quadratic_coeffs(quad2, lin2, m2)
+
+        rs = np.arange(min(m1, m2) + 1)
+        logmag = (
+            l1[m1 - rs]
+            + l2[m2 - rs]
+            + rs * math.log(abs(cross))
+            - log_factorial(rs)
+            + 0.5 * (log_factorial(m1) + log_factorial(m2))
+        )
+        units = u1[m1 - rs] * u2[m2 - rs] * np.exp(1j * rs * math.atan2(cross.imag, cross.real))
+        peak = float(np.max(logmag))
+        if not math.isfinite(peak):
+            return 0j
+        terms = units * np.exp(logmag - peak)
         value = complex(prefactor * np.sum(terms) * math.exp(peak))
         rounding = (m1 + m2 + 1) * _EPS * abs(prefactor) * math.exp(peak) * np.sum(np.abs(terms))
     except OverflowError:
-        rounding = math.inf
-    if not rounding <= _W_BUDGET:
-        cause = "overflows the double range" if rounding == math.inf else "cancels"
         raise ValueError(
-            f"overlap lost precision: the sum {cause}, with a rounding bound {rounding:.3e} "
+            f"overlap lost precision: a value overflows the double range "
+            f"(m1={m1}, m2={m2}, r1={p1.r:g}, r2={p2.r:g})"
+        ) from None
+    if not rounding <= _W_BUDGET:
+        raise ValueError(
+            f"overlap lost precision: the sum cancels, with a rounding bound {rounding:.3e} "
             f"above {_W_BUDGET:g} (m1={m1}, m2={m2}, r1={p1.r:g}, r2={p2.r:g})"
         )
     return value

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +593,34 @@ def test_cli_overlap_refusals_exit_2(p1, p2, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "p1, p2, code, printed",
+    [
+        # arg(alpha2 - alpha1) underflows: cmath.phase raised OverflowError, atan2 gives 0
+        ("alpha0_re=1e100,alpha0_im=1e-300", "r=0", 0, "modulus = 0\n"),
+        # cmath.exp of the prefactor's exponent raises OverflowError
+        ("r=100,phi=2", "alpha0_re=1e10,r=400", 2, "a value overflows the double range"),
+        # abs(W) raises OverflowError: absolute value too large
+        ("r=355", "r=356,phi=1.5", 2, "a value overflows the double range"),
+        # a Hermite step falls below the normal range; dividing by it overflowed in numpy
+        ("alpha0_re=1e-20,r=700,phi=4.86,m=10", "alpha0_re=-1e-20,r=0.001,phi=2,m=200", 0,
+         "modulus = 1.65283351744"),
+        # just above the seed cap, which is refused before anything is allocated
+        ("m=100001", "m=0", 2, "overlap seed number m = 100001 exceeds the cap 100000"),
+    ],
+    ids=["angle-underflow", "prefactor-exp", "w-modulus", "subnormal-hermite-step", "seed-cap"],
+)
+def test_cli_overlap_refuses_or_computes_an_out_of_range_value_without_a_traceback(
+    p1, p2, code, printed, capsys
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["overlap", "--p1", p1, "--p2", p2]) == code
+    captured = capsys.readouterr()
+    assert printed in (captured.out if code == 0 else captured.err)
+    assert captured.err == "" if code == 0 else captured.out == ""
 
 
 def test_cli_run_refuses_an_overflowing_squeeze(tmp_path, capsys):

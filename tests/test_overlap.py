@@ -1,5 +1,8 @@
 import cmath
 import math
+import random
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -131,7 +134,7 @@ def test_overflowing_w_is_refused():
     "kwargs1, kwargs2, named",
     [
         ({"r": 5e-324, "m": 1}, {"alpha0": 1.0}, "r = 5e-324"),  # w = 0: ZeroDivisionError
-        # arg(alpha2 - alpha1) underflowed: OverflowError from cmath.phase
+        # arg(alpha2 - alpha1) underflows
         ({"alpha0": complex(-1.2129279954890553, 5e-324), "m": 40},
          {"alpha0": 1.8069434416137904, "m": 1}, "Im alpha0 = 5e-324"),
     ],
@@ -160,3 +163,33 @@ def test_high_seed_pair_inside_the_budget_matches_the_oracle():
     p1, p2 = SdfsParams(m=30), SdfsParams(r=0.5, m=30)
     u, v = build_sdfs_oracle([p1, p2], [DIM_CAP, DIM_CAP])
     assert sdfs_overlap(p1, p2) == pytest.approx(np.vdot(u.amps, v.amps), abs=1e-10)
+
+
+def _extreme_state(rng):
+    """|Re alpha0|, |Im alpha0| in {0} U [1e-300, 1e150], r in {0} U [1e-300, 710]
+    and m in {0} U [1, 3000], each log-uniform past its zero; r uniform in half the draws."""
+    def part(lo, hi):
+        return 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(lo, hi)
+
+    alpha0 = complex(rng.choice((-1, 1)) * part(-300, 150), rng.choice((-1, 1)) * part(-300, 150))
+    r = part(-300, math.log10(710)) if rng.random() < 0.5 else rng.uniform(0, 710)
+    return SdfsParams(alpha0=alpha0, r=r, phi=rng.uniform(0, 7), m=int(part(0, math.log10(3000))))
+
+
+def test_extreme_pairs_are_computed_or_refused_with_a_value_error_and_no_warning():
+    # 8 of these pairs raised OverflowError or warned before one fence took every
+    # out-of-range value of the overlap
+    rng = random.Random(38)
+    causes = Counter()
+    for _ in range(500):
+        p1, p2 = _extreme_state(rng), _extreme_state(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert abs(sdfs_overlap(p1, p2)) <= 1.0 + 1e-10
+                causes["computed"] += 1
+            except ValueError as exc:
+                causes[str(exc).split(" (")[0].split(",")[0]] += 1
+    overflow = "overlap lost precision: a value overflows the double range"
+    assert set(causes) <= {"computed", overflow, "overlap lost precision: the sum cancels"}, causes
+    assert min(causes["computed"], causes[overflow]) > 100, causes

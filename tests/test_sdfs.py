@@ -7,6 +7,7 @@ from scipy.special import gammaln
 
 from sdfs_jcm import sdfs
 from sdfs_jcm.fock import DIM_CAP, build_sdfs_oracle
+from sdfs_jcm.observables import revival_time
 from sdfs_jcm.presets import PRESET_NAMES, figure_preset
 from sdfs_jcm.sdfs import (
     TAIL_TOL,
@@ -248,6 +249,16 @@ def test_choose_truncation_refuses_an_overflowing_mean(r):
     # cosh^2 r overflows from r ~ 355.6; at 355.5 the sum mu^2 + |nu|^2 does
     with pytest.raises(ValueError, match="required truncation beyond the double range exceeds"):
         sdfs_state(SdfsParams(alpha0=1.0, r=r))
+
+
+def test_an_overflowing_mean_is_inf_and_refused_by_sdfs_state():
+    # cosh^2 356 overflows: `**` raised OverflowError, products give inf (NaN at m = 0)
+    assert mean_photon_number(SdfsParams(alpha0=1.0, r=356.0, m=1)) == math.inf
+    assert math.isnan(mean_photon_number(SdfsParams(alpha0=1.0, r=356.0)))
+    assert revival_time(SdfsParams(alpha0=1.0, r=356.0)) == math.inf
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="^required truncation beyond the double range exceeds"):
+            sdfs_state(SdfsParams(alpha0=1.0, r=356.0, m=m))
 
 
 def test_choose_truncation_cap():
