@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .fock import NORM_TOL, ROUND_SLACK
+from .fock import ROUND_SLACK
 from .sdfs import SdfsParams, log_factorial
 
 _TWO_PI = 2.0 * math.pi
@@ -54,13 +54,6 @@ def gram(c: np.ndarray, s: np.ndarray, pc: np.ndarray, ps: np.ndarray) -> tuple[
     return cc, ss, cs
 
 
-def _reject_first(bad: np.ndarray, describe, first: int) -> None:
-    """Raise ValueError naming the first row flagged in bad, if any, counted from first."""
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        raise ValueError(f"row {first + rows[0]}: {describe(rows[0])}")
-
-
 def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray, first: int = 0) -> np.ndarray:
     """(T, 3) rows (S_f, lambda_plus, lambda_minus) of rho_f per time from
     its Gram entries <C|C>, <S|S>, <C|S>; S_f = -sum lambda ln lambda (nats).
@@ -68,35 +61,25 @@ def entropy_rows(cc: np.ndarray, ss: np.ndarray, cs: np.ndarray, first: int = 0)
 
     lambda+- = (cc+ss)/2 +- hypot((cc-ss)/2, |cs|), the cancellation-free
     hyperbolic-angle split. Eigenvalues are clamped to [0, 1] only within
-    ROUND_SLACK, the slack `sdfs_state` grants its norm^2. Entries outside
-    [0, 1] by more, a trace off 1 by > NORM_TOL, |cs|^2 > cc*ss + ROUND_SLACK
-    or eigenvalues beyond the slack raise ValueError naming the first such
-    row. Only the hypot of the split and the logarithms run element by
-    element, in Python's math: numpy's versions differ in the last bit.
+    ROUND_SLACK, the slack `sdfs_state` grants its norm^2; beyond it, or NaN,
+    they raise ValueError naming the first such row. As lambda+ >= max(cc, ss),
+    lambda- <= min(cc, ss) and lambda+ lambda- = cc ss - |cs|^2, that also
+    refuses entries outside [0, 1] and |cs|^2 > cc ss; a trace off 1 is the
+    run's eigenvalue_sum_residual. Only the hypot of the split and the
+    logarithms run element by element, in Python's math: numpy's versions
+    differ in the last bit.
     """
     acs = np.hypot(cs.real, cs.imag)  # bit for bit Python's abs(complex)
-    _reject_first(
-        ~((-ROUND_SLACK <= np.minimum(cc, ss)) & (np.maximum(cc, ss) <= 1.0 + ROUND_SLACK)),
-        lambda i: f"cc={cc[i]}, ss={ss[i]} outside [0, 1]", first,
-    )
-    trace = cc + ss
-    _reject_first(
-        np.abs(trace - 1.0) > NORM_TOL,
-        lambda i: f"trace cc + ss = {trace[i]} deviates from 1 beyond {NORM_TOL:g}", first,
-    )
-    _reject_first(
-        ~(acs * acs <= cc * ss + ROUND_SLACK),
-        lambda i: f"|<C|S>|^2 exceeds <C|C><S|S> beyond {ROUND_SLACK:g}", first,
-    )
-
     split = np.array(list(map(math.hypot, (0.5 * (cc - ss)).tolist(), acs.tolist())))
+    half = 0.5 * (cc + ss)
     rows = np.empty((len(cc), 3))
     lams = rows[:, 1:]
-    lams[:, 0], lams[:, 1] = 0.5 * trace + split, 0.5 * trace - split
-    _reject_first(
-        (lams[:, 1] < -ROUND_SLACK) | (lams[:, 0] > 1.0 + ROUND_SLACK),
-        lambda i: f"eigenvalues ({lams[i, 0]}, {lams[i, 1]}) outside [0, 1] beyond slack", first,
-    )
+    lams[:, 0], lams[:, 1] = half + split, half - split
+    bad = np.flatnonzero(~((lams[:, 1] >= -ROUND_SLACK) & (lams[:, 0] <= 1.0 + ROUND_SLACK)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"row {first + i}: eigenvalues ({lams[i, 0]}, {lams[i, 1]}) "
+                         "outside [0, 1] beyond slack")
     np.clip(lams, 0.0, 1.0, out=lams)
     logs = np.zeros_like(lams)
     positive = lams > 0.0

@@ -85,7 +85,7 @@ Q_TAIL = 1e-4
 TIME_SERIES = frozenset(name for name, (_, row) in OUTPUTS.items() if row)
 
 # Each residual's bound. All but the Q integral are the norm of the evolved state,
-# off 1 by rounding only; `entropy_rows` refuses a Gram trace cc + ss off 1 by more.
+# off 1 by rounding only; `entropy_rows` leaves a Gram trace off 1 to eigenvalue_sum_residual.
 TOLERANCES = {
     # |norm^2 - 1| of sdfs_state(p), which that function already keeps below TAIL_TOL
     "normalization_residual": NORM_TOL,

@@ -174,9 +174,10 @@ class SdfsParams:
 
 
 def mean_photon_number(p: SdfsParams) -> float:
-    """<a+ a> = (mu^2 + |nu|^2) m + |nu|^2 + |alpha0|^2; inf (NaN at m = 0) on overflow."""
+    """<a+ a> = (mu^2 + |nu|^2) m + |nu|^2 + |alpha0|^2; inf on overflow."""
     nsq = abs(p.nu) * abs(p.nu)
-    return (p.mu * p.mu + nsq) * p.m + nsq + abs(p.alpha0) * abs(p.alpha0)
+    seeded = (p.mu * p.mu + nsq) * p.m if p.m else 0.0  # no inf * 0 where the sum is finite
+    return seeded + nsq + abs(p.alpha0) * abs(p.alpha0)
 
 
 def hermite_scaled(x: complex, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,8 +295,8 @@ def sdfs_state(p: SdfsParams) -> FockVector:
             raise ValueError(f"Fock seed {p.m} exceeds the truncation cap {cap}")
         return FockVector(_amplitudes(p, max(p.m, 1)))
     floor = (mean := mean_photon_number(p)) + 10.0 * math.sqrt(mean + 1.0)
-    if not floor <= cap:  # refuses NaN too: inf * m at m = 0
-        needed = math.ceil(floor) if math.isfinite(floor) else "beyond the double range"
+    if not floor <= cap:
+        needed = format(math.ceil(floor), ".4g") if floor < math.inf else "beyond the double range"
         raise ValueError(f"required truncation {needed} exceeds the cap {cap}")
     floor_n = math.ceil(floor)
     n_hi = floor_n

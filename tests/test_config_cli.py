@@ -466,6 +466,31 @@ def test_a_nan_residual_fails_the_run(tmp_path, monkeypatch):
     assert result.summary["status"] == "invariant-failure: conservation_residual"
 
 
+def test_a_gram_trace_off_1_fails_the_run_through_its_eigenvalue_sum(
+    tmp_path, capsys, monkeypatch
+):
+    # row 3 is mixed, so a trace 1e-6 too large keeps both eigenvalues in [0, 1]:
+    # an invariant failure (exit 1) that keeps its CSVs, not a refused config
+    gram_entries = sdfs_jcm.runner.gram
+
+    def gram_with_a_bad_trace(c, s, pc, ps):
+        cc, ss, cs = gram_entries(c, s, pc, ps)
+        cc[3] += 1e-6
+        return cc, ss, cs
+
+    monkeypatch.setattr("sdfs_jcm.runner.gram", gram_with_a_bad_trace)
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        f"alpha0_re = 3\nt_points = 400\nobservables = entropy\noutput_dir = {out_dir}\n"
+    )
+    assert main(["run", str(config_path)]) == 1
+    out = capsys.readouterr().out
+    assert "status = invariant-failure: eigenvalue_sum_residual\n" in out
+    assert f"wrote {out_dir / 'entropy.csv'}\n" in out
+    assert (out_dir / "entropy.csv").read_text().count("\n") == 401
+
+
 @pytest.mark.parametrize("exists", [False, True, "run_summary.txt"])
 def test_a_refusal_after_the_first_streamed_block_leaves_no_csv(tmp_path, capsys, monkeypatch, exists):
     # phase_dist.csv is begun in the time loop; the entropy rows are formed after
@@ -683,12 +708,13 @@ def test_an_overflowing_detuning_is_named_as_the_key(detuning, observables, tmp_
 
 @pytest.mark.parametrize("r", ["355.5", "400", "700"])
 def test_cli_run_refuses_a_squeeze_whose_mean_photon_number_overflows(r, tmp_path, capsys):
+    needed = "1.518e+308" if r == "355.5" else "beyond the double range"
     config_path = tmp_path / "huge.cfg"
     out_dir = tmp_path / "out"
     config_path.write_text(f"alpha0_re = 1\nr = {r}\nt_points = 4\noutput_dir = {out_dir}\n")
     assert main(["run", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert "required truncation beyond the double range exceeds the cap 511" in err
+    assert f"required truncation {needed} exceeds the cap 511" in err
     assert not out_dir.exists()
 
 

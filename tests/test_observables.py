@@ -8,7 +8,7 @@ from scipy.special import gammaln, xlogy
 from jcm_reference import jcm_reference
 from sdfs_jcm.config import RunConfig, parse_config
 from sdfs_jcm.dynamics import conservation_residual, evolve, populations
-from sdfs_jcm.fock import FockVector
+from sdfs_jcm.fock import NORM_TOL, ROUND_SLACK, FockVector
 from sdfs_jcm.observables import (
     ETA_POINTS,
     ETAS,
@@ -256,21 +256,83 @@ def test_entropy_rows_match_scalar_on_detuned_sweep_configs(tmp_path, sweep_work
 
 
 def test_entropy_rejects_invalid_gram():
+    # entries outside [0, 1], |<C|S>|^2 > <C|C><S|S> and NaN all put an eigenvalue
+    # outside [0, 1] or make it NaN, which the one eigenvalue test refuses
     cases = [
-        ([0.5, 0.5, 1.1], [0.5, 0.5, -0.1], [0j, 0j, 0j], "row 2: cc=1.1, ss=-0.1 outside [0, 1]"),
-        ([0.5, 0.9], [0.5, 0.3], [0j, 0j], "row 1: trace cc + ss = 1.2"),
-        ([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0j, 0.1j, 0.9], "row 2: |<C|S>|^2 exceeds"),
+        ([0.5, 0.5, 1.1], [0.5, 0.5, -0.1], [0j, 0j, 0j], 2),
+        ([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0j, 0.1j, 0.9], 2),
         # a NaN <C|S> gave S = ln 2, as if <C|S> were 0
-        ([0.5, 0.5], [0.5, 0.5], [0j, complex(math.nan, 0.0)], "row 1: |<C|S>|^2 exceeds"),
-        ([0.5, 0.5], [0.5, 0.5], [0j, complex(0.0, math.nan)], "row 1: |<C|S>|^2 exceeds"),
+        ([0.5, 0.5], [0.5, 0.5], [0j, complex(math.nan, 0.0)], 1),
+        ([0.5, 0.5], [0.5, 0.5], [0j, complex(0.0, math.nan)], 1),
+        ([0.5, math.nan], [0.5, 0.5], [0j, 0j], 1),
+        ([0.5, 0.5, 0.5], [0.5, 0.5, math.inf], [0j, 0j, 0j], 2),
     ]
-    for cc, ss, cs, message in cases:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            entropy_rows(np.array(cc), np.array(ss), np.array(cs, dtype=complex))
+    for cc, ss, cs, row in cases:
+        with pytest.raises(ValueError, match=re.escape(f"row {row}: eigenvalues (")):
+            with np.errstate(invalid="ignore"):  # inf - inf in the eigenvalues of an inf entry
+                entropy_rows(np.array(cc), np.array(ss), np.array(cs, dtype=complex))
+
+
+def _parent_gram_refusals(cc, ss, cs):
+    """The four tests of `entropy_rows` before it kept only its eigenvalue
+    test, as masks: entries outside [0, 1], trace off 1, Cauchy-Schwarz, and
+    eigenvalues outside [0, 1] (which let NaN through)."""
+    acs = np.hypot(cs.real, cs.imag)
+    with np.errstate(invalid="ignore", over="ignore"):
+        low, high = np.minimum(cc, ss), np.maximum(cc, ss)
+        entries = ~((-ROUND_SLACK <= low) & (high <= 1.0 + ROUND_SLACK))
+        trace = np.abs(cc + ss - 1.0) > NORM_TOL
+        cauchy_schwarz = ~(acs * acs <= cc * ss + ROUND_SLACK)
+        split = np.array(list(map(math.hypot, (0.5 * (cc - ss)).tolist(), acs.tolist())))
+        lam_plus, lam_minus = 0.5 * (cc + ss) + split, 0.5 * (cc + ss) - split
+    eigenvalues = (lam_minus < -ROUND_SLACK) | (lam_plus > 1.0 + ROUND_SLACK)
+    return entries, trace, cauchy_schwarz, eigenvalues
+
+
+def test_the_eigenvalue_test_refuses_every_gram_the_removed_tests_refused():
+    # a seeded draw spread over the boundaries of [0, 1], the trace 1 and
+    # |cs|^2 = cc ss, with NaN and inf among the entries; each row alone
+    rng = np.random.default_rng(39)
+    count = 10_000
+    edges = np.array([0.0, 1.0, -ROUND_SLACK, 1.0 + ROUND_SLACK, math.nan, math.inf, -math.inf])
+    cc = rng.uniform(-0.01, 1.01, count)
+    near = rng.random(count) < 0.5  # traces at 1, half of them off by about 1e-9
+    cc[near] = rng.uniform(0.0, 1.0, near.sum())
+    ss = np.where(near, 1.0 - cc + rng.choice([0.0, 1.0], count) * rng.normal(0, 1e-9, count),
+                  rng.uniform(-0.01, 1.01, count))
+    for column in (cc, ss):
+        edge = rng.random(count) < 0.05
+        column[edge] = rng.choice(edges, edge.sum()) + rng.normal(0, 1e-12, edge.sum())
+    with np.errstate(invalid="ignore"):
+        bound = np.sqrt(np.maximum(cc * ss, 0.0))
+    mag = bound * np.where(rng.random(count) < 0.5, 1.0 + rng.normal(0, 1e-9, count),
+                           rng.uniform(0.0, 1.2, count))
+    cs = mag * np.exp(1j * rng.uniform(0, 2 * math.pi, count))
+    odd = rng.random(count) < 0.01
+    cs[odd] = rng.choice([complex(math.nan, 0.0), complex(0.0, math.inf), 2.0], odd.sum())
+
+    refused = np.zeros(count, dtype=bool)
+    sums = np.full(count, math.nan)
+    for i in range(count):
+        try:
+            with np.errstate(invalid="ignore"):
+                row = entropy_rows(cc[i : i + 1], ss[i : i + 1], cs[i : i + 1])
+        except ValueError:
+            refused[i] = True
+        else:
+            sums[i] = row[0, 1] + row[0, 2]
+    entries, trace, cauchy_schwarz, eigenvalues = _parent_gram_refusals(cc, ss, cs)
+    assert entries.sum() > 500 and cauchy_schwarz.sum() > 500 and (trace & ~refused).sum() > 500
+    assert np.isnan(cc).sum() > 20 and np.isinf(ss).sum() > 20
+    assert np.all(refused[entries | cauchy_schwarz])
+    # and refuses no row that all four former tests passed
+    assert not np.any(refused & ~(entries | trace | cauchy_schwarz | eigenvalues))
+    # a trace off 1 that the eigenvalues allow fails the run's eigenvalue_sum_residual
+    assert np.all(np.abs(sums[trace & ~refused] - 1.0) > NORM_TOL)
 
 
 def test_entropy_rejects_eigenvalues_beyond_slack():
-    # within every Gram tolerance, the larger eigenvalue still overshoots 1
+    # entries within the slack of [0, 1], yet the larger eigenvalue overshoots 1 beyond it
     cc = np.array([0.5, 1.0 + 1e-12])
     ss = np.array([0.5, 1e-11 - 1e-12])
     cs = np.array([0j, 1e-6 + 0j])

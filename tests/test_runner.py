@@ -666,15 +666,15 @@ def test_an_entropy_refusal_names_the_row_of_the_run(monkeypatch):
                     observables=("entropy",))
     bad, seen, gram_entries = 2 * runner.BLOCK_ENTRIES + 99, [0], runner.gram
 
-    def gram_with_a_bad_trace(c, s, pc, ps):
+    def gram_with_a_bad_overlap(c, s, pc, ps):
         cc, ss, cs = gram_entries(c, s, pc, ps)
         if 0 <= bad - seen[0] < len(cc):
-            cc[bad - seen[0]] += 1e-6
+            cs[bad - seen[0]] = 1.0  # |<C|S>|^2 > <C|C><S|S>
         seen[0] += len(cc)
         return cc, ss, cs
 
-    monkeypatch.setattr(runner, "gram", gram_with_a_bad_trace)
-    with pytest.raises(ValueError, match=f"^row {bad}: "):
+    monkeypatch.setattr(runner, "gram", gram_with_a_bad_overlap)
+    with pytest.raises(ValueError, match=f"^row {bad}: eigenvalues "):
         compute(cfg)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -246,15 +247,28 @@ def test_choose_truncation_oracle_tail():
 
 @pytest.mark.parametrize("r", [355.5, 400.0, 700.0])
 def test_choose_truncation_refuses_an_overflowing_mean(r):
-    # cosh^2 r overflows from r ~ 355.6; at 355.5 the sum mu^2 + |nu|^2 does
-    with pytest.raises(ValueError, match="required truncation beyond the double range exceeds"):
+    # cosh^2 r overflows from r ~ 355.6; at 355.5 the sum mu^2 + |nu|^2 does,
+    # but at m = 0 the mean |nu|^2 + |alpha0|^2 is finite
+    needed = "1.518e+308" if r == 355.5 else "beyond the double range"
+    message = f"required truncation {needed} exceeds the cap 511"
+    with pytest.raises(ValueError, match=re.escape(message)):
         sdfs_state(SdfsParams(alpha0=1.0, r=r))
 
 
+def test_a_huge_required_truncation_is_named_in_four_digits():
+    with pytest.raises(ValueError) as refusal:
+        sdfs_state(SdfsParams(alpha0=1.0, r=300.0))
+    assert str(refusal.value) == "required truncation 9.433e+259 exceeds the cap 511"
+    assert len(str(refusal.value)) < 100
+    with pytest.raises(ValueError, match="^required truncation 601 exceeds the cap 511$"):
+        sdfs_state(SdfsParams(alpha0=20.0))  # 400 + 10 sqrt(401)
+
+
 def test_an_overflowing_mean_is_inf_and_refused_by_sdfs_state():
-    # cosh^2 356 overflows: `**` raised OverflowError, products give inf (NaN at m = 0)
+    # cosh^2 356 overflows: `**` raised OverflowError, products give inf, at m = 0 too
     assert mean_photon_number(SdfsParams(alpha0=1.0, r=356.0, m=1)) == math.inf
-    assert math.isnan(mean_photon_number(SdfsParams(alpha0=1.0, r=356.0)))
+    assert mean_photon_number(SdfsParams(alpha0=1.0, r=356.0)) == math.inf
+    assert math.isfinite(mean_photon_number(SdfsParams(alpha0=1.0, r=355.5)))
     assert revival_time(SdfsParams(alpha0=1.0, r=356.0)) == math.inf
     for m in (0, 1):
         with pytest.raises(ValueError, match="^required truncation beyond the double range exceeds"):
