@@ -17,7 +17,9 @@ of the mass at each Q time; `q_grids` makes it, and the three fig5
 snapshots of `check` in one pass of bras.
 It and `compute` run with OpenBLAS on one thread, a process-wide setting:
 each loaded OpenBLAS gets its thread count back when they return or
-raise, so calls from concurrent threads would race on it.
+raise, so calls from concurrent threads would race on it. The threads
+over the Q grid's rows (`observables.LANES`) start and stop inside one
+such call, so they all run within its one scope.
 
 `run` writes one CSV per selected observable, <name>.csv with the
 header of `config.OUTPUTS`, all through one writer, `compute`'s sink,
@@ -413,7 +415,8 @@ def q_grids(
     Q grids of q = sdfs_state(p) at the scaled times over it; the conservation
     residuals; each grid's Riemann sum over the window; the `_q_tail` of h. Its h is
     the first of `_q_half_width(p)`, + 0.25, + 0.5, ... whose tail over every time
-    is at most Q_TAIL, so the grids of one call share their axis. `evolve` refuses
+    is at most Q_TAIL, so the grids of one call share their axis, and their rows run on
+    the lanes of `q_function_grid` with OpenBLAS on one thread. `evolve` refuses
     (ValueError) times whose phases would lose precision."""
     c, s = evolve(q, times, detuning_ratio)
     pc, ps = populations(c, s)

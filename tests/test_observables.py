@@ -1,11 +1,16 @@
 import math
 import re
+import sys
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gammaln, xlogy
 
 from jcm_reference import jcm_reference
+from sdfs_jcm import observables
 from sdfs_jcm.config import RunConfig, parse_config
 from sdfs_jcm.dynamics import conservation_residual, evolve, populations
 from sdfs_jcm.fock import NORM_TOL, ROUND_SLACK, FockVector
@@ -21,7 +26,7 @@ from sdfs_jcm.observables import (
     q_function_grid,
     revival_time,
 )
-from sdfs_jcm.presets import figure_preset
+from sdfs_jcm.presets import FIGURE_RUNS, Q_TIMES, figure_preset
 from sdfs_jcm.runner import compute
 from sdfs_jcm.sdfs import SdfsParams, sdfs_state
 from sdfs_jcm.selfcheck import grid_params
@@ -269,8 +274,17 @@ def test_entropy_rejects_invalid_gram():
     ]
     for cc, ss, cs, row in cases:
         with pytest.raises(ValueError, match=re.escape(f"row {row}: eigenvalues (")):
-            with np.errstate(invalid="ignore"):  # inf - inf in the eigenvalues of an inf entry
-                entropy_rows(np.array(cc), np.array(ss), np.array(cs, dtype=complex))
+            entropy_rows(np.array(cc), np.array(ss), np.array(cs, dtype=complex))
+
+
+@pytest.mark.parametrize("cc, ss", [(0.5, math.inf), (math.inf, math.inf)])
+def test_an_inf_gram_entry_is_refused_without_a_warning(cc, ss):
+    # the inf - inf of its eigenvalues raised RuntimeWarning, a traceback where
+    # warnings are errors, before the eigenvalue test could refuse the NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("row 0: eigenvalues (")):
+            entropy_rows(np.array([cc]), np.array([ss]), np.array([0j]))
 
 
 def _parent_gram_refusals(cc, ss, cs):
@@ -466,9 +480,9 @@ def test_q_scalar_matches_grid():
 
 
 _HALF_AXIS = np.linspace(0.25, 6.0, 23)
-
-
-@pytest.mark.parametrize(
+_Q_STATE = SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2)
+_Q_XS = np.linspace(-7.0, 7.0, 29)
+_Y_AXES = pytest.mark.parametrize(
     "ys, mirrored",
     [
         (np.linspace(-6.0, 6.0, 23), 2),
@@ -478,14 +492,102 @@ _HALF_AXIS = np.linspace(0.25, 6.0, 23)
     ],
     ids=["linspace", "symmetric", "fig5-window", "no-mirror"],
 )
+
+
+@_Y_AXES
 def test_q_grid_equals_its_single_rows(ys, mirrored):
     # a one-row grid has no mirror row: each builds its own bras
     assert sum(y < 0 and -y in set(ys.tolist()) for y in ys.tolist()) == mirrored
-    c, s = _evolved(SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2), 2.3, detuning=-0.8)
-    xs = np.linspace(-7.0, 7.0, 29)
-    rows = [q_function_grid(c, s, xs, ys[i : i + 1]) for i in range(ys.size)]
-    grid = q_function_grid(c, s, xs, ys)
+    c, s = _evolved(_Q_STATE, 2.3, detuning=-0.8)
+    rows = [q_function_grid(c, s, _Q_XS, ys[i : i + 1]) for i in range(ys.size)]
+    grid = q_function_grid(c, s, _Q_XS, ys)
     assert np.array_equal(grid.view(np.int64), np.vstack(rows).view(np.int64))
+
+
+@_Y_AXES
+@pytest.mark.parametrize("times", [[2.3], [0.0, 2.3, 7.9]], ids=["1-snapshot", "3-snapshots"])
+def test_two_lanes_give_the_bits_of_one_lane(monkeypatch, ys, mirrored, times):
+    # LANES is set, not read from the CPUs, so this holds on a one-CPU runner too
+    c, s = evolve(_state(_Q_STATE), times, -0.8)
+    if len(times) == 1:
+        c, s = c[0], s[0]
+    grids = []
+    for lanes in (1, 2):
+        monkeypatch.setattr(observables, "LANES", lanes)
+        grids.append(q_function_grid(c, s, _Q_XS, ys))
+    assert grids[0].shape == (*c.shape[:-1], ys.size, _Q_XS.size)
+    assert np.array_equal(grids[0].view(np.int64), grids[1].view(np.int64))
+
+
+def test_more_lanes_than_cpus_switching_often_give_the_bits_of_one_lane(monkeypatch):
+    c, s = evolve(_state(_Q_STATE), [0.0, 2.3, 7.9], -0.8)
+    ys = np.linspace(-8.0, 8.0, 201)
+    monkeypatch.setattr(observables, "LANES", 1)
+    serial = q_function_grid(c, s, _Q_XS, ys)
+    monkeypatch.setattr(observables, "LANES", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lanes = q_function_grid(c, s, _Q_XS, ys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial.view(np.int64), lanes.view(np.int64))
+
+
+def test_every_lane_runs_under_the_callers_errstate(monkeypatch):
+    # |<alpha|C>|^2 overflows on every row; a lane outside the caller's context
+    # would warn, which warnings as errors turn into a raise
+    monkeypatch.setattr(observables, "LANES", 2)
+    c, s = _evolved(_Q_STATE, 2.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            grid = q_function_grid(c * 1e200, s * 1e200, _Q_XS, np.linspace(-6.0, 6.0, 23))
+    assert np.isinf(grid).any(axis=1).all()
+
+
+def test_a_failing_lane_is_raised_after_every_lane_has_stopped(monkeypatch):
+    monkeypatch.setattr(observables, "LANES", 2)
+    ys = np.linspace(-5.5, 6.5, 23)  # no mirror rows: lane k builds rows k, k + 2, ...
+    bras, built = observables._coherent_bras, []
+
+    def failing_bras(alphas, dim, out=None):
+        built.append((threading.current_thread(), alphas[0].imag))
+        if alphas[0].imag == ys[5]:
+            raise ArithmeticError("row 5")
+        return bras(alphas, dim, out)
+
+    monkeypatch.setattr(observables, "_coherent_bras", failing_bras)
+    c, s = _evolved(_Q_STATE, 2.3)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="row 5"):
+        q_function_grid(c, s, _Q_XS, ys)
+    assert threading.active_count() == before
+    lane0 = [y for thread, y in built if thread is threading.current_thread()]
+    lane1 = [y for thread, y in built if thread is not threading.current_thread()]
+    assert lane0 == ys[0::2].tolist()  # the calling thread ran all of its rows
+    assert lane1 == ys[1:6:2].tolist()  # and lane 1 stopped at its failing row
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_a_q_grid_holds_its_values_and_one_row_of_buffers_per_lane(monkeypatch, lanes):
+    # per lane, beyond its (nx, dim) float and complex buffers: two complex cast buffers
+    # of numpy's ufuncs and 64 kB for the rest, the projection's (T, nx) temporaries
+    # among it; measured 282-295 kB of the 326 kB, against 1.1 MB allocating per row
+    slack = 2 * np.getbufsize() * 16 + 64_000
+    monkeypatch.setattr(observables, "LANES", lanes)
+    c, s = evolve(_state(FIGURE_RUNS["b"].state), list(Q_TIMES.values()), 0.0)
+    axis = np.linspace(-8.0, 8.0, 201)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grid = q_function_grid(c, s, axis, axis)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    buffers = axis.size * c.shape[-1] * (8 + 16)
+    assert grid.nbytes < peak < grid.nbytes + lanes * (buffers + slack)
 
 
 @pytest.mark.parametrize("detuning", [0.0, -0.8])

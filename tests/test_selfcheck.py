@@ -139,9 +139,9 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
     rows, axes, grids, integrals = [], [], [], []
     bras, q_grids = observables._coherent_bras, selfcheck.q_grids
 
-    def counted_bras(alphas, dim):
+    def counted_bras(alphas, dim, out=None):
         rows.append(dim)
-        return bras(alphas, dim)
+        return bras(alphas, dim, out)
 
     def recorded_grids(*args):
         result = q_grids(*args)
