@@ -1,7 +1,7 @@
 """Usage: python scripts/same_bytes.py [BASE]     (BASE = HEAD by default)
 
 Runs the 15 presets, the 80 sweep configs of perfbench/workloads.py (seeds 0, 1),
-three qfunc configs, one `overlap` per pair of `selfcheck.random_overlap_pairs()` and
+four qfunc configs, one `overlap` per pair of `selfcheck.random_overlap_pairs()` and
 of OVERLAP_PAIRS, and then `check` CHECK_CALLS times through `cli.main` of BASE's
 src/ (by `git archive`) and of the working tree, one process per tree. Every `check`
 of a process must print the same stdout and exit code as its first: no state left by
@@ -20,10 +20,12 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-# Q windows other than fig5's [-8, 8]^2: half-widths 14.59, 11.22 and 8.66
+# Q windows other than fig5's [-8, 8]^2: half-widths 14.59, 11.22 and 8.66, and 11.64,
+# to which the tail walk of `runner.q_grids` widens the 9.39 of "widened" in 9 steps
 QFUNC_STATES = {"squeezed": "r = 1.2\nm = 3",
                 "detuned": "alpha0_re = -2\nalpha0_im = 2\nr = 0.9\nm = 2\ndetuning_ratio = 1.5",
-                "rotated": "alpha0_re = 1.5\nalpha0_im = -1\nr = 0.8\nphi = 2\nm = 2"}
+                "rotated": "alpha0_re = 1.5\nalpha0_im = -1\nr = 0.8\nphi = 2\nm = 2",
+                "widened": "alpha0_re = 4.72\nalpha0_im = -0.64\nr = 1.32\nphi = 1.565"}
 QFUNC_TIMES = "t_max_scaled = 12\nt_points = 2\nq_time_scaled = 7.5\nobservables = qfunc\n"
 # Seed numbers m >= 2 DIM_CAP, whose ln m! `sdfs.log_factorial` evaluates one by one
 OVERLAP_PAIRS = [("alpha0_re=1,m=1100", "alpha0_re=1.01,m=1100"),

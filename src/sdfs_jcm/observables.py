@@ -14,7 +14,8 @@ here exploit. The phase density and the Q grid are one projection
 The phase density's bras are the kernel of `phase_kernel` at the angles
 ETAS, built once per run rather than per time block; the Q grid builds
 each y row of coherent bras once for all snapshots, and once for a row
-y < 0 and its mirror -y, dealing the rows over LANES threads.
+and its mirror position on the axis where that holds -y, dealing the rows
+over LANES threads.
 
 The entropy is one array computation too, but maps math.hypot and
 math.log over its rows: the numpy versions round the last bit
@@ -127,13 +128,11 @@ def phase_distribution(c: np.ndarray, s: np.ndarray, kernel: np.ndarray) -> np.n
     return _project(kernel, c, s) / _TWO_PI
 
 
-def _coherent_bras(alphas: np.ndarray, dim: int, out: tuple | None = None) -> np.ndarray:
-    """Rows <alpha|n> = e^{-|alpha|^2/2} (alpha*)^n / sqrt(n!), log-domain, written
-    into out = (float, complex) buffers of shape (alphas.size, dim) when given:
-    the same ufuncs either way, so the same bits. Returns the complex buffer."""
-    alphas = np.asarray(alphas, dtype=complex).ravel()
-    logmag, bras = out if out is not None else (
-        np.empty((alphas.size, dim)), np.empty((alphas.size, dim), dtype=complex))
+def _coherent_bras(alphas: np.ndarray, dim: int, out: tuple) -> np.ndarray:
+    """Rows <alpha|n> = e^{-|alpha|^2/2} (alpha*)^n / sqrt(n!) of the complex
+    alphas, log-domain, written into out = (float, complex) buffers of shape
+    (alphas.size, dim), those of the calling lane. Returns the complex buffer."""
+    logmag, bras = out
     mags = np.abs(alphas)
     ns = np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -147,22 +146,20 @@ def _coherent_bras(alphas: np.ndarray, dim: int, out: tuple | None = None) -> np
     return np.multiply(np.exp(logmag, out=logmag), bras, out=bras)
 
 
-def q_function_grid(
-    c: np.ndarray, s: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray
-) -> np.ndarray:
+def q_function_grid(c: np.ndarray, s: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Husimi Q(alpha) = <alpha|rho_f|alpha>/pi = (|<alpha|C>|^2 + |<alpha|S>|^2)/pi
-    per unit area on the grid alpha = x + iy: (..., dim + 1) c and s give
-    (..., ny, nx) values, [..., iy, ix] at (x_axis[ix], y_axis[iy]), one
+    per unit area on the square window alpha = x + iy, x and y on axis: (..., dim + 1)
+    c and s give (..., n, n) values, [..., iy, ix] at (axis[ix], axis[iy]), one
     row of bras per y serving every snapshot.
 
-    A row y < 0 whose exact negation -y is also in y_axis, and is not yet
-    filled, fills the -y row too, with the conjugated bras: <x - iy|n> is
-    conj(<x + iy|n>) bit for bit, as |alpha| is even in y and arg(alpha)
-    odd. Other rows, y = 0 among them, build their own bras.
+    Row iy also fills its mirror row n - 1 - iy, with the conjugated bras, where
+    iy < n - 1 - iy and axis[n - 1 - iy] == -axis[iy] exactly: <x - iy|n> is
+    conj(<x + iy|n>) bit for bit, as |alpha| is even in y and arg(alpha) odd.
+    Other rows build their own bras, the middle row of an odd axis among them.
 
     The rows are dealt round-robin over LANES lanes: the calling thread and
     one thread per further lane, each writing its rows' bras into its own
-    pair of (nx, dim) buffers, so memory is O(LANES nx n_max) beyond the
+    pair of (n, dim) buffers, so memory is O(LANES n n_max) beyond the
     values. Every lane runs under the caller's numpy errstate; an exception
     of any lane is raised once every lane has stopped. The rows' bits do
     not depend on the lane count.
@@ -170,31 +167,27 @@ def q_function_grid(
     The rank-2 contraction is algebraically identical to the full
     double sum over rho_nm but costs O(n_max) per point.
     """
-    x_axis = np.asarray(x_axis, dtype=float)
-    y_axis = np.asarray(y_axis, dtype=float)
-    values = np.empty((*c.shape[:-1], y_axis.size, x_axis.size))
-    mirrors = {y: iy for iy, y in enumerate(y_axis.tolist()) if y > 0}
-    rows, filled = [], np.zeros(y_axis.size, dtype=bool)  # (iy, y, mirror row or None)
-    for iy, y in enumerate(y_axis.tolist()):
-        if filled[iy]:
-            continue
-        mirror = mirrors.get(-y)
-        if mirror is not None and filled[mirror]:  # -y came first and has its own bras
-            mirror = None
-        rows.append((iy, y, mirror))
-        filled[iy] = True
-        if mirror is not None:
-            filled[mirror] = True
+    axis = np.asarray(axis, dtype=float)
+    n = axis.size
+    values = np.empty((*c.shape[:-1], n, n))
+    ys = axis.tolist()
+    rows = []  # (iy, mirror row or None); a mirror row is filled by its partner
+    for iy, y in enumerate(ys):
+        mirror = n - 1 - iy
+        if ys[mirror] != -y or iy == mirror:
+            rows.append((iy, None))
+        elif iy < mirror:
+            rows.append((iy, mirror))
     lanes = max(1, min(LANES, len(rows)))
-    buffers = [(np.empty((x_axis.size, c.shape[-1])),
-                np.empty((x_axis.size, c.shape[-1]), dtype=complex)) for _ in range(lanes)]
+    buffers = [(np.empty((n, c.shape[-1])), np.empty((n, c.shape[-1]), dtype=complex))
+               for _ in range(lanes)]
     failures, errors = [None] * lanes, np.geterr()
 
     def lane(k: int) -> None:
         try:
             with np.errstate(**errors):  # a new thread starts from the default
-                for iy, y, mirror in rows[k::lanes]:
-                    bras = _coherent_bras(x_axis + 1j * y, c.shape[-1], out=buffers[k])
+                for iy, mirror in rows[k::lanes]:
+                    bras = _coherent_bras(axis + 1j * ys[iy], c.shape[-1], buffers[k])
                     values[..., iy, :] = _project(bras, c, s) / math.pi
                     if mirror is not None:
                         np.conjugate(bras, out=bras)

@@ -424,7 +424,7 @@ def q_grids(
     while (tail := _q_tail(pc, ps, h)) > Q_TAIL:
         h += 0.25
     axis = np.linspace(-h, h, Q_POINTS)
-    grids = q_function_grid(c, s, axis, axis)
+    grids = q_function_grid(c, s, axis)
     cell = np.square(axis[1] - axis[0])
     integrals = [float(np.sum(grid)) * cell for grid in grids]
     return axis, grids, conservation_residual(pc, ps), integrals, tail

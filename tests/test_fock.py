@@ -21,7 +21,8 @@ def basis_state(dim, n):
 
 def _coherent_kets(alpha, dim):
     """<n|alpha> for n < dim, the conjugates of the Q grid's coherent bras."""
-    return _coherent_bras(np.array([alpha]), dim)[0].conj()
+    buffers = (np.empty((1, dim)), np.empty((1, dim), dtype=complex))
+    return _coherent_bras(np.array([alpha], dtype=complex), dim, buffers)[0].conj()
 
 
 def test_coherent_overlap_value():

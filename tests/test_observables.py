@@ -17,6 +17,8 @@ from sdfs_jcm.fock import NORM_TOL, ROUND_SLACK, FockVector
 from sdfs_jcm.observables import (
     ETA_POINTS,
     ETAS,
+    _coherent_bras,
+    _project,
     atomic_inversion,
     entropy_rows,
     gram,
@@ -53,8 +55,8 @@ def _gram(c, s):
 
 
 def _q_at(c, s, alpha):
-    """Q at one phase-space point, as a 1 x 1 grid."""
-    return float(q_function_grid(c, s, [alpha.real], [alpha.imag])[0, 0])
+    """Q at one phase-space point, read off the 2 x 2 grid of the axis [Re alpha, Im alpha]."""
+    return float(q_function_grid(c, s, [alpha.real, alpha.imag])[1, 0])
 
 
 # ---------------------------------------------------------------- inversion
@@ -443,10 +445,9 @@ def test_q_coherent_is_displaced_gaussian():
 
 
 def test_q_grid_normalization():
-    xs = np.linspace(-8.0, 8.0, 201)
-    ys = np.linspace(-8.0, 8.0, 201)
-    grid = q_function_grid(*_evolved(SdfsParams(alpha0=3.0, r=1.0, m=1), 0.0), xs, ys)
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
+    axis = np.linspace(-8.0, 8.0, 201)
+    grid = q_function_grid(*_evolved(SdfsParams(alpha0=3.0, r=1.0, m=1), 0.0), axis)
+    cell = (axis[1] - axis[0]) ** 2
     assert float(np.sum(grid)) * cell == pytest.approx(1.0, abs=1e-3)
     assert grid.min() >= 0.0
 
@@ -471,42 +472,46 @@ def test_q_matches_explicit_double_sum():
 
 def test_q_scalar_matches_grid():
     c, s = _evolved(SdfsParams(alpha0=1.5, r=0.5), 1.0)
-    xs = np.array([0.5, 2.0])
-    ys = np.array([-1.0, 0.5])
-    grid = q_function_grid(c, s, xs, ys)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
+    axis = np.array([-1.0, 0.5, 2.0])
+    grid = q_function_grid(c, s, axis)
+    for iy, y in enumerate(axis):
+        for ix, x in enumerate(axis):
             assert grid[iy, ix] == pytest.approx(_q_at(c, s, complex(x, y)), abs=1e-14)
 
 
 _HALF_AXIS = np.linspace(0.25, 6.0, 23)
 _Q_STATE = SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2)
-_Q_XS = np.linspace(-7.0, 7.0, 29)
-_Y_AXES = pytest.mark.parametrize(
-    "ys, mirrored",
+_Q_AXES = pytest.mark.parametrize(
+    "axis, mirrored",
     [
         (np.linspace(-6.0, 6.0, 23), 2),
         (np.concatenate([-_HALF_AXIS[::-1], [0.0], _HALF_AXIS]), 23),  # every y != 0
         (np.linspace(-8.0, 8.0, 201), 57),  # the fig5 window
         (np.linspace(-5.5, 6.5, 23), 0),
+        (np.linspace(6.0, -6.0, 23), 2),  # the row of y > 0 builds the bras of a pair
+        (np.array([-6.0, -2.5, -2.5, -1.0, 0.0, 1.0, 2.5, 4.0, 6.0]), 3),  # -2.5 twice
     ],
-    ids=["linspace", "symmetric", "fig5-window", "no-mirror"],
+    ids=["linspace", "symmetric", "fig5-window", "no-mirror", "descending", "repeated"],
 )
 
 
-@_Y_AXES
-def test_q_grid_equals_its_single_rows(ys, mirrored):
-    # a one-row grid has no mirror row: each builds its own bras
-    assert sum(y < 0 and -y in set(ys.tolist()) for y in ys.tolist()) == mirrored
+@_Q_AXES
+def test_each_q_grid_row_holds_the_bits_of_its_own_bras(axis, mirrored):
+    # a mirror row, filled with its partner's conjugated bras, holds the bits
+    # of bras built for its own y
+    n = axis.size
+    assert sum(iy < n - 1 - iy and axis[n - 1 - iy] == -axis[iy] for iy in range(n)) == mirrored
     c, s = _evolved(_Q_STATE, 2.3, detuning=-0.8)
-    rows = [q_function_grid(c, s, _Q_XS, ys[i : i + 1]) for i in range(ys.size)]
-    grid = q_function_grid(c, s, _Q_XS, ys)
-    assert np.array_equal(grid.view(np.int64), np.vstack(rows).view(np.int64))
+    grid = q_function_grid(c, s, axis)
+    buffers = (np.empty((n, c.size)), np.empty((n, c.size), dtype=complex))
+    for iy, y in enumerate(axis.tolist()):
+        row = _project(_coherent_bras(axis + 1j * y, c.size, buffers), c, s) / math.pi
+        assert np.array_equal(grid[iy].view(np.int64), row.view(np.int64)), y
 
 
-@_Y_AXES
+@_Q_AXES
 @pytest.mark.parametrize("times", [[2.3], [0.0, 2.3, 7.9]], ids=["1-snapshot", "3-snapshots"])
-def test_two_lanes_give_the_bits_of_one_lane(monkeypatch, ys, mirrored, times):
+def test_two_lanes_give_the_bits_of_one_lane(monkeypatch, axis, mirrored, times):
     # LANES is set, not read from the CPUs, so this holds on a one-CPU runner too
     c, s = evolve(_state(_Q_STATE), times, -0.8)
     if len(times) == 1:
@@ -514,21 +519,21 @@ def test_two_lanes_give_the_bits_of_one_lane(monkeypatch, ys, mirrored, times):
     grids = []
     for lanes in (1, 2):
         monkeypatch.setattr(observables, "LANES", lanes)
-        grids.append(q_function_grid(c, s, _Q_XS, ys))
-    assert grids[0].shape == (*c.shape[:-1], ys.size, _Q_XS.size)
+        grids.append(q_function_grid(c, s, axis))
+    assert grids[0].shape == (*c.shape[:-1], axis.size, axis.size)
     assert np.array_equal(grids[0].view(np.int64), grids[1].view(np.int64))
 
 
 def test_more_lanes_than_cpus_switching_often_give_the_bits_of_one_lane(monkeypatch):
     c, s = evolve(_state(_Q_STATE), [0.0, 2.3, 7.9], -0.8)
-    ys = np.linspace(-8.0, 8.0, 201)
+    axis = np.linspace(-8.0, 8.0, 201)
     monkeypatch.setattr(observables, "LANES", 1)
-    serial = q_function_grid(c, s, _Q_XS, ys)
+    serial = q_function_grid(c, s, axis)
     monkeypatch.setattr(observables, "LANES", 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        lanes = q_function_grid(c, s, _Q_XS, ys)
+        lanes = q_function_grid(c, s, axis)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(serial.view(np.int64), lanes.view(np.int64))
@@ -542,18 +547,18 @@ def test_every_lane_runs_under_the_callers_errstate(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            grid = q_function_grid(c * 1e200, s * 1e200, _Q_XS, np.linspace(-6.0, 6.0, 23))
+            grid = q_function_grid(c * 1e200, s * 1e200, np.linspace(-6.0, 6.0, 23))
     assert np.isinf(grid).any(axis=1).all()
 
 
 def test_a_failing_lane_is_raised_after_every_lane_has_stopped(monkeypatch):
     monkeypatch.setattr(observables, "LANES", 2)
-    ys = np.linspace(-5.5, 6.5, 23)  # no mirror rows: lane k builds rows k, k + 2, ...
+    axis = np.linspace(-5.5, 6.5, 23)  # no mirror rows: lane k builds rows k, k + 2, ...
     bras, built = observables._coherent_bras, []
 
-    def failing_bras(alphas, dim, out=None):
+    def failing_bras(alphas, dim, out):
         built.append((threading.current_thread(), alphas[0].imag))
-        if alphas[0].imag == ys[5]:
+        if alphas[0].imag == axis[5]:
             raise ArithmeticError("row 5")
         return bras(alphas, dim, out)
 
@@ -561,12 +566,12 @@ def test_a_failing_lane_is_raised_after_every_lane_has_stopped(monkeypatch):
     c, s = _evolved(_Q_STATE, 2.3)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="row 5"):
-        q_function_grid(c, s, _Q_XS, ys)
+        q_function_grid(c, s, axis)
     assert threading.active_count() == before
     lane0 = [y for thread, y in built if thread is threading.current_thread()]
     lane1 = [y for thread, y in built if thread is not threading.current_thread()]
-    assert lane0 == ys[0::2].tolist()  # the calling thread ran all of its rows
-    assert lane1 == ys[1:6:2].tolist()  # and lane 1 stopped at its failing row
+    assert lane0 == axis[0::2].tolist()  # the calling thread ran all of its rows
+    assert lane1 == axis[1:6:2].tolist()  # and lane 1 stopped at its failing row
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
@@ -582,7 +587,7 @@ def test_a_q_grid_holds_its_values_and_one_row_of_buffers_per_lane(monkeypatch, 
     try:
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        grid = q_function_grid(c, s, axis, axis)
+        grid = q_function_grid(c, s, axis)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -594,13 +599,12 @@ def test_a_q_grid_holds_its_values_and_one_row_of_buffers_per_lane(monkeypatch, 
 def test_a_stacked_q_grid_equals_its_single_snapshots(detuning):
     p = SdfsParams(alpha0=1.2 - 0.4j, r=0.7, phi=0.5, m=2)
     c, s = evolve(_state(p), [0.0, 2.3, 7.9], detuning)
-    xs = np.linspace(-7.0, 7.0, 29)
-    ys = np.linspace(-6.0, 6.0, 23)
-    stacked = q_function_grid(c, s, xs, ys)
-    assert stacked.shape == (3, 23, 29)
-    assert q_function_grid(c[None], s[None], xs, ys).shape == (1, 3, 23, 29)
+    axis = np.linspace(-6.0, 6.0, 23)
+    stacked = q_function_grid(c, s, axis)
+    assert stacked.shape == (3, 23, 23)
+    assert q_function_grid(c[None], s[None], axis).shape == (1, 3, 23, 23)
     for k in range(3):
-        single = q_function_grid(c[k], s[k], xs, ys)
+        single = q_function_grid(c[k], s[k], axis)
         assert np.array_equal(stacked[k].view(np.int64), single.view(np.int64))
 
 

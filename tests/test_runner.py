@@ -293,7 +293,7 @@ def test_compute_refuses_where_the_phase_budget_is_exceeded(dim, monkeypatch):
     # formed as below, at the time each selected output reads
     monkeypatch.setattr(runner, "sdfs_state", lambda p: FockVector(np.eye(dim)[0]))
     # the Q grid is not under test, and at dim 512 it takes most of a second
-    monkeypatch.setattr(runner, "q_function_grid", lambda c, s, x, y: np.zeros((1, 1, 1)))
+    monkeypatch.setattr(runner, "q_function_grid", lambda c, s, axis: np.zeros((1, 1, 1)))
     outcomes = set()
     for detuning in (0.0, 3.0, -3.0, 1e100, 1e200):
         nu_max = math.sqrt(0.25 * (detuning * detuning) + dim)
@@ -327,7 +327,7 @@ def test_compute_matches_its_kernels_outside_the_one_thread_scope(two_blas_threa
     else:
         c, s = evolve(q, [cfg.q_time_scaled], cfg.detuning_ratio)
         got = data.qfunc
-        expected = q_function_grid(c[0], s[0], data.q_axis, data.q_axis)
+        expected = q_function_grid(c[0], s[0], data.q_axis)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 

@@ -20,7 +20,7 @@ def same_bytes():
 def subset(same_bytes, tmp_path_factory):
     jobs = same_bytes.jobs(tmp_path_factory.mktemp("configs"))
     labels = [label for label, _ in jobs]
-    assert len(labels) == len(set(labels)) == 15 + 80 + 3 + 20 + 2 + 1
+    assert len(labels) == len(set(labels)) == 15 + 80 + 4 + 20 + 2 + 1
     assert jobs[labels.index("overlap-20")][1][2] == "alpha0_re=1,m=1100"
     return [job for job in jobs if job[0] in SUBSET]
 

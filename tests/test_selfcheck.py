@@ -123,9 +123,9 @@ def test_a_scaled_phase_density_fails_its_run_and_check(tmp_path, capsys, monkey
 def test_an_initial_q_of_one_lobe_fails_the_q_check(monkeypatch, edit):
     grid_kernel = runner.q_function_grid
 
-    def edited(c, s, xs, ys):  # fig5a's grid replaced by edit(grid, x, y)
-        grids = grid_kernel(c, s, xs, ys)
-        grids[0] = edit(grids[0], xs[None, :], ys[:, None])
+    def edited(c, s, axis):  # fig5a's grid replaced by edit(grid, x, y)
+        grids = grid_kernel(c, s, axis)
+        grids[0] = edit(grids[0], axis[None, :], axis[:, None])
         return grids
 
     monkeypatch.setattr(runner, "q_function_grid", edited)
@@ -139,7 +139,7 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
     rows, axes, grids, integrals = [], [], [], []
     bras, q_grids = observables._coherent_bras, selfcheck.q_grids
 
-    def counted_bras(alphas, dim, out=None):
+    def counted_bras(alphas, dim, out):
         rows.append(dim)
         return bras(alphas, dim, out)
 
@@ -154,8 +154,8 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
     monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
     result = check_q_structure()
     assert result.passed and result.detail.endswith(", components [2, 4, 1]")
-    # 3 * Q_POINTS with a grid per snapshot; the 57 rows y > 0 of the
-    # window [-8, 8] whose negation is on the axis reuse the bras of -y
+    # 3 * Q_POINTS with a grid per snapshot; on the window [-8, 8] 57 rows hold
+    # the exact negation of y at their mirror position and lend it their bras
     assert len(rows) == Q_POINTS - 57 == 144
     monkeypatch.undo()
     assert len(axes) == 1 and len(grids) == 3
