@@ -6,7 +6,7 @@ Verbs:
     check                        run the full invariant suite
     overlap --p1 ... --p2 ...    print the scalar product of two states
 
-Exit codes: 0 success, 1 invariant failure, 2 usage/config error.
+Exit codes: 0 success, 1 invariant failure or a check that raised, 2 usage/config error.
 """
 
 from __future__ import annotations

@@ -91,19 +91,19 @@ class RunConfig:
             )
 
 
-_FLOAT_KEYS = (
-    "alpha0_re",
-    "alpha0_im",
-    "r",
-    "phi",
-    "detuning_ratio",
-    "t_max_scaled",
-    "q_time_scaled",
-)
-_INT_KEYS = ("m", "t_points")
-_STR_KEYS = ("observables", "output_dir")
-KNOWN_KEYS = (*_FLOAT_KEYS, *_INT_KEYS, *_STR_KEYS)
-_STATE_KEYS = ("alpha0_re", "alpha0_im", "r", "phi", "m")
+def _names(text: str) -> tuple[str, ...]:
+    """The comma-separated entries of an `observables` value, blanks dropped."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+# Each key and the parser of its value, the five state keys first.
+_PARSERS = {
+    "alpha0_re": float, "alpha0_im": float, "r": float, "phi": float, "m": int,
+    "detuning_ratio": float, "t_max_scaled": float, "t_points": int, "q_time_scaled": float,
+    "observables": _names, "output_dir": str,
+}
+KNOWN_KEYS = tuple(_PARSERS)
+_STATE_KEYS = KNOWN_KEYS[:5]
 
 
 def _fail(msg: str, place: str | None = None) -> ValueError:
@@ -128,17 +128,13 @@ def _parse_items(items: list[tuple[str, str]], keys: tuple[str, ...]) -> dict:
             raise _fail(f"duplicate key {key!r}", place)
         if not text:
             raise _fail(f"key {key!r} has an empty value", place)
+        parse = _PARSERS[key]
         try:
-            if key in _FLOAT_KEYS:
-                value = float(text)
-                if not math.isfinite(value):
-                    raise ValueError
-            elif key in _INT_KEYS:
-                value = int(text)
-            else:
-                value = text
+            value = parse(text)
+            if parse is float and not math.isfinite(value):
+                raise ValueError
         except ValueError:
-            kind = "a number" if key in _FLOAT_KEYS else "an integer"
+            kind = "a number" if parse is float else "an integer"
             raise _fail(f"key {key!r} needs {kind}, got {text!r}", place)
         if key in ("r", "m") and value < 0:
             raise _fail(f"key {key!r} must be >= 0", place)
@@ -149,29 +145,22 @@ def _parse_items(items: list[tuple[str, str]], keys: tuple[str, ...]) -> dict:
 def _pop_state(values: dict) -> SdfsParams:
     """The state named by the state keys of values, which are removed;
     unset keys keep the SdfsParams defaults."""
-    kwargs = {key: values.pop(key) for key in ("r", "phi", "m") if key in values}
-    if "alpha0_re" in values or "alpha0_im" in values:
-        kwargs["alpha0"] = complex(values.pop("alpha0_re", 0.0), values.pop("alpha0_im", 0.0))
+    kwargs = {key: values.pop(key) for key in _STATE_KEYS if key in values}
+    if "alpha0_re" in kwargs or "alpha0_im" in kwargs:
+        kwargs["alpha0"] = complex(kwargs.pop("alpha0_re", 0.0), kwargs.pop("alpha0_im", 0.0))
     return SdfsParams(**kwargs)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat key = value document.
-
-    Keys the document leaves out keep the defaults of RunConfig and
-    SdfsParams.
-    """
+    """Parse and validate a flat key = value document. Keys it leaves out
+    keep the defaults of RunConfig and SdfsParams."""
     items = [
         (f"line {line_no}", stripped)
         for line_no, line in enumerate(text.splitlines(), start=1)
         if (stripped := line.strip()) and not stripped.startswith("#")
     ]
     values = _parse_items(items, KNOWN_KEYS)
-    state = _pop_state(values)
-    if "observables" in values:
-        names = values["observables"].split(",")
-        values["observables"] = tuple(name.strip() for name in names if name.strip())
-    return RunConfig(state=state, **values)
+    return RunConfig(state=_pop_state(values), **values)
 
 
 def parse_state(text: str) -> SdfsParams:

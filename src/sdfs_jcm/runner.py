@@ -32,8 +32,8 @@ inf, nan, magnitudes outside EXACT_RANGE) go to '%.17g' itself.
 `_write_lines` writes in blocks of BLOCK_ENTRIES lines. The column keys
 of a keyed file (n, eta or x) are formatted once per file, its row keys
 (time or y) once per call. A run that raises leaves no CSV behind.
-Lines end in '\\n': identical configurations give identical bytes,
-equal to the np.savetxt output of earlier versions.
+Lines end in '\\n': identical configurations give identical bytes, which
+the writer tests compare with an np.savetxt reference.
 run_summary.txt records the truncation, the worst invariant residuals
 and the compute, write and wall times (write_s is the time inside the
 writer, compute_s the rest); any residual beyond its tolerance

@@ -176,7 +176,8 @@ class SdfsParams:
 def mean_photon_number(p: SdfsParams) -> float:
     """<a+ a> = (mu^2 + |nu|^2) m + |nu|^2 + |alpha0|^2; inf on overflow."""
     nsq = abs(p.nu) * abs(p.nu)
-    seeded = (p.mu * p.mu + nsq) * p.m if p.m else 0.0  # no inf * 0 where the sum is finite
+    m = p.m if p.m <= sys.float_info.max else math.inf  # a larger int raises in a float product
+    seeded = (p.mu * p.mu + nsq) * m if m else 0.0  # no inf * 0 where the sum is finite
     return seeded + nsq + abs(p.alpha0) * abs(p.alpha0)
 
 

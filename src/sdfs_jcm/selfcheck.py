@@ -9,7 +9,9 @@ phase/Q peak structure). Checks of a run residual hold it to its
 detail line prints the bound it was compared against. The checks of
 figures 1 and 2 take the runs of `figure_runs`, one per variant that `presets`
 declares; the phase check reads a two-point run of variant a, the Q check
-the state of variant b at figure 5's times.
+the state of variant b at figure 5's times. Each check returns whether it
+passed and the detail of its line; `run_all` names the line after the
+check's `CHECKS` entry, and a check that raises fails its line.
 """
 
 from __future__ import annotations
@@ -70,16 +72,14 @@ def grid_params() -> list[SdfsParams]:
     ]
 
 
-def check_amplitude_oracle() -> CheckResult:
+def check_amplitude_oracle() -> tuple[bool, str]:
     """Closed-form amplitudes vs the operator construction over the grid."""
     states = grid_params()
     qs = [sdfs_state(p) for p in states]
     oracles = build_sdfs_oracle(states, [2 * q.dim for q in qs])
     dev = worst(np.abs(q.amps - oracle.amps[: q.dim]) for q, oracle in zip(qs, oracles))
-    return CheckResult(
-        "amplitude-oracle-grid",
-        bool(dev <= AMPLITUDE_TOL),
-        f"worst deviation {dev:.3e} (tol {AMPLITUDE_TOL:g}) over {len(states)} states",
+    return bool(dev <= AMPLITUDE_TOL), (
+        f"worst deviation {dev:.3e} (tol {AMPLITUDE_TOL:g}) over {len(states)} states"
     )
 
 
@@ -100,7 +100,7 @@ def random_overlap_pairs() -> list[tuple[SdfsParams, SdfsParams]]:
     return list(zip(states[::2], states[1::2]))
 
 
-def check_overlap_oracle() -> CheckResult:
+def check_overlap_oracle() -> tuple[bool, str]:
     """Closed-form overlaps vs oracle inner products on random pairs, and
     the closed-form amplitudes of each pair state vs its oracle vector.
 
@@ -126,12 +126,10 @@ def check_overlap_oracle() -> CheckResult:
     worst_mod, worst_phase = worst(mods), worst(phases)
     passed = (worst_mod <= OVERLAP_MODULUS_TOL and worst_phase <= OVERLAP_PHASE_TOL
               and amp_dev <= AMPLITUDE_TOL)
-    return CheckResult(
-        "overlap-oracle-pairs",
-        bool(passed),
+    return bool(passed), (
         f"worst modulus dev {worst_mod:.3e} (tol {OVERLAP_MODULUS_TOL:g}), "
         f"worst phase dev {worst_phase:.3e} rad (tol {OVERLAP_PHASE_TOL:g}), "
-        f"worst amplitude dev {amp_dev:.3e} (tol {AMPLITUDE_TOL:g})",
+        f"worst amplitude dev {amp_dev:.3e} (tol {AMPLITUDE_TOL:g})"
     )
 
 
@@ -143,18 +141,14 @@ def figure_runs() -> dict[str, RunData]:
     }
 
 
-def check_conservation(runs: dict[str, RunData]) -> CheckResult:
+def check_conservation(runs: dict[str, RunData]) -> tuple[bool, str]:
     """sum(|A_n|^2 + |B_n|^2) stays at 1 along the fig1 sweeps."""
     tol = TOLERANCES["conservation_residual"]
     dev = worst(data.residuals["conservation_residual"] for data in runs.values())
-    return CheckResult(
-        "conservation-fig1",
-        bool(dev <= tol),
-        f"worst residual {dev:.3e} (tol {tol:g}) over 3 x 2000 points",
-    )
+    return bool(dev <= tol), f"worst residual {dev:.3e} (tol {tol:g}) over 3 x 2000 points"
 
 
-def check_entropy_suite(runs: dict[str, RunData]) -> CheckResult:
+def check_entropy_suite(runs: dict[str, RunData]) -> tuple[bool, str]:
     """Entropy bounds, initial purity, eigenvalue sum, and the 2x2
     eigensolve cross-check along the fig2 sweeps; the eigenvalues of both
     routes are held to the run's eigenvalue-sum tolerance."""
@@ -181,7 +175,7 @@ def check_entropy_suite(runs: dict[str, RunData]) -> CheckResult:
     )
     if issues:
         detail += "; " + "; ".join(issues[:3])
-    return CheckResult("entropy-fig2", bool(passed), detail)
+    return bool(passed), detail
 
 
 def sliding_abs_mean(ts: np.ndarray, values: np.ndarray, half_width: float) -> np.ndarray:
@@ -201,7 +195,7 @@ def local_maxima(values: np.ndarray) -> np.ndarray:
     return np.nonzero(flat & strict)[0] + 1
 
 
-def check_revival_structure(runs: dict[str, RunData]) -> CheckResult:
+def check_revival_structure(runs: dict[str, RunData]) -> tuple[bool, str]:
     """Windowed |W| collapses below COLLAPSE_MAX, then peaks within NEAR
     of the revival-time estimate T_R (fig1a: alpha0 = 3, r = 1, m = 0,
     resonant)."""
@@ -211,18 +205,12 @@ def check_revival_structure(runs: dict[str, RunData]) -> CheckResult:
     window = (ts >= (1.0 - NEAR) * REVIVAL_T) & (ts <= (1.0 + NEAR) * REVIVAL_T)
     maxima = [i for i in local_maxima(smooth) if window[i]]
     if not maxima:
-        return CheckResult(
-            "revival-structure",
-            False,
-            f"no windowed-|W| local maximum within {NEAR:.0%} of T_R = {REVIVAL_T:.3f}",
-        )
+        return False, f"no windowed-|W| local maximum within {NEAR:.0%} of T_R = {REVIVAL_T:.3f}"
     peak_idx = max(maxima, key=lambda i: smooth[i])
     collapse_min = float(np.min(smooth[: peak_idx + 1]))
-    return CheckResult(
-        "revival-structure",
-        bool(collapse_min < COLLAPSE_MAX),
+    return bool(collapse_min < COLLAPSE_MAX), (
         f"peak at t = {ts[peak_idx]:.3f} (T_R = {REVIVAL_T:.3f}), "
-        f"collapse minimum {collapse_min:.3f} (< {COLLAPSE_MAX:g} required)",
+        f"collapse minimum {collapse_min:.3f} (< {COLLAPSE_MAX:g} required)"
     )
 
 
@@ -247,7 +235,7 @@ def _median(values: np.ndarray) -> np.float64:
     return np.mean(ordered[mid - 1 + ordered.size % 2 : mid + 1])
 
 
-def check_entropy_minima(runs: dict[str, RunData]) -> CheckResult:
+def check_entropy_minima(runs: dict[str, RunData]) -> tuple[bool, str]:
     """Entropy dips within NEAR of T_R/2 and T_R sit below the mid-sweep
     median (fig2a parameters)."""
     data = runs["a"]
@@ -262,14 +250,10 @@ def check_entropy_minima(runs: dict[str, RunData]) -> CheckResult:
         ok = is_local and value < baseline
         passed = passed and ok
         details.append(f"{label}: min {value:.4f} at t={where:.2f} (local={is_local})")
-    return CheckResult(
-        "entropy-minima",
-        bool(passed),
-        f"baseline median {baseline:.4f}; " + "; ".join(details),
-    )
+    return bool(passed), f"baseline median {baseline:.4f}; " + "; ".join(details)
 
 
-def check_phase_distribution() -> CheckResult:
+def check_phase_distribution() -> tuple[bool, str]:
     """Single phase peak at eta = 0 at t = 0 and unit integral (fig4a
     parameters), both from a two-point run of the preset's state and times.
     The integral is the conservation sum at every t, which conservation-fig1
@@ -289,11 +273,9 @@ def check_phase_distribution() -> CheckResult:
     peaks = peaks[vals0[peaks] >= PEAK_FLOOR * float(np.max(vals0))]
     peak_count = len(peaks)
     peak_eta = float(ETAS[peaks[0]]) if peak_count else math.nan
-    return CheckResult(
-        "phase-distribution",
-        bool(peak_count == 1 and abs(peak_eta) <= PEAK_ETA_TOL and worst_integral <= tol),
+    return bool(peak_count == 1 and abs(peak_eta) <= PEAK_ETA_TOL and worst_integral <= tol), (
         f"{peak_count} peak(s) at t=0 (location {peak_eta:.4f} rad), "
-        f"worst integral dev {worst_integral:.3e} (tol {tol:g})",
+        f"worst integral dev {worst_integral:.3e} (tol {tol:g})"
     )
 
 
@@ -326,7 +308,7 @@ def _half_max_components(grid: np.ndarray, axis: np.ndarray) -> tuple[int, tuple
     return int(count), (cx, cy)
 
 
-def check_q_structure() -> CheckResult:
+def check_q_structure() -> tuple[bool, str]:
     """Half-maximum structure of the Q snapshots: initially INITIAL_Q_LOBES
     components whose centroid is near alpha0 = (3, 0), at least two at half
     the revival time, unit grid integral throughout. The initial Q of the
@@ -355,15 +337,13 @@ def check_q_structure() -> CheckResult:
                 )
         if variant == "b" and count < 2:
             issues.append(f"fig5b: expected >= 2 components, found {count}")
-    return CheckResult(
-        "q-structure",
-        not issues,
+    return not issues, (
         f"integrals {['%.6f' % v for v in integrals]}, components {counts}"
-        + ("; " + "; ".join(issues) if issues else ""),
+        + ("; " + "; ".join(issues) if issues else "")
     )
 
 
-def check_trivial_limits() -> CheckResult:
+def check_trivial_limits() -> tuple[bool, str]:
     """Vacuum Rabi cosine and coherent-state Poisson statistics."""
     q = FockVector(np.array([1.0, 0.0]))
     ts = np.linspace(0.0, 10.0, 2000)
@@ -373,25 +353,42 @@ def check_trivial_limits() -> CheckResult:
     ns = np.arange(probs.size)
     poisson = np.exp(ns * math.log(9.0) - 9.0 - log_factorial(ns))
     worst_p = worst([np.abs(probs - poisson)])
-    return CheckResult(
-        "trivial-limits",
-        bool(worst_w <= VACUUM_TOL and worst_p <= POISSON_TOL),
+    return bool(worst_w <= VACUUM_TOL and worst_p <= POISSON_TOL), (
         f"vacuum inversion dev {worst_w:.3e} (tol {VACUUM_TOL:g}), "
-        f"Poisson dev {worst_p:.3e} (tol {POISSON_TOL:g})",
+        f"Poisson dev {worst_p:.3e} (tol {POISSON_TOL:g})"
     )
 
 
+# Each line of `check` in print order: its name, its check, and whether the
+# check reads the figure runs.
+CHECKS = (
+    ("amplitude-oracle-grid", check_amplitude_oracle, False),
+    ("overlap-oracle-pairs", check_overlap_oracle, False),
+    ("conservation-fig1", check_conservation, True),
+    ("entropy-fig2", check_entropy_suite, True),
+    ("revival-structure", check_revival_structure, True),
+    ("entropy-minima", check_entropy_minima, True),
+    ("phase-distribution", check_phase_distribution, False),
+    ("q-structure", check_q_structure, False),
+    ("trivial-limits", check_trivial_limits, False),
+)
+
+
 def run_all() -> list[CheckResult]:
-    """The nine checks in print order, the figure runs computed once."""
-    runs = figure_runs()
-    return [
-        check_amplitude_oracle(),
-        check_overlap_oracle(),
-        check_conservation(runs),
-        check_entropy_suite(runs),
-        check_revival_structure(runs),
-        check_entropy_minima(runs),
-        check_phase_distribution(),
-        check_q_structure(),
-        check_trivial_limits(),
-    ]
+    """The nine checks in print order, the figure runs computed once. A check
+    that raises, or whose figure runs raise, fails its line with the exception,
+    and the other checks still run."""
+    try:
+        runs = figure_runs()
+    except Exception as exc:
+        runs = exc
+    results = []
+    for name, check, reads_runs in CHECKS:
+        try:
+            if reads_runs and isinstance(runs, Exception):
+                raise runs
+            passed, detail = check(runs) if reads_runs else check()
+        except Exception as exc:
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail))
+    return results

@@ -38,54 +38,46 @@ def _report(num: int, name: str, passed: bool, detail: str):
 
 def test_criterion_01_amplitude_oracle_grid():
     started = time.perf_counter()
-    result = check_amplitude_oracle()
+    passed, detail = check_amplitude_oracle()
     elapsed = time.perf_counter() - started
     _report(
         1,
         "closed-form amplitudes vs operator construction",
-        result.passed and elapsed <= 30.0,
-        f"{result.detail}; runtime {elapsed:.1f}s (budget 30s)",
+        passed and elapsed <= 30.0,
+        f"{detail}; runtime {elapsed:.1f}s (budget 30s)",
     )
 
 
 def test_criterion_02_overlap_oracle_pairs():
-    result = check_overlap_oracle()
-    _report(2, "overlaps vs oracle inner products", result.passed, result.detail)
+    _report(2, "overlaps vs oracle inner products", *check_overlap_oracle())
 
 
 def test_criterion_03_probability_conservation(runs):
-    result = check_conservation(runs)
-    _report(3, "probability conservation on fig1 sweeps", result.passed, result.detail)
+    _report(3, "probability conservation on fig1 sweeps", *check_conservation(runs))
 
 
 def test_criterion_04_entropy_bounds_and_eigensolve(runs):
-    result = check_entropy_suite(runs)
-    _report(4, "entropy bounds, purity and eigensolve", result.passed, result.detail)
+    _report(4, "entropy bounds, purity and eigensolve", *check_entropy_suite(runs))
 
 
 def test_criterion_05_revival_structure(runs):
-    result = check_revival_structure(runs)
-    _report(5, "collapse-revival timing", result.passed, result.detail)
+    _report(5, "collapse-revival timing", *check_revival_structure(runs))
 
 
 def test_criterion_06_entropy_minima(runs):
-    result = check_entropy_minima(runs)
-    _report(6, "entropy minima near T_R/2 and T_R", result.passed, result.detail)
+    _report(6, "entropy minima near T_R/2 and T_R", *check_entropy_minima(runs))
 
 
 def test_criterion_07_phase_distribution():
-    result = check_phase_distribution()
-    _report(7, "single-peak phase structure and unit mass", result.passed, result.detail)
+    _report(7, "single-peak phase structure and unit mass", *check_phase_distribution())
 
 
 def test_criterion_08_q_structure():
-    result = check_q_structure()
-    _report(8, "Husimi Q peak structure and unit mass", result.passed, result.detail)
+    _report(8, "Husimi Q peak structure and unit mass", *check_q_structure())
 
 
 def test_criterion_09_trivial_limits():
-    result = check_trivial_limits()
-    _report(9, "vacuum Rabi cosine and Poisson statistics", result.passed, result.detail)
+    _report(9, "vacuum Rabi cosine and Poisson statistics", *check_trivial_limits())
 
 
 def test_criterion_10_full_preset_suite(tmp_path):

@@ -199,28 +199,29 @@ def test_a_document_that_sets_every_key_parses_to_its_config():
     phi = 2.5
     m = 3
     detuning_ratio = -1.5
-    t_max_scaled = 12.0
+    t_max_scaled = 12
     t_points = 300
     q_time_scaled = 3.25
     observables = qfunc, phase_dist,inversion
     output_dir = elsewhere/run 1
     """
-    cfg = RunConfig(
-        state=SdfsParams(alpha0=1.25 - 0.75j, r=0.3, phi=2.5, m=3),
-        detuning_ratio=-1.5,
-        t_max_scaled=12.0,
-        t_points=300,
-        q_time_scaled=3.25,
-        observables=("qfunc", "phase_dist", "inversion"),
-        output_dir="elsewhere/run 1",
-    )
+    expected = {
+        "alpha0": 1.25 - 0.75j, "r": 0.3, "phi": 2.5, "m": 3, "detuning_ratio": -1.5,
+        "t_max_scaled": 12.0, "t_points": 300, "q_time_scaled": 3.25,
+        "observables": ("qfunc", "phase_dist", "inversion"), "output_dir": "elsewhere/run 1",
+    }
     keys = [line.split("=")[0].strip() for line in doc.strip().splitlines()]
-    assert sorted(keys) == sorted(KNOWN_KEYS) and len(KNOWN_KEYS) == 11
-    default = RunConfig()
-    for name in ("state", "detuning_ratio", "t_max_scaled", "t_points", "q_time_scaled",
-                 "observables", "output_dir"):
-        assert getattr(cfg, name) != getattr(default, name)
-    assert parse_config(doc) == cfg
+    assert keys == list(KNOWN_KEYS) and len(KNOWN_KEYS) == 11
+    cfg = parse_config(doc)
+    # each field of RunConfig and of its state holds its value, of its type, and no default
+    fields = [(cfg.state, SdfsParams(), f.name) for f in dataclasses.fields(SdfsParams)]
+    fields += [(cfg, RunConfig(), f.name) for f in dataclasses.fields(RunConfig)
+               if f.name != "state"]
+    assert sorted(name for *_, name in fields) == sorted(expected)
+    for parsed, default, name in fields:
+        value = getattr(parsed, name)
+        assert value == expected[name] and type(value) is type(expected[name]), name
+        assert value != getattr(default, name), name
 
 
 def test_parse_state_follows_the_config_rules():
@@ -715,6 +716,22 @@ def test_cli_run_refuses_a_squeeze_whose_mean_photon_number_overflows(r, tmp_pat
     assert main(["run", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert f"required truncation {needed} exceeds the cap 511" in err
+    assert not out_dir.exists()
+
+
+def test_cli_run_refuses_a_seed_number_past_the_double_range(tmp_path, capsys):
+    # m = 10**400: its float product in the mean photon number raised OverflowError (exit 1)
+    config_path = tmp_path / "seeded.cfg"
+    out_dir = tmp_path / "out"
+    config_path.write_text(f"alpha0_re = 3\nm = 1{'0' * 400}\noutput_dir = {out_dir}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: required truncation beyond the double range exceeds the cap 511\n"
+    )
     assert not out_dir.exists()
 
 

@@ -270,9 +270,12 @@ def test_an_overflowing_mean_is_inf_and_refused_by_sdfs_state():
     assert mean_photon_number(SdfsParams(alpha0=1.0, r=356.0)) == math.inf
     assert math.isfinite(mean_photon_number(SdfsParams(alpha0=1.0, r=355.5)))
     assert revival_time(SdfsParams(alpha0=1.0, r=356.0)) == math.inf
-    for m in (0, 1):
+    # a seed number past the double range: a float product of it raised OverflowError
+    assert mean_photon_number(SdfsParams(alpha0=3.0, m=10**400)) == math.inf
+    for p in (SdfsParams(alpha0=1.0, r=356.0), SdfsParams(alpha0=1.0, r=356.0, m=1),
+              SdfsParams(alpha0=3.0, m=10**400)):
         with pytest.raises(ValueError, match="^required truncation beyond the double range exceeds"):
-            sdfs_state(SdfsParams(alpha0=1.0, r=356.0, m=m))
+            sdfs_state(p)
 
 
 def test_choose_truncation_cap():

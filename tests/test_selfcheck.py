@@ -56,27 +56,58 @@ def test_component_count_edge_cases():
 
 
 def test_oracle_checks_print_the_same_after_other_work(tmp_path, sweep_workloads):
-    before = [check_amplitude_oracle().detail, check_overlap_oracle().detail]
+    before = [check_amplitude_oracle(), check_overlap_oracle()]
     suite = [(res.name, res.passed, res.detail) for res in run_all()]
     compute(figure_preset("fig4a"))
     for state in sweep_workloads.sweep_states(0)[:2]:
         compute(parse_config(sweep_workloads.sweep_config_text(state, tmp_path)))
-    assert [check_amplitude_oracle().detail, check_overlap_oracle().detail] == before
+    assert [check_amplitude_oracle(), check_overlap_oracle()] == before
     assert [(res.name, res.passed, res.detail) for res in run_all()] == suite
 
 
+_LINES = [
+    "amplitude-oracle-grid", "overlap-oracle-pairs", "conservation-fig1", "entropy-fig2",
+    "revival-structure", "entropy-minima", "phase-distribution", "q-structure", "trivial-limits",
+]
+
+
 def test_run_all_returns_the_nine_checks_in_print_order():
-    assert [res.name for res in run_all()] == [
-        "amplitude-oracle-grid",
-        "overlap-oracle-pairs",
-        "conservation-fig1",
-        "entropy-fig2",
-        "revival-structure",
-        "entropy-minima",
-        "phase-distribution",
-        "q-structure",
-        "trivial-limits",
-    ]
+    assert [res.name for res in run_all()] == _LINES
+
+
+def _check_lines(capsys) -> list[tuple[str, str, str]]:
+    """(status, line name, detail) of each line that `check` printed."""
+    lines = capsys.readouterr().out.splitlines()
+    return [(line[:4], *line[6:].split(": ", 1)) for line in lines]
+
+
+def test_a_check_that_raises_fails_its_line_and_the_others_still_run(monkeypatch, capsys):
+    # one grid state of the amplitude check, in no other check: a raise ended `check`
+    # with exit 2 and no line printed
+    build, target = selfcheck.sdfs_state, SdfsParams(alpha0=0.5, r=0.3, phi=math.pi / 2, m=2)
+
+    def raise_for_target(p):
+        if p == target:
+            raise ValueError("injected")
+        return build(p)
+
+    monkeypatch.setattr(selfcheck, "sdfs_state", raise_for_target)
+    assert cli.main(["check"]) == 1
+    lines = _check_lines(capsys)
+    assert [name for _, name, _ in lines] == _LINES
+    assert lines[0] == ("FAIL", "amplitude-oracle-grid", "raised ValueError: injected")
+    assert [status for status, _, _ in lines[1:]] == ["PASS"] * 8
+
+
+def test_figure_runs_that_raise_fail_the_four_lines_that_read_them(monkeypatch, capsys):
+    def raise_zero_division():
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(selfcheck, "figure_runs", raise_zero_division)
+    assert cli.main(["check"]) == 1
+    failed = [name for status, name, detail in _check_lines(capsys)
+              if status == "FAIL" and detail == "raised ZeroDivisionError: injected"]
+    assert failed == ["conservation-fig1", "entropy-fig2", "revival-structure", "entropy-minima"]
 
 
 def test_run_all_computes_each_figure_variant_once(monkeypatch):
@@ -129,10 +160,10 @@ def test_an_initial_q_of_one_lobe_fails_the_q_check(monkeypatch, edit):
         return grids
 
     monkeypatch.setattr(runner, "q_function_grid", edited)
-    result = check_q_structure()
-    assert not result.passed
-    assert "components [1, 4, 1]" in result.detail
-    assert "fig5a: 1 component(s) (expected 2)" in result.detail
+    passed, detail = check_q_structure()
+    assert not passed
+    assert "components [1, 4, 1]" in detail
+    assert "fig5a: 1 component(s) (expected 2)" in detail
 
 
 def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypatch):
@@ -152,14 +183,14 @@ def test_q_structure_builds_each_bra_row_once_for_the_three_fig5_grids(monkeypat
 
     monkeypatch.setattr(observables, "_coherent_bras", counted_bras)
     monkeypatch.setattr(selfcheck, "q_grids", recorded_grids)
-    result = check_q_structure()
-    assert result.passed and result.detail.endswith(", components [2, 4, 1]")
+    passed, detail = check_q_structure()
+    assert passed and detail.endswith(", components [2, 4, 1]")
     # 3 * Q_POINTS with a grid per snapshot; on the window [-8, 8] 57 rows hold
     # the exact negation of y at their mirror position and lend it their bras
     assert len(rows) == Q_POINTS - 57 == 144
     monkeypatch.undo()
     assert len(axes) == 1 and len(grids) == 3
-    assert result.detail.startswith(f"integrals {['%.6f' % v for v in integrals]}, ")
+    assert detail.startswith(f"integrals {['%.6f' % v for v in integrals]}, ")
     for variant, grid, integral in zip("abc", grids, integrals):
         expected = compute(figure_preset(f"fig5{variant}"))
         assert np.array_equal(axes[0], expected.q_axis)  # the x and the y axis
@@ -187,7 +218,7 @@ def test_the_overlap_pairs_are_the_seed_42_stdlib_draws_in_the_stated_domain():
 
 def test_the_overlap_line_holds_each_pair_state_to_its_oracle_vector(monkeypatch):
     # the pair states enter the line only here: the overlaps are closed forms
-    before = check_overlap_oracle().detail
+    _, before = check_overlap_oracle()
     first = selfcheck.random_overlap_pairs()[0][0]
     build = selfcheck.sdfs_state
 
@@ -196,9 +227,9 @@ def test_the_overlap_line_holds_each_pair_state_to_its_oracle_vector(monkeypatch
         return FockVector(q.amps + 1e-6 * (np.arange(q.dim) == 2)) if p == first else q
 
     monkeypatch.setattr(selfcheck, "sdfs_state", off_by_1e_6)
-    result = check_overlap_oracle()
-    assert not result.passed
-    unchanged, amplitude = result.detail.rsplit(", ", 1)
+    passed, detail = check_overlap_oracle()
+    assert not passed
+    unchanged, amplitude = detail.rsplit(", ", 1)
     assert before.startswith(unchanged + ", ")
     assert amplitude.startswith("worst amplitude dev 1.000e-06 (tol 1e-08)")
 
